@@ -2,7 +2,7 @@
 
 All file formats use JSON with 1-based indices and complex numbers as
 [re, im] pairs.  Exit codes: 0 success, 2 validation error (machine-readable
-object on stderr), 64 unknown subcommand, 65 parse error.
+object on stderr), 64 missing or unknown subcommand, 65 parse error.
 """
 
 from __future__ import annotations
@@ -13,35 +13,17 @@ import sys
 
 import numpy as np
 
-from .numcore import Tolerance, equiv_canonical, simil_canonical
+from .numcore import Tolerance, equiv_canonical
 from . import mbm
 from .mbm import MarkedBlockMatrix
 from . import scheme as scheme_mod
-from .scheme import Scheme, fill_general_position, render_ascii, count_params
+from .scheme import Scheme, fill_general_position, render_ascii
 from . import quiverrep as qr
 from . import dims as dims_mod
 from . import euclid
 from . import wildness
 
 __all__ = ["dispatch", "main"]
-
-COMMANDS = (
-    "canon-matrix",
-    "canon-mbm",
-    "canon-rep",
-    "decompose",
-    "isometric",
-    "scheme",
-    "fill-scheme",
-    "dims",
-    "params",
-    "construct",
-    "realify",
-    "real-type",
-    "decompose-real",
-    "gadget",
-)
-
 
 class _CliError(Exception):
     def __init__(self, code, message):
@@ -117,14 +99,23 @@ def _parse_dimvec(text):
         raise _CliError(65, f"bad dimension vector {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises instead of printing usage and exiting, so that dispatch picks
+    the exit code."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(prog="unicanon", add_help=True)
+    # exit_on_error=False keeps the offending argument on the ArgumentError
+    ap = _Parser(prog="unicanon", add_help=True, exit_on_error=False)
     ap.add_argument("--tol", type=float, default=1e-9)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", choices=("json", "ascii"), default=None)
     ap.add_argument("--transcript", default=None, help="write transcript JSON here")
     ap.add_argument("--out", default=None, help="write output here instead of stdout")
-    sub = ap.add_subparsers(dest="command")
+    sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("canon-matrix")
     p.add_argument("--mode", choices=("equiv", "simil"), required=True)
@@ -171,7 +162,7 @@ def _build_parser():
     return ap
 
 
-def _mbm_out(canonical, trace, tol):
+def _mbm_out(canonical, trace):
     zs = scheme_mod.zones(trace)
     return {
         "canonical": canonical.to_json(),
@@ -215,7 +206,7 @@ def _run(args) -> int:
         if args.transcript:
             with open(args.transcript, "w") as fh:
                 json.dump(_transcript_json(T), fh)
-        _emit(_mbm_out(C, trace, tol), args)
+        _emit(_mbm_out(C, trace), args)
         return 0
     if cmd == "canon-rep":
         A = _load_rep(args.file)
@@ -317,30 +308,27 @@ def _run(args) -> int:
         if args.kind not in wildness.GADGET_KINDS:
             raise _CliError(2, f"unknown gadget kind {args.kind!r}")
         X = _json_to_matrix(_load_json(args.file))
-        G = wildness.gadget(args.kind, X)
-        if isinstance(G, MarkedBlockMatrix):
-            out = {"gadget": G.to_json()}
-        else:
-            out = {"gadget": G.to_json()}
+        out = {"gadget": wildness.gadget(args.kind, X).to_json()}
         if args.file2:
             Y = _json_to_matrix(_load_json(args.file2))
             out["faithful"] = bool(wildness.gadget_faithful(args.kind, X, Y, tol))
         _emit(out, args)
         return 0
-    raise _CliError(64, f"unknown command {cmd!r}")
 
 
 def dispatch(argv) -> int:
     argv = list(argv)
-    if not any(a in COMMANDS for a in argv):
-        sys.stderr.write(
-            json.dumps({"error": "unknown command", "argv": argv}) + "\n"
-        )
-        return 64
-    parser = _build_parser()
+    ns = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit:
+        args = _build_parser().parse_args(argv, ns)
+    except (argparse.ArgumentError, SystemExit) as exc:
+        # argparse sets the command as soon as it accepts it; unset, it is
+        # missing or unknown, unless another argument failed before it
+        if ns.command is None and getattr(exc, "argument_name", None) in (None, "command"):
+            sys.stderr.write(
+                json.dumps({"error": "unknown command", "argv": argv}) + "\n"
+            )
+            return 64
         sys.stderr.write(json.dumps({"error": "bad arguments"}) + "\n")
         return 65
     try:

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .numcore import Tolerance, random_unitary
+from .numcore import Tolerance
 from . import mbm
 from .scheme import scheme_of, zones as trace_zones, fill_general_position
 from .quiverrep import (
@@ -24,9 +24,7 @@ from .quiverrep import (
     pack,
     unpack,
     random_rep,
-    rep_canonical,
     reverse_arrow,
-    decompose_rep,
     is_indecomposable_rep,
 )
 
@@ -302,10 +300,10 @@ def construct_indecomposable(
         try:
             if is_indecomposable_rep(cand, tol):
                 return cand
-        except Exception:
+        except (mbm.NoConvergenceError, np.linalg.LinAlgError):
             pass
         # plain random canonical candidate as a second shot
-        Ac, _, _ = rep_canonical(A, tol)
+        Ac = unpack(canonical, layout)
         if is_indecomposable_rep(Ac, tol):
             return Ac
     raise RuntimeError(

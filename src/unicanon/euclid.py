@@ -20,11 +20,10 @@ from .quiverrep import (
     Representation,
     Isometry,
     apply_isometry,
-    rep_canonical,
-    isometric,
     decompose_rep,
     is_indecomposable_rep,
-    direct_sum,
+    same_canonical,
+    _isometry,
 )
 
 __all__ = [
@@ -140,21 +139,7 @@ def self_conj_isometry(A: Representation, tol: Tolerance = Tolerance()):
     For indecomposable A the answer is exact: A and conj(A) have equal
     canonical forms iff they are isometric, and composing the two reduction
     transcripts yields S."""
-    Ab = conj_rep(A)
-    _, TA, _ = rep_canonical(A, tol)
-    Cb, TB, _ = rep_canonical(Ab, tol)
-    Ca, _, _ = rep_canonical(A, tol)
-    same = all(
-        np.allclose(Ca.matrices[a], Cb.matrices[a], atol=10 * tol.abs)
-        for a, _, _ in A.quiver.arrows
-    )
-    if not same:
-        return None
-    # TA: A -> canonical, TB: conj(A) -> canonical; S = TB^-1 TA
-    S = Isometry(
-        tuple(TB.S[v].conj().T @ TA.S[v] for v in range(A.quiver.p))
-    )
-    return S
+    return _isometry(A, conj_rep(A), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -172,7 +157,11 @@ class RealType:
 
 
 def classify_real(A: Representation, tol: Tolerance = Tolerance()) -> RealType:
-    S = self_conj_isometry(A, tol)
+    return _classify(A, self_conj_isometry(A, tol), tol)
+
+
+def _classify(A: Representation, S, tol: Tolerance) -> RealType:
+    """classify_real(A) given its self-conjugation isometry S (or None)."""
     if S is None:
         return RealType(kind="Complex")
     lams = []
@@ -375,11 +364,9 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     Any complex isometry S gives intertwiners Re(e^{i t} S) for every t;
     a generic t makes them invertible, and the polar factor restores
     orthogonality while preserving the intertwining relations."""
-    if not isometric(A, B, tol):
+    S, _ = _isometry(A, B, tol)
+    if S is None:
         return None
-    _, TA, _ = rep_canonical(A, tol)
-    _, TB, _ = rep_canonical(B, tol)
-    S = tuple(TB.S[v].conj().T @ TA.S[v] for v in range(A.quiver.p))
     scale = max(
         [1.0] + [float(np.linalg.norm(M)) for M in A.matrices.values()]
     )
@@ -392,7 +379,7 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
         T = []
         ok = True
         for v in range(A.quiver.p):
-            Phi = (phase * S[v]).real
+            Phi = (phase * S.S[v]).real
             if Phi.size:
                 sv = np.linalg.svd(Phi, compute_uv=False)
                 if sv[-1] < 1e-8:
@@ -432,7 +419,9 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
     Decompose over the complexes and classify each summand: real-type
     summands are emitted as real forms; complex-type summands pair with
     their conjugates and each pair realifies into one real summand;
-    quaternionic summands pair with themselves (even multiplicity)."""
+    quaternionic summands pair with themselves (even multiplicity).  The
+    summands are canonical, so a partner is found by comparing it with the
+    canonical form of the conjugate computed during classification."""
     parts = decompose_rep(A, tol)
     out = []
     remaining = [[P, m] for P, m in parts]
@@ -440,7 +429,8 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
         P, m = item
         if m == 0:
             continue
-        rt = classify_real(P, tol)
+        S, Pc = _isometry(P, conj_rep(P), tol)
+        rt = _classify(P, S, tol)
         if rt.kind == "Real":
             out.append((rt.form, m))
             item[1] = 0
@@ -453,23 +443,14 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
             item[1] = 0
         else:
             # complex type: find the conjugate partner
-            Pc, _, _ = rep_canonical(conj_rep(P), tol)
-            partner = None
-            for other in remaining:
-                Q, qm = other
-                if other is item or qm == 0:
-                    continue
-                if Q.dims != P.dims:
-                    continue
-                Qc, _, _ = rep_canonical(Q, tol)
-                if all(
-                    np.allclose(
-                        Qc.matrices[a], Pc.matrices[a], atol=10 * tol.abs
-                    )
-                    for a, _, _ in A.quiver.arrows
-                ):
-                    partner = other
-                    break
+            partner = next(
+                (
+                    other
+                    for other in remaining
+                    if other is not item and other[1] and same_canonical(other[0], Pc, tol)
+                ),
+                None,
+            )
             if partner is None or partner[1] != m:
                 raise ConjugatePairingFailure(
                     "complex-type summand without matching conjugate"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import Tolerance, cluster_values, random_unitary, simil_step
+from .numcore import Tolerance, cluster_values, random_unitary, same_form, simil_step
 
 __all__ = [
     "MarkedBlockMatrix",
@@ -166,27 +166,45 @@ class TieTable:
         return self.cls_of(("r", i)) is self.cls_of(("c", j))
 
 
+class DisjointSet:
+    """Union-find over hashable items, with path halving.
+
+    An item joins as a singleton the first time it is used.  ``groups``
+    lists the classes of the given items, each in the order of the items,
+    ordered by their first member."""
+
+    def __init__(self, items=()):
+        self._parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self._parent
+        p.setdefault(x, x)
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[ra] = rb
+
+    def groups(self, items=None) -> list:
+        out: dict = {}
+        for x in list(self._parent) if items is None else items:
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
+
 def tie_closure(M: MarkedBlockMatrix) -> TieTable:
     validate(M)
     slots = [("r", i) for i in range(len(M.row_strips))] + [
         ("c", j) for j in range(len(M.col_strips))
     ]
-    parent = {s: s for s in slots}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    ties = DisjointSet(slots)
     for i, j in M.marked:
-        a, b = find(("r", i)), find(("c", j))
-        if a != b:
-            parent[a] = b
-    groups: dict = {}
-    for s in slots:
-        groups.setdefault(find(s), []).append(s)
-    return TieTable(classes=tuple(frozenset(g) for g in groups.values()))
+        ties.union(("r", i), ("c", j))
+    return TieTable(classes=tuple(frozenset(g) for g in ties.groups(slots)))
 
 
 @dataclass(frozen=True)
@@ -331,34 +349,24 @@ class ReductionState:
                 sub = _Sub("c", j, int(co[j]), s)
                 self.cols.append(sub)
                 strip_sub[("c", j)] = sub
-        self._parent = {id(s): s for s in self.rows + self.cols}
+        self.ties = DisjointSet(self.rows + self.cols)
         for i, j in M.marked:
             a = strip_sub.get(("r", i))
             b = strip_sub.get(("c", j))
             if a is not None and b is not None:
-                self._union(a, b)
+                self.ties.union(a, b)
         self.steps: list[StepRecord] = []
         self.zones: list[Zone] = []
         self._zero_candidates: list[Zone] = []
         self.boundaries: dict = {}  # (axis, offset) -> "direct" | "propagated"
         self.done = False
 
-    # -- union-find ----------------------------------------------------
-    def _find(self, s: _Sub) -> _Sub:
-        p = self._parent
-        while p[id(s)] is not s:
-            p[id(s)] = p[id(p[id(s)])]
-            s = p[id(s)]
-        return s
-
-    def _union(self, a: _Sub, b: _Sub):
-        ra, rb = self._find(a), self._find(b)
-        if ra is not rb:
-            self._parent[id(ra)] = rb
+    def _tied(self, a: _Sub, b: _Sub) -> bool:
+        return self.ties.find(a) is self.ties.find(b)
 
     def _members(self, s: _Sub):
-        root = self._find(s)
-        return [x for x in self.rows + self.cols if self._find(x) is root]
+        root = self.ties.find(s)
+        return [x for x in self.rows + self.cols if self.ties.find(x) is root]
 
     # -- block helpers -------------------------------------------------
     def _block(self, rs: _Sub, cs: _Sub) -> np.ndarray:
@@ -366,7 +374,7 @@ class ReductionState:
 
     def _is_canonical(self, rs: _Sub, cs: _Sub) -> bool:
         B = self._block(rs, cs)
-        if self._find(rs) is self._find(cs):
+        if self._tied(rs, cs):
             lam = np.mean(np.diagonal(B))
             return np.linalg.norm(B - lam * np.eye(rs.size)) <= self.tol.abs * max(
                 1.0, rs.size
@@ -388,16 +396,20 @@ class ReductionState:
     def _contained(self, cells) -> bool:
         return any(cells <= z.cells for z in self.zones)
 
-    def _candidate_zone(self, rs: _Sub, cs: _Sub, depth: int):
-        cells = frozenset(
+    @staticmethod
+    def _cells(rs: _Sub, cs: _Sub) -> frozenset:
+        return frozenset(
             (r, c)
             for r in range(rs.start, rs.start + rs.size)
             for c in range(cs.start, cs.start + cs.size)
         )
+
+    def _candidate_zone(self, rs: _Sub, cs: _Sub, depth: int):
+        cells = self._cells(rs, cs)
         if self._contained(cells):
             return
         block = (rs.start, rs.size, cs.start, cs.size)
-        if self._find(rs) is self._find(cs):
+        if self._tied(rs, cs):
             stair = tuple(
                 (rs.start + t, cs.start + t) for t in range(rs.size)
             )
@@ -449,12 +461,10 @@ class ReductionState:
                     )
                 new.append(_Sub(sub.axis, sub.strip, off, s))
                 off += s
-            pieces[id(sub)] = new
+            pieces[sub] = new
             lst = self.rows if sub.axis == "r" else self.cols
             at = lst.index(sub)
             lst[at : at + 1] = new
-            for ns in new:
-                self._parent[id(ns)] = ns
         return pieces
 
     # -- reduction steps -----------------------------------------------
@@ -482,17 +492,12 @@ class ReductionState:
                 D[pos, pos] = rep
                 pos += 1
         self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = D
-        cells = frozenset(
-            (rr, cc)
-            for rr in range(rs.start, rs.start + rs.size)
-            for cc in range(cs.start, cs.start + cs.size)
-        )
         self.zones.append(
             Zone(
                 depth=depth,
                 kind="equivalence",
                 block=(rs.start, rs.size, cs.start, cs.size),
-                cells=cells,
+                cells=self._cells(rs, cs),
             )
         )
         row_sizes = [m for _, m in clusters] + [rs.size - r]
@@ -505,22 +510,22 @@ class ReductionState:
         for a in range(k):
             anchor = None
             for x in rmem + cmem:
-                px = pieces[id(x)]
+                px = pieces[x]
                 if a < len(px):
                     if anchor is None:
                         anchor = px[a]
                     else:
-                        self._union(anchor, px[a])
+                        self.ties.union(anchor, px[a])
         # leftover pieces stay tied within their own former class
         for group in (rmem, cmem):
             anchor = None
             for x in group:
-                px = pieces[id(x)]
+                px = pieces[x]
                 if len(px) == k + 1:
                     if anchor is None:
                         anchor = px[k]
                     else:
-                        self._union(anchor, px[k])
+                        self.ties.union(anchor, px[k])
         self.steps.append(
             StepRecord(
                 kind="equivalence",
@@ -572,11 +577,11 @@ class ReductionState:
         for a in range(len(sizes)):
             anchor = None
             for x in mem:
-                px = pieces[id(x)]
+                px = pieces[x]
                 if anchor is None:
                     anchor = px[a]
                 else:
-                    self._union(anchor, px[a])
+                    self.ties.union(anchor, px[a])
         self.steps.append(
             StepRecord(
                 kind="similarity",
@@ -602,7 +607,7 @@ class ReductionState:
             return False
         self._collect_zones_before(target, depth)
         rs, cs = target
-        if self._find(rs) is self._find(cs):
+        if self._tied(rs, cs):
             self._reduce_similarity(rs, cs, depth)
         else:
             self._reduce_equivalence(rs, cs, depth)
@@ -650,38 +655,27 @@ class ReductionState:
             for cs in self.cols:
                 r0, r1 = rs.start, rs.start + rs.size
                 c0, c1 = cs.start, cs.start + cs.size
-                if self._find(rs) is self._find(cs):
+                if self._tied(rs, cs):
                     lam = np.mean(np.diagonal(self.A[r0:r1, c0:c1]))
                     self.A[r0:r1, c0:c1] = lam * np.eye(rs.size)
                 else:
                     self.A[r0:r1, c0:c1] = 0.0
 
-    def _class_labels(self):
-        labels = {}
-        for sub in self.rows + self.cols:
-            root = self._find(sub)
-            if id(root) not in labels:
-                labels[id(root)] = len(labels) + 1
-        return labels
-
     def trace(self) -> ReductionTrace:
-        labels = self._class_labels()
+        classes = self.ties.groups(self.rows + self.cols)
+        labels = {sub: k for k, g in enumerate(classes, 1) for sub in g}
         row_info = [[] for _ in self.M.row_strips]
         col_info = [[] for _ in self.M.col_strips]
         for sub in self.rows:
-            row_info[sub.strip].append(
-                (sub.start, sub.size, labels[id(self._find(sub))])
-            )
+            row_info[sub.strip].append((sub.start, sub.size, labels[sub]))
         for sub in self.cols:
-            col_info[sub.strip].append(
-                (sub.start, sub.size, labels[id(self._find(sub))])
-            )
+            col_info[sub.strip].append((sub.start, sub.size, labels[sub]))
         return ReductionTrace(
             steps=list(self.steps),
             zones=list(self.zones),
             row_substrips=row_info,
             col_substrips=col_info,
-            num_classes=len(labels),
+            num_classes=len(classes),
             canonical_entries=self.A.copy(),
         )
 
@@ -783,7 +777,7 @@ def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
             if (
                 P.row_strips == Q.row_strips
                 and P.col_strips == Q.col_strips
-                and np.allclose(P.entries, Q.entries, atol=10 * tol.abs)
+                and same_form(P.entries, Q.entries, tol)
             ):
                 out[k] = (Q, qm + mult)
                 break

@@ -26,6 +26,7 @@ __all__ = [
     "lex_sort_key",
     "cluster_values",
     "cluster_complex",
+    "same_form",
     "equiv_canonical",
     "simil_canonical",
     "random_unitary",
@@ -34,7 +35,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Single absolute threshold used for every equality/rank decision."""
+    """Absolute threshold for rank and clustering decisions; form equality
+    also carries a relative term (see :func:`same_form`)."""
 
     abs: float = 1e-9
 
@@ -103,6 +105,16 @@ def cluster_complex(vals, tol: Tolerance = Tolerance()):
         for im_rep, im_members in cluster_values([v.imag for v in group], tol):
             out.append((complex(re_rep, im_rep), len(im_members)))
     return out
+
+
+def same_form(X, Y, tol: Tolerance = Tolerance()) -> bool:
+    """Whether two canonical forms are the same.
+
+    The one equality rule for canonical forms: equal shapes, and entries that
+    agree by ``np.allclose(X, Y, atol=10 * tol.abs)`` with numpy's default
+    ``rtol=1e-5``, i.e. ``|x - y| <= 10 * tol.abs + 1e-5 * |y|`` entrywise."""
+    X, Y = np.asarray(X), np.asarray(Y)
+    return X.shape == Y.shape and bool(np.allclose(X, Y, atol=10 * tol.abs))
 
 
 @dataclass(frozen=True)
@@ -195,16 +207,6 @@ def _nullspace_abs(M: np.ndarray, thresh: float) -> np.ndarray:
         return np.eye(n, dtype=complex)
     _, s, Vh = np.linalg.svd(M)
     r = int(np.sum(s > thresh))
-    return Vh[r:].conj().T
-
-
-def _nullspace(M: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of M."""
-    n = M.shape[1]
-    if M.shape[0] == 0 or n == 0:
-        return np.eye(n, dtype=complex)
-    U, s, Vh = np.linalg.svd(M)
-    r = int(np.sum(s > tol.abs * max(1.0, s[0] if s.size else 0.0)))
     return Vh[r:].conj().T
 
 
@@ -324,7 +326,7 @@ def simil_step(A: np.ndarray, tol: Tolerance):
         sizes.append(t)
         lams.append(lam)
     if basis.shape[1] != n:  # numerical safety: complete the basis
-        K = _nullspace(basis.conj().T, tol)
+        K = _nullspace_abs(basis.conj().T, tol.abs)
         extra = K.shape[1]
         if extra:
             basis = np.concatenate([basis, K], axis=1)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import Tolerance
+from .numcore import Tolerance, same_form
 from . import mbm
 from .mbm import MarkedBlockMatrix
-from .scheme import Scheme, scheme_of, zones as trace_zones
+from .scheme import Scheme, count_params, scheme_of, zones as trace_zones
 
 __all__ = [
     "Quiver",
@@ -145,28 +145,12 @@ class Isometry:
 
     S: tuple
 
-    def inverse(self) -> "Isometry":
-        return Isometry(tuple(U.conj().T for U in self.S))
-
 
 def apply_isometry(A: Representation, T: Isometry) -> Representation:
     mats = {}
     for a, s, d in A.quiver.arrows:
         mats[a] = T.S[d - 1] @ A.matrices[a] @ T.S[s - 1].conj().T
     return Representation(A.quiver, A.dims, mats)
-
-
-def _check_isometry(A: Representation, B: Representation, T: Isometry, tol):
-    for v in range(A.quiver.p):
-        U = T.S[v]
-        if np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])) > 1e-6:
-            return False
-    for a, s, d in A.quiver.arrows:
-        lhs = T.S[d - 1] @ A.matrices[a]
-        rhs = B.matrices[a] @ T.S[s - 1]
-        if np.linalg.norm(lhs - rhs) > 1e-6 * (1 + np.linalg.norm(A.matrices[a])):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +171,7 @@ def pack(A: Representation):
     col_strips = tuple(A.dims)
     row_order = [a for a, _, _ in reversed(Q.arrows)]
     row_strips = tuple(A.dims[Q.arrow(a)[2] - 1] for a in row_order)
-    ro = np.concatenate(([0], np.cumsum(row_strips))).astype(int)
-    co = np.concatenate(([0], np.cumsum(col_strips))).astype(int)
+    ro, co = mbm._offsets(row_strips), mbm._offsets(col_strips)
     entries = np.zeros((int(ro[-1]), int(co[-1])), dtype=complex)
     marked = set()
     for k, aid in enumerate(row_order):
@@ -207,12 +190,8 @@ def unpack(M: MarkedBlockMatrix, layout) -> Representation:
     dims = tuple(M.col_strips)
     mats = {}
     for k, aid in enumerate(layout["row_order"]):
-        _, s, d = Q.arrow(aid)
-        blk = M.block(k, s - 1).copy()
-        if s == d:
-            # a loop's matrix coincides with its marked block
-            pass
-        mats[aid] = blk
+        _, s, _ = Q.arrow(aid)
+        mats[aid] = M.block(k, s - 1).copy()
     return Representation(Q, dims, mats)
 
 
@@ -231,8 +210,7 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
     iso = Isometry(tuple(T.S[v].conj().T for v in range(A.quiver.p)))
     full = scheme_of(canonical, trace_zones(trace), tol)
     schemes = {}
-    ro = np.concatenate(([0], np.cumsum(M.row_strips))).astype(int)
-    co = np.concatenate(([0], np.cumsum(M.col_strips))).astype(int)
+    ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
     for k, aid in enumerate(layout["row_order"]):
         _, s, d = A.quiver.arrow(aid)
         r0, r1 = int(ro[k]), int(ro[k + 1])
@@ -286,26 +264,35 @@ def rep_params(A: Representation, tol: Tolerance = Tolerance()):
     Sums circles and stars over the per-arrow schemes; the coupling cells of
     the packed block matrix carry no parameters and are excluded."""
     _, _, schemes = rep_canonical(A, tol)
-    nr = sum(
-        sum(row.count("o") for row in S.symbols) for S in schemes.values()
-    )
-    nc = sum(
-        sum(row.count("*") for row in S.symbols) for S in schemes.values()
-    )
-    return nr, nc
+    counts = [count_params(S) for S in schemes.values()]
+    return sum(nr for nr, _ in counts), sum(nc for _, nc in counts)
 
 
-def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()) -> bool:
+def same_canonical(Ac: Representation, Bc: Representation, tol: Tolerance = Tolerance()) -> bool:
+    """Whether two canonical representations of one quiver are the same:
+    equal dimensions and :func:`numcore.same_form` on every arrow."""
+    return Ac.dims == Bc.dims and all(
+        same_form(Ac.matrices[a], Bc.matrices[a], tol) for a, _, _ in Ac.quiver.arrows
+    )
+
+
+def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()):
+    """``(T, Bc)``: an isometry T from A onto B (``apply_isometry(A, T)`` is
+    B), composed from the two reduction transcripts, or None when A and B
+    are not isometric; and the canonical representation Bc of B."""
     if A.quiver.arrows != B.quiver.arrows or A.quiver.p != B.quiver.p:
         raise QuiverMismatchError("different quivers")
     if A.dims != B.dims:
         raise DimMismatchError(f"dims {A.dims} vs {B.dims}")
-    Ac, _, _ = rep_canonical(A, tol)
-    Bc, _, _ = rep_canonical(B, tol)
-    return all(
-        np.allclose(Ac.matrices[a], Bc.matrices[a], atol=10 * tol.abs)
-        for a, _, _ in A.quiver.arrows
-    )
+    Ac, TA, _ = rep_canonical(A, tol)
+    Bc, TB, _ = rep_canonical(B, tol)
+    if not same_canonical(Ac, Bc, tol):
+        return None, Bc
+    return Isometry(tuple(TB.S[v].conj().T @ TA.S[v] for v in range(A.quiver.p))), Bc
+
+
+def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()) -> bool:
+    return _isometry(A, B, tol)[0] is not None
 
 
 def direct_sum(A: Representation, B: Representation) -> Representation:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Tolerance, lex_cmp
-from .mbm import MarkedBlockMatrix, ReductionTrace, Zone
+from .numcore import Tolerance, _rank_abs, lex_cmp
+from .mbm import DisjointSet, MarkedBlockMatrix, ReductionTrace, Zone
 
 __all__ = [
     "Scheme",
@@ -83,24 +83,10 @@ class Scheme:
 
     def link_chains(self):
         """Connected components of the link relation (as frozensets)."""
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        chains = DisjointSet()
         for pair in self.links:
-            a, b = sorted(pair)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        comps: dict = {}
-        for x in parent:
-            comps.setdefault(find(x), set()).add(x)
-        return sorted(frozenset(c) for c in comps.values())
+            chains.union(*sorted(pair))
+        return sorted(frozenset(c) for c in chains.groups())
 
     def to_json(self) -> dict:
         return {
@@ -206,27 +192,13 @@ def scheme_of(
 def _link_classes(S: Scheme, cells):
     """Partition ``cells`` into equality classes induced by the links,
     returned in diagonal order (class of the earliest cell first)."""
-    parent = {c: c for c in cells}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    classes = DisjointSet(cells)
     cellset = set(cells)
     for pair in S.links:
         a, b = sorted(pair)
         if a in cellset and b in cellset:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict = {}
-    for c in cells:
-        groups.setdefault(find(c), []).append(c)
-    out = [sorted(g) for g in groups.values()]
-    out.sort(key=lambda g: g[0])
-    return out
+            classes.union(a, b)
+    return sorted(sorted(g) for g in classes.groups(cells))
 
 
 def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
@@ -305,9 +277,7 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
                         [[val((r, c)) for c in cols_] for r in rows_],
                         dtype=complex,
                     )
-                    s = np.linalg.svd(B, compute_uv=False) if B.size else []
-                    rank = int(np.sum(np.asarray(s) > tol.abs))
-                    if rank < len(cols_):
+                    if _rank_abs(B, tol.abs) < len(cols_):
                         bad.append(
                             f"stairs {a} and {a + 1} of zone {k}: equal values "
                             "require independent columns in the block between"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import Tolerance, cluster_values
+from .numcore import Tolerance, _rank, cluster_values, same_form
 from .mbm import MarkedBlockMatrix, canonicalize
 from .quiverrep import Quiver, Representation, isometric
 
@@ -99,15 +99,8 @@ def gadget_faithful(kind: str, X, Y, tol: Tolerance = Tolerance()) -> bool:
     if isinstance(GX, MarkedBlockMatrix):
         CX, _, _ = canonicalize(GX, tol)
         CY, _, _ = canonicalize(GY, tol)
-        return bool(np.allclose(CX.entries, CY.entries, atol=10 * tol.abs))
+        return same_form(CX.entries, CY.entries, tol)
     return isometric(GX, GY, tol)
-
-
-def _rank(M, tol: Tolerance) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol.abs * max(1.0, s[0])))
 
 
 def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):

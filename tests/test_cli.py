@@ -51,6 +51,9 @@ class TestExitCodes:
     def test_no_command(self):
         assert dispatch([]) == 64
 
+    def test_unknown_command_before_command_word(self):
+        assert dispatch(["frobnicate", "dims"]) == 64
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance, random_unitary
+from unicanon import mbm
 from unicanon import euclid as eu
 from unicanon import quiverrep as qr
 from unicanon.quiverrep import Quiver, Representation, Isometry
@@ -291,3 +292,53 @@ class TestMatrixRealTest:
     def test_decomposable_rejected(self, tol):
         with pytest.raises(DecomposableError):
             matrix_real_test(np.diag([2.0, 1.0]), tol)
+
+
+class TestReductionCounts:
+    """Each canonical form is computed once per request."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        real = mbm.canonicalize
+
+        def counting(M, tol=Tolerance()):
+            calls.append(M.entries.shape)
+            return real(M, tol)
+
+        monkeypatch.setattr(mbm, "canonicalize", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "name", ["isometric", "self_conj_isometry", "classify_real", "real_isometry"]
+    )
+    def test_two_reductions(self, tol, count, name):
+        rng = np.random.default_rng(10)
+        M = rng.standard_normal((3, 3))
+        O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        A, B = loop_rep(M), loop_rep(O.T @ M @ O)
+        run = {
+            "isometric": lambda: qr.isometric(A, B, tol),
+            "self_conj_isometry": lambda: self_conj_isometry(A, tol),
+            "classify_real": lambda: classify_real(A, tol),
+            "real_isometry": lambda: real_isometry(A, B, tol),
+        }[name]
+        assert run()
+        assert len(count) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_decompose_real(self, tol, count, k):
+        rng = np.random.default_rng(20 + k)
+        A = qr.random_rep(KRONECKER, (1, 1), seed=30 + k)
+        A = Representation(KRONECKER, (1, 1), {a: M.real + 0j for a, M in A.matrices.items()})
+        for j in range(k):
+            A = qr.direct_sum(A, realify(qr.random_rep(KRONECKER, (1, 1), seed=40 + 10 * k + j)))
+        O = []
+        for n in A.dims:
+            Q_, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            O.append(Q_ + 0j)
+        A = qr.apply_isometry(A, Isometry(tuple(O)))
+        parts = decompose_real(A, tol)
+        assert sorted(m for _, m in parts) == [1] * (k + 1)
+        # one decomposition, then at most two per complex-type summand (2k)
+        assert len(count) <= 1 + 2 * (2 * k)
