@@ -11,11 +11,22 @@ or unitary similarity, refines the strips into substrips, and propagates
 divisions classwide through all tied strips until a fixpoint is reached.
 The fixpoint is the canonical matrix: every block between tied substrips is
 a scalar multiple of the identity and every other block is zero.
+
+The engine's bookkeeping rests on two invariants, which the tests check:
+
+* blocks before the last target, in scan order, stay canonical under every
+  later admissible transformation (the stabilizer property), so each scan
+  resumes at a cursor instead of the first block;
+* zones are disjoint unions of current blocks, so an owner map from cells to
+  zone ids answers "is this block inside a zone" with one slice.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
@@ -323,6 +334,9 @@ class ReductionTrace:
     canonical_entries: np.ndarray = None
 
 
+_start = attrgetter("start")
+
+
 class ReductionState:
     """Single-owner mutable state of the derived-matrix iteration."""
 
@@ -356,8 +370,11 @@ class ReductionState:
             if a is not None and b is not None:
                 self.ties.union(a, b)
         self.steps: list[StepRecord] = []
-        self.zones: list[Zone] = []
-        self._zero_candidates: list[Zone] = []
+        # zone ids index ``zones``; a zone merged into another becomes None
+        self.zones: list[Zone | None] = []
+        self.owner = np.full((m, n), -1, dtype=np.intp)  # zone id per cell
+        self._zero_candidates: list[int] = []
+        self.cursor = (-m, 0)  # scan key (-row start, col start) of the next scan
         self.boundaries: dict = {}  # (axis, offset) -> "direct" | "propagated"
         self.done = False
 
@@ -381,52 +398,56 @@ class ReductionState:
             )
         return np.linalg.norm(B) <= self.tol.abs * max(1.0, (rs.size * cs.size) ** 0.5)
 
-    def _blocks_in_order(self):
-        for rs in reversed(self.rows):
-            for cs in self.cols:
+    def _blocks_from_cursor(self):
+        """Blocks in scan order (bottom substrip row first, left to right),
+        starting at the cursor."""
+        row, col = self.cursor
+        last = bisect.bisect_right(self.rows, -row, key=_start)
+        first = bisect.bisect_left(self.cols, col, key=_start)
+        for rs in reversed(self.rows[:last]):
+            for cs in self.cols[first if rs.start == -row else 0 :]:
                 yield rs, cs
 
-    def first_changing_block(self):
-        for rs, cs in self._blocks_in_order():
+    def first_changing_block(self, depth: int):
+        """The first block from the cursor on that is not canonical, or None.
+
+        Every canonical block passed on the way is put into a zone."""
+        for rs, cs in self._blocks_from_cursor():
             if not self._is_canonical(rs, cs):
                 return rs, cs
+            self._candidate_zone(rs, cs, depth)
         return None
 
     # -- zone bookkeeping ----------------------------------------------
-    def _contained(self, cells) -> bool:
-        return any(cells <= z.cells for z in self.zones)
+    def _contained(self, rs: _Sub, cs: _Sub) -> bool:
+        o = self.owner[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
+        return o[0, 0] >= 0 and bool((o == o[0, 0]).all())
 
-    @staticmethod
-    def _cells(rs: _Sub, cs: _Sub) -> frozenset:
-        return frozenset(
-            (r, c)
-            for r in range(rs.start, rs.start + rs.size)
-            for c in range(cs.start, cs.start + cs.size)
-        )
+    def _add_zone(self, rects, **fields) -> int:
+        """Install a zone owning the cells of ``rects`` ((r0, r1, c0, c1)
+        each) and return its id."""
+        zid = len(self.zones)
+        cells = set()
+        for r0, r1, c0, c1 in rects:
+            self.owner[r0:r1, c0:c1] = zid
+            cells.update(product(range(r0, r1), range(c0, c1)))
+        self.zones.append(Zone(cells=frozenset(cells), **fields))
+        return zid
 
     def _candidate_zone(self, rs: _Sub, cs: _Sub, depth: int):
-        cells = self._cells(rs, cs)
-        if self._contained(cells):
+        if self._contained(rs, cs):
             return
         block = (rs.start, rs.size, cs.start, cs.size)
+        rect = [(rs.start, rs.start + rs.size, cs.start, cs.start + cs.size)]
         if self._tied(rs, cs):
             stair = tuple(
                 (rs.start + t, cs.start + t) for t in range(rs.size)
             )
-            z = Zone(depth=depth, kind="similarity", block=block, cells=cells,
-                     stairs=(stair,))
+            self._add_zone(rect, depth=depth, kind="similarity", block=block,
+                           stairs=(stair,))
         else:
-            z = Zone(depth=depth, kind="equivalence", block=block, cells=cells)
-            self._zero_candidates.append(z)
-        self.zones.append(z)
-
-    def _collect_zones_before(self, target, depth: int):
-        for rs, cs in self._blocks_in_order():
-            if target is not None and rs is target[0] and cs is target[1]:
-                return
-            if rs.size == 0 or cs.size == 0:
-                continue
-            self._candidate_zone(rs, cs, depth)
+            zid = self._add_zone(rect, depth=depth, kind="equivalence", block=block)
+            self._zero_candidates.append(zid)
 
     # -- transformations -----------------------------------------------
     def _apply(self, row_updates, col_updates):
@@ -492,13 +513,11 @@ class ReductionState:
                 D[pos, pos] = rep
                 pos += 1
         self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = D
-        self.zones.append(
-            Zone(
-                depth=depth,
-                kind="equivalence",
-                block=(rs.start, rs.size, cs.start, cs.size),
-                cells=self._cells(rs, cs),
-            )
+        self._add_zone(
+            [(rs.start, rs.start + rs.size, cs.start, cs.start + cs.size)],
+            depth=depth,
+            kind="equivalence",
+            block=(rs.start, rs.size, cs.start, cs.size),
         )
         row_sizes = [m for _, m in clusters] + [rs.size - r]
         col_sizes = [m for _, m in clusters] + [cs.size - r]
@@ -548,30 +567,21 @@ class ReductionState:
         )
         offs = _offsets(sizes)
         # snap diagonal blocks and the zero blocks below them
+        stairs, rects = [], []
         for a in range(len(sizes)):
             r0, r1 = rs.start + offs[a], rs.start + offs[a + 1]
             c0, c1 = cs.start + offs[a], cs.start + offs[a + 1]
             self.A[r0:r1, c0:c1] = lams[a] * np.eye(sizes[a])
             self.A[r1 : rs.start + rs.size, c0:c1] = 0.0
-        cells = set()
-        stairs = []
-        for a in range(len(sizes)):
-            stair = []
-            for t in range(sizes[a]):
-                stair.append((rs.start + offs[a] + t, cs.start + offs[a] + t))
-            stairs.append(tuple(stair))
-            for b in range(a + 1):
-                for rr in range(rs.start + offs[a], rs.start + offs[a + 1]):
-                    for cc in range(cs.start + offs[b], cs.start + offs[b + 1]):
-                        cells.add((rr, cc))
-        self.zones.append(
-            Zone(
-                depth=depth,
-                kind="similarity",
-                block=(rs.start, rs.size, cs.start, cs.size),
-                cells=frozenset(cells),
-                stairs=tuple(stairs),
-            )
+            stairs.append(tuple((r0 + t, c0 + t) for t in range(sizes[a])))
+            # the zone is a staircase: piece row a against column pieces 0..a
+            rects.append((r0, r1, cs.start, c1))
+        self._add_zone(
+            rects,
+            depth=depth,
+            kind="similarity",
+            block=(rs.start, rs.size, cs.start, cs.size),
+            stairs=tuple(stairs),
         )
         pieces = self._divide([(x, sizes) for x in mem], direct={rs, cs})
         for a in range(len(sizes)):
@@ -597,29 +607,34 @@ class ReductionState:
         """One step of the iteration.  Returns False at the fixpoint."""
         if self.done:
             return False
-        target = self.first_changing_block()
         depth = len(self.steps)
+        target = self.first_changing_block(depth)
         if target is None:
-            self._collect_zones_before(None, depth)
             self._merge_zero_zones()
             self._final_snap()
             self.done = True
             return False
-        self._collect_zones_before(target, depth)
         rs, cs = target
         if self._tied(rs, cs):
             self._reduce_similarity(rs, cs, depth)
         else:
             self._reduce_equivalence(rs, cs, depth)
+        # resume at the block of the last row piece and the first column
+        # piece of the target: every block before it preceded the target
+        self.cursor = (self.steps[-1].row_pieces[-1] - rs.start - rs.size, cs.start)
         return True
 
     def _merge_zero_zones(self):
         """Merge rule: an all-zero block that was never itself reduced joins
-        the zone of its neighbour across a propagated division boundary."""
-        for _ in range(4):  # a few passes settle chains
+        the zone of its neighbour across a propagated division boundary.
+        Chains of such blocks settle in repeated passes."""
+        m, n = self.owner.shape
+        changed = True
+        while changed:
             changed = False
-            for z in list(self._zero_candidates):
-                if z not in self.zones:
+            for zid in self._zero_candidates:
+                z = self.zones[zid]
+                if z is None:
                     continue
                 r0, rs_, c0, cs_ = z.block
                 r1, c1 = r0 + rs_, c0 + cs_
@@ -629,26 +644,21 @@ class ReductionState:
                     (("r", r0), (r0 - 1, c0)),
                     (("r", r1), (r1, c0)),
                 ]
-                for key, cell in probes:
-                    if self.boundaries.get(key) != "propagated":
+                for key, (r, c) in probes:
+                    if self.boundaries.get(key) != "propagated" or not (
+                        0 <= r < m and 0 <= c < n
+                    ):
                         continue
-                    target = next(
-                        (
-                            t
-                            for t in self.zones
-                            if t is not z and cell in t.cells
-                        ),
-                        None,
-                    )
-                    if target is None:
+                    tid = int(self.owner[r, c])
+                    if tid < 0 or tid == zid:
                         continue
-                    target.cells = frozenset(target.cells | z.cells)
+                    target = self.zones[tid]
+                    target.cells = target.cells | z.cells
                     target.merged_blocks = target.merged_blocks + (z.block,)
-                    self.zones.remove(z)
+                    self.owner[self.owner == zid] = tid
+                    self.zones[zid] = None
                     changed = True
                     break
-            if not changed:
-                break
 
     def _final_snap(self):
         for rs in self.rows:
@@ -672,7 +682,7 @@ class ReductionState:
             col_info[sub.strip].append((sub.start, sub.size, labels[sub]))
         return ReductionTrace(
             steps=list(self.steps),
-            zones=list(self.zones),
+            zones=[z for z in self.zones if z is not None],
             row_substrips=row_info,
             col_substrips=col_info,
             num_classes=len(classes),
@@ -764,10 +774,7 @@ def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
         col_counts = tuple(len(v) for v in info["cols"])
         row_starts = [s for v in info["rows"] for s in v]
         col_starts = [s for v in info["cols"] for s in v]
-        P = np.zeros((len(row_starts), len(col_starts)), dtype=complex)
-        for a, rstart in enumerate(row_starts):
-            for b, cstart in enumerate(col_starts):
-                P[a, b] = canonical.entries[rstart, cstart]
+        P = canonical.entries[np.ix_(row_starts, col_starts)]
         summand = MarkedBlockMatrix(row_counts, col_counts, P, M.marked)
         summands.append((summand, info["size"]))
     # merge equal summands (equal canonical matrices are the same class)

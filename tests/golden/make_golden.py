@@ -161,6 +161,8 @@ def canonicalize_cases(out):
     out["example 8x12 scrambled"] = canon_record(
         mbm.apply_admissible(M, mbm.random_transcript(M, seed=77), TOL)
     )
+    packed, _ = qr.pack(rep(D4, (4, 4, 4, 8), np.random.default_rng(24)))
+    out["packed D4 d=(4, 4, 4, 8)"] = canon_record(packed)
 
 
 def rep_canonical_cases(out):
@@ -177,6 +179,10 @@ def rep_canonical_cases(out):
         (LOOP_ARROW, (2, 1), 40),
         (LOOP_ARROW, (3, 2), 41),
         (LOOP_ARROW, (4, 3), 42),
+        # packings large enough to take many reduction steps and merges
+        (KRONECKER, (12, 12), 43),
+        (D4, (4, 4, 4, 8), 44),
+        (D4, (6, 6, 6, 12), 45),
     )
     for Q, d, seed in cases:
         A = rep(Q, d, np.random.default_rng(seed))

@@ -19,7 +19,30 @@ from unicanon.mbm import (
     is_indecomposable,
 )
 
-from conftest import example_8x12, random_mbm
+from unicanon.quiverrep import Quiver, Representation, pack
+
+from conftest import KRONECKER, example_8x12, random_mbm
+
+D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
+
+
+def packed(Q, d, seed):
+    """Packed MBM of a complex Gaussian representation of Q."""
+    rng = np.random.default_rng(seed)
+    mats = {
+        a: rng.standard_normal((d[t - 1], d[s - 1]))
+        + 1j * rng.standard_normal((d[t - 1], d[s - 1]))
+        for a, s, t in Q.arrows
+    }
+    return pack(Representation(Q, d, mats))[0]
+
+
+def engine_inputs():
+    rng = np.random.default_rng(21)
+    return [random_mbm(rng) for _ in range(20)] + [
+        packed(KRONECKER, (16, 16), 1),
+        packed(D4, (6, 6, 6, 12), 2),
+    ]
 
 
 class TestValidation:
@@ -124,6 +147,32 @@ class TestCanonicalize:
             assert len(state.rows) >= prev_rows
             assert len(state.cols) >= prev_cols
             prev_rows, prev_cols = len(state.rows), len(state.cols)
+
+
+class TestEngineInvariants:
+    """The invariants the reduction engine's bookkeeping relies on."""
+
+    @pytest.mark.parametrize("M", engine_inputs())
+    def test_zones_partition_cells(self, tol, M):
+        _, _, trace = canonicalize(M, tol)
+        m, n = M.entries.shape
+        covered = [cell for z in trace.zones for cell in z.cells]
+        assert len(covered) == m * n
+        assert set(covered) == {(r, c) for r in range(m) for c in range(n)}
+        for z in trace.zones:
+            for r0, rs, c0, cs in z.merged_blocks:
+                assert {
+                    (r, c) for r in range(r0, r0 + rs) for c in range(c0, c0 + cs)
+                } <= z.cells
+
+    @pytest.mark.parametrize("M", engine_inputs())
+    def test_blocks_before_cursor_stay_canonical(self, tol, M):
+        state = mbm.ReductionState(M, tol)
+        while state.derive():
+            for rs in state.rows:
+                for cs in state.cols:
+                    if (-rs.start, cs.start) < state.cursor:
+                        assert state._is_canonical(rs, cs)
 
 
 class TestDecompose:
