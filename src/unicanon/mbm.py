@@ -12,6 +12,11 @@ divisions classwide through all tied strips until a fixpoint is reached.
 The fixpoint is the canonical matrix: every block between tied substrips is
 a scalar multiple of the identity and every other block is zero.
 
+Each step decides "is this block canonical" for the whole substrip grid in
+one array pass (:meth:`ReductionState._grid`): tie-class labels once per
+substrip, the tied-block mask, the diagonal mean of every tied block and every
+block's residual against its canonical part, all as numpy arrays.
+
 The engine's bookkeeping rests on two invariants, which the tests check:
 
 * blocks before the last target, in scan order, stay canonical under every
@@ -27,6 +32,7 @@ import bisect
 from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,6 +206,11 @@ class DisjointSet:
         if ra != rb:
             self._parent[ra] = rb
 
+    def union_all(self, items) -> None:
+        """Join every item of the list ``items`` to the class of the first."""
+        for x in items[1:]:
+            self.union(items[0], x)
+
     def groups(self, items=None) -> list:
         out: dict = {}
         for x in list(self._parent) if items is None else items:
@@ -337,6 +348,16 @@ class ReductionTrace:
 _start = attrgetter("start")
 
 
+class _Grid(NamedTuple):
+    """The substrip grid of one scan; ``(i, j)`` indexes ``rows`` x ``cols``."""
+
+    row_labels: np.ndarray  # tie class label per row substrip
+    col_labels: np.ndarray
+    tied: np.ndarray  # (i, j) -> row and column substrip share a tie class
+    canonical: np.ndarray  # block equals its canonical part within tolerance
+    snapped: np.ndarray  # A with every block replaced by that part (λI or 0)
+
+
 class ReductionState:
     """Single-owner mutable state of the derived-matrix iteration."""
 
@@ -378,44 +399,64 @@ class ReductionState:
         self.boundaries: dict = {}  # (axis, offset) -> "direct" | "propagated"
         self.done = False
 
-    def _tied(self, a: _Sub, b: _Sub) -> bool:
-        return self.ties.find(a) is self.ties.find(b)
-
-    def _members(self, s: _Sub):
-        root = self.ties.find(s)
-        return [x for x in self.rows + self.cols if self.ties.find(x) is root]
+    def _members(self, grid: _Grid, label) -> list:
+        """Substrips of tie class ``label``: row substrips, then columns."""
+        return [self.rows[i] for i in np.flatnonzero(grid.row_labels == label)] + [
+            self.cols[j] for j in np.flatnonzero(grid.col_labels == label)
+        ]
 
     # -- block helpers -------------------------------------------------
     def _block(self, rs: _Sub, cs: _Sub) -> np.ndarray:
         return self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
 
-    def _is_canonical(self, rs: _Sub, cs: _Sub) -> bool:
-        B = self._block(rs, cs)
-        if self._tied(rs, cs):
-            lam = np.mean(np.diagonal(B))
-            return np.linalg.norm(B - lam * np.eye(rs.size)) <= self.tol.abs * max(
-                1.0, rs.size
-            )
-        return np.linalg.norm(B) <= self.tol.abs * max(1.0, (rs.size * cs.size) ** 0.5)
+    def _grid(self) -> _Grid:
+        """Decide, for every block at once, whether it is canonical.
 
-    def _blocks_from_cursor(self):
-        """Blocks in scan order (bottom substrip row first, left to right),
-        starting at the cursor."""
+        A block between tied substrips is canonical when ``‖B - λI‖_F <=
+        tol.abs * max(1, size)`` with λ the mean of its diagonal; any other
+        block when ``‖B‖_F <= tol.abs * max(1, sqrt(rows * cols))``."""
+        A, rows, cols = self.A, self.rows, self.cols
+        find, ids = self.ties.find, {}
+        labels = [ids.setdefault(find(s), len(ids)) for s in rows + cols]
+        row_labels, col_labels = np.split(np.array(labels, dtype=np.intp), [len(rows)])
+        rstart = np.array([s.start for s in rows], dtype=np.intp)
+        cstart = np.array([s.start for s in cols], dtype=np.intp)
+        rsize = np.array([s.size for s in rows], dtype=np.intp)
+        csize = np.array([s.size for s in cols], dtype=np.intp)
+        tied = row_labels[:, None] == col_labels
+        # tied blocks are square; summing the diagonals of equal-sized ones
+        # as rows adds in np.mean's order, so each λ is bit-identical to it
+        means = np.zeros(tied.shape, dtype=complex)
+        eye = np.zeros(A.shape)  # 1 on the diagonal of every tied block
+        ti, tj = np.nonzero(tied)
+        for k in set(rsize[ti].tolist()):
+            at = np.flatnonzero(rsize[ti] == k)
+            i, j, t = ti[at], tj[at], np.arange(k)
+            r, c = rstart[i, None] + t, cstart[j, None] + t
+            means[i, j] = np.add.reduce(A[r, c], axis=1) / k
+            eye[r, c] = 1.0
+        snapped = np.repeat(np.repeat(means, rsize, axis=0), csize, axis=1) * eye
+        D = A - snapped
+        sq = np.add.reduceat(
+            np.add.reduceat(D.real**2 + D.imag**2, rstart, axis=0), cstart, axis=1
+        )
+        # a tied block is square, so its limit is tol.abs * max(1, size)
+        limit = self.tol.abs * np.maximum(1.0, np.sqrt(rsize[:, None] * csize))
+        canonical = np.sqrt(sq) <= limit
+        return _Grid(row_labels, col_labels, tied, canonical, snapped)
+
+    def first_changing_block(self, grid: _Grid, depth: int):
+        """Index pair ``(i, j)`` into ``rows`` and ``cols`` of the first
+        block, in scan order from the cursor on, that is not canonical, or
+        None.  Every canonical block passed on the way is put into a zone."""
         row, col = self.cursor
-        last = bisect.bisect_right(self.rows, -row, key=_start)
         first = bisect.bisect_left(self.cols, col, key=_start)
-        for rs in reversed(self.rows[:last]):
-            for cs in self.cols[first if rs.start == -row else 0 :]:
-                yield rs, cs
-
-    def first_changing_block(self, depth: int):
-        """The first block from the cursor on that is not canonical, or None.
-
-        Every canonical block passed on the way is put into a zone."""
-        for rs, cs in self._blocks_from_cursor():
-            if not self._is_canonical(rs, cs):
-                return rs, cs
-            self._candidate_zone(rs, cs, depth)
+        for i in range(bisect.bisect_right(self.rows, -row, key=_start) - 1, -1, -1):
+            rs = self.rows[i]
+            for j in range(first if rs.start == -row else 0, len(self.cols)):
+                if not grid.canonical[i, j]:
+                    return i, j
+                self._candidate_zone(rs, self.cols[j], grid.tied[i, j], depth)
         return None
 
     # -- zone bookkeeping ----------------------------------------------
@@ -434,12 +475,12 @@ class ReductionState:
         self.zones.append(Zone(cells=frozenset(cells), **fields))
         return zid
 
-    def _candidate_zone(self, rs: _Sub, cs: _Sub, depth: int):
+    def _candidate_zone(self, rs: _Sub, cs: _Sub, tied: bool, depth: int):
         if self._contained(rs, cs):
             return
         block = (rs.start, rs.size, cs.start, cs.size)
         rect = [(rs.start, rs.start + rs.size, cs.start, cs.start + cs.size)]
-        if self._tied(rs, cs):
+        if tied:
             stair = tuple(
                 (rs.start + t, cs.start + t) for t in range(rs.size)
             )
@@ -489,13 +530,11 @@ class ReductionState:
         return pieces
 
     # -- reduction steps -----------------------------------------------
-    def _reduce_equivalence(self, rs: _Sub, cs: _Sub, depth: int):
+    def _reduce_equivalence(self, rs: _Sub, cs: _Sub, depth: int, rmem, cmem):
         tol = self.tol
         B = self._block(rs, cs)
         U, s, Vh = np.linalg.svd(B)
         V = Vh.conj().T
-        rmem = self._members(rs)
-        cmem = self._members(cs)
         self._apply(
             [(x, U) for x in rmem if x.axis == "r"]
             + [(x, V) for x in cmem if x.axis == "r"],
@@ -507,11 +546,7 @@ class ReductionState:
         r = len(nonzero)
         # snap the block to its canonical part
         D = np.zeros((rs.size, cs.size), dtype=complex)
-        pos = 0
-        for rep, mult in clusters:
-            for _ in range(mult):
-                D[pos, pos] = rep
-                pos += 1
+        D[range(r), range(r)] = [rep for rep, mult in clusters for _ in range(mult)]
         self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = D
         self._add_zone(
             [(rs.start, rs.start + rs.size, cs.start, cs.start + cs.size)],
@@ -527,24 +562,10 @@ class ReductionState:
         # marks: piece alpha of the row class is tied to piece alpha of the
         # column class for every singular-value cluster
         for a in range(k):
-            anchor = None
-            for x in rmem + cmem:
-                px = pieces[x]
-                if a < len(px):
-                    if anchor is None:
-                        anchor = px[a]
-                    else:
-                        self.ties.union(anchor, px[a])
+            self.ties.union_all([pieces[x][a] for x in rmem + cmem])
         # leftover pieces stay tied within their own former class
         for group in (rmem, cmem):
-            anchor = None
-            for x in group:
-                px = pieces[x]
-                if len(px) == k + 1:
-                    if anchor is None:
-                        anchor = px[k]
-                    else:
-                        self.ties.union(anchor, px[k])
+            self.ties.union_all([pieces[x][k] for x in group if len(pieces[x]) > k])
         self.steps.append(
             StepRecord(
                 kind="equivalence",
@@ -556,11 +577,10 @@ class ReductionState:
             )
         )
 
-    def _reduce_similarity(self, rs: _Sub, cs: _Sub, depth: int):
+    def _reduce_similarity(self, rs: _Sub, cs: _Sub, depth: int, mem):
         tol = self.tol
         B = self._block(rs, cs)
         lams, sizes, S = simil_step(B, tol)
-        mem = self._members(rs)
         self._apply(
             [(x, S) for x in mem if x.axis == "r"],
             [(x, S) for x in mem if x.axis == "c"],
@@ -585,13 +605,7 @@ class ReductionState:
         )
         pieces = self._divide([(x, sizes) for x in mem], direct={rs, cs})
         for a in range(len(sizes)):
-            anchor = None
-            for x in mem:
-                px = pieces[x]
-                if anchor is None:
-                    anchor = px[a]
-                else:
-                    self.ties.union(anchor, px[a])
+            self.ties.union_all([pieces[x][a] for x in mem])
         self.steps.append(
             StepRecord(
                 kind="similarity",
@@ -608,17 +622,22 @@ class ReductionState:
         if self.done:
             return False
         depth = len(self.steps)
-        target = self.first_changing_block(depth)
+        grid = self._grid()
+        target = self.first_changing_block(grid, depth)
         if target is None:
             self._merge_zero_zones()
-            self._final_snap()
+            # the merge rule only relabels zones, so the grid is still current
+            self.A = grid.snapped
             self.done = True
             return False
-        rs, cs = target
-        if self._tied(rs, cs):
-            self._reduce_similarity(rs, cs, depth)
+        i, j = target
+        rs, cs = self.rows[i], self.cols[j]
+        rmem = self._members(grid, grid.row_labels[i])
+        if grid.tied[i, j]:
+            self._reduce_similarity(rs, cs, depth, rmem)
         else:
-            self._reduce_equivalence(rs, cs, depth)
+            cmem = self._members(grid, grid.col_labels[j])
+            self._reduce_equivalence(rs, cs, depth, rmem, cmem)
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
         self.cursor = (self.steps[-1].row_pieces[-1] - rs.start - rs.size, cs.start)
@@ -660,26 +679,14 @@ class ReductionState:
                     changed = True
                     break
 
-    def _final_snap(self):
-        for rs in self.rows:
-            for cs in self.cols:
-                r0, r1 = rs.start, rs.start + rs.size
-                c0, c1 = cs.start, cs.start + cs.size
-                if self._tied(rs, cs):
-                    lam = np.mean(np.diagonal(self.A[r0:r1, c0:c1]))
-                    self.A[r0:r1, c0:c1] = lam * np.eye(rs.size)
-                else:
-                    self.A[r0:r1, c0:c1] = 0.0
-
     def trace(self) -> ReductionTrace:
         classes = self.ties.groups(self.rows + self.cols)
         labels = {sub: k for k, g in enumerate(classes, 1) for sub in g}
         row_info = [[] for _ in self.M.row_strips]
         col_info = [[] for _ in self.M.col_strips]
-        for sub in self.rows:
-            row_info[sub.strip].append((sub.start, sub.size, labels[sub]))
-        for sub in self.cols:
-            col_info[sub.strip].append((sub.start, sub.size, labels[sub]))
+        for sub in self.rows + self.cols:
+            info = row_info if sub.axis == "r" else col_info
+            info[sub.strip].append((sub.start, sub.size, labels[sub]))
         return ReductionTrace(
             steps=list(self.steps),
             zones=[z for z in self.zones if z is not None],
@@ -706,19 +713,16 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
                 f"reduction did not converge after {steps} steps"
             )
     canonical = MarkedBlockMatrix(M.row_strips, M.col_strips, state.A, M.marked)
-    ro = _offsets(M.row_strips)
-    co = _offsets(M.col_strips)
     T = Transcript(
-        R=tuple(
-            state.R[ro[i] : ro[i + 1], ro[i] : ro[i + 1]].copy()
-            for i in range(len(M.row_strips))
-        ),
-        S=tuple(
-            state.S[co[j] : co[j + 1], co[j] : co[j + 1]].copy()
-            for j in range(len(M.col_strips))
-        ),
+        R=_diagonal_blocks(state.R, M.row_strips),
+        S=_diagonal_blocks(state.S, M.col_strips),
     )
     return canonical, T, state.trace()
+
+
+def _diagonal_blocks(X: np.ndarray, sizes) -> tuple:
+    o = _offsets(sizes)
+    return tuple(X[o[k] : o[k + 1], o[k] : o[k + 1]].copy() for k in range(len(sizes)))
 
 
 def block_direct_sum(M: MarkedBlockMatrix, N: MarkedBlockMatrix) -> MarkedBlockMatrix:
@@ -738,14 +742,10 @@ def block_direct_sum(M: MarkedBlockMatrix, N: MarkedBlockMatrix) -> MarkedBlockM
     nro, nco = _offsets(N.row_strips), _offsets(N.col_strips)
     for i in range(len(rows)):
         for j in range(len(cols)):
-            mb = M.block(i, j)
-            nb = N.block(i, j)
-            out[
-                ro[i] : ro[i] + mb.shape[0], co[j] : co[j] + mb.shape[1]
-            ] = mb
-            out[
-                ro[i] + mb.shape[0] : ro[i + 1], co[j] + mb.shape[1] : co[j + 1]
-            ] = nb
+            mb = M.entries[mro[i] : mro[i + 1], mco[j] : mco[j + 1]]
+            nb = N.entries[nro[i] : nro[i + 1], nco[j] : nco[j + 1]]
+            out[ro[i] : ro[i] + mb.shape[0], co[j] : co[j] + mb.shape[1]] = mb
+            out[ro[i] + mb.shape[0] : ro[i + 1], co[j] + mb.shape[1] : co[j + 1]] = nb
     return MarkedBlockMatrix(rows, cols, out, M.marked)
 
 
@@ -755,18 +755,13 @@ def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     canonical, _, trace = canonicalize(M, tol)
     lr, lc = len(M.row_strips), len(M.col_strips)
     by_class: dict = {}
-    for i in range(lr):
-        for start, size, label in trace.row_substrips[i]:
-            by_class.setdefault(label, {"rows": [[] for _ in range(lr)],
-                                        "cols": [[] for _ in range(lc)],
-                                        "size": size})
-            by_class[label]["rows"][i].append(start)
-    for j in range(lc):
-        for start, size, label in trace.col_substrips[j]:
-            by_class.setdefault(label, {"rows": [[] for _ in range(lr)],
-                                        "cols": [[] for _ in range(lc)],
-                                        "size": size})
-            by_class[label]["cols"][j].append(start)
+    for key, strips in (("rows", trace.row_substrips), ("cols", trace.col_substrips)):
+        for i, subs in enumerate(strips):
+            for start, size, label in subs:
+                info = by_class.setdefault(label, {"rows": [[] for _ in range(lr)],
+                                                   "cols": [[] for _ in range(lc)],
+                                                   "size": size})
+                info[key][i].append(start)
     summands = []
     for label in sorted(by_class):
         info = by_class[label]

@@ -188,10 +188,11 @@ def unpack(M: MarkedBlockMatrix, layout) -> Representation:
     strip sizes, e.g. for summands)."""
     Q = layout["quiver"]
     dims = tuple(M.col_strips)
+    ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
     mats = {}
     for k, aid in enumerate(layout["row_order"]):
         _, s, _ = Q.arrow(aid)
-        mats[aid] = M.block(k, s - 1).copy()
+        mats[aid] = M.entries[ro[k] : ro[k + 1], co[s - 1] : co[s]].copy()
     return Representation(Q, dims, mats)
 
 
@@ -215,20 +216,19 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
         _, s, d = A.quiver.arrow(aid)
         r0, r1 = int(ro[k]), int(ro[k + 1])
         c0, c1 = int(co[s - 1]), int(co[s])
-        region = {
-            (r, c) for r in range(r0, r1) for c in range(c0, c1)
-        }
+
+        def inside(cell):
+            return r0 <= cell[0] < r1 and c0 <= cell[1] < c1
+
         sub_zones = []
         for z in full.zones:
-            cells = frozenset(
-                (r - r0, c - c0) for (r, c) in z.cells if (r, c) in region
-            )
+            cells = frozenset((r - r0, c - c0) for r, c in filter(inside, z.cells))
             if not cells:
                 continue
             stairs = tuple(
                 tuple((r - r0, c - c0) for (r, c) in st)
                 for st in z.stairs
-                if all((r, c) in region for (r, c) in st)
+                if all(map(inside, st))
             )
             sub_zones.append(
                 mbm.Zone(
@@ -248,7 +248,7 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
             links=frozenset(
                 frozenset({(a[0] - r0, a[1] - c0), (b[0] - r0, b[1] - c0)})
                 for a, b in (sorted(p) for p in full.links)
-                if a in region and b in region
+                if inside(a) and inside(b)
             ),
             zones=tuple(sub_zones),
             row_strips=(r1 - r0,),

@@ -45,6 +45,18 @@ def engine_inputs():
     ]
 
 
+def reference_block(state, rs, cs, tol):
+    """The per-block rule the engine's grid implements, one block at a time:
+    ``(tied, diagonal mean or None, canonical)``."""
+    B = state.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
+    if state.ties.find(rs) is state.ties.find(cs):
+        lam = np.mean(np.diagonal(B))
+        residual = np.linalg.norm(B - lam * np.eye(rs.size))
+        return True, lam, residual <= tol.abs * max(1.0, rs.size)
+    limit = tol.abs * max(1.0, (rs.size * cs.size) ** 0.5)
+    return False, None, np.linalg.norm(B) <= limit
+
+
 class TestValidation:
     def test_marked_block_must_be_square(self):
         with pytest.raises(MarkedBlockNotSquareError):
@@ -172,7 +184,82 @@ class TestEngineInvariants:
             for rs in state.rows:
                 for cs in state.cols:
                     if (-rs.start, cs.start) < state.cursor:
-                        assert state._is_canonical(rs, cs)
+                        assert reference_block(state, rs, cs, tol)[2]
+
+    @pytest.mark.parametrize("M", engine_inputs())
+    def test_grid_matches_per_block_reference(self, tol, M):
+        state = mbm.ReductionState(M, tol)
+        running = True
+        while running:
+            grid = state._grid()
+            for i, rs in enumerate(state.rows):
+                for j, cs in enumerate(state.cols):
+                    tied, lam, canonical = reference_block(state, rs, cs, tol)
+                    assert grid.tied[i, j] == tied
+                    assert grid.canonical[i, j] == canonical
+                    if tied:
+                        mean = grid.snapped[rs.start, cs.start]
+                        assert np.isclose(mean, lam, rtol=1e-12, atol=0)
+            running = state.derive()
+
+    def test_grid_decides_at_the_thresholds(self):
+        # strips (2, 3) x (2, 3), only block (0, 0) tied; each block sits 10 %
+        # inside or outside its limit, 1e-3 * max(1, sqrt(rows * cols))
+        tol = Tolerance(1e-3)
+        d = 0.9 * 2e-3 * 2**0.5  # diag(5, 5 + d) is d / sqrt(2) from its λI
+        A = np.zeros((5, 5), dtype=complex)
+        A[:2, :2] = np.diag([5.0, 5.0 + d])
+        A[:2, 2:] = 0.9e-3  # Frobenius norm 0.9 * sqrt(6) * 1e-3
+        A[2:, :2] = 1.1e-3
+        A[2:, 2:] = 1.1e-3
+        state = mbm.ReductionState(MarkedBlockMatrix((2, 3), (2, 3), A, {(0, 0)}), tol)
+        grid = state._grid()
+        assert grid.canonical.tolist() == [[True, True], [False, False]]
+        assert grid.tied.tolist() == [[True, False], [False, False]]
+        for i, rs in enumerate(state.rows):
+            for j, cs in enumerate(state.cols):
+                assert grid.canonical[i, j] == reference_block(state, rs, cs, tol)[2]
+        assert grid.snapped[0, 0] == grid.snapped[1, 1] == np.mean([5.0, 5.0 + d])
+        assert not grid.snapped[:, 2:].any() and not grid.snapped[2:].any()
+
+
+class TestEmptyStrips:
+    """Strips of size 0 leave rows or columns of the substrip grid empty."""
+
+    def test_no_rows(self, tol):
+        M = MarkedBlockMatrix((0,), (3,), np.zeros((0, 3)))
+        C, T, trace = canonicalize(M, tol)
+        assert C.entries.shape == (0, 3)
+        assert T.R[0].shape == (0, 0)
+        assert np.array_equal(T.S[0], np.eye(3))
+        assert trace.steps == [] and trace.zones == []
+        assert trace.row_substrips == [[]]
+        assert trace.col_substrips == [[(0, 3, 1)]]
+        assert trace.num_classes == 1
+        [(P, mult)] = decompose(M, tol)
+        assert (P.row_strips, P.col_strips, mult) == ((0,), (1,), 3)
+
+    def test_empty_strip_beside_marked_block(self, tol):
+        M = MarkedBlockMatrix(
+            (0, 2), (0, 2), np.array([[1.0, 2.0], [0.0, 3.0]]), {(1, 1)}
+        )
+        C, T, trace = canonicalize(M, tol)
+        assert np.allclose(C.entries, [[3.0, 2.0], [0.0, 1.0]], atol=1e-12)
+        assert T.R[0].shape == (0, 0) and T.S[0].shape == (0, 0)
+        assert np.allclose(T.R[1], T.S[1])
+        assert [(s.kind, s.row_block, s.col_block) for s in trace.steps] == [
+            ("similarity", (0, 2), (0, 2)),
+            ("equivalence", (0, 1), (1, 1)),
+        ]
+        assert [(z.depth, z.kind, z.block, z.cells) for z in trace.zones] == [
+            (0, "similarity", (0, 2, 0, 2), {(0, 0), (1, 0), (1, 1)}),
+            (1, "equivalence", (0, 1, 1, 1), {(0, 1)}),
+        ]
+        assert trace.zones[0].stairs == (((0, 0),), ((1, 1),))
+        assert trace.row_substrips == [[], [(0, 1, 1), (1, 1, 1)]]
+        assert trace.col_substrips == trace.row_substrips
+        assert trace.num_classes == 1
+        assert is_indecomposable(M, tol)
 
 
 class TestDecompose:
