@@ -12,25 +12,26 @@ divisions classwide through all tied strips until a fixpoint is reached.
 The fixpoint is the canonical matrix: every block between tied substrips is
 a scalar multiple of the identity and every other block is zero.
 
-Each step decides "is this block canonical" for the whole substrip grid in
-one array pass (:meth:`ReductionState._grid`): tie-class labels once per
-substrip, the tied-block mask, the diagonal mean of every tied block and every
-block's residual against its canonical part, all as numpy arrays.
+Each substrip carries an integer tie-class label; a step gives the pieces it
+cuts fresh labels.  Each step decides "is this block canonical" for the whole
+substrip grid in one array pass (:meth:`ReductionState._grid`): the tied-block
+mask, the diagonal mean of every tied block, every block's residual against
+its canonical part and the zone owning it, all as numpy arrays.
 
 The engine's bookkeeping rests on two invariants, which the tests check:
 
 * blocks before the last target, in scan order, stay canonical under every
   later admissible transformation (the stabilizer property), so each scan
   resumes at a cursor instead of the first block;
-* zones are disjoint unions of current blocks, so an owner map from cells to
-  zone ids answers "is this block inside a zone" with one slice.
+* zones are disjoint unions of current blocks, so the owner map's entry
+  (zone id per cell) at a block's first cell tells whether a zone holds it.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product, starmap
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -206,11 +207,6 @@ class DisjointSet:
         if ra != rb:
             self._parent[ra] = rb
 
-    def union_all(self, items) -> None:
-        """Join every item of the list ``items`` to the class of the first."""
-        for x in items[1:]:
-            self.union(items[0], x)
-
     def groups(self, items=None) -> list:
         out: dict = {}
         for x in list(self._parent) if items is None else items:
@@ -298,18 +294,20 @@ def random_transcript(M: MarkedBlockMatrix, seed=None) -> Transcript:
 
 
 class _Sub:
-    """A substrip: a contiguous run of rows or columns inside one strip."""
+    """A substrip: a contiguous run of rows or columns inside one strip,
+    with the integer label of its tie class."""
 
-    __slots__ = ("axis", "strip", "start", "size")
+    __slots__ = ("axis", "strip", "start", "size", "label")
 
-    def __init__(self, axis, strip, start, size):
+    def __init__(self, axis, strip, start, size, label=-1):
         self.axis = axis
         self.strip = strip
         self.start = start
         self.size = size
+        self.label = label
 
     def __repr__(self):  # pragma: no cover
-        return f"Sub({self.axis}{self.strip}@{self.start}+{self.size})"
+        return f"Sub({self.axis}{self.strip}@{self.start}+{self.size}#{self.label})"
 
 
 @dataclass
@@ -348,6 +346,10 @@ class ReductionTrace:
 _start = attrgetter("start")
 
 
+def _rect_cells(r0, r1, c0, c1):
+    return product(range(r0, r1), range(c0, c1))
+
+
 class _Grid(NamedTuple):
     """The substrip grid of one scan; ``(i, j)`` indexes ``rows`` x ``cols``."""
 
@@ -356,47 +358,40 @@ class _Grid(NamedTuple):
     tied: np.ndarray  # (i, j) -> row and column substrip share a tie class
     canonical: np.ndarray  # block equals its canonical part within tolerance
     snapped: np.ndarray  # A with every block replaced by that part (λI or 0)
+    owner: np.ndarray  # zone id of every block, -1 if none
 
 
 class ReductionState:
-    """Single-owner mutable state of the derived-matrix iteration."""
+    """Single-owner mutable state of the derived-matrix iteration.
+
+    While the reduction runs, a zone is a record ``(depth, kind, block,
+    stairs, merged_blocks, rects)`` with ``rects`` the ``(r0, r1, c0, c1)``
+    rectangles whose cells it owns; :meth:`trace` builds the :class:`Zone`
+    objects and their cell sets."""
 
     def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
-        validate(M)
+        classes = tie_closure(M).classes  # validates M
+        label = {slot: k for k, c in enumerate(classes) for slot in c}
         self.M = M
         self.tol = tol
         self.A = M.entries.astype(complex).copy()
         m, n = self.A.shape
         self.R = np.eye(m, dtype=complex)
         self.S = np.eye(n, dtype=complex)
-        self.rows: list[_Sub] = []
-        self.cols: list[_Sub] = []
-        ro = _offsets(M.row_strips)
-        co = _offsets(M.col_strips)
-        strip_sub = {}
-        for i, s in enumerate(M.row_strips):
-            if s > 0:
-                sub = _Sub("r", i, int(ro[i]), s)
-                self.rows.append(sub)
-                strip_sub[("r", i)] = sub
-        for j, s in enumerate(M.col_strips):
-            if s > 0:
-                sub = _Sub("c", j, int(co[j]), s)
-                self.cols.append(sub)
-                strip_sub[("c", j)] = sub
-        self.ties = DisjointSet(self.rows + self.cols)
-        for i, j in M.marked:
-            a = strip_sub.get(("r", i))
-            b = strip_sub.get(("c", j))
-            if a is not None and b is not None:
-                self.ties.union(a, b)
+        ro, co = _offsets(M.row_strips), _offsets(M.col_strips)
+        self.rows = [_Sub("r", i, int(ro[i]), s, label["r", i])
+                     for i, s in enumerate(M.row_strips) if s > 0]
+        self.cols = [_Sub("c", j, int(co[j]), s, label["c", j])
+                     for j, s in enumerate(M.col_strips) if s > 0]
+        self.labels = len(classes)  # labels handed out; the next one is fresh
         self.steps: list[StepRecord] = []
         # zone ids index ``zones``; a zone merged into another becomes None
-        self.zones: list[Zone | None] = []
+        self.zones: list[tuple | None] = []
         self.owner = np.full((m, n), -1, dtype=np.intp)  # zone id per cell
         self._zero_candidates: list[int] = []
         self.cursor = (-m, 0)  # scan key (-row start, col start) of the next scan
-        self.boundaries: dict = {}  # (axis, offset) -> "direct" | "propagated"
+        # per axis, offsets of boundaries cut in substrips other than the target's
+        self.propagated = {"r": set(), "c": set()}
         self.done = False
 
     def _members(self, grid: _Grid, label) -> list:
@@ -404,6 +399,13 @@ class ReductionState:
         return [self.rows[i] for i in np.flatnonzero(grid.row_labels == label)] + [
             self.cols[j] for j in np.flatnonzero(grid.col_labels == label)
         ]
+
+    def _relabel(self, classes) -> None:
+        """Give every list of substrips in ``classes`` a fresh label."""
+        for subs in classes:
+            for s in subs:
+                s.label = self.labels
+            self.labels += 1
 
     # -- block helpers -------------------------------------------------
     def _block(self, rs: _Sub, cs: _Sub) -> np.ndarray:
@@ -416,13 +418,12 @@ class ReductionState:
         tol.abs * max(1, size)`` with λ the mean of its diagonal; any other
         block when ``‖B‖_F <= tol.abs * max(1, sqrt(rows * cols))``."""
         A, rows, cols = self.A, self.rows, self.cols
-        find, ids = self.ties.find, {}
-        labels = [ids.setdefault(find(s), len(ids)) for s in rows + cols]
-        row_labels, col_labels = np.split(np.array(labels, dtype=np.intp), [len(rows)])
-        rstart = np.array([s.start for s in rows], dtype=np.intp)
-        cstart = np.array([s.start for s in cols], dtype=np.intp)
-        rsize = np.array([s.size for s in rows], dtype=np.intp)
-        csize = np.array([s.size for s in cols], dtype=np.intp)
+        rstart, rsize, row_labels = np.array(
+            [(s.start, s.size, s.label) for s in rows], dtype=np.intp
+        ).reshape(-1, 3).T
+        cstart, csize, col_labels = np.array(
+            [(s.start, s.size, s.label) for s in cols], dtype=np.intp
+        ).reshape(-1, 3).T
         tied = row_labels[:, None] == col_labels
         # tied blocks are square; summing the diagonals of equal-sized ones
         # as rows adds in np.mean's order, so each λ is bit-identical to it
@@ -443,52 +444,51 @@ class ReductionState:
         # a tied block is square, so its limit is tol.abs * max(1, size)
         limit = self.tol.abs * np.maximum(1.0, np.sqrt(rsize[:, None] * csize))
         canonical = np.sqrt(sq) <= limit
-        return _Grid(row_labels, col_labels, tied, canonical, snapped)
+        # zones are unions of blocks, so a block's first cell names its zone
+        owner = self.owner[rstart[:, None], cstart]
+        return _Grid(row_labels, col_labels, tied, canonical, snapped, owner)
 
     def first_changing_block(self, grid: _Grid, depth: int):
         """Index pair ``(i, j)`` into ``rows`` and ``cols`` of the first
         block, in scan order from the cursor on, that is not canonical, or
-        None.  Every canonical block passed on the way is put into a zone."""
+        None.  The canonical blocks passed on the way that no zone holds yet
+        become zones of their own, in one batch."""
         row, col = self.cursor
-        first = bisect.bisect_left(self.cols, col, key=_start)
-        for i in range(bisect.bisect_right(self.rows, -row, key=_start) - 1, -1, -1):
-            rs = self.rows[i]
-            for j in range(first if rs.start == -row else 0, len(self.cols)):
-                if not grid.canonical[i, j]:
-                    return i, j
-                self._candidate_zone(rs, self.cols[j], grid.tied[i, j], depth)
-        return None
+        i0 = bisect.bisect_right(self.rows, -row, key=_start) - 1
+        on_row = i0 >= 0 and self.rows[i0].start == -row
+        j0 = bisect.bisect_left(self.cols, col, key=_start) if on_row else 0
+        nc = len(self.cols)
+        # flags of rows i0, i0 - 1, ..., 0 in turn, each left to right
+        canonical = grid.canonical[i0::-1].ravel()
+        changing = np.flatnonzero(~canonical[j0:])
+        stop = j0 + int(changing[0]) if changing.size else canonical.size
+        passed = j0 + np.flatnonzero(grid.owner[i0::-1].ravel()[j0:stop] < 0)
+        tied = grid.tied[i0::-1].ravel()[passed].tolist()
+        for p, t in zip(passed.tolist(), tied):
+            i, j = divmod(p, nc)
+            rs, cs = self.rows[i0 - i], self.cols[j]
+            r0, c0, k = rs.start, cs.start, rs.size
+            block = (r0, k, c0, cs.size)
+            if t:  # a tied block is square: one stair down its diagonal
+                stair = tuple(zip(range(r0, r0 + k), range(c0, c0 + k)))
+                self._add_zone(depth, "similarity", block, (stair,))
+            else:
+                self._zero_candidates.append(self._add_zone(depth, "equivalence", block))
+        if stop == canonical.size:
+            return None
+        i, j = divmod(stop, nc)
+        return i0 - i, j
 
     # -- zone bookkeeping ----------------------------------------------
-    def _contained(self, rs: _Sub, cs: _Sub) -> bool:
-        o = self.owner[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
-        return o[0, 0] >= 0 and bool((o == o[0, 0]).all())
-
-    def _add_zone(self, rects, **fields) -> int:
-        """Install a zone owning the cells of ``rects`` ((r0, r1, c0, c1)
-        each) and return its id."""
+    def _add_zone(self, depth, kind, block, stairs=(), rects=None) -> int:
+        """Install a zone owning ``rects`` (default: the block); return its id."""
+        r0, rs, c0, cs = block
+        rects = rects or [(r0, r0 + rs, c0, c0 + cs)]
         zid = len(self.zones)
-        cells = set()
-        for r0, r1, c0, c1 in rects:
-            self.owner[r0:r1, c0:c1] = zid
-            cells.update(product(range(r0, r1), range(c0, c1)))
-        self.zones.append(Zone(cells=frozenset(cells), **fields))
+        for a, b, c, d in rects:
+            self.owner[a:b, c:d] = zid
+        self.zones.append((depth, kind, block, stairs, [], rects))
         return zid
-
-    def _candidate_zone(self, rs: _Sub, cs: _Sub, tied: bool, depth: int):
-        if self._contained(rs, cs):
-            return
-        block = (rs.start, rs.size, cs.start, cs.size)
-        rect = [(rs.start, rs.start + rs.size, cs.start, cs.start + cs.size)]
-        if tied:
-            stair = tuple(
-                (rs.start + t, cs.start + t) for t in range(rs.size)
-            )
-            self._add_zone(rect, depth=depth, kind="similarity", block=block,
-                           stairs=(stair,))
-        else:
-            zid = self._add_zone(rect, depth=depth, kind="equivalence", block=block)
-            self._zero_candidates.append(zid)
 
     # -- transformations -----------------------------------------------
     def _apply(self, row_updates, col_updates):
@@ -504,29 +504,32 @@ class ReductionState:
         self.R = self.R @ P
         self.S = self.S @ Q
 
-    def _divide(self, member_sizes, direct: set):
+    def _divide(self, groups, direct: set):
         """Divide substrips into pieces.
 
-        ``member_sizes``: list of (sub, piece_sizes).  Returns a dict
-        sub -> list of new subs.  Updates positional lists and boundary
-        provenance (``direct`` holds the subs of the reduced block)."""
+        ``groups``: list of (subs, piece_sizes).  Returns a dict sub -> list
+        of its pieces; a sub of one piece is kept as its own piece.  Updates
+        positional lists and records the boundaries of subs not in
+        ``direct`` (the subs of the reduced block) as propagated."""
         pieces = {}
-        for sub, sizes in member_sizes:
+        for subs, sizes in groups:
             sizes = [s for s in sizes if s > 0]
-            assert sum(sizes) == sub.size
-            new = []
-            off = sub.start
-            for k, s in enumerate(sizes):
-                if k > 0:
-                    self.boundaries[(sub.axis, off)] = (
-                        "direct" if sub in direct else "propagated"
-                    )
-                new.append(_Sub(sub.axis, sub.strip, off, s))
-                off += s
-            pieces[sub] = new
-            lst = self.rows if sub.axis == "r" else self.cols
-            at = lst.index(sub)
-            lst[at : at + 1] = new
+            for sub in subs:
+                assert sum(sizes) == sub.size
+                if len(sizes) == 1:
+                    pieces[sub] = [sub]
+                    continue
+                new = []
+                off = sub.start
+                for k, s in enumerate(sizes):
+                    if k > 0 and sub not in direct:
+                        self.propagated[sub.axis].add(off)
+                    new.append(_Sub(sub.axis, sub.strip, off, s))
+                    off += s
+                pieces[sub] = new
+                lst = self.rows if sub.axis == "r" else self.cols
+                at = bisect.bisect_left(lst, sub.start, key=_start)
+                lst[at : at + 1] = new
         return pieces
 
     # -- reduction steps -----------------------------------------------
@@ -548,24 +551,18 @@ class ReductionState:
         D = np.zeros((rs.size, cs.size), dtype=complex)
         D[range(r), range(r)] = [rep for rep, mult in clusters for _ in range(mult)]
         self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = D
-        self._add_zone(
-            [(rs.start, rs.start + rs.size, cs.start, cs.start + cs.size)],
-            depth=depth,
-            kind="equivalence",
-            block=(rs.start, rs.size, cs.start, cs.size),
-        )
+        self._add_zone(depth, "equivalence", (rs.start, rs.size, cs.start, cs.size))
         row_sizes = [m for _, m in clusters] + [rs.size - r]
         col_sizes = [m for _, m in clusters] + [cs.size - r]
-        member_sizes = [(x, row_sizes) for x in rmem] + [(x, col_sizes) for x in cmem]
-        pieces = self._divide(member_sizes, direct={rs, cs})
+        pieces = self._divide([(rmem, row_sizes), (cmem, col_sizes)], direct={rs, cs})
         k = len(clusters)
         # marks: piece alpha of the row class is tied to piece alpha of the
-        # column class for every singular-value cluster
-        for a in range(k):
-            self.ties.union_all([pieces[x][a] for x in rmem + cmem])
-        # leftover pieces stay tied within their own former class
-        for group in (rmem, cmem):
-            self.ties.union_all([pieces[x][k] for x in group if len(pieces[x]) > k])
+        # column class for every singular-value cluster; leftover pieces stay
+        # tied within their own former class
+        self._relabel(
+            [[pieces[x][a] for x in rmem + cmem] for a in range(k)]
+            + [[pieces[x][k] for x in group if len(pieces[x]) > k] for group in (rmem, cmem)]
+        )
         self.steps.append(
             StepRecord(
                 kind="equivalence",
@@ -593,19 +590,14 @@ class ReductionState:
             c0, c1 = cs.start + offs[a], cs.start + offs[a + 1]
             self.A[r0:r1, c0:c1] = lams[a] * np.eye(sizes[a])
             self.A[r1 : rs.start + rs.size, c0:c1] = 0.0
-            stairs.append(tuple((r0 + t, c0 + t) for t in range(sizes[a])))
+            stairs.append(tuple(zip(range(r0, r1), range(c0, c1))))
             # the zone is a staircase: piece row a against column pieces 0..a
             rects.append((r0, r1, cs.start, c1))
         self._add_zone(
-            rects,
-            depth=depth,
-            kind="similarity",
-            block=(rs.start, rs.size, cs.start, cs.size),
-            stairs=tuple(stairs),
+            depth, "similarity", (rs.start, rs.size, cs.start, cs.size), tuple(stairs), rects
         )
-        pieces = self._divide([(x, sizes) for x in mem], direct={rs, cs})
-        for a in range(len(sizes)):
-            self.ties.union_all([pieces[x][a] for x in mem])
+        pieces = self._divide([(mem, sizes)], direct={rs, cs})
+        self._relabel([[pieces[x][a] for x in mem] for a in range(len(sizes))])
         self.steps.append(
             StepRecord(
                 kind="similarity",
@@ -647,52 +639,59 @@ class ReductionState:
         """Merge rule: an all-zero block that was never itself reduced joins
         the zone of its neighbour across a propagated division boundary.
         Chains of such blocks settle in repeated passes."""
-        m, n = self.owner.shape
+        rows, cols = self.propagated["r"], self.propagated["c"]
+        # (zone id, neighbour cells across propagated boundaries); a boundary
+        # lies strictly inside the matrix, so every neighbour cell exists
+        probes = []
+        for zid in self._zero_candidates:
+            r0, rs_, c0, cs_ = self.zones[zid][2]
+            r1, c1 = r0 + rs_, c0 + cs_
+            cells = [cell for across, cell in (
+                (c0 in cols, (r0, c0 - 1)), (c1 in cols, (r0, c1)),
+                (r0 in rows, (r0 - 1, c0)), (r1 in rows, (r1, c0)),
+            ) if across]
+            if cells:
+                probes.append((zid, cells))
         changed = True
         while changed:
             changed = False
-            for zid in self._zero_candidates:
+            for zid, cells in probes:
                 z = self.zones[zid]
                 if z is None:
                     continue
-                r0, rs_, c0, cs_ = z.block
-                r1, c1 = r0 + rs_, c0 + cs_
-                probes = [
-                    (("c", c0), (r0, c0 - 1)),
-                    (("c", c1), (r0, c1)),
-                    (("r", r0), (r0 - 1, c0)),
-                    (("r", r1), (r1, c0)),
-                ]
-                for key, (r, c) in probes:
-                    if self.boundaries.get(key) != "propagated" or not (
-                        0 <= r < m and 0 <= c < n
-                    ):
-                        continue
+                for r, c in cells:
                     tid = int(self.owner[r, c])
                     if tid < 0 or tid == zid:
                         continue
-                    target = self.zones[tid]
-                    target.cells = target.cells | z.cells
-                    target.merged_blocks = target.merged_blocks + (z.block,)
-                    self.owner[self.owner == zid] = tid
+                    _, _, _, _, merged, rects = self.zones[tid]
+                    merged.append(z[2])
+                    rects.extend(z[5])
+                    for a, b, c_, d in z[5]:
+                        self.owner[a:b, c_:d] = tid
                     self.zones[zid] = None
                     changed = True
                     break
 
     def trace(self) -> ReductionTrace:
-        classes = self.ties.groups(self.rows + self.cols)
-        labels = {sub: k for k, g in enumerate(classes, 1) for sub in g}
+        # classes are numbered from 1 in order of first appearance
+        labels: dict = {}
         row_info = [[] for _ in self.M.row_strips]
         col_info = [[] for _ in self.M.col_strips]
         for sub in self.rows + self.cols:
             info = row_info if sub.axis == "r" else col_info
-            info[sub.strip].append((sub.start, sub.size, labels[sub]))
+            k = labels.setdefault(sub.label, len(labels) + 1)
+            info[sub.strip].append((sub.start, sub.size, k))
+        zones = [
+            Zone(depth, kind, block, frozenset(chain.from_iterable(starmap(_rect_cells, rects))),
+                 stairs, tuple(merged))
+            for depth, kind, block, stairs, merged, rects in filter(None, self.zones)
+        ]
         return ReductionTrace(
             steps=list(self.steps),
-            zones=[z for z in self.zones if z is not None],
+            zones=zones,
             row_substrips=row_info,
             col_substrips=col_info,
-            num_classes=len(classes),
+            num_classes=len(labels),
             canonical_entries=self.A.copy(),
         )
 

@@ -9,6 +9,7 @@ vertex-wise unitaries.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,35 +211,28 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
     Ainf = unpack(canonical, layout)
     iso = Isometry(tuple(T.S[v].conj().T for v in range(A.quiver.p)))
     full = scheme_of(canonical, trace_zones(trace), tol)
+    ro, co = mbm._offsets(M.row_strips).tolist(), mbm._offsets(M.col_strips).tolist()
+    sources = [A.quiver.arrow(aid)[1] for aid in layout["row_order"]]
+    # a zone never crosses a strip boundary, so it lies in the rectangle of
+    # the arrow whose row strip holds its block, or in a coupling block
+    arrow_zones = [[] for _ in sources]
+    for z in full.zones:
+        k = bisect_right(ro, z.block[0]) - 1
+        if co[sources[k] - 1] <= z.block[2] < co[sources[k]]:
+            arrow_zones[k].append(z)
     schemes = {}
-    ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
     for k, aid in enumerate(layout["row_order"]):
         _, s, d = A.quiver.arrow(aid)
-        r0, r1 = int(ro[k]), int(ro[k + 1])
-        c0, c1 = int(co[s - 1]), int(co[s])
+        r0, r1, c0, c1 = ro[k], ro[k + 1], co[s - 1], co[s]
 
         def inside(cell):
             return r0 <= cell[0] < r1 and c0 <= cell[1] < c1
 
-        sub_zones = []
-        for z in full.zones:
-            cells = frozenset((r - r0, c - c0) for r, c in filter(inside, z.cells))
-            if not cells:
-                continue
-            stairs = tuple(
-                tuple((r - r0, c - c0) for (r, c) in st)
-                for st in z.stairs
-                if all(map(inside, st))
-            )
-            sub_zones.append(
-                mbm.Zone(
-                    depth=z.depth,
-                    kind=z.kind,
-                    block=z.block,
-                    cells=cells,
-                    stairs=stairs,
-                )
-            )
+        sub_zones = tuple(
+            mbm.Zone(z.depth, z.kind, z.block, frozenset((r - r0, c - c0) for r, c in z.cells),
+                     tuple(tuple((r - r0, c - c0) for r, c in st) for st in z.stairs))
+            for z in arrow_zones[k]
+        )
         schemes[aid] = Scheme(
             rows=r1 - r0,
             cols=c1 - c0,
@@ -250,7 +244,7 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
                 for a, b in (sorted(p) for p in full.links)
                 if inside(a) and inside(b)
             ),
-            zones=tuple(sub_zones),
+            zones=sub_zones,
             row_strips=(r1 - r0,),
             col_strips=(c1 - c0,),
             marked=frozenset({(0, 0)} if s == d else ()),

@@ -45,16 +45,93 @@ def engine_inputs():
     ]
 
 
+def rank_deficient_inputs():
+    """Blocks of rank at most one, so that equivalence steps leave pieces
+    over on both sides of the reduced block."""
+    rng = np.random.default_rng(22)
+    out = [example_8x12()]
+    for _ in range(6):
+        M = random_mbm(rng, max_strips=3, max_size=3)
+        ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
+        E = np.zeros(M.entries.shape, dtype=complex)
+        for i in range(len(M.row_strips)):
+            for j in range(len(M.col_strips)):
+                u = rng.standard_normal(ro[i + 1] - ro[i])
+                v = rng.standard_normal(co[j + 1] - co[j])
+                E[ro[i] : ro[i + 1], co[j] : co[j + 1]] = np.outer(u, v)
+        out.append(MarkedBlockMatrix(M.row_strips, M.col_strips, E, M.marked))
+    return out
+
+
 def reference_block(state, rs, cs, tol):
     """The per-block rule the engine's grid implements, one block at a time:
     ``(tied, diagonal mean or None, canonical)``."""
     B = state.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
-    if state.ties.find(rs) is state.ties.find(cs):
+    if rs.label == cs.label:
         lam = np.mean(np.diagonal(B))
         residual = np.linalg.norm(B - lam * np.eye(rs.size))
         return True, lam, residual <= tol.abs * max(1.0, rs.size)
     limit = tol.abs * max(1.0, (rs.size * cs.size) ** 0.5)
     return False, None, np.linalg.norm(B) <= limit
+
+
+def union_all(ties, items):
+    """Join every item of the list ``items`` to the class of the first."""
+    for x in items[1:]:
+        ties.union(items[0], x)
+
+
+def partition(subs, class_of):
+    """The classes of ``subs`` under ``class_of``, as sets of (axis, start)."""
+    classes = {}
+    for s in subs:
+        classes.setdefault(class_of(s), set()).add((s.axis, s.start))
+    return {frozenset(c) for c in classes.values()}
+
+
+def replay_ties(state):
+    """Run ``state`` to its fixpoint and yield after every ``derive`` step a
+    union-find over the current substrips, built without the engine's labels:
+    the marks first, then for every step the pieces joined the way the
+    reduction ties them (piece alpha of every member of the reduced classes;
+    for equivalence also the leftover pieces within each former class)."""
+    M = state.M
+    ties = mbm.DisjointSet(state.rows + state.cols)
+    first = {(s.axis, s.strip): s for s in state.rows + state.cols}
+    for i, j in M.marked:
+        if ("r", i) in first and ("c", j) in first:  # size-0 strips have none
+            ties.union(first["r", i], first["c", j])
+    yield ties
+    while True:
+        before = state.rows + state.cols
+        if not state.derive():
+            return
+        step, after = state.steps[-1], state.rows + state.cols
+
+        def old(axis, start):
+            return next(s for s in before if (s.axis, s.start) == (axis, start))
+
+        def members(x):
+            return [s for s in before if ties.find(s) is ties.find(x)]
+
+        def pieces(x):
+            return sorted(
+                (s for s in after if s.axis == x.axis and x.start <= s.start < x.start + x.size),
+                key=lambda s: s.start,
+            )
+
+        rmem = members(old("r", step.row_block[0]))
+        if step.kind == "similarity":
+            for a in range(len(step.row_pieces)):
+                union_all(ties, [pieces(x)[a] for x in rmem])
+        else:
+            cmem = members(old("c", step.col_block[0]))
+            k = sum(1 for value, _ in step.values if value != 0)
+            for a in range(k):
+                union_all(ties, [pieces(x)[a] for x in rmem + cmem])
+            for group in (rmem, cmem):
+                union_all(ties, [pieces(x)[k] for x in group if len(pieces(x)) > k])
+        yield ties
 
 
 class TestValidation:
@@ -176,6 +253,18 @@ class TestEngineInvariants:
                 assert {
                     (r, c) for r in range(r0, r0 + rs) for c in range(c0, c0 + cs)
                 } <= z.cells
+
+    @pytest.mark.parametrize("M", engine_inputs() + rank_deficient_inputs())
+    def test_labels_match_union_find_replay(self, tol, M):
+        state = mbm.ReductionState(M, tol)
+        steps = 0
+        for ties in replay_ties(state):
+            subs = state.rows + state.cols
+            assert partition(subs, lambda s: s.label) == partition(subs, ties.find)
+            steps += 1
+        assert steps == len(state.steps) + 1
+        trace = state.trace()
+        assert trace.num_classes == len(partition(subs, ties.find))
 
     @pytest.mark.parametrize("M", engine_inputs())
     def test_blocks_before_cursor_stay_canonical(self, tol, M):

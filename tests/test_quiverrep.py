@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance, random_unitary
+from unicanon import mbm
 from unicanon import quiverrep as qr
+from unicanon.scheme import scheme_of, zones as trace_zones
 from unicanon.quiverrep import (
     Quiver,
     Representation,
@@ -24,6 +26,40 @@ from unicanon.quiverrep import (
 )
 
 from conftest import LOOP, KRONECKER, SINGLE_ARROW, FOUR_ARROWS
+
+
+D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
+TWO_LOOPS = Quiver(1, [("a", 1, 1), ("b", 1, 1)])
+LOOP_ARROW = Quiver(2, [("l", 1, 1), ("x", 1, 2)])
+
+
+def reference_arrow_zones(A, tol):
+    """Per-arrow zones of ``rep_canonical`` by the per-cell rule: a zone
+    belongs to every arrow whose rectangle in the packed matrix holds one of
+    its cells, with those cells and the stairs lying wholly inside, shifted
+    to the rectangle's corner."""
+    M, layout = pack(A)
+    canonical, _, trace = mbm.canonicalize(M, tol)
+    full = scheme_of(canonical, trace_zones(trace), tol)
+    ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
+    out = {}
+    for k, aid in enumerate(layout["row_order"]):
+        _, s, _ = A.quiver.arrow(aid)
+        r0, r1, c0, c1 = int(ro[k]), int(ro[k + 1]), int(co[s - 1]), int(co[s])
+
+        def inside(cell):
+            return r0 <= cell[0] < r1 and c0 <= cell[1] < c1
+
+        out[aid] = []
+        for z in full.zones:
+            cells = frozenset((r - r0, c - c0) for r, c in filter(inside, z.cells))
+            if cells:
+                stairs = tuple(
+                    tuple((r - r0, c - c0) for r, c in st)
+                    for st in z.stairs if all(map(inside, st))
+                )
+                out[aid].append((z.depth, z.kind, z.block, cells, stairs))
+    return out
 
 
 def loop_rep(A):
@@ -117,6 +153,28 @@ class TestCanonical:
         S = schemes["a"]
         assert sum(row.count("*") for row in S.symbols) == 2
         assert sum(row.count("o") for row in S.symbols) == 1
+
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "Q, d",
+        [(KRONECKER, (4, 5)), (KRONECKER, (8, 8)), (D4, (2, 2, 2, 4)), (D4, (2, 3, 1, 4)),
+         (TWO_LOOPS, (3,)), (LOOP_ARROW, (3, 2))],
+        ids=["kronecker-4-5", "kronecker-8-8", "d4-2-2-2-4", "d4-2-3-1-4", "two-loops-3",
+             "loop-arrow-3-2"],
+    )
+    def test_arrow_zones_match_per_cell_reference(self, tol, Q, d, scale):
+        A = random_rep(Q, d, seed=sum(d))
+        A = Representation(Q, d, {a: scale * X for a, X in A.matrices.items()})
+        _, _, schemes = rep_canonical(A, tol)
+        want = reference_arrow_zones(A, tol)
+        assert set(schemes) == set(want)
+        for aid, S in schemes.items():
+            got = [(z.depth, z.kind, z.block, z.cells, z.stairs) for z in S.zones]
+            assert got == want[aid]
+            assert {c for z in S.zones for c in z.cells} <= {
+                (r, c) for r in range(S.rows) for c in range(S.cols)
+            }
 
 
 class TestIsometric:
