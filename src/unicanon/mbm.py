@@ -664,7 +664,7 @@ class ReductionState:
                     if tid < 0 or tid == zid:
                         continue
                     _, _, _, _, merged, rects = self.zones[tid]
-                    merged.append(z[2])
+                    merged.extend([z[2], *z[4]])  # its block and what it absorbed
                     rects.extend(z[5])
                     for a, b, c_, d in z[5]:
                         self.owner[a:b, c_:d] = tid

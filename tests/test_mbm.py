@@ -45,6 +45,10 @@ def engine_inputs():
     ]
 
 
+def rect_cells(r0, rows, c0, cols):
+    return {(r, c) for r in range(r0, r0 + rows) for c in range(c0, c0 + cols)}
+
+
 def rank_deficient_inputs():
     """Blocks of rank at most one, so that equivalence steps leave pieces
     over on both sides of the reduced block."""
@@ -248,11 +252,15 @@ class TestEngineInvariants:
         covered = [cell for z in trace.zones for cell in z.cells]
         assert len(covered) == m * n
         assert set(covered) == {(r, c) for r in range(m) for c in range(n)}
+        # a zone is its block (equivalence) or the staircase under its stairs
+        # (similarity), plus every block the merge rule gave it
         for z in trace.zones:
-            for r0, rs, c0, cs in z.merged_blocks:
-                assert {
-                    (r, c) for r in range(r0, r0 + rs) for c in range(c0, c0 + cs)
-                } <= z.cells
+            if z.kind == "equivalence":
+                own = rect_cells(*z.block)
+            else:
+                c0 = z.block[2]
+                own = {(r, c) for st in z.stairs for r, _ in st for c in range(c0, st[-1][1] + 1)}
+            assert z.cells == own.union(*(rect_cells(*b) for b in z.merged_blocks))
 
     @pytest.mark.parametrize("M", engine_inputs() + rank_deficient_inputs())
     def test_labels_match_union_find_replay(self, tol, M):
