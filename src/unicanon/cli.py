@@ -2,7 +2,8 @@
 
 All file formats use JSON with 1-based indices and complex numbers as
 [re, im] pairs.  Exit codes: 0 success, 2 validation error (machine-readable
-object on stderr), 64 missing or unknown subcommand, 65 parse error.
+object on stderr), 64 missing or unknown subcommand, 65 parse error or an
+input file of the wrong structure.
 """
 
 from __future__ import annotations
@@ -84,12 +85,17 @@ def _isometry_json(T):
     return {"S": [_matrix_to_json(b) for b in T.S]}
 
 
-def _load_rep(path):
-    data = _load_json(path)
+def _from_json(data, cls, path):
+    """``cls.from_json(data)``; JSON of the wrong structure exits 65, an
+    object that fails validation (a ValueError) exits 2."""
     try:
-        return qr.Representation.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _CliError(65, f"bad representation file {path}: {exc}")
+        return cls.from_json(data)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise _CliError(65, f"bad {cls.__name__} file {path}: {exc!r}")
+
+
+def _load(path, cls):
+    return _from_json(_load_json(path), cls, path)
 
 
 def _parse_dimvec(text):
@@ -201,7 +207,7 @@ def _run(args) -> int:
         _emit(out, args)
         return 0
     if cmd == "canon-mbm":
-        M = MarkedBlockMatrix.from_json(_load_json(args.file))
+        M = _load(args.file, MarkedBlockMatrix)
         C, T, trace = mbm.canonicalize(M, tol)
         if args.transcript:
             with open(args.transcript, "w") as fh:
@@ -209,7 +215,7 @@ def _run(args) -> int:
         _emit(_mbm_out(C, trace), args)
         return 0
     if cmd == "canon-rep":
-        A = _load_rep(args.file)
+        A = _load(args.file, qr.Representation)
         Ainf, T, schemes = qr.rep_canonical(A, tol)
         out = {
             "canonical": Ainf.to_json(),
@@ -222,8 +228,9 @@ def _run(args) -> int:
         return 0
     if cmd == "decompose":
         data = _load_json(args.file)
-        if "quiver" in data:
-            A = qr.Representation.from_json(data)
+        rep = isinstance(data, dict) and "quiver" in data
+        A = _from_json(data, qr.Representation if rep else MarkedBlockMatrix, args.file)
+        if rep:
             parts = qr.decompose_rep(A, tol)
             out = {
                 "summands": [
@@ -232,8 +239,7 @@ def _run(args) -> int:
                 ]
             }
         else:
-            M = MarkedBlockMatrix.from_json(data)
-            parts = mbm.decompose(M, tol)
+            parts = mbm.decompose(A, tol)
             out = {
                 "summands": [
                     {"multiplicity": m, "matrix": P.to_json()} for P, m in parts
@@ -242,12 +248,12 @@ def _run(args) -> int:
         _emit(out, args)
         return 0
     if cmd == "isometric":
-        A = _load_rep(args.file)
-        B = _load_rep(args.file2)
+        A = _load(args.file, qr.Representation)
+        B = _load(args.file2, qr.Representation)
         _emit({"isometric": bool(qr.isometric(A, B, tol))}, args)
         return 0
     if cmd == "scheme":
-        M = MarkedBlockMatrix.from_json(_load_json(args.file))
+        M = _load(args.file, MarkedBlockMatrix)
         C, _, trace = mbm.canonicalize(M, tol)
         S = scheme_mod.scheme_of(C, scheme_mod.zones(trace), tol)
         if args.format == "json":
@@ -256,33 +262,33 @@ def _run(args) -> int:
             _emit(render_ascii(S), args)
         return 0
     if cmd == "fill-scheme":
-        S = Scheme.from_json(_load_json(args.file))
+        S = _load(args.file, Scheme)
         M = fill_general_position(S, args.mode, seed=args.seed, tol=tol)
         _emit(M.to_json(), args)
         return 0
     if cmd == "dims":
-        Q = qr.Quiver.from_json(_load_json(args.file))
+        Q = _load(args.file, qr.Quiver)
         vecs = dims_mod.enumerate_D(Q, args.bound)
         _emit("\n".join(json.dumps(list(v)) for v in vecs), args)
         return 0
     if cmd == "params":
-        Q = qr.Quiver.from_json(_load_json(args.file))
+        Q = _load(args.file, qr.Quiver)
         d = _parse_dimvec(args.d)
         nr, nc = dims_mod.max_params(Q, d)
         _emit({"real": nr, "complex": nc}, args)
         return 0
     if cmd == "construct":
-        Q = qr.Quiver.from_json(_load_json(args.file))
+        Q = _load(args.file, qr.Quiver)
         d = _parse_dimvec(args.d)
         R = dims_mod.construct_indecomposable(Q, d, seed=args.seed, tol=tol)
         _emit(R.to_json(), args)
         return 0
     if cmd == "realify":
-        A = _load_rep(args.file)
+        A = _load(args.file, qr.Representation)
         _emit(euclid.realify(A).to_json(), args)
         return 0
     if cmd == "real-type":
-        A = _load_rep(args.file)
+        A = _load(args.file, qr.Representation)
         rt = euclid.classify_real(A, tol)
         out = {"kind": rt.kind}
         if rt.lam is not None:
@@ -292,7 +298,7 @@ def _run(args) -> int:
         _emit(out, args)
         return 0
     if cmd == "decompose-real":
-        A = _load_rep(args.file)
+        A = _load(args.file, qr.Representation)
         parts = euclid.decompose_real(A, tol)
         _emit(
             {

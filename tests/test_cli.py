@@ -67,6 +67,38 @@ class TestExitCodes:
         assert dispatch(["canon-mbm", f]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
+    # one command per kind of object file; decompose reads a marked block
+    # matrix unless the object has a "quiver" key
+    OBJECT_COMMANDS = (
+        ["canon-mbm"], ["scheme"], ["fill-scheme"], ["decompose"],
+        ["canon-rep"], ["isometric"], ["dims", "--bound", "2"],
+    )
+
+    @pytest.mark.parametrize("command", OBJECT_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "content", [[[1, 2], [3, 4]], 7, "text", {"dims": [1]}],
+        ids=["list", "number", "string", "missing-keys"],
+    )
+    def test_wrong_structure(self, tmp_path, capsys, command, content):
+        f = write_json(tmp_path / "x.json", content)
+        files = [f, f] if command == ["isometric"] else [f]
+        assert dispatch(command + files) == 65
+        assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_invalid_representation(self, tmp_path, capsys):
+        # the matrix of arrow a must be 1 x 2 for dims (2, 1)
+        data = Representation(SINGLE_ARROW, (2, 1), {"a": [[3.0, 0.0]]}).to_json()
+        data["matrices"]["a"] = [[[1.0, 0.0]]]
+        f = write_json(tmp_path / "rep.json", data)
+        assert dispatch(["canon-rep", f]) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_invalid_quiver(self, tmp_path, capsys):
+        data = {"vertices": 2, "arrows": [{"id": "a", "src": 1, "dst": 3}]}
+        f = write_json(tmp_path / "q.json", data)
+        assert dispatch(["dims", "--bound", "2", f]) == 2
+        assert "error" in json.loads(capsys.readouterr().err)
+
     def test_success(self, matrix_file):
         assert dispatch(["canon-matrix", "--mode", "equiv", matrix_file]) == 0
 
