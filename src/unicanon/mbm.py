@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import chain, product, starmap
+from itertools import chain, product
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -294,8 +294,7 @@ def random_transcript(M: MarkedBlockMatrix, seed=None) -> Transcript:
 
 
 class _Sub:
-    """A substrip: a contiguous run of rows or columns inside one strip,
-    with the integer label of its tie class."""
+    """A substrip: a run of rows or columns inside one strip, and its tie-class label."""
 
     __slots__ = ("axis", "strip", "start", "size", "label")
 
@@ -346,8 +345,9 @@ class ReductionTrace:
 _start = attrgetter("start")
 
 
-def _rect_cells(r0, r1, c0, c1):
-    return product(range(r0, r1), range(c0, c1))
+def _cells(rects):
+    return frozenset(chain.from_iterable(
+        product(range(r0, r1), range(c0, c1)) for r0, r1, c0, c1 in rects))
 
 
 class _Grid(NamedTuple):
@@ -663,10 +663,11 @@ class ReductionState:
                     tid = int(self.owner[r, c])
                     if tid < 0 or tid == zid:
                         continue
+                    _, _, block, _, absorbed, zrects = z
                     _, _, _, _, merged, rects = self.zones[tid]
-                    merged.extend([z[2], *z[4]])  # its block and what it absorbed
-                    rects.extend(z[5])
-                    for a, b, c_, d in z[5]:
+                    merged.extend([block, *absorbed])
+                    rects.extend(zrects)
+                    for a, b, c_, d in zrects:
                         self.owner[a:b, c_:d] = tid
                     self.zones[zid] = None
                     changed = True
@@ -682,8 +683,7 @@ class ReductionState:
             k = labels.setdefault(sub.label, len(labels) + 1)
             info[sub.strip].append((sub.start, sub.size, k))
         zones = [
-            Zone(depth, kind, block, frozenset(chain.from_iterable(starmap(_rect_cells, rects))),
-                 stairs, tuple(merged))
+            Zone(depth, kind, block, _cells(rects), stairs, tuple(merged))
             for depth, kind, block, stairs, merged, rects in filter(None, self.zones)
         ]
         return ReductionTrace(

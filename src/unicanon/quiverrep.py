@@ -229,7 +229,8 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
             return r0 <= cell[0] < r1 and c0 <= cell[1] < c1
 
         sub_zones = tuple(
-            mbm.Zone(z.depth, z.kind, z.block, frozenset((r - r0, c - c0) for r, c in z.cells),
+            mbm.Zone(z.depth, z.kind, z.block,
+                     frozenset((r - r0, c - c0) for r, c in z.cells),
                      tuple(tuple((r - r0, c - c0) for r, c in st) for st in z.stairs))
             for z in arrow_zones[k]
         )
