@@ -1,34 +1,35 @@
 """Dense complex-matrix kernels.
 
 Tolerance-aware value clustering, the lexicographic order on the complex
-numbers, Haar-random unitaries, and the two base canonical forms:
+numbers, Haar-random unitaries, and the steps of the two base canonical
+forms:
 
 * unitary equivalence  (R^-1 A S = a_1 I + ... + a_{k-1} I + 0, values
   strictly decreasing),
 * unitary similarity   (block upper triangular with scalar diagonal blocks,
   eigenvalues in lexicographically decreasing order, repeats adjacent with
   the minimal-polynomial exponents; superdiagonal blocks between equal
-  eigenvalues have full column rank).
+  eigenvalues have full column rank).  :func:`simil_step` builds it from an
+  ordered Schur form and a staircase on each cluster block, taking every
+  kernel at the fixed threshold ``tol.abs * max(1, ||A||_F)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Tolerance",
     "EquivCanonical",
-    "SimilCanonical",
-    "NonSquareError",
     "lex_cmp",
     "lex_sort_key",
     "cluster_values",
     "cluster_complex",
     "same_form",
     "equiv_canonical",
-    "simil_canonical",
+    "simil_step",
     "random_unitary",
 ]
 
@@ -43,10 +44,6 @@ class Tolerance:
     def __post_init__(self) -> None:
         if self.abs < 0:
             raise ValueError("tolerance must be nonnegative")
-
-
-class NonSquareError(ValueError):
-    pass
 
 
 def lex_cmp(a: complex, b: complex, tol: Tolerance = Tolerance()) -> int:
@@ -94,17 +91,33 @@ def cluster_values(vals, tol: Tolerance = Tolerance()):
 
 
 def cluster_complex(vals, tol: Tolerance = Tolerance()):
-    """Cluster complex values: real parts first, then imaginary parts within
-    each real-part group.  Returns ``(representative, count)`` pairs sorted
-    lexicographically decreasing."""
-    vals = [complex(v) for v in vals]
-    out: list[tuple[complex, int]] = []
-    for re_rep, re_members in cluster_values([v.real for v in vals], tol):
-        lo, hi = min(re_members) - 0.5 * tol.abs, max(re_members) + 0.5 * tol.abs
-        group = [v for v in vals if lo <= v.real <= hi]
-        for im_rep, im_members in cluster_values([v.imag for v in group], tol):
-            out.append((complex(re_rep, im_rep), len(im_members)))
-    return out
+    """Cluster complex values: chains of real parts with gaps <= tol.abs
+    first, then chains of imaginary parts within each real-part group.
+
+    Returns ``(representative, members)`` pairs sorted lexicographically
+    decreasing; ``members`` lists the indices into ``vals`` and the
+    representative has the mean real part of its real-part group and the
+    mean imaginary part of its members."""
+    v = np.asarray(vals, dtype=complex).ravel()
+    if v.size == 0:
+        return []
+    o = np.argsort(-v.real, kind="stable")
+    x = v.real[o]
+    g = np.zeros(v.size, dtype=np.intp)
+    np.cumsum(x[:-1] - x[1:] > tol.abs, out=g[1:])
+    re = np.bincount(g, weights=x) / np.bincount(g)
+    o = o[np.lexsort((-v.imag[o], g))]  # g is ascending, and stays so
+    y = v.imag[o]
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (y[:-1] - y[1:] > tol.abs)
+    starts = np.flatnonzero(new)
+    bounds = starts.tolist() + [v.size]
+    im = np.add.reduceat(y, starts).tolist()
+    o = o.tolist()
+    return [
+        (complex(r, i / (b - a)), o[a:b])
+        for r, i, a, b in zip(re[g[starts]].tolist(), im, bounds, bounds[1:])
+    ]
 
 
 def same_form(X, Y, tol: Tolerance = Tolerance()) -> bool:
@@ -166,26 +179,6 @@ def equiv_canonical(A, tol: Tolerance = Tolerance()):
     return can, U, Vh.conj().T
 
 
-@dataclass(frozen=True)
-class SimilCanonical:
-    """Single-pass canonical form under unitary similarity (block upper
-    triangular; diagonal blocks are eigenvalue * identity)."""
-
-    diag: tuple[tuple[complex, int], ...]
-    upper: dict = field(default_factory=dict)  # (i, j) 1-based -> ndarray
-
-    def matrix(self) -> np.ndarray:
-        sizes = [t for _, t in self.diag]
-        n = sum(sizes)
-        offs = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-        F = np.zeros((n, n), dtype=complex)
-        for i, (lam, t) in enumerate(self.diag):
-            F[offs[i] : offs[i] + t, offs[i] : offs[i] + t] = lam * np.eye(t)
-        for (i, j), blk in self.upper.items():
-            F[offs[i - 1] : offs[i], offs[j - 1] : offs[j]] = blk
-        return F
-
-
 def _rank(M: np.ndarray, tol: Tolerance) -> int:
     if M.size == 0:
         return 0
@@ -200,87 +193,59 @@ def _rank_abs(M: np.ndarray, thresh: float) -> int:
     return int(np.sum(s > thresh))
 
 
-def _nullspace_abs(M: np.ndarray, thresh: float) -> np.ndarray:
-    """Orthonormal kernel basis with an absolute singular-value threshold."""
-    n = M.shape[1]
-    if M.shape[0] == 0 or n == 0:
-        return np.eye(n, dtype=complex)
-    _, s, Vh = np.linalg.svd(M)
-    r = int(np.sum(s > thresh))
-    return Vh[r:].conj().T
+def _below_blocks(T: np.ndarray, sizes) -> float:
+    """Frobenius norm of the part of T strictly below its diagonal blocks."""
+    blk = np.repeat(np.arange(len(sizes)), sizes)
+    return float(np.linalg.norm(T[blk[:, None] > blk]))
 
 
-def _exponent_and_multiplicity(A, lam, tol: Tolerance):
-    """Minimal-polynomial exponent of lam and its algebraic multiplicity,
-    read off the rank-stabilization chain of (A - lam I)^k."""
+def _deflate(A: np.ndarray, shifts):
+    """Unitary Z with Z^H A Z upper triangular up to the residuals
+    sigma_min(B - shift I) of the successive trailing blocks B, whose
+    diagonal follows ``shifts``."""
     n = A.shape[0]
-    B = A - lam * np.eye(n)
-    scale = max(1.0, float(np.linalg.norm(B)))
-    P = np.eye(n, dtype=complex)
-    prev = n
-    e = 0
-    cum = 1.0
-    while True:
-        P = P @ B
-        cum *= scale
-        r = _rank_abs(P, tol.abs * cum)
-        e += 1
-        if r == prev:
-            e -= 1
-            break
-        prev = r
-        if r == 0:
-            break
-    return max(e, 1), n - prev
+    T = A.astype(complex)
+    Z = np.eye(n, dtype=complex)
+    for k, lam in enumerate(shifts[:-1]):
+        v = np.linalg.svd(T[k:, k:] - lam * np.eye(n - k))[2][-1].conj()
+        # Householder reflector with first column a multiple of v; adding the
+        # phase of v[0] (not subtracting it) cannot cancel when v is close to e1
+        w = v.copy()
+        w[0] += v[0] / abs(v[0]) if v[0] != 0 else 1.0
+        w /= np.linalg.norm(w)
+        T[k:] -= 2.0 * np.outer(w, w.conj() @ T[k:])
+        T[:, k:] -= 2.0 * np.outer(T[:, k:] @ w, w.conj())
+        Z[:, k:] -= 2.0 * np.outer(Z[:, k:] @ w, w.conj())
+    return Z, T
 
 
-def min_poly_spectrum(A: np.ndarray, tol: Tolerance):
-    """Distinct eigenvalues (cluster representatives) with their
-    minimal-polynomial exponents, sorted lexicographically decreasing.
+def _staircase(N: np.ndarray, thresh: float):
+    """Staircase reduction of a nilpotent N (Kublanovskaya; Kagstrom & Ruhe).
 
-    An eigenvalue with a nontrivial Jordan structure is computed only to
-    about noise^(1/exponent), which can exceed the base tolerance by orders
-    of magnitude.  The clustering threshold is therefore escalated until the
-    rank-chain multiplicities agree with the cluster sizes.
-    """
-    n = A.shape[0]
-    eigs = np.linalg.eigvals(A)
-    # candidate clusterings, finest to coarsest; an eigenvalue of exponent e
-    # scatters by at most about (tol * norm)^(1/e), so no clustering coarser
-    # than the n-th root can be genuine
-    scale = max(1.0, float(np.linalg.norm(A)))
-    t_cap = (tol.abs * scale) ** (1.0 / n) if n > 1 else tol.abs
-    candidates = []
-    t = tol.abs
-    while True:
-        reps = cluster_complex(eigs, Tolerance(abs=t))
-        if not candidates or len(reps) < len(candidates[-1]):
-            candidates.append(reps)
-        if len(reps) <= 1 or t > t_cap:
+    Returns ``(U, levels, ok)``: U^H N U is strictly block upper triangular
+    with diagonal blocks of the sizes ``levels``, each level the kernel, at
+    the fixed threshold, of what N leaves after the levels before it.  ``ok``
+    is False when some remainder has no such kernel, i.e. N is not nilpotent;
+    that remainder is then returned as the last level."""
+    m = N.shape[0]
+    U = np.eye(m, dtype=complex)
+    levels: list[int] = []
+    p, B = 0, N
+    while p < m:
+        if np.linalg.norm(B) <= thresh:  # every singular value is below it
+            levels.append(m - p)
             break
-        t *= 10.0
-    # prefer the coarsest clustering whose rank-chain multiplicities match
-    # the cluster sizes; finer clusterings can pass the same check on noise
-    # (an eigenvalue with a nontrivial Jordan structure is computed only to
-    # about noise^(1/exponent))
-    fallback = None
-    for reps in reversed(candidates):
-        out = []
-        consistent = True
-        total = 0
-        for lam, cnt in reps:
-            e, mult = _exponent_and_multiplicity(A, lam, tol)
-            out.append((lam, e))
-            total += mult
-            if mult != cnt:
-                consistent = False
-        if consistent and total == n:
-            out.sort(key=lambda p: lex_sort_key(p[0]), reverse=True)
-            return out
-        if fallback is None:
-            fallback = out
-    fallback.sort(key=lambda p: lex_sort_key(p[0]), reverse=True)
-    return fallback
+        _, s, Vh = np.linalg.svd(B)
+        r = int(np.sum(s > thresh))
+        if r == m - p:
+            levels.append(m - p)
+            return U, levels, False
+        # kernel first, then its complement, on which the next level is taken
+        U[:, p:] = U[:, p:] @ np.concatenate([Vh[r:], Vh[:r]]).conj().T
+        B = Vh[:r] @ B @ Vh[:r].conj().T
+        levels.append(m - p - r)
+        p = m - r
+    return U, levels, True
 
 
 def simil_step(A: np.ndarray, tol: Tolerance):
@@ -291,88 +256,73 @@ def simil_step(A: np.ndarray, tol: Tolerance):
     diagonal blocks lams[i] * I of the given sizes.  The sequence of
     eigenvalues lists each distinct value with its minimal-polynomial
     multiplicity, adjacent repeats, lexicographically decreasing.
+
+    S is an ordered Schur basis, one cluster of eigenvalues after the other,
+    refined on each cluster block by the staircase.  Every rank decision and
+    every residual dropped is judged against one fixed threshold
+    ``tol.abs * max(1, ||A||_F)``; eigenvalues are clustered at that
+    threshold times 10^k, coarsest clustering first, because an eigenvalue of
+    a Jordan block of size e is computed only to about threshold^(1/e).  A
+    clustering is taken when its Schur basis leaves at most the threshold
+    below the cluster blocks and every cluster block minus its mean
+    eigenvalue is nilpotent by the staircase.  The finest clustering is the
+    last resort and is taken even when it fails a check; the certificate of
+    ``mbm.canonicalize`` then rejects the result if it is wrong.
     """
     n = A.shape[0]
     if n == 0:
         return [], [], np.eye(0, dtype=complex)
-    spec = min_poly_spectrum(A, tol)
-    seq: list[complex] = []
-    for lam, e in spec:
-        seq.extend([lam] * e)
-    cols: list[np.ndarray] = []
-    sizes: list[int] = []
+    thresh = tol.abs * max(1.0, float(np.linalg.norm(A)))
+    w, V = np.linalg.eig(A)
+    candidates = [cluster_complex(w, Tolerance(abs=thresh))]
+    t = 10.0 * thresh
+    while len(candidates[-1]) > 1:
+        clusters = cluster_complex(w, Tolerance(abs=t))
+        if len(clusters) < len(candidates[-1]):
+            candidates.append(clusters)
+        t *= 10.0
+    for clusters in reversed(candidates[1:]):
+        out = _schur_staircase(A, V, clusters, thresh)
+        if out is not None:
+            return out
+    return _schur_staircase(A, V, candidates[0], thresh, force=True)
+
+
+def _schur_staircase(A, V, clusters, thresh: float, force: bool = False):
+    """``(lams, sizes, S)`` of :func:`simil_step` for one clustering of the
+    eigenvalues, with V the eigenvectors; None if the clustering fails the
+    Schur or the staircase check, unless ``force``."""
+    members = [m for _, m in clusters]
+    counts = [len(m) for m in members]
+    # QR of the eigenvectors in cluster order spans the nested invariant
+    # subspaces of an ordered Schur form unless they are too ill-conditioned
+    # (Jordan blocks); deflation is the fallback that always certifies
+    Z = np.linalg.qr(V[:, [i for m in members for i in m]])[0]
+    T = Z.conj().T @ A @ Z
+    if _below_blocks(T, counts) > thresh:
+        Z, T = _deflate(A, [lam for lam, m in clusters for _ in m])
+        if _below_blocks(T, counts) > thresh and not force:
+            return None
     lams: list[complex] = []
-    P = np.eye(n, dtype=complex)
-    basis = np.zeros((n, 0), dtype=complex)
-    cum = 1.0
-    for lam in seq:
-        B = A - lam * np.eye(n)
-        P = P @ B
-        cum *= max(1.0, float(np.linalg.norm(B)))
-        K = _nullspace_abs(P, tol.abs * cum)
-        # component of the new kernel orthogonal to what we already have
-        W = K - basis @ (basis.conj().T @ K)
-        if W.size:
-            Q, s, Vh = np.linalg.svd(W, full_matrices=False)
-            t = int(np.sum(s > 0.5))
-            Q = Q[:, :t]
-        else:
-            Q = np.zeros((n, 0), dtype=complex)
-            t = 0
-        if t == 0:
+    sizes: list[int] = []
+    S = Z.copy()
+    o = 0
+    for c in counts:
+        if c == 1:  # a 1 x 1 block is its own eigenvalue
+            lams.append(complex(T[o, o]))
+            sizes.append(1)
+            o += 1
             continue
-        basis = np.concatenate([basis, Q], axis=1)
-        cols.append(Q)
-        sizes.append(t)
-        lams.append(lam)
-    if basis.shape[1] != n:  # numerical safety: complete the basis
-        K = _nullspace_abs(basis.conj().T, tol.abs)
-        extra = K.shape[1]
-        if extra:
-            basis = np.concatenate([basis, K], axis=1)
-            sizes.append(extra)
-            lams.append(lams[-1] if lams else 0.0 + 0.0j)
-    S = basis
+        Tc = T[o : o + c, o : o + c]
+        lam = complex(np.trace(Tc)) / c
+        U, levels, ok = _staircase(Tc - lam * np.eye(c), thresh)
+        if not (ok or force):
+            return None
+        S[:, o : o + c] = Z[:, o : o + c] @ U
+        lams += [lam] * len(levels)
+        sizes += levels
+        o += c
     return lams, sizes, S
-
-
-def simil_canonical(A, tol: Tolerance = Tolerance()):
-    """Reduce a square A by unitary similarity to the block-triangular form
-    with scalar diagonal blocks.  Returns (SimilCanonical, S)."""
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise NonSquareError(f"expected square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    lams, sizes, S = simil_step(A, tol)
-    F = S.conj().T @ A @ S
-    offs = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    k = len(sizes)
-    # snap the canonical parts exactly
-    for i in range(k):
-        F[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = lams[i] * np.eye(sizes[i])
-        F[offs[i + 1] :, offs[i] : offs[i + 1]] = 0.0
-    # deterministic phase normalization: make the first entry above the
-    # diagonal blocks in each column positive real (an admissible diagonal
-    # phase change; it preserves the scalar diagonal blocks)
-    phases = np.ones(n, dtype=complex)
-    for j in range(offs[1] if k else 0, n):
-        jb = int(np.searchsorted(offs, j, side="right") - 1)
-        col = F[: offs[jb], j]
-        nz = np.nonzero(np.abs(col) > tol.abs)[0]
-        if nz.size:
-            v = phases[nz[0]].conjugate() * col[nz[0]]
-            phases[j] = v.conjugate() / abs(v)
-    D = np.diag(phases)
-    S = S @ D
-    F = D.conj().T @ F @ D
-    upper = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            upper[(i + 1, j + 1)] = F[offs[i] : offs[i + 1], offs[j] : offs[j + 1]].copy()
-    can = SimilCanonical(
-        diag=tuple((lams[i], sizes[i]) for i in range(k)), upper=upper
-    )
-    return can, S
 
 
 def random_unitary(n: int, seed=None) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance
-from unicanon.mbm import MarkedBlockMatrix
+from unicanon.mbm import MarkedBlockMatrix, canonicalize
 from unicanon.quiverrep import Quiver
 
 
@@ -60,3 +60,14 @@ def random_mbm(rng, max_strips=3, max_size=4):
         (sum(rows), sum(cols))
     )
     return MarkedBlockMatrix(rows, cols, E, frozenset(marked))
+
+
+def simil_canonical(A, tol=Tolerance()):
+    """Canonical form of A under unitary similarity: ``mbm.canonicalize`` on
+    one marked strip.  Returns ``(form, S, trace)`` with S^H A S = form; the
+    first step of the trace records the eigenvalue of every diagonal block
+    of the similarity step and its size."""
+    A = np.asarray(A, dtype=complex)
+    M = MarkedBlockMatrix(A.shape[:1], A.shape[1:], A, frozenset({(0, 0)}))
+    C, T, trace = canonicalize(M, tol)
+    return C.entries, T.S[0], trace

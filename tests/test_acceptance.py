@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unicanon.numcore import Tolerance, random_unitary, simil_canonical
+from unicanon.numcore import Tolerance, random_unitary
 from unicanon import mbm
 from unicanon.mbm import MarkedBlockMatrix
 from unicanon import scheme as sm
@@ -15,6 +15,7 @@ from unicanon import wildness as wd
 from conftest import (
     example_8x12,
     random_mbm,
+    simil_canonical,
     LOOP,
     KRONECKER,
     TWO_ARROWS_IN,
@@ -268,9 +269,9 @@ class TestEuclideanSuite:
 
 class TestWildnessGadgets:
     def base_equal(self, X, Y, tol):
-        cx, _ = simil_canonical(X, tol)
-        cy, _ = simil_canonical(Y, tol)
-        return bool(np.allclose(cx.matrix(), cy.matrix(), atol=1e-6))
+        cx, _, _ = simil_canonical(X, tol)
+        cy, _, _ = simil_canonical(Y, tol)
+        return bool(np.allclose(cx, cy, atol=1e-6))
 
     @pytest.mark.parametrize("kind", wd.GADGET_KINDS)
     def test_faithfulness_50_pairs(self, kind, tol):

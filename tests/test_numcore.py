@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itertools import groupby
+
+from unicanon.mbm import MarkedBlockNotSquareError
 from unicanon.numcore import (
     Tolerance,
-    NonSquareError,
     lex_cmp,
     lex_sort_key,
     cluster_values,
     cluster_complex,
     equiv_canonical,
-    simil_canonical,
-    min_poly_spectrum,
     random_unitary,
 )
+
+from conftest import simil_canonical
 
 
 class TestLexOrder:
@@ -65,7 +67,7 @@ class TestClustering:
 
     def test_complex_lex_descending(self):
         groups = cluster_complex([1j, -1j, 2.0, 1j], Tolerance())
-        assert [c for _, c in groups] == [1, 2, 1]
+        assert [m for _, m in groups] == [[2], [0, 3], [1]]
         assert groups[0][0] == 2.0
 
     @given(
@@ -110,23 +112,25 @@ class TestEquivCanonical:
 
 
 class TestSimilCanonical:
+    """The similarity form, through ``mbm.canonicalize`` on one marked strip."""
+
     def test_triangular_2x2(self, tol):
-        can, S = simil_canonical([[1, 3], [0, 2]], tol)
-        assert np.allclose(can.matrix(), [[2, 3], [0, 1]], atol=1e-9)
+        form, _, _ = simil_canonical([[1, 3], [0, 2]], tol)
+        assert np.allclose(form, [[2, 3], [0, 1]], atol=1e-9)
 
     def test_transcript(self, tol):
         A = np.array([[1, 3], [0, 2]], dtype=complex)
-        can, S = simil_canonical(A, tol)
-        assert np.allclose(S.conj().T @ A @ S, can.matrix(), atol=1e-9)
+        form, S, _ = simil_canonical(A, tol)
+        assert np.allclose(S.conj().T @ A @ S, form, atol=1e-9)
 
     def test_rejects_non_square(self, tol):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(MarkedBlockNotSquareError):
             simil_canonical(np.zeros((2, 3)), tol)
 
     def test_eigenvalues_lex_descending(self, tol):
         A = np.diag([1.0, 2.0, 1.0 + 1j])
-        can, _ = simil_canonical(A, tol)
-        vals = [lam for lam, _ in can.diag]
+        _, _, trace = simil_canonical(A, tol)
+        vals = [lam for lam, _ in trace.steps[0].values]
         keys = [(v.real, v.imag) for v in vals]
         assert keys == sorted(keys, reverse=True)
 
@@ -134,16 +138,23 @@ class TestSimilCanonical:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         U = random_unitary(4, seed=8)
-        c1, _ = simil_canonical(A, tol)
-        c2, _ = simil_canonical(U.conj().T @ A @ U, tol)
-        assert np.allclose(c1.matrix(), c2.matrix(), atol=1e-7)
+        c1, _, _ = simil_canonical(A, tol)
+        c2, _, _ = simil_canonical(U.conj().T @ A @ U, tol)
+        assert np.allclose(c1, c2, atol=1e-7)
 
     def test_nilpotent_block_sizes(self, tol):
         # minimal polynomial exponent 2, kernel dimension 2
         A = np.zeros((3, 3), dtype=complex)
         A[0, 2] = 4.0
-        can, _ = simil_canonical(A, tol)
-        assert [t for _, t in can.diag] == [2, 1]
+        _, _, trace = simil_canonical(A, tol)
+        assert [t for _, t in trace.steps[0].values] == [2, 1]
+
+    @staticmethod
+    def spectrum(trace):
+        """Distinct eigenvalues of the similarity step with their
+        minimal-polynomial exponents (the number of blocks of each)."""
+        lams = [lam for lam, _ in trace.steps[0].values]
+        return [(lam, len(list(g))) for lam, g in groupby(lams)]
 
     def test_defective_eigenvalue_not_split(self, tol):
         # eigenvalues of a conjugated nilpotent scatter by ~sqrt(eps),
@@ -154,7 +165,8 @@ class TestSimilCanonical:
             (2, 2)
         )
         U = random_unitary(4, seed=13)
-        spec = min_poly_spectrum(U.conj().T @ A @ U, tol)
+        _, _, trace = simil_canonical(U.conj().T @ A @ U, tol)
+        spec = self.spectrum(trace)
         assert len(spec) == 1
         lam, e = spec[0]
         assert abs(lam) < 1e-6 and e == 2
@@ -162,7 +174,8 @@ class TestSimilCanonical:
     def test_min_poly_spectrum(self, tol):
         A = np.diag([2.0, 2.0, 5.0]).astype(complex)
         A[0, 1] = 1.0
-        spec = min_poly_spectrum(A, tol)
+        _, _, trace = simil_canonical(A, tol)
+        spec = self.spectrum(trace)
         assert [(round(l.real), e) for l, e in spec] == [(5, 1), (2, 2)]
 
 
