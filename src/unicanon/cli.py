@@ -3,7 +3,8 @@
 All file formats use JSON with 1-based indices and complex numbers as
 [re, im] pairs.  Exit codes: 0 success, 2 validation error (machine-readable
 object on stderr), 64 missing or unknown subcommand, 65 parse error or an
-input file of the wrong structure.
+input file of the wrong structure, 70 a reduction whose transcript failed its
+certificate (``mbm.CertificationError``; no output is written).
 """
 
 from __future__ import annotations
@@ -342,6 +343,11 @@ def dispatch(argv) -> int:
     except _CliError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return exc.code
+    except mbm.CertificationError as exc:
+        sys.stderr.write(
+            json.dumps({"error": str(exc), "type": "CertificationError"}) + "\n"
+        )
+        return 70
     except (ValueError, KeyError, RuntimeError) as exc:
         sys.stderr.write(
             json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n"

@@ -52,6 +52,7 @@ __all__ = [
     "MarkMismatchError",
     "TieViolationError",
     "NoConvergenceError",
+    "CertificationError",
     "ZeroSizeError",
     "validate",
     "tie_closure",
@@ -86,6 +87,11 @@ class TieViolationError(ValueError):
 
 class NoConvergenceError(RuntimeError):
     pass
+
+
+class CertificationError(RuntimeError):
+    """A reduction's transcript is not unitary or does not map the input
+    onto the returned canonical form within the certificate bound."""
 
 
 class ZeroSizeError(ValueError):
@@ -696,12 +702,33 @@ class ReductionState:
         )
 
 
+def _certify(A, R, S, C, tol: Tolerance) -> None:
+    """Raise CertificationError unless R and S are unitary and
+    ``||R^H A S - C||_F <= 10 * n * tol.abs * max(1, ||A||_F)``, n the larger
+    side of A; unitarity is held to ``||U^H U - I||_F <= 10 * n * tol.abs``."""
+    bound = 10 * max(1, *A.shape) * tol.abs
+    for name, U in (("R", R), ("S", S)):
+        defect = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])))
+        if not defect <= bound:
+            raise CertificationError(
+                f"transcript {name} is not unitary: ||U^H U - I||_F = {defect:.2e} > {bound:.2e}"
+            )
+    resid = float(np.linalg.norm(R.conj().T @ A @ S - C))
+    limit = bound * max(1.0, float(np.linalg.norm(A)))
+    if not resid <= limit:
+        raise CertificationError(
+            f"transcript does not reproduce the form: ||R^H A S - C||_F = {resid:.2e} > {limit:.2e}"
+        )
+
+
 def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     """Reduce M to its canonical matrix.
 
     Returns ``(canonical, transcript, trace)`` with
     ``apply_admissible(M, transcript)`` equal to ``canonical`` within
-    tolerance."""
+    ``10 * n * tol.abs * max(1, ||M.entries||_F)`` in the Frobenius norm (n
+    the larger side); every call checks this certificate and raises
+    :class:`CertificationError` when it fails."""
     state = ReductionState(M, tol)
     limit = 4 * max(1, M.entries.size) + 8
     steps = 0
@@ -711,6 +738,7 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
             raise NoConvergenceError(
                 f"reduction did not converge after {steps} steps"
             )
+    _certify(M.entries, state.R, state.S, state.A, tol)
     canonical = MarkedBlockMatrix(M.row_strips, M.col_strips, state.A, M.marked)
     T = Transcript(
         R=_diagonal_blocks(state.R, M.row_strips),

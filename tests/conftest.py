@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unicanon.numcore import Tolerance
+from unicanon.numcore import Tolerance, simil_step
 from unicanon.mbm import MarkedBlockMatrix, canonicalize
 from unicanon.quiverrep import Quiver
 
@@ -71,3 +71,9 @@ def simil_canonical(A, tol=Tolerance()):
     M = MarkedBlockMatrix(A.shape[:1], A.shape[1:], A, frozenset({(0, 0)}))
     C, T, trace = canonicalize(M, tol)
     return C.entries, T.S[0], trace
+
+
+def not_reducing_step(A, tol):
+    """A broken similarity step: its basis is unitary but does not reduce A."""
+    lams, sizes, _ = simil_step(A, tol)
+    return lams, sizes, np.eye(A.shape[0], dtype=complex)

@@ -160,6 +160,12 @@ class TestParameterCounts:
         mr, mc = dm.max_params(KRONECKER, (2, 2))
         assert nr < mr and nc < mc
 
+    def test_two_loops_at_size(self, tol):
+        # a general-position two-loop representation of dimension 16
+        two_loops = qr.Quiver(1, [("a", 1, 1), ("b", 1, 1)])
+        A = qr.random_rep(two_loops, (16,), seed=16)
+        assert qr.rep_params(A, tol) == dm.max_params(two_loops, (16,)) == (15, 377)
+
     def test_loop_orbit_totals(self):
         for n in (2, 3):
             nr, nc = dm.max_params(LOOP, (n,))

@@ -8,7 +8,7 @@ from unicanon import mbm
 from unicanon.mbm import MarkedBlockMatrix
 from unicanon.quiverrep import Quiver, Representation
 
-from conftest import example_8x12, KRONECKER, SINGLE_ARROW
+from conftest import example_8x12, not_reducing_step, KRONECKER, SINGLE_ARROW
 
 
 def cmat(M):
@@ -98,6 +98,13 @@ class TestExitCodes:
         f = write_json(tmp_path / "q.json", data)
         assert dispatch(["dims", "--bound", "2", f]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
+
+    def test_certification_error(self, matrix_file, capsys, monkeypatch):
+        monkeypatch.setattr(mbm, "simil_step", not_reducing_step)
+        assert dispatch(["canon-matrix", "--mode", "simil", matrix_file]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["type"] == "CertificationError"
 
     def test_success(self, matrix_file):
         assert dispatch(["canon-matrix", "--mode", "equiv", matrix_file]) == 0
