@@ -50,12 +50,17 @@ def _j2c(p) -> complex:
 
 
 def _json_to_matrix(data) -> np.ndarray:
-    if isinstance(data, dict):
-        data = data["entries"]
+    """A matrix file: a list of rows, or an object whose ``entries`` is one.
+    JSON of another structure exits 65, as for the other file types."""
     try:
-        return np.array([[_j2c(p) for p in row] for row in data], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise _CliError(2, f"not a matrix: {exc}")
+        if isinstance(data, dict):
+            data = data["entries"]
+        A = np.array([[_j2c(p) for p in row] for row in data], dtype=complex)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise _CliError(65, f"not a matrix: {exc!r}")
+    if A.ndim != 2:
+        raise _CliError(65, "not a matrix: no rows")
+    return A
 
 
 def _load_json(path):

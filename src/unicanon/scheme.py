@@ -11,6 +11,7 @@ against a value assignment and re-filled in general position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -58,12 +59,6 @@ class Scheme:
     @property
     def depths(self) -> tuple:
         return tuple(z.depth for z in self.zones)
-
-    def zone_of(self, cell):
-        for k, z in enumerate(self.zones):
-            if cell in z.cells:
-                return k
-        return None
 
     def circle_cells(self):
         return [
@@ -136,6 +131,14 @@ class Scheme:
             )
             for zd in data.get("zones", [])
         )
+        if any(len(row) != cols for row in symbols):
+            raise ValueError("scheme symbols rows differ in length")
+        for k, z in enumerate(zs):
+            for r, c in chain(z.cells, *z.stairs):
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ValueError(
+                        f"zone {k} has cell ({r + 1},{c + 1}) outside the {rows}x{cols} symbols"
+                    )
         return cls(
             rows=rows,
             cols=cols,

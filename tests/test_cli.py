@@ -99,6 +99,38 @@ class TestExitCodes:
         assert dispatch(["dims", "--bound", "2", f]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "command",
+        (["canon-matrix", "--mode", "simil"], ["canon-matrix", "--mode", "equiv"],
+         ["gadget", "--kind", "Nilpotent3"]),
+        ids=("simil", "equiv", "gadget"),
+    )
+    @pytest.mark.parametrize(
+        "content", [7, {"entries": 7}, "text", {"dims": [1]}, [], [[1, 2], [3]]],
+        ids=["number", "number-entries", "string", "missing-keys", "no-rows", "ragged"],
+    )
+    def test_matrix_wrong_structure(self, tmp_path, capsys, command, content):
+        f = write_json(tmp_path / "x.json", content)
+        assert dispatch(command + [f]) == 65
+        assert "error" in json.loads(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "zone",
+        ({"cells": [[5, 5]], "stairs": []}, {"cells": [[0, 1]], "stairs": []},
+         {"cells": [[1, 1]], "stairs": [[[1, 1], [3, 2]]]}),
+        ids=("cell-beyond", "cell-zero", "stair-beyond"),
+    )
+    def test_scheme_cell_outside_symbols(self, tmp_path, capsys, zone):
+        data = {
+            "symbols": [[".", "o"], [".", "."]],
+            "zones": [{"depth": 0, "kind": "equivalence", "block": [0, 2, 0, 2], **zone}],
+            "row_strips": [2],
+            "col_strips": [2],
+        }
+        f = write_json(tmp_path / "s.json", data)
+        assert dispatch(["fill-scheme", f]) == 2
+        assert "outside" in json.loads(capsys.readouterr().err)["error"]
+
     def test_certification_error(self, matrix_file, capsys, monkeypatch):
         monkeypatch.setattr(mbm, "simil_step", not_reducing_step)
         assert dispatch(["canon-matrix", "--mode", "simil", matrix_file]) == 70
