@@ -10,8 +10,9 @@ booleans) exactly, numbers within ``1e-10 * max(1, |x|)``.  The fixture
 guards refactors against changing any output; it is not a correctness test.
 Every similarity result recorded here is certified first (the transcript
 reproduces the form), so the fixture does not pin answers that are known to
-be wrong; inputs at the sizes and scales where the similarity step is known
-to fail (n >= 16, small scales) are left out.
+be wrong.  Generic and scrambled Jordan inputs at n = 16 and 32, scale 1e-3,
+cover the sizes and scales where similarity steps built from products of
+(A - lambda I) returned uncertified forms.
 """
 
 from __future__ import annotations
@@ -74,6 +75,20 @@ def scramble(A, rng, real=False):
         else:
             U.append(random_unitary(n, seed=int(rng.integers(0, 2**31))))
     return qr.apply_isometry(A, qr.Isometry(tuple(U)))
+
+
+def jordan_sum(n, rng):
+    """Scrambled direct sum of Jordan blocks of sizes 1 to 3 over three
+    eigenvalues, so eigenvalues repeat within and across blocks."""
+    lams = gaussian(rng, 3)
+    J = np.zeros((n, n), dtype=complex)
+    i = 0
+    while i < n:
+        k = min(int(rng.integers(1, 4)), n - i)
+        J[i : i + k, i : i + k] = lams[rng.integers(0, 3)] * np.eye(k) + np.eye(k, k=1)
+        i += k
+    U = random_unitary(n, seed=int(rng.integers(0, 2**31)))
+    return U @ J @ U.conj().T
 
 
 def realification(A):
@@ -156,6 +171,12 @@ def canonicalize_cases(out):
     out["simil jordan n=4"] = canon_record(
         MarkedBlockMatrix((4,), (4,), V @ J @ V.conj().T, frozenset({(0, 0)}))
     )
+    for n, seed in ((16, 26), (32, 27)):
+        rng = np.random.default_rng(seed)
+        for kind, A in (("generic", gaussian(rng, (n, n))), ("jordan", jordan_sum(n, rng))):
+            out[f"simil {kind} n={n} x1e-3"] = canon_record(
+                MarkedBlockMatrix((n,), (n,), 1e-3 * A, frozenset({(0, 0)}))
+            )
     M = example_8x12()
     out["example 8x12"] = canon_record(M)
     out["example 8x12 scrambled"] = canon_record(
