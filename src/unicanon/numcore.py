@@ -276,7 +276,7 @@ def simil_step(A: np.ndarray, tol: Tolerance):
     w, V = np.linalg.eig(A)
     candidates = [cluster_complex(w, Tolerance(abs=thresh))]
     t = 10.0 * thresh
-    while len(candidates[-1]) > 1:
+    while t > 0 and len(candidates[-1]) > 1:  # tol.abs = 0 clusters equal values only
         clusters = cluster_complex(w, Tolerance(abs=t))
         if len(clusters) < len(candidates[-1]):
             candidates.append(clusters)

@@ -13,7 +13,7 @@ import pytest
 
 from unicanon import dims, mbm
 from unicanon.mbm import CertificationError, MarkedBlockMatrix
-from unicanon.numcore import random_unitary, simil_step
+from unicanon.numcore import Tolerance, random_unitary, simil_step
 
 from conftest import LOOP, not_reducing_step
 
@@ -90,3 +90,11 @@ def test_construct_does_not_swallow_certification_error(monkeypatch, tol):
     monkeypatch.setattr(mbm, "simil_step", not_reducing_step)
     with pytest.raises(CertificationError):
         dims.construct_indecomposable(LOOP, (3,), seed=0, tol=tol)
+
+
+def test_zero_tolerance_terminates():
+    # at tol.abs = 0 only equal eigenvalues cluster; the step must still end
+    A = np.array([[1.0, 3.0], [0.0, 2.0]], dtype=complex)
+    lams, sizes, S = simil_step(A, Tolerance(abs=0.0))
+    assert sizes == [1, 1] and np.allclose([lams[0], lams[1]], [2.0, 1.0])
+    assert np.allclose(S.conj().T @ S, np.eye(2))
