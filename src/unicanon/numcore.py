@@ -296,7 +296,8 @@ def _schur_staircase(A, V, clusters, thresh: float, force: bool = False):
     counts = [len(m) for m in members]
     # QR of the eigenvectors in cluster order spans the nested invariant
     # subspaces of an ordered Schur form unless they are too ill-conditioned
-    # (Jordan blocks); deflation is the fallback that always certifies
+    # (Jordan blocks); deflation leaves only the smallest singular values of
+    # the shifted trailing blocks below the diagonal
     Z = np.linalg.qr(V[:, [i for m in members for i in m]])[0]
     T = Z.conj().T @ A @ Z
     if _below_blocks(T, counts) > thresh:

@@ -1,8 +1,8 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from itertools import groupby
 
 from unicanon.mbm import MarkedBlockNotSquareError
 from unicanon.numcore import (
