@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unicanon.numcore import Tolerance, simil_step
+from unicanon.numcore import Tolerance, random_unitary, simil_step
 from unicanon.mbm import MarkedBlockMatrix, canonicalize
 from unicanon.quiverrep import Quiver
 
@@ -60,6 +60,20 @@ def random_mbm(rng, max_strips=3, max_size=4):
         (sum(rows), sum(cols))
     )
     return MarkedBlockMatrix(rows, cols, E, frozenset(marked))
+
+
+def jordan_sum(n, rng):
+    """Scrambled direct sum of Jordan blocks of sizes 1 to 3 over three
+    eigenvalues, so eigenvalues repeat within and across blocks."""
+    lams = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    J = np.zeros((n, n), dtype=complex)
+    i = 0
+    while i < n:
+        k = min(int(rng.integers(1, 4)), n - i)
+        J[i : i + k, i : i + k] = lams[rng.integers(0, 3)] * np.eye(k) + np.eye(k, k=1)
+        i += k
+    U = random_unitary(n, seed=int(rng.integers(2**31)))
+    return U @ J @ U.conj().T
 
 
 def simil_canonical(A, tol=Tolerance()):

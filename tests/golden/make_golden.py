@@ -26,7 +26,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
-from conftest import example_8x12  # noqa: E402
+from conftest import example_8x12, jordan_sum  # noqa: E402
 
 from unicanon import euclid, mbm, wildness  # noqa: E402
 from unicanon import quiverrep as qr  # noqa: E402
@@ -75,20 +75,6 @@ def scramble(A, rng, real=False):
         else:
             U.append(random_unitary(n, seed=int(rng.integers(0, 2**31))))
     return qr.apply_isometry(A, qr.Isometry(tuple(U)))
-
-
-def jordan_sum(n, rng):
-    """Scrambled direct sum of Jordan blocks of sizes 1 to 3 over three
-    eigenvalues, so eigenvalues repeat within and across blocks."""
-    lams = gaussian(rng, 3)
-    J = np.zeros((n, n), dtype=complex)
-    i = 0
-    while i < n:
-        k = min(int(rng.integers(1, 4)), n - i)
-        J[i : i + k, i : i + k] = lams[rng.integers(0, 3)] * np.eye(k) + np.eye(k, k=1)
-        i += k
-    U = random_unitary(n, seed=int(rng.integers(0, 2**31)))
-    return U @ J @ U.conj().T
 
 
 def realification(A):

@@ -15,23 +15,9 @@ from unicanon import dims, mbm
 from unicanon.mbm import CertificationError, MarkedBlockMatrix
 from unicanon.numcore import Tolerance, random_unitary, simil_step
 
-from conftest import LOOP, not_reducing_step
+from conftest import LOOP, jordan_sum, not_reducing_step
 
 KINDS = ("complex", "real", "jordan", "normal")
-
-
-def jordan_sum(n, rng):
-    """Scrambled direct sum of Jordan blocks of sizes 1 to 3 over three
-    eigenvalues, so eigenvalues repeat within and across blocks."""
-    lams = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    J = np.zeros((n, n), dtype=complex)
-    i = 0
-    while i < n:
-        k = min(int(rng.integers(1, 4)), n - i)
-        J[i : i + k, i : i + k] = lams[rng.integers(0, 3)] * np.eye(k) + np.eye(k, k=1)
-        i += k
-    U = random_unitary(n, seed=int(rng.integers(2**31)))
-    return U @ J @ U.conj().T
 
 
 def square(kind, n, rng):
