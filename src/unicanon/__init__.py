@@ -2,10 +2,12 @@
 
 Modules:
 
-* ``numcore``  – dense kernels: lexicographic order, clustering, the two
-  base canonical forms, Haar-random unitaries.
-* ``mbm``      – marked block matrices, the derived-matrix reduction,
-  transcripts, Krull-Schmidt decomposition.
+* ``numcore``  – dense kernels: lexicographic order, clustering, form
+  equality, the similarity step, Haar-random unitaries.
+* ``mbm``      – marked block matrices, the derived-matrix reduction (which
+  computes both base canonical forms, unitary equivalence and unitary
+  similarity, with a certified transcript), Krull-Schmidt decomposition,
+  the JSON matrix codec.
 * ``scheme``   – zones, schemes, scheme validation/filling, parameter counts.
 * ``quiverrep``– quivers, unitary representations, isometry, decomposition.
 * ``dims``     – dimension-vector combinatorics (M_Q, D(Q), Tits form).

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 All file formats use JSON with 1-based indices and complex numbers as
-[re, im] pairs.  Exit codes: 0 success, 2 validation error (machine-readable
-object on stderr), 64 missing or unknown subcommand, 65 parse error or an
-input file of the wrong structure, 70 a reduction whose transcript failed its
-certificate (``mbm.CertificationError``; no output is written).
+[re, im] pairs (a plain number is real).  Exit codes: 0 success, 2 validation
+error (machine-readable object on stderr), 64 missing or unknown subcommand,
+65 parse error or an input file of the wrong structure, 70 a reduction whose
+transcript failed its certificate (``mbm.CertificationError``; no output is
+written), in every command that reduces, both ``canon-matrix`` modes included.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .numcore import Tolerance, equiv_canonical
+from .numcore import Tolerance
 from . import mbm
-from .mbm import MarkedBlockMatrix
+from .mbm import MarkedBlockMatrix, matrix_from_json, matrix_to_json
 from . import scheme as scheme_mod
 from .scheme import Scheme, fill_general_position, render_ascii
 from . import quiverrep as qr
@@ -33,29 +34,13 @@ class _CliError(Exception):
         self.code = code
 
 
-def _c2j(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_json(M) -> list:
-    return [[_c2j(z) for z in row] for row in np.atleast_2d(M)]
-
-
-def _j2c(p) -> complex:
-    # entries are [re, im] pairs; bare numbers are taken as real
-    if isinstance(p, (int, float)):
-        return complex(p)
-    return complex(p[0], p[1])
-
-
 def _json_to_matrix(data) -> np.ndarray:
     """A matrix file: a list of rows, or an object whose ``entries`` is one.
     JSON of another structure exits 65, as for the other file types."""
     try:
         if isinstance(data, dict):
             data = data["entries"]
-        A = np.array([[_j2c(p) for p in row] for row in data], dtype=complex)
+        A = matrix_from_json(data)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _CliError(65, f"not a matrix: {exc!r}")
     if A.ndim != 2:
@@ -82,13 +67,13 @@ def _emit(obj, args):
 
 def _transcript_json(T):
     return {
-        "R": [_matrix_to_json(b) for b in T.R],
-        "S": [_matrix_to_json(b) for b in T.S],
+        "R": [matrix_to_json(b) for b in T.R],
+        "S": [matrix_to_json(b) for b in T.S],
     }
 
 
 def _isometry_json(T):
-    return {"S": [_matrix_to_json(b) for b in T.S]}
+    return {"S": [matrix_to_json(b) for b in T.S]}
 
 
 def _from_json(data, cls, path):
@@ -194,23 +179,18 @@ def _run(args) -> int:
     cmd = args.command
     if cmd == "canon-matrix":
         A = _json_to_matrix(_load_json(args.file))
-        if args.mode == "equiv":
-            can, R, S = equiv_canonical(A, tol)
-            out = {"matrix": _matrix_to_json(can.matrix())}
-            if args.transcript:
-                with open(args.transcript, "w") as fh:
-                    json.dump(
-                        {"R": _matrix_to_json(R), "S": _matrix_to_json(S)}, fh
-                    )
-        else:
-            n = A.shape[0]
-            M = MarkedBlockMatrix((n,), (n,), A, frozenset({(0, 0)}))
-            C, T, _ = mbm.canonicalize(M, tol)
-            out = {"matrix": _matrix_to_json(C.entries)}
-            if args.transcript:
-                with open(args.transcript, "w") as fh:
-                    json.dump(_transcript_json(T), fh)
-        _emit(out, args)
+        # one strip each way: marked for similarity, unmarked for equivalence
+        marked = frozenset({(0, 0)}) if args.mode == "simil" else frozenset()
+        M = MarkedBlockMatrix(A.shape[:1], A.shape[1:], A, marked)
+        C, T, _ = mbm.canonicalize(M, tol)
+        if args.transcript:
+            if args.mode == "equiv":
+                record = {"R": matrix_to_json(T.R[0]), "S": matrix_to_json(T.S[0])}
+            else:
+                record = _transcript_json(T)
+            with open(args.transcript, "w") as fh:
+                json.dump(record, fh)
+        _emit({"matrix": matrix_to_json(C.entries)}, args)
         return 0
     if cmd == "canon-mbm":
         M = _load(args.file, MarkedBlockMatrix)

@@ -248,14 +248,6 @@ def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
     return U
 
 
-def _interleaved_J(n: int) -> np.ndarray:
-    J = np.zeros((n, n), dtype=complex)
-    for k in range(0, n - 1, 2):
-        J[k, k + 1] = 1.0
-        J[k + 1, k] = -1.0
-    return J
-
-
 def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
     """U with U^T J U = S for skew-symmetric unitary S of even size, where
     J is the direct sum of 2x2 blocks [[0, 1], [-1, 0]].
@@ -381,12 +373,11 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
         for v in range(A.quiver.p):
             Phi = (phase * S.S[v]).real
             if Phi.size:
-                sv = np.linalg.svd(Phi, compute_uv=False)
+                U_, sv, Vh_ = np.linalg.svd(Phi)
                 if sv[-1] < 1e-8:
                     ok = False
                     break
                 # polar factor: orthogonal, still intertwining
-                U_, _, Vh_ = np.linalg.svd(Phi)
                 Phi = U_ @ Vh_
             T.append(Phi.astype(complex))
         if not ok:

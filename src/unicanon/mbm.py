@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numcore import Tolerance, cluster_values, random_unitary, same_form, simil_step
+from .numcore import Tolerance, cluster_complex, random_unitary, same_form, simil_step
 
 __all__ = [
     "MarkedBlockMatrix",
@@ -62,6 +62,8 @@ __all__ = [
     "block_direct_sum",
     "decompose",
     "is_indecomposable",
+    "matrix_to_json",
+    "matrix_from_json",
 ]
 
 
@@ -137,21 +139,34 @@ class MarkedBlockMatrix:
             "row_strips": list(self.row_strips),
             "col_strips": list(self.col_strips),
             "marked": sorted([i + 1, j + 1] for i, j in self.marked),
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
+            "entries": matrix_to_json(self.entries),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "MarkedBlockMatrix":
+        unknown = set(data) - {"row_strips", "col_strips", "marked", "entries"}
+        if unknown:
+            raise KeyError(f"unknown keys {sorted(unknown)}")
         rows = tuple(data["row_strips"])
         cols = tuple(data["col_strips"])
-        entries = np.array(
-            [[complex(p[0], p[1]) for p in row] for row in data["entries"]],
-            dtype=complex,
-        ).reshape(sum(rows), sum(cols))
+        entries = matrix_from_json(data["entries"]).reshape(sum(rows), sum(cols))
         marked = frozenset((i - 1, j - 1) for i, j in data.get("marked", []))
         return cls(rows, cols, entries, marked)
+
+
+def matrix_to_json(A) -> list:
+    """A matrix as JSON: a list of rows of ``[re, im]`` pairs."""
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(A, dtype=complex).tolist()]
+
+
+def matrix_from_json(rows) -> np.ndarray:
+    """The matrix of a list of rows of ``[re, im]`` pairs; a bare number is
+    a real entry."""
+    return np.array(
+        [[complex(p) if isinstance(p, (int, float)) else complex(p[0], p[1]) for p in row]
+         for row in rows],
+        dtype=complex,
+    )
 
 
 def validate(M: MarkedBlockMatrix) -> None:
@@ -551,7 +566,7 @@ class ReductionState:
             + [(x, V) for x in cmem if x.axis == "c"],
         )
         nonzero = s[s > tol.abs]
-        clusters = [(rep, len(mem)) for rep, mem in cluster_values(nonzero, tol)]
+        clusters = [(rep.real, len(mem)) for rep, mem in cluster_complex(nonzero, tol)]
         r = len(nonzero)
         # snap the block to its canonical part
         D = np.zeros((rs.size, cs.size), dtype=complex)

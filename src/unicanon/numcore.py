@@ -1,17 +1,18 @@
 """Dense complex-matrix kernels.
 
-Tolerance-aware value clustering, the lexicographic order on the complex
-numbers, Haar-random unitaries, and the steps of the two base canonical
-forms:
+Tolerance-aware clustering of complex values (the one clustering rule:
+chains with gaps <= ``tol.abs``), the lexicographic order on the complex
+numbers, the one form-equality predicate, Haar-random unitaries, and the
+step of the unitary similarity form: block upper triangular with scalar
+diagonal blocks, eigenvalues in lexicographically decreasing order, repeats
+adjacent with the minimal-polynomial exponents, and superdiagonal blocks
+between equal eigenvalues of full column rank.  :func:`simil_step` builds it
+from an ordered Schur form and a staircase on each cluster block, taking
+every kernel at the fixed threshold ``tol.abs * max(1, ||A||_F)``.
 
-* unitary equivalence  (R^-1 A S = a_1 I + ... + a_{k-1} I + 0, values
-  strictly decreasing),
-* unitary similarity   (block upper triangular with scalar diagonal blocks,
-  eigenvalues in lexicographically decreasing order, repeats adjacent with
-  the minimal-polynomial exponents; superdiagonal blocks between equal
-  eigenvalues have full column rank).  :func:`simil_step` builds it from an
-  ordered Schur form and a staircase on each cluster block, taking every
-  kernel at the fixed threshold ``tol.abs * max(1, ||A||_F)``.
+The unitary equivalence form (R^-1 A S = a_1 I + ... + a_k I + 0, values
+strictly decreasing) is computed by the reduction engine, ``mbm``, as one
+step of :func:`mbm.canonicalize`.
 """
 
 from __future__ import annotations
@@ -22,13 +23,9 @@ import numpy as np
 
 __all__ = [
     "Tolerance",
-    "EquivCanonical",
     "lex_cmp",
-    "lex_sort_key",
-    "cluster_values",
     "cluster_complex",
     "same_form",
-    "equiv_canonical",
     "simil_step",
     "random_unitary",
 ]
@@ -62,32 +59,6 @@ def lex_cmp(a: complex, b: complex, tol: Tolerance = Tolerance()) -> int:
     if a.imag > b.imag + tol.abs:
         return 1
     return 0
-
-
-def lex_sort_key(z: complex) -> tuple[float, float]:
-    """Sort key realizing the same order as :func:`lex_cmp` (exact version)."""
-    z = complex(z)
-    return (z.real, z.imag)
-
-
-def cluster_values(vals, tol: Tolerance = Tolerance()):
-    """Group real values that form chains with gaps <= tol.abs.
-
-    Returns a list of ``(representative, members)`` with the representatives
-    strictly decreasing; ``members`` are the values, sorted descending.  The
-    representative is the arithmetic mean of the group.
-    """
-    vals = sorted(float(v) for v in vals)
-    groups: list[list[float]] = []
-    for v in vals:
-        if groups and v - groups[-1][-1] <= tol.abs:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    out = []
-    for g in reversed(groups):
-        out.append((float(np.mean(g)), sorted(g, reverse=True)))
-    return out
 
 
 def cluster_complex(vals, tol: Tolerance = Tolerance()):
@@ -128,55 +99,6 @@ def same_form(X, Y, tol: Tolerance = Tolerance()) -> bool:
     ``rtol=1e-5``, i.e. ``|x - y| <= 10 * tol.abs + 1e-5 * |y|`` entrywise."""
     X, Y = np.asarray(X), np.asarray(Y)
     return X.shape == Y.shape and bool(np.allclose(X, Y, atol=10 * tol.abs))
-
-
-@dataclass(frozen=True)
-class EquivCanonical:
-    """Canonical form under unitary equivalence.
-
-    ``clusters`` is a sequence of (value, multiplicity) with strictly
-    decreasing positive values; the canonical matrix is
-    a_1 I + ... + a_{k-1} I plus a zero block of shape
-    (zero_rows, zero_cols)."""
-
-    clusters: tuple[tuple[float, int], ...]
-    zero_rows: int
-    zero_cols: int
-
-    @property
-    def rank(self) -> int:
-        return sum(m for _, m in self.clusters)
-
-    def matrix(self) -> np.ndarray:
-        r = self.rank
-        D = np.zeros((r + self.zero_rows, r + self.zero_cols), dtype=complex)
-        i = 0
-        for a, m in self.clusters:
-            for _ in range(m):
-                D[i, i] = a
-                i += 1
-        return D
-
-
-def equiv_canonical(A, tol: Tolerance = Tolerance()):
-    """Reduce A by unitary equivalence: returns (EquivCanonical, R, S) with
-    R^-1 A S equal to the reassembled canonical matrix within tolerance."""
-    A = np.asarray(A, dtype=complex)
-    m, n = A.shape
-    if m == 0 or n == 0:
-        return (
-            EquivCanonical(clusters=(), zero_rows=m, zero_cols=n),
-            np.eye(m, dtype=complex),
-            np.eye(n, dtype=complex),
-        )
-    U, s, Vh = np.linalg.svd(A)
-    nonzero = s[s > tol.abs]
-    clusters = tuple(
-        (rep, len(members)) for rep, members in cluster_values(nonzero, tol)
-    )
-    r = len(nonzero)
-    can = EquivCanonical(clusters=clusters, zero_rows=m - r, zero_cols=n - r)
-    return can, U, Vh.conj().T
 
 
 def _rank(M: np.ndarray, tol: Tolerance) -> int:

@@ -120,23 +120,17 @@ class Representation:
         return {
             "quiver": self.quiver.to_json(),
             "dims": list(self.dims),
-            "matrices": {
-                a: [[[float(z.real), float(z.imag)] for z in row] for row in M]
-                for a, M in self.matrices.items()
-            },
+            "matrices": {a: mbm.matrix_to_json(M) for a, M in self.matrices.items()},
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Representation":
         Q = Quiver.from_json(data["quiver"])
         dims = tuple(data["dims"])
-        mats = {}
-        for a, s, d in Q.arrows:
-            raw = data["matrices"][a]
-            mats[a] = np.array(
-                [[complex(p[0], p[1]) for p in row] for row in raw],
-                dtype=complex,
-            ).reshape(dims[d - 1], dims[s - 1])
+        mats = {
+            a: mbm.matrix_from_json(data["matrices"][a]).reshape(dims[d - 1], dims[s - 1])
+            for a, s, d in Q.arrows
+        }
         return cls(Q, dims, mats)
 
 
@@ -308,19 +302,6 @@ def decompose_rep(A: Representation, tol: Tolerance = Tolerance()):
     """Krull-Schmidt decomposition into pairwise non-isometric canonical
     indecomposable representations with multiplicities."""
     M, layout = pack(A)
-    if M.entries.shape[0] == 0:
-        # no arrows: every vertex contributes zero summands
-        out = []
-        for v in range(A.quiver.p):
-            if A.dims[v] == 0:
-                continue
-            dims = tuple(1 if u == v else 0 for u in range(A.quiver.p))
-            mats = {
-                a: np.zeros((dims[d - 1], dims[s - 1]), dtype=complex)
-                for a, s, d in A.quiver.arrows
-            }
-            out.append((Representation(A.quiver, dims, mats), A.dims[v]))
-        return out
     parts = mbm.decompose(M, tol)
     return [(unpack(P, layout), mult) for P, mult in parts]
 

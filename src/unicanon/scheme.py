@@ -306,7 +306,7 @@ def fill_general_position(
         if mode == "integer":
             return [float(k - t) for t in range(k)]
         vals = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
-        while len(np.unique(vals)) < k:  # pragma: no cover
+        while len(set(vals.tolist())) < k:  # pragma: no cover
             vals = np.sort(rng.uniform(0.0, 1.0, size=k))[::-1]
         return [float(x) for x in vals]
 

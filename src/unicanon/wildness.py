@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import Tolerance, _rank, cluster_values, same_form
+from .numcore import Tolerance, _rank, cluster_complex, same_form
 from .mbm import MarkedBlockMatrix, canonicalize
 from .quiverrep import Quiver, Representation, isometric
 
@@ -123,7 +123,7 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
         s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
         sig = [x for x in s if x > tol.abs]
         r = len(sig)
-        vals = [rep for rep, mem in cluster_values(sig, tol) for _ in mem]
+        vals = [rep.real for rep, mem in cluster_complex(sig, tol) for _ in mem]
         C = np.zeros((n, n), dtype=complex)
         for k, v in enumerate(vals):
             C[k, (n - r) + k] = v
@@ -137,7 +137,7 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
         r = int(round(float(np.trace(P).real)))
         s = np.linalg.svd(P, compute_uv=False) if P.size else np.zeros(0)
         d = [np.sqrt(x * x - 1.0) for x in s if x > 1.0 + tol.abs]
-        vals = [rep for rep, mem in cluster_values(d, tol) for _ in mem]
+        vals = [rep.real for rep, mem in cluster_complex(d, tol) for _ in mem]
         C = np.zeros((n, n), dtype=complex)
         C[:r, :r] = np.eye(r)
         for k, v in enumerate(vals):

@@ -39,6 +39,7 @@ LOOP = Quiver(1, [("a", 1, 1)])
 KRONECKER = Quiver(2, [("a", 1, 2), ("b", 1, 2)])
 SINGLE_ARROW = Quiver(2, [("a", 1, 2)])
 TWO_ARROWS_IN = Quiver(3, [("a", 1, 2), ("b", 3, 2)])
+D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
 FOUR_ARROWS = Quiver(
     3,
     [("l", 1, 1), ("m", 2, 1), ("n", 3, 1), ("x", 2, 3)],
@@ -85,6 +86,26 @@ def simil_canonical(A, tol=Tolerance()):
     M = MarkedBlockMatrix(A.shape[:1], A.shape[1:], A, frozenset({(0, 0)}))
     C, T, trace = canonicalize(M, tol)
     return C.entries, T.S[0], trace
+
+
+def equiv_canonical(A, tol=Tolerance()):
+    """Canonical form of A under unitary equivalence: ``mbm.canonicalize``
+    on one unmarked strip.  Returns ``(form, R, S, trace)`` with
+    R^H A S = form; the first step of the trace records the singular-value
+    clusters with their multiplicities, then ``(0, leftover rows)``."""
+    A = np.asarray(A, dtype=complex)
+    M = MarkedBlockMatrix(A.shape[:1], A.shape[1:], A)
+    C, T, trace = canonicalize(M, tol)
+    return C.entries, T.R[0], T.S[0], trace
+
+
+def interleaved_J(n):
+    """The direct sum of 2x2 blocks [[0, 1], [-1, 0]] (n even)."""
+    J = np.zeros((n, n), dtype=complex)
+    for k in range(0, n - 1, 2):
+        J[k, k + 1] = 1.0
+        J[k + 1, k] = -1.0
+    return J
 
 
 def not_reducing_step(A, tol):

@@ -14,6 +14,7 @@ from unicanon import wildness as wd
 
 from conftest import (
     example_8x12,
+    interleaved_J,
     random_mbm,
     simil_canonical,
     LOOP,
@@ -219,7 +220,7 @@ class TestEuclideanSuite:
 
     def test_skew_100(self, tol):
         rng = np.random.default_rng(9)
-        J = eu._interleaved_J
+        J = interleaved_J
         for k in range(100):
             n = 2 * int(rng.integers(1, 4))
             V = random_unitary(n, seed=40_000 + k)

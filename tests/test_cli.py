@@ -6,6 +6,7 @@ import pytest
 from unicanon.cli import dispatch
 from unicanon import mbm
 from unicanon.mbm import MarkedBlockMatrix
+from unicanon.numcore import cluster_complex
 from unicanon.quiverrep import Quiver, Representation
 
 from conftest import example_8x12, not_reducing_step, KRONECKER, SINGLE_ARROW
@@ -138,8 +139,37 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err)["type"] == "CertificationError"
 
+    def test_equiv_certification_error(self, matrix_file, capsys, monkeypatch):
+        # representatives 10 % off the singular values: the transcript no
+        # longer maps the input onto the form
+        def shifted(vals, tol):
+            return [(1.1 * rep, members) for rep, members in cluster_complex(vals, tol)]
+
+        monkeypatch.setattr(mbm, "cluster_complex", shifted)
+        assert dispatch(["canon-matrix", "--mode", "equiv", matrix_file]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["type"] == "CertificationError"
+
+    @pytest.mark.parametrize("mode", ("equiv", "simil"))
+    def test_zero_tolerance(self, tmp_path, capsys, mode):
+        # a zero bound, which the rounding errors of any reduction exceed
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        f = write_json(tmp_path / "m.json", cmat(A))
+        assert dispatch(["--tol", "0", "canon-matrix", "--mode", mode, f]) == 70
+        assert capsys.readouterr().out == ""
+
     def test_success(self, matrix_file):
         assert dispatch(["canon-matrix", "--mode", "equiv", matrix_file]) == 0
+
+    def test_mbm_unknown_key(self, tmp_path, capsys):
+        # "marks" is not the key of the marked blocks; it must not be ignored
+        data = example_8x12().to_json()
+        data["marks"] = data.pop("marked")
+        f = write_json(tmp_path / "mbm.json", data)
+        assert dispatch(["canon-mbm", f]) == 65
+        assert "marks" in json.loads(capsys.readouterr().err)["error"]
 
 
 class TestCanonMatrix:
@@ -179,6 +209,19 @@ class TestCanonMatrix:
         )
         A = np.array([[1, 3], [0, 2]], dtype=complex)
         assert np.abs(S.conj().T @ A @ S - M).max() < 1e-7
+
+    def test_equiv_transcript_file(self, tmp_path, capsys):
+        A = np.arange(6.0).reshape(2, 3) + 1j
+        tfile = tmp_path / "t.json"
+        f = write_json(tmp_path / "m.json", cmat(A))
+        dispatch(["--transcript", str(tfile), "canon-matrix", "--mode", "equiv", f])
+        M = self.read_matrix(capsys)
+        T = json.loads(tfile.read_text())
+        # one matrix each, not per-strip lists
+        assert set(T) == {"R", "S"}
+        R, S = (np.array([[complex(*p) for p in row] for row in T[k]]) for k in "RS")
+        assert R.shape == (2, 2) and S.shape == (3, 3)
+        assert np.abs(R.conj().T @ A @ S - M).max() < 1e-9
 
 
 class TestMbmAndScheme:
@@ -227,6 +270,33 @@ class TestMbmAndScheme:
         assert dispatch(["decompose", f]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["summands"]) == 2
+
+
+class TestPlainNumberEntries:
+    """Plain numbers stand for real entries in every matrix of every file."""
+
+    @staticmethod
+    def plain(entries):
+        return [[p[0] for p in row] for row in entries]
+
+    def outputs(self, tmp_path, capsys, command, data, plain):
+        dispatch([command, write_json(tmp_path / "pairs.json", data)])
+        want = capsys.readouterr().out
+        assert dispatch([command, write_json(tmp_path / "plain.json", plain)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_mbm(self, tmp_path, capsys):
+        M = MarkedBlockMatrix((2,), (2, 1), [[1.0, 2.0, 0.0], [3.0, 4.0, 5.0]], {(0, 0)})
+        data = M.to_json()
+        plain = dict(data, entries=self.plain(data["entries"]))
+        self.outputs(tmp_path, capsys, "canon-mbm", data, plain)
+
+    def test_representation(self, tmp_path, capsys):
+        A = Representation(KRONECKER, (2, 3), {"a": np.arange(6.0).reshape(3, 2),
+                                               "b": np.eye(3, 2)})
+        data = A.to_json()
+        plain = dict(data, matrices={a: self.plain(m) for a, m in data["matrices"].items()})
+        self.outputs(tmp_path, capsys, "canon-rep", data, plain)
 
 
 class TestRepCommands:

@@ -27,7 +27,7 @@ from unicanon.euclid import (
     matrix_real_test,
 )
 
-from conftest import LOOP, KRONECKER, SINGLE_ARROW
+from conftest import LOOP, KRONECKER, SINGLE_ARROW, interleaved_J
 
 
 def loop_rep(A):
@@ -170,7 +170,7 @@ class TestTakagi:
 
 class TestSkew:
     def J(self, n):
-        return eu._interleaved_J(n)
+        return interleaved_J(n)
 
     def test_j_itself(self, tol):
         J = self.J(4)

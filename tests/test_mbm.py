@@ -21,9 +21,7 @@ from unicanon.mbm import (
 
 from unicanon.quiverrep import Quiver, Representation, pack
 
-from conftest import KRONECKER, example_8x12, random_mbm
-
-D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
+from conftest import D4, KRONECKER, example_8x12, random_mbm
 
 
 def packed(Q, d, seed):
@@ -161,6 +159,17 @@ class TestValidation:
         assert M2.row_strips == M.row_strips
         assert M2.marked == M.marked
         assert np.allclose(M2.entries, M.entries)
+
+    def test_json_unknown_key(self):
+        data = example_8x12().to_json()
+        data["marks"] = data.pop("marked")
+        with pytest.raises(KeyError, match="marks"):
+            MarkedBlockMatrix.from_json(data)
+
+    def test_json_plain_numbers(self):
+        M = MarkedBlockMatrix((2,), (2,), [[1.0, 2.0], [3.0, 4.0]], {(0, 0)})
+        data = dict(M.to_json(), entries=[[1, 2], [3, 4]])
+        assert np.array_equal(MarkedBlockMatrix.from_json(data).entries, M.entries)
 
 
 class TestApplyAdmissible:

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unicanon.mbm import MarkedBlockNotSquareError
-from unicanon.numcore import (
-    Tolerance,
-    lex_cmp,
-    lex_sort_key,
-    cluster_values,
-    cluster_complex,
-    equiv_canonical,
-    random_unitary,
-)
+from unicanon.numcore import Tolerance, lex_cmp, cluster_complex, random_unitary
 
-from conftest import simil_canonical
+from conftest import equiv_canonical, simil_canonical
 
 
 class TestLexOrder:
@@ -48,7 +40,7 @@ class TestLexOrder:
         )
     )
     def test_sort_key_consistent(self, vals):
-        s = sorted(vals, key=lex_sort_key)
+        s = sorted(vals, key=lambda z: (z.real, z.imag))
         for a, b in zip(s, s[1:]):
             assert lex_cmp(a, b, Tolerance(abs=0.0)) <= 0
 
@@ -56,13 +48,13 @@ class TestLexOrder:
 class TestClustering:
     def test_chain_grouping(self):
         t = Tolerance(abs=0.5)
-        groups = cluster_values([1.0, 1.4, 1.8, 5.0], t)
+        groups = cluster_complex([1.0, 1.4, 1.8, 5.0], t)
         assert [len(m) for _, m in groups] == [1, 3]
         assert groups[0][0] == 5.0
 
     def test_representatives_strictly_decreasing(self):
-        groups = cluster_values([3.0, 3.0, 1.0, 2.0], Tolerance())
-        reps = [r for r, _ in groups]
+        groups = cluster_complex([3.0, 3.0, 1.0, 2.0], Tolerance())
+        reps = [r.real for r, _ in groups]
         assert reps == sorted(reps, reverse=True)
 
     def test_complex_lex_descending(self):
@@ -75,40 +67,45 @@ class TestClustering:
         st.floats(1e-9, 1.0),
     )
     def test_partition(self, vals, eps):
-        groups = cluster_values(vals, Tolerance(abs=eps))
-        members = sorted(x for _, m in groups for x in m)
+        groups = cluster_complex(vals, Tolerance(abs=eps))
+        members = sorted(vals[i] for _, m in groups for i in m)
         assert members == sorted(vals)
 
 
 class TestEquivCanonical:
+    """The equivalence form, through ``mbm.canonicalize`` on one unmarked
+    strip."""
+
     def test_permutation_matrix(self, tol):
-        can, R, S = equiv_canonical([[0, 2], [1, 0]], tol)
-        assert np.allclose(can.matrix(), np.diag([2.0, 1.0]))
+        form, R, S, _ = equiv_canonical([[0, 2], [1, 0]], tol)
+        assert np.allclose(form, np.diag([2.0, 1.0]))
 
     def test_transcript(self, tol):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        can, R, S = equiv_canonical(A, tol)
-        assert np.allclose(R.conj().T @ A @ S, can.matrix(), atol=1e-9)
+        form, R, S, _ = equiv_canonical(A, tol)
+        assert np.allclose(R.conj().T @ A @ S, form, atol=1e-9)
 
     def test_rank_deficient(self, tol):
         A = np.outer([1.0, 2.0], [3.0, 4.0, 5.0])
-        can, _, _ = equiv_canonical(A, tol)
-        assert can.rank == 1
-        assert can.zero_rows == 1 and can.zero_cols == 2
+        _, _, _, trace = equiv_canonical(A, tol)
+        step = trace.steps[0]
+        rank = sum(k for value, k in step.values if value > 0)
+        assert rank == 1
+        assert step.row_block[1] - rank == 1 and step.col_block[1] - rank == 2
 
     def test_empty(self, tol):
-        can, R, S = equiv_canonical(np.zeros((0, 3)), tol)
-        assert can.matrix().shape == (0, 3)
+        form, R, S, _ = equiv_canonical(np.zeros((0, 3)), tol)
+        assert form.shape == (0, 3)
 
     def test_invariance_under_unitaries(self, tol):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         U = random_unitary(4, seed=3)
         V = random_unitary(3, seed=4)
-        c1, _, _ = equiv_canonical(A, tol)
-        c2, _, _ = equiv_canonical(U @ A @ V, tol)
-        assert np.allclose(c1.matrix(), c2.matrix(), atol=1e-9)
+        c1, _, _, _ = equiv_canonical(A, tol)
+        c2, _, _, _ = equiv_canonical(U @ A @ V, tol)
+        assert np.allclose(c1, c2, atol=1e-9)
 
 
 class TestSimilCanonical:

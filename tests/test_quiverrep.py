@@ -25,7 +25,7 @@ from unicanon.quiverrep import (
     random_rep,
 )
 
-from conftest import LOOP, KRONECKER, SINGLE_ARROW, FOUR_ARROWS
+from conftest import D4, LOOP, KRONECKER, SINGLE_ARROW, FOUR_ARROWS
 
 
 D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
@@ -226,6 +226,26 @@ class TestDirectSumDecompose:
             SINGLE_ARROW, (1, 0), {"a": np.zeros((0, 1))}
         )
         assert is_indecomposable_rep(A, tol)
+
+    @pytest.mark.parametrize(
+        "Q, d",
+        (
+            (Quiver(3, ()), (2, 0, 3)),
+            (Quiver(3, ()), (0, 0, 0)),
+            (KRONECKER, (3, 0)),
+            (KRONECKER, (0, 0)),
+            (D4, (1, 1, 2, 0)),
+            (LOOP, (0,)),
+        ),
+        ids=("arrowless", "arrowless-zero", "kronecker", "kronecker-zero", "d4", "loop-zero"),
+    )
+    def test_empty_packing(self, tol, Q, d):
+        # every arrow ends at a vertex of dimension 0, so the packed matrix
+        # has no rows: each vertex v splits into d_v copies of the simple e_v
+        parts = decompose_rep(random_rep(Q, d, seed=0), tol)
+        want = [(tuple(int(u == v) for u in range(Q.p)), n) for v, n in enumerate(d) if n]
+        assert [(P.dims, m) for P, m in parts] == want
+        assert all(M.size == 0 for P, _ in parts for M in P.matrices.values())
 
     def test_zero_dim_error(self, tol):
         A = Representation(LOOP, (0,), {"a": np.zeros((0, 0))})
