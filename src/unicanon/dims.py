@@ -250,16 +250,10 @@ def zero_summand_witness(A: Representation, tol: Tolerance = Tolerance()):
             if blocks
             else np.zeros((d[l - 1], 0), dtype=complex)
         )
-        U, s_, _ = np.linalg.svd(stacked) if stacked.size else (
-            np.eye(d[l - 1], dtype=complex),
-            np.zeros(0),
-            None,
-        )
-        w = int(np.sum(s_ > tol.abs * max(1.0, s_[0] if s_.size else 0.0)))
-        if w >= d[l - 1]:
-            continue
-        # rotate so the null rows come last; the trailing rows of vertex l
-        # are then untouched by every arrow
+        # the stack has need < d_l columns, so its last left singular vectors
+        # span a left null space whatever ``tol``: rotate so the null rows come
+        # last; the trailing rows of vertex l are then untouched by every arrow
+        U = np.linalg.svd(stacked)[0] if stacked.size else np.eye(d[l - 1], dtype=complex)
         T = Isometry(
             tuple(
                 U.conj().T if v == l - 1 else np.eye(d[v], dtype=complex)

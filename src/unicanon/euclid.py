@@ -161,7 +161,8 @@ def classify_real(A: Representation, tol: Tolerance = Tolerance()) -> RealType:
 
 
 def _classify(A: Representation, S, tol: Tolerance) -> RealType:
-    """classify_real(A) given its self-conjugation isometry S (or None)."""
+    """classify_real(A) given its self-conjugation isometry S (or None);
+    conj(S) S is unitary, so it is checked at the bound of a unit scalar."""
     if S is None:
         return RealType(kind="Complex")
     lams = []
@@ -170,20 +171,18 @@ def _classify(A: Representation, S, tol: Tolerance) -> RealType:
             continue
         C = S.S[v].conj() @ S.S[v]
         lam = np.mean(np.diagonal(C))
-        if np.linalg.norm(C - lam * np.eye(C.shape[0])) > 1e-6 * max(
-            1, C.shape[0]
-        ):
+        if np.linalg.norm(C - lam * np.eye(C.shape[0])) > tol.bound(1.0, C.shape[0]):
             raise NonScalarGaugeError(
                 "conj(S) S is not scalar; input is not indecomposable"
             )
         lams.append(lam)
     lam = lams[0] if lams else 1.0
     for x in lams[1:]:
-        if abs(x - lam) > 1e-6:
+        if abs(x - lam) > tol.bound(1.0):
             raise NonScalarGaugeError("conj(S) S differs between vertices")
-    if abs(lam - 1) <= 1e-6:
+    if abs(lam - 1) <= tol.bound(1.0):
         return RealType(kind="Real", lam=1, S=S, form=to_real_form(A, S, tol))
-    if abs(lam + 1) <= 1e-6:
+    if abs(lam + 1) <= tol.bound(1.0):
         return RealType(
             kind="Quaternionic", lam=-1, S=S, form=to_quaternionic_form(A, S, tol)
         )
@@ -216,9 +215,9 @@ def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
     n = S.shape[0]
     if n == 0:
         return np.eye(0, dtype=complex)
-    if np.linalg.norm(S - S.T) > max(tol.abs, 1e-8) * max(1, n):
+    if np.linalg.norm(S - S.T) > tol.bound(1.0, n):
         raise NotSymmetricError("S is not symmetric")
-    if np.linalg.norm(S.conj().T @ S - np.eye(n)) > max(tol.abs, 1e-8) * max(1, n):
+    if np.linalg.norm(S.conj().T @ S - np.eye(n)) > tol.bound(1.0, n):
         raise NotUnitaryError("S is not unitary")
 
     def rec(S):
@@ -230,7 +229,7 @@ def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
         s1 = S[:, 0]
         w = e1 + s1
         nw = np.linalg.norm(w)
-        if nw <= 1e-8:
+        if nw <= tol.bound(1.0):
             u1 = 1j * e1
         else:
             u1 = w / nw
@@ -244,8 +243,7 @@ def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
         Ut[1:, 1:] = Up
         return Ut @ V.T
 
-    U = rec(S)
-    return U
+    return rec(S)
 
 
 def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -261,9 +259,9 @@ def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
         raise OddDimensionError("skew unitary matrices have even size")
     if n == 0:
         return np.eye(0, dtype=complex)
-    if np.linalg.norm(S + S.T) > max(tol.abs, 1e-8) * max(1, n):
+    if np.linalg.norm(S + S.T) > tol.bound(1.0, n):
         raise NotSkewError("S is not skew-symmetric")
-    if np.linalg.norm(S.conj().T @ S - np.eye(n)) > max(tol.abs, 1e-8) * max(1, n):
+    if np.linalg.norm(S.conj().T @ S - np.eye(n)) > tol.bound(1.0, n):
         raise NotUnitaryError("S is not unitary")
 
     def rec(S):
@@ -301,7 +299,7 @@ def to_real_form(
     B = apply_isometry(A, Isometry(tuple(U)))
     mats = {}
     for a, M in B.matrices.items():
-        if np.abs(M.imag).max(initial=0.0) > 1e-6 * (1 + np.abs(M).max(initial=0.0)):
+        if np.linalg.norm(M.imag) > tol.bound(M):
             raise NonScalarGaugeError("real form has residual imaginary parts")
         mats[a] = M.real.astype(complex)
     return Representation(A.quiver, A.dims, mats)
@@ -334,14 +332,11 @@ def to_quaternionic_form(
         M = C.matrices[a]
         hr, hc = M.shape[0] // 2, M.shape[1] // 2
         X, Y = M[:hr, :hc], M[:hr, hc:]
-        resid = max(
-            np.abs(M[hr:, :hc] + Y.conj()).max(initial=0.0),
-            np.abs(M[hr:, hc:] - X.conj()).max(initial=0.0),
+        resid = np.hypot(
+            np.linalg.norm(M[hr:, :hc] + Y.conj()), np.linalg.norm(M[hr:, hc:] - X.conj())
         )
-        if resid > 1e-6 * (1 + np.abs(M).max(initial=0.0)):
-            raise NonScalarGaugeError(
-                "quaternionic block symmetry violated"
-            )
+        if resid > tol.bound(M):
+            raise NonScalarGaugeError("quaternionic block symmetry violated")
     return C
 
 
@@ -355,51 +350,35 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
 
     Any complex isometry S gives intertwiners Re(e^{i t} S) for every t;
     a generic t makes them invertible, and the polar factor restores
-    orthogonality while preserving the intertwining relations."""
+    orthogonality while preserving the intertwining relations.  The first T
+    with ``||T_d A_a - B_a T_s||_F`` over all arrows within the bound of A."""
     S, _ = _isometry(A, B, tol)
     if S is None:
         return None
-    scale = max(
-        [1.0] + [float(np.linalg.norm(M)) for M in A.matrices.values()]
-    )
+    norm = np.linalg.norm([np.linalg.norm(M) for M in A.matrices.values()])
+    limit = tol.bound(norm, max(A.dims))
     thetas = [np.pi * k / 24 for k in range(24)]
     rng = np.random.default_rng(0)
     thetas += list(rng.uniform(0, np.pi, size=16))
-    best = None
     for t in thetas:
         phase = np.exp(1j * t)
         T = []
-        ok = True
         for v in range(A.quiver.p):
             Phi = (phase * S.S[v]).real
             if Phi.size:
                 U_, sv, Vh_ = np.linalg.svd(Phi)
-                if sv[-1] < 1e-8:
-                    ok = False
+                if sv[-1] <= tol.bound(1.0, len(sv)):
                     break
                 # polar factor: orthogonal, still intertwining
                 Phi = U_ @ Vh_
             T.append(Phi.astype(complex))
-        if not ok:
-            continue
-        T = Isometry(tuple(T))
-        resid = 0.0
-        for a, s, d in A.quiver.arrows:
-            resid = max(
-                resid,
-                float(
-                    np.abs(
-                        T.S[d - 1] @ A.matrices[a]
-                        - B.matrices[a] @ T.S[s - 1]
-                    ).max(initial=0.0)
-                ),
-            )
-        if resid < 1e-8 * (1 + scale):
-            return T
-        if best is None or resid < best[0]:
-            best = (resid, T)
-    if best is not None and best[0] < 1e-6 * (1 + scale):
-        return best[1]
+        else:
+            resid = np.linalg.norm([
+                np.linalg.norm(T[d - 1] @ A.matrices[a] - B.matrices[a] @ T[s - 1])
+                for a, s, d in A.quiver.arrows
+            ])
+            if resid <= limit:
+                return Isometry(tuple(T))
     return None
 
 
@@ -430,7 +409,7 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
                 raise ConjugatePairingFailure(
                     "quaternionic summand with odd multiplicity"
                 )
-            out.append((realify_half(P), m // 2))
+            out.append((realify(P), m // 2))
             item[1] = 0
         else:
             # complex type: find the conjugate partner
@@ -446,17 +425,10 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
                 raise ConjugatePairingFailure(
                     "complex-type summand without matching conjugate"
                 )
-            out.append((realify_half(P), m))
+            out.append((realify(P), m))
             item[1] = 0
             partner[1] = 0
     return out
-
-
-def realify_half(P: Representation) -> Representation:
-    """Realification of one complex summand, emitted with real entries."""
-    R = realify(P)
-    mats = {a: M.real.astype(complex) for a, M in R.matrices.items()}
-    return Representation(R.quiver, R.dims, mats)
 
 
 def matrix_real_test(A, tol: Tolerance = Tolerance()):

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numcore import Tolerance, cluster_complex, random_unitary, same_form, simil_step
+from .numcore import Tolerance, _svd, cluster_complex, random_unitary, same_form, simil_step
 
 __all__ = [
     "MarkedBlockMatrix",
@@ -282,9 +282,9 @@ def apply_admissible(
     for k, (b, s) in enumerate(zip(T.S, M.col_strips)):
         if b.shape != (s, s):
             raise DimensionMismatchError(f"S[{k}] has shape {b.shape}, expected {s}")
-    check = max(tol.abs, 1e-8)
     for i, j in M.marked:
-        if np.linalg.norm(T.R[i] - T.S[j]) > check * max(1, M.row_strips[i]):
+        # unitaries have spectral norm 1: the bound of a unit scalar, at size
+        if np.linalg.norm(T.R[i] - T.S[j]) > tol.bound(1.0, M.row_strips[i]):
             raise TieViolationError(f"R[{i}] != S[{j}] on marked block ({i},{j})")
     R, S = _blockdiag(T.R), _blockdiag(T.S)
     return MarkedBlockMatrix(
@@ -360,7 +360,6 @@ class ReductionTrace:
     row_substrips: list  # per original strip: list of (start, size, class label)
     col_substrips: list
     num_classes: int
-    canonical_entries: np.ndarray = None
 
 
 _start = attrgetter("start")
@@ -557,7 +556,7 @@ class ReductionState:
     def _reduce_equivalence(self, rs: _Sub, cs: _Sub, depth: int, rmem, cmem):
         tol = self.tol
         B = self._block(rs, cs)
-        U, s, Vh = np.linalg.svd(B)
+        U, s, Vh = _svd(B)
         V = Vh.conj().T
         self._apply(
             [(x, U) for x in rmem if x.axis == "r"]
@@ -713,23 +712,23 @@ class ReductionState:
             row_substrips=row_info,
             col_substrips=col_info,
             num_classes=len(labels),
-            canonical_entries=self.A.copy(),
         )
 
 
 def _certify(A, R, S, C, tol: Tolerance) -> None:
-    """Raise CertificationError unless R and S are unitary and
-    ``||R^H A S - C||_F <= 10 * n * tol.abs * max(1, ||A||_F)``, n the larger
-    side of A; unitarity is held to ``||U^H U - I||_F <= 10 * n * tol.abs``."""
-    bound = 10 * max(1, *A.shape) * tol.abs
+    """Raise CertificationError unless R and S are unitary,
+    ``||U^H U - I||_F <= 10 * n * tol.abs``, and
+    ``||R^H A S - C||_F <= tol.bound(A) = 10 * n * tol.abs * ||A||_F``, n the
+    larger side of A."""
+    limit = tol.bound(1.0, max(1, *A.shape))
     for name, U in (("R", R), ("S", S)):
         defect = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])))
-        if not defect <= bound:
+        if not defect <= limit:
             raise CertificationError(
-                f"transcript {name} is not unitary: ||U^H U - I||_F = {defect:.2e} > {bound:.2e}"
+                f"transcript {name} is not unitary: ||U^H U - I||_F = {defect:.2e} > {limit:.2e}"
             )
     resid = float(np.linalg.norm(R.conj().T @ A @ S - C))
-    limit = bound * max(1.0, float(np.linalg.norm(A)))
+    limit = tol.bound(A)
     if not resid <= limit:
         raise CertificationError(
             f"transcript does not reproduce the form: ||R^H A S - C||_F = {resid:.2e} > {limit:.2e}"
@@ -739,12 +738,16 @@ def _certify(A, R, S, C, tol: Tolerance) -> None:
 def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     """Reduce M to its canonical matrix.
 
-    Returns ``(canonical, transcript, trace)`` with
-    ``apply_admissible(M, transcript)`` equal to ``canonical`` within
-    ``10 * n * tol.abs * max(1, ||M.entries||_F)`` in the Frobenius norm (n
-    the larger side); every call checks this certificate and raises
+    Returns ``(canonical, transcript, trace)``.  The engine reduces M divided
+    by s = ``||M.entries||_F`` (unless s is 0), so every decision is relative
+    to s and the form of ``c * M`` is c times the form of M; the form and the
+    step values are scaled back by s.  ``apply_admissible(M, transcript)``
+    equals ``canonical`` within ``10 * n * tol.abs * s`` in the Frobenius
+    norm (n the larger side); every call checks this certificate and raises
     :class:`CertificationError` when it fails."""
-    state = ReductionState(M, tol)
+    s = float(np.linalg.norm(M.entries))
+    unit = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries / (s or 1.0), M.marked)
+    state = ReductionState(unit, tol)
     limit = 4 * max(1, M.entries.size) + 8
     steps = 0
     while state.derive():
@@ -753,13 +756,17 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
             raise NoConvergenceError(
                 f"reduction did not converge after {steps} steps"
             )
-    _certify(M.entries, state.R, state.S, state.A, tol)
-    canonical = MarkedBlockMatrix(M.row_strips, M.col_strips, state.A, M.marked)
+    C = s * state.A
+    _certify(M.entries, state.R, state.S, C, tol)
+    canonical = MarkedBlockMatrix(M.row_strips, M.col_strips, C, M.marked)
     T = Transcript(
         R=_diagonal_blocks(state.R, M.row_strips),
         S=_diagonal_blocks(state.S, M.col_strips),
     )
-    return canonical, T, state.trace()
+    trace = state.trace()
+    for step in trace.steps:
+        step.values = tuple((v * s, k) for v, k in step.values)
+    return canonical, T, trace
 
 
 def _diagonal_blocks(X: np.ndarray, sizes) -> tuple:

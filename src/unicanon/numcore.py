@@ -1,18 +1,21 @@
-"""Dense complex-matrix kernels.
+"""Dense complex-matrix kernels and the one tolerance rule.
 
-Tolerance-aware clustering of complex values (the one clustering rule:
-chains with gaps <= ``tol.abs``), the lexicographic order on the complex
-numbers, the one form-equality predicate, Haar-random unitaries, and the
-step of the unitary similarity form: block upper triangular with scalar
-diagonal blocks, eigenvalues in lexicographically decreasing order, repeats
-adjacent with the minimal-polynomial exponents, and superdiagonal blocks
-between equal eigenvalues of full column rank.  :func:`simil_step` builds it
-from an ordered Schur form and a staircase on each cluster block, taking
-every kernel at the fixed threshold ``tol.abs * max(1, ||A||_F)``.
+Every tolerance decision follows :class:`Tolerance`: a value counts as zero,
+and two values as equal, within ``tol.abs * ||X||_F`` of the data X they come
+from, and a computed result passes its check within
+``10 * n * tol.abs * ||X||_F``.  ``mbm.canonicalize`` reduces its input
+divided by its Frobenius norm, so inside the engine the threshold is
+``tol.abs`` itself.
 
-The unitary equivalence form (R^-1 A S = a_1 I + ... + a_k I + 0, values
-strictly decreasing) is computed by the reduction engine, ``mbm``, as one
-step of :func:`mbm.canonicalize`.
+The kernels: clustering of complex values (the one clustering rule: chains
+with gaps <= ``tol.abs``), the lexicographic order on the complex numbers,
+the one form-equality predicate, rank and SVD helpers, Haar-random
+unitaries, and the step of the unitary similarity form (:func:`simil_step`):
+block upper triangular with scalar diagonal blocks, eigenvalues
+lexicographically decreasing, repeats adjacent with the minimal-polynomial
+exponents, and superdiagonal blocks between equal eigenvalues of full column
+rank, built from an ordered Schur form and a staircase on each cluster
+block.  The unitary equivalence form is one step of :func:`mbm.canonicalize`.
 """
 
 from __future__ import annotations
@@ -33,14 +36,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute threshold for rank and clustering decisions; form equality
-    also carries a relative term (see :func:`same_form`)."""
+    """The one tolerance rule: ``abs`` is relative to the Frobenius norm of
+    the data, through :meth:`threshold` for decisions and :meth:`bound` for
+    checks of computed results.  The kernels below take ``abs`` as it is."""
 
     abs: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.abs < 0:
             raise ValueError("tolerance must be nonnegative")
+
+    def threshold(self, X) -> float:
+        """The decision threshold ``abs * ||X||_F``."""
+        return self.abs * float(np.linalg.norm(X))
+
+    def bound(self, X, n: int | None = None) -> float:
+        """The check bound ``10 * n * abs * ||X||_F`` for a result computed
+        from X, n its larger side (1 for a scalar) unless given."""
+        if n is None:
+            n = max((1, *np.shape(X)))
+        return 10 * n * self.threshold(X)
 
 
 def lex_cmp(a: complex, b: complex, tol: Tolerance = Tolerance()) -> int:
@@ -94,25 +109,29 @@ def cluster_complex(vals, tol: Tolerance = Tolerance()):
 def same_form(X, Y, tol: Tolerance = Tolerance()) -> bool:
     """Whether two canonical forms are the same.
 
-    The one equality rule for canonical forms: equal shapes, and entries that
-    agree by ``np.allclose(X, Y, atol=10 * tol.abs)`` with numpy's default
-    ``rtol=1e-5``, i.e. ``|x - y| <= 10 * tol.abs + 1e-5 * |y|`` entrywise."""
+    The one equality rule for canonical forms: equal shapes, and
+    ``||X - Y||_F`` within the decision threshold of the larger of the two."""
     X, Y = np.asarray(X), np.asarray(Y)
-    return X.shape == Y.shape and bool(np.allclose(X, Y, atol=10 * tol.abs))
+    return X.shape == Y.shape and bool(
+        np.linalg.norm(X - Y) <= max(tol.threshold(X), tol.threshold(Y))
+    )
 
 
-def _rank(M: np.ndarray, tol: Tolerance) -> int:
+def _rank(M: np.ndarray, thresh: float) -> int:
+    """Number of singular values of M above ``thresh``."""
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol.abs * max(1.0, s[0])))
+    return int(np.sum(np.linalg.svd(M, compute_uv=False) > thresh))
 
 
-def _rank_abs(M: np.ndarray, thresh: float) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > thresh))
+def _svd(B: np.ndarray):
+    """``np.linalg.svd(B)``; when LAPACK does not converge on B, the factors
+    of the SVD of B^H, swapped (it converges on some blocks where B fails)."""
+    try:
+        return np.linalg.svd(B)
+    except np.linalg.LinAlgError:
+        U, s, Vh = np.linalg.svd(B.conj().T)
+        return Vh.conj().T, s, U.conj().T
 
 
 def _below_blocks(T: np.ndarray, sizes) -> float:
@@ -129,7 +148,7 @@ def _deflate(A: np.ndarray, shifts):
     T = A.astype(complex)
     Z = np.eye(n, dtype=complex)
     for k, lam in enumerate(shifts[:-1]):
-        v = np.linalg.svd(T[k:, k:] - lam * np.eye(n - k))[2][-1].conj()
+        v = _svd(T[k:, k:] - lam * np.eye(n - k))[2][-1].conj()
         # Householder reflector with first column a multiple of v; adding the
         # phase of v[0] (not subtracting it) cannot cancel when v is close to e1
         w = v.copy()
@@ -157,7 +176,7 @@ def _staircase(N: np.ndarray, thresh: float):
         if np.linalg.norm(B) <= thresh:  # every singular value is below it
             levels.append(m - p)
             break
-        _, s, Vh = np.linalg.svd(B)
+        _, s, Vh = _svd(B)
         r = int(np.sum(s > thresh))
         if r == m - p:
             levels.append(m - p)
@@ -182,7 +201,8 @@ def simil_step(A: np.ndarray, tol: Tolerance):
     S is an ordered Schur basis, one cluster of eigenvalues after the other,
     refined on each cluster block by the staircase.  Every rank decision and
     every residual dropped is judged against one fixed threshold
-    ``tol.abs * max(1, ||A||_F)``; eigenvalues are clustered at that
+    ``tol.abs``, the decision threshold of the unit-norm matrix that
+    ``mbm.canonicalize`` reduces; eigenvalues are clustered at that
     threshold times 10^k, coarsest clustering first, because an eigenvalue of
     a Jordan block of size e is computed only to about threshold^(1/e).  A
     clustering is taken when its Schur basis leaves at most the threshold
@@ -194,9 +214,9 @@ def simil_step(A: np.ndarray, tol: Tolerance):
     n = A.shape[0]
     if n == 0:
         return [], [], np.eye(0, dtype=complex)
-    thresh = tol.abs * max(1.0, float(np.linalg.norm(A)))
+    thresh = tol.abs
     w, V = np.linalg.eig(A)
-    candidates = [cluster_complex(w, Tolerance(abs=thresh))]
+    candidates = [cluster_complex(w, tol)]
     t = 10.0 * thresh
     while t > 0 and len(candidates[-1]) > 1:  # tol.abs = 0 clusters equal values only
         clusters = cluster_complex(w, Tolerance(abs=t))

@@ -259,10 +259,9 @@ def rep_params(A: Representation, tol: Tolerance = Tolerance()):
 
 def same_canonical(Ac: Representation, Bc: Representation, tol: Tolerance = Tolerance()) -> bool:
     """Whether two canonical representations of one quiver are the same:
-    equal dimensions and :func:`numcore.same_form` on every arrow."""
-    return Ac.dims == Bc.dims and all(
-        same_form(Ac.matrices[a], Bc.matrices[a], tol) for a, _, _ in Ac.quiver.arrows
-    )
+    equal dimensions and :func:`numcore.same_form` on the packed matrices,
+    so every arrow is compared at the threshold of the whole representation."""
+    return Ac.dims == Bc.dims and same_form(pack(Ac)[0].entries, pack(Bc)[0].entries, tol)
 
 
 def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()):

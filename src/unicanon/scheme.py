@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .numcore import Tolerance, _rank_abs, lex_cmp
+from .numcore import Tolerance, _rank, lex_cmp
 from .mbm import DisjointSet, MarkedBlockMatrix, ReductionTrace, Zone
 
 __all__ = [
@@ -157,9 +157,11 @@ def scheme_of(
     """Extract the scheme of a canonical matrix with its zone partition.
 
     Stars sit on the stair diagonals of similarity zones; circles at the
-    nonzero cells of equivalence zones, with links between equal circles of
-    one zone (equality at ``2 * tol.abs``)."""
+    cells of equivalence zones above the decision threshold of the canonical
+    matrix, with links between equal circles of one zone (equality at twice
+    that threshold)."""
     A = canonical.entries
+    eps = tol.threshold(A)
     m, n = A.shape
     grid = [["."] * n for _ in range(m)]
     links: set = set()
@@ -171,14 +173,14 @@ def scheme_of(
                     grid[r][c] = "*"
         else:
             circles = sorted(
-                (r, c) for (r, c) in z.cells if abs(A[r, c]) > tol.abs
+                (r, c) for (r, c) in z.cells if abs(A[r, c]) > eps
             )
             for (r, c) in circles:
                 grid[r][c] = "o"
             # join equal values within the zone: consecutive members of an
             # equal-value run in diagonal order
             for (a, b) in zip(circles, circles[1:]):
-                if abs(A[a] - A[b]) <= 2 * tol.abs:
+                if abs(A[a] - A[b]) <= 2 * eps:
                     links.add(frozenset({a, b}))
     return Scheme(
         rows=m,
@@ -208,9 +210,11 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
     """Check a value assignment against the scheme's constraints.
 
     ``values`` maps 0-based cells to complex numbers; dots default to 0.
+    Every comparison is at the decision threshold of the filled matrix.
     Returns a list of violation messages (empty list means the filling is
     admissible as a canonical matrix)."""
     v = {tuple(k): complex(x) for k, x in dict(values).items()}
+    eps = tol.threshold(list(v.values()))
 
     def val(cell):
         return v.get(cell, 0.0 + 0.0j)
@@ -220,10 +224,10 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
         for c in range(S.cols):
             sym = S.symbols[r][c]
             x = val((r, c))
-            if sym == "." and abs(x) > tol.abs:
+            if sym == "." and abs(x) > eps:
                 bad.append(f"dot at ({r + 1},{c + 1}) must be zero, got {x}")
             if sym == "o":
-                if abs(x.imag) > tol.abs or x.real <= tol.abs:
+                if abs(x.imag) > eps or x.real <= eps:
                     bad.append(
                         f"circle at ({r + 1},{c + 1}) must be positive real, got {x}"
                     )
@@ -233,7 +237,7 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
             for pair in S.links:
                 a, b = sorted(pair)
                 if a in z.cells and b in z.cells:
-                    if abs(val(a) - val(b)) > 2 * tol.abs:
+                    if abs(val(a) - val(b)) > 2 * eps:
                         bad.append(
                             f"linked circles ({a[0] + 1},{a[1] + 1}) and "
                             f"({b[0] + 1},{b[1] + 1}) differ: {val(a)} vs {val(b)}"
@@ -246,7 +250,7 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
                     continue
                 if frozenset({a, b}) in linked:
                     continue
-                if not val(a).real > val(b).real + tol.abs:
+                if not val(a).real > val(b).real + eps:
                     bad.append(
                         f"unlinked consecutive circles ({a[0] + 1},{a[1] + 1}) > "
                         f"({b[0] + 1},{b[1] + 1}) required: {val(a)} vs {val(b)}"
@@ -255,7 +259,7 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
             for stair in z.stairs:
                 vals = [val(c) for c in stair]
                 for x in vals[1:]:
-                    if abs(x - vals[0]) > 2 * tol.abs:
+                    if abs(x - vals[0]) > 2 * eps:
                         bad.append(
                             f"stars of one stair in zone {k} must be equal: "
                             f"{vals[0]} vs {x}"
@@ -263,7 +267,7 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
             for a in range(len(z.stairs) - 1):
                 s1, s2 = z.stairs[a], z.stairs[a + 1]
                 x, y = val(s1[0]), val(s2[0])
-                cmp = lex_cmp(x, y, tol)
+                cmp = lex_cmp(x, y, Tolerance(eps))
                 if cmp < 0:
                     bad.append(
                         f"stairs {a} and {a + 1} of zone {k} must not increase: "
@@ -280,7 +284,7 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
                         [[val((r, c)) for c in cols_] for r in rows_],
                         dtype=complex,
                     )
-                    if _rank_abs(B, tol.abs) < len(cols_):
+                    if _rank(B, eps) < len(cols_):
                         bad.append(
                             f"stairs {a} and {a + 1} of zone {k}: equal values "
                             "require independent columns in the block between"

@@ -117,13 +117,13 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
     if kind == "Nilpotent2":
         A = _square(data)
         n = A.shape[0]
-        nrm = max(1.0, float(np.linalg.norm(A)))
-        if np.linalg.norm(A @ A) > max(tol.abs, 1e-8) * nrm * nrm:
+        if np.linalg.norm(A @ A) > tol.bound(np.linalg.norm(A) ** 2, n):
             raise RelationViolatedError("A^2 != 0")
+        eps = tol.threshold(A)
         s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
-        sig = [x for x in s if x > tol.abs]
+        sig = [x for x in s if x > eps]
         r = len(sig)
-        vals = [rep.real for rep, mem in cluster_complex(sig, tol) for _ in mem]
+        vals = [rep.real for rep, mem in cluster_complex(sig, Tolerance(eps)) for _ in mem]
         C = np.zeros((n, n), dtype=complex)
         for k, v in enumerate(vals):
             C[k, (n - r) + k] = v
@@ -131,13 +131,13 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
     if kind == "Projector":
         P = _square(data)
         n = P.shape[0]
-        nrm = max(1.0, float(np.linalg.norm(P)))
-        if np.linalg.norm(P @ P - P) > max(tol.abs, 1e-8) * nrm * nrm:
+        if np.linalg.norm(P @ P - P) > tol.bound(np.linalg.norm(P) ** 2, n):
             raise RelationViolatedError("P^2 != P")
         r = int(round(float(np.trace(P).real)))
+        eps = tol.threshold(P)
         s = np.linalg.svd(P, compute_uv=False) if P.size else np.zeros(0)
-        d = [np.sqrt(x * x - 1.0) for x in s if x > 1.0 + tol.abs]
-        vals = [rep.real for rep, mem in cluster_complex(d, tol) for _ in mem]
+        d = [np.sqrt(x * x - 1.0) for x in s if x > 1.0 + eps]
+        vals = [rep.real for rep, mem in cluster_complex(d, Tolerance(eps)) for _ in mem]
         C = np.zeros((n, n), dtype=complex)
         C[:r, :r] = np.eye(r)
         for k, v in enumerate(vals):
@@ -151,7 +151,7 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
             raise ShapeMismatchError("ambient dimensions differ")
         n = A1.shape[0]
         k1, k2 = A1.shape[1], A2.shape[1]
-        if _rank(A1, tol) != k1 or _rank(A2, tol) != k2:
+        if _rank(A1, tol.threshold(A1)) != k1 or _rank(A2, tol.threshold(A2)) != k2:
             raise RelationViolatedError("blocks must have full column rank")
         Q1, _ = np.linalg.qr(A1) if k1 else (np.zeros((n, 0)), None)
         Q2, _ = np.linalg.qr(A2) if k2 else (np.zeros((n, 0)), None)
@@ -160,7 +160,7 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
             if k1 and k2
             else np.zeros(0)
         )
-        eps = max(tol.abs, 1e-8)
+        eps = tol.bound(1.0)  # cosines of principal angles are at most 1
         common = int(np.sum(c >= 1.0 - eps))
         mid = [x for x in c if eps < x < 1.0 - eps]
         alphas = sorted(

@@ -40,6 +40,7 @@ KRONECKER = Quiver(2, [("a", 1, 2), ("b", 1, 2)])
 SINGLE_ARROW = Quiver(2, [("a", 1, 2)])
 TWO_ARROWS_IN = Quiver(3, [("a", 1, 2), ("b", 3, 2)])
 D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
+TWO_LOOPS = Quiver(1, [("a", 1, 1), ("b", 1, 1)])
 FOUR_ARROWS = Quiver(
     3,
     [("l", 1, 1), ("m", 2, 1), ("n", 3, 1), ("x", 2, 3)],
@@ -75,6 +76,22 @@ def jordan_sum(n, rng):
         i += k
     U = random_unitary(n, seed=int(rng.integers(2**31)))
     return U @ J @ U.conj().T
+
+
+SQUARE_KINDS = ("complex", "real", "jordan", "normal")
+
+
+def square(kind, n, rng):
+    """An n x n test matrix: generic complex or real, a scrambled sum of
+    Jordan blocks, or normal with four eigenvalues, each repeated."""
+    if kind == "jordan":
+        return jordan_sum(n, rng)
+    if kind == "normal":
+        lams = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        U = random_unitary(n, seed=int(rng.integers(2**31)))
+        return (U * lams[rng.integers(0, 4, n)]) @ U.conj().T
+    X = rng.standard_normal((n, n))
+    return X + 0j if kind == "real" else X + 1j * rng.standard_normal((n, n))
 
 
 def simil_canonical(A, tol=Tolerance()):
