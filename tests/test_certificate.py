@@ -15,9 +15,8 @@ from unicanon import dims, mbm
 from unicanon.mbm import CertificationError, MarkedBlockMatrix
 from unicanon.numcore import Tolerance, random_unitary, simil_step
 
-from conftest import LOOP, SQUARE_KINDS, jordan_sum, not_reducing_step, square
-
-KINDS = SQUARE_KINDS
+from conftest import LOOP, jordan_sum, not_reducing_step, square
+from conftest import SQUARE_KINDS as KINDS
 
 
 def certify(M, C, T, tol):

@@ -390,12 +390,9 @@ class TestDecompose:
         parts = decompose(block_direct_sum(M, M), tol)
         base = decompose(M, tol)
         assert sorted(m for _, m in parts) == sorted(2 * m for _, m in base)
-
-    def test_direct_sum_needs_equal_grids_and_marks(self):
-        M = MarkedBlockMatrix((2,), (2,), np.diag([2.0, 1.0]))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ShapeMismatchError):  # the block grids differ
             block_direct_sum(M, MarkedBlockMatrix((1, 1), (2,), np.eye(2)))
-        with pytest.raises(MarkMismatchError):
+        with pytest.raises(MarkMismatchError):  # the mark sets differ
             block_direct_sum(M, MarkedBlockMatrix((2,), (2,), np.eye(2), {(0, 0)}))
 
     def test_krull_schmidt_union(self, tol):

@@ -52,7 +52,8 @@ def summands(A, tol):
 
 def check_rep(A, c, tol):
     """``rep_canonical``, ``decompose_rep``, ``rep_params`` and ``isometric``
-    on c * A agree with c = 1."""
+    (with a scrambled copy, and with a copy whose first arrow is scaled by
+    1.5) on c * A agree with c = 1."""
     rng = np.random.default_rng(0)
     cA = scaled_rep(A, c)
     want, got = qr.rep_canonical(A, tol)[0], qr.rep_canonical(cA, tol)[0]
@@ -63,8 +64,9 @@ def check_rep(A, c, tol):
     B = scrambled(A, rng)
     first = A.quiver.arrows[0][0]
     N = qr.Representation(A.quiver, A.dims, {**B.matrices, first: 1.5 * B.matrices[first]})
-    for other in (B, N):
-        assert qr.isometric(cA, scaled_rep(other, c), tol) == qr.isometric(A, other, tol)
+    for other, isometric in ((B, True), (N, False)):
+        assert qr.isometric(A, other, tol) == isometric
+        assert qr.isometric(cA, scaled_rep(other, c), tol) == isometric
 
 
 @CASES
