@@ -13,10 +13,11 @@ The fixpoint is the canonical matrix: every block between tied substrips is
 a scalar multiple of the identity and every other block is zero.
 
 Each substrip carries an integer tie-class label; a step gives the pieces it
-cuts fresh labels.  Each step decides "is this block canonical" for the whole
-substrip grid in one array pass (:meth:`ReductionState._grid`): the tied-block
-mask, the diagonal mean of every tied block, every block's residual against
-its canonical part and the zone owning it, all as numpy arrays.
+cuts fresh labels.  Each step decides "is this block canonical" for the
+substrip grid, down to the row where its scan resumes, in one array pass
+(:meth:`ReductionState._grid`): the tied-block mask, the diagonal mean of
+every tied block, every block's residual against its canonical part and the
+zone owning it, all as numpy arrays.
 
 The engine's bookkeeping rests on two invariants, which the tests check:
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -44,7 +45,6 @@ __all__ = [
     "TieTable",
     "Transcript",
     "ReductionTrace",
-    "ReductionState",
     "Zone",
     "MarkedBlockNotSquareError",
     "DimensionMismatchError",
@@ -176,6 +176,10 @@ def validate(M: MarkedBlockMatrix) -> None:
             f"entries shape {M.entries.shape} does not match strips "
             f"{M.row_strips} x {M.col_strips}"
         )
+    bad = np.argwhere(~np.isfinite(M.entries))
+    if bad.size:
+        r, c = bad[0].tolist()
+        raise ValueError(f"entry ({r + 1},{c + 1}) is not finite: {M.entries[r, c]}")
     for i, j in M.marked:
         if not (0 <= i < len(M.row_strips) and 0 <= j < len(M.col_strips)):
             raise DimensionMismatchError(f"marked block ({i},{j}) out of range")
@@ -365,16 +369,14 @@ class ReductionTrace:
 _start = attrgetter("start")
 
 
-def _cells(rects):
-    return frozenset(chain.from_iterable(
-        product(range(r0, r1), range(c0, c1)) for r0, r1, c0, c1 in rects))
-
-
 class _Grid(NamedTuple):
-    """The substrip grid of one scan; ``(i, j)`` indexes ``rows`` x ``cols``."""
+    """The substrip grid of one scan; ``(i, j)`` indexes ``rows`` x ``cols``,
+    and the grid may stop after a prefix of ``rows``."""
 
-    row_labels: np.ndarray  # tie class label per row substrip
-    col_labels: np.ndarray
+    rstart: np.ndarray  # first row of every row substrip
+    rsize: np.ndarray
+    cstart: np.ndarray
+    csize: np.ndarray
     tied: np.ndarray  # (i, j) -> row and column substrip share a tie class
     canonical: np.ndarray  # block equals its canonical part within tolerance
     snapped: np.ndarray  # A with every block replaced by that part (λI or 0)
@@ -384,10 +386,12 @@ class _Grid(NamedTuple):
 class ReductionState:
     """Single-owner mutable state of the derived-matrix iteration.
 
-    While the reduction runs, a zone is a record ``(depth, kind, block,
-    stairs, merged_blocks, rects)`` with ``rects`` the ``(r0, r1, c0, c1)``
-    rectangles whose cells it owns; :meth:`trace` builds the :class:`Zone`
-    objects and their cell sets."""
+    It reduces the matrix it is given and decides at the absolute
+    ``tol.abs``; :func:`canonicalize` is the scale-relative entry point,
+    which hands it the unit-norm matrix.  While the reduction runs, a zone
+    is a record ``(depth, kind, block, stairs, merged_blocks)`` and the
+    owner map (zone id per cell) holds the cells it owns; :meth:`trace`
+    builds the :class:`Zone` objects and their cell sets."""
 
     def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
         classes = tie_closure(M).classes  # validates M
@@ -414,10 +418,10 @@ class ReductionState:
         self.propagated = {"r": set(), "c": set()}
         self.done = False
 
-    def _members(self, grid: _Grid, label) -> list:
+    def _members(self, label) -> list:
         """Substrips of tie class ``label``: row substrips, then columns."""
-        return [self.rows[i] for i in np.flatnonzero(grid.row_labels == label)] + [
-            self.cols[j] for j in np.flatnonzero(grid.col_labels == label)
+        return [s for s in self.rows if s.label == label] + [
+            s for s in self.cols if s.label == label
         ]
 
     def _relabel(self, classes) -> None:
@@ -431,19 +435,21 @@ class ReductionState:
     def _block(self, rs: _Sub, cs: _Sub) -> np.ndarray:
         return self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
 
-    def _grid(self) -> _Grid:
-        """Decide, for every block at once, whether it is canonical.
+    def _grid(self, nrows=None) -> _Grid:
+        """Decide, for every block of the first ``nrows`` row substrips (all
+        by default) at once, whether it is canonical.
 
         A block between tied substrips is canonical when ``‖B - λI‖_F <=
         tol.abs * max(1, size)`` with λ the mean of its diagonal; any other
         block when ``‖B‖_F <= tol.abs * max(1, sqrt(rows * cols))``."""
-        A, rows, cols = self.A, self.rows, self.cols
+        rows, cols = self.rows[:nrows], self.cols
+        A = self.A[: rows[-1].start + rows[-1].size if rows else 0]
         rstart, rsize, row_labels = np.array(
-            [(s.start, s.size, s.label) for s in rows], dtype=np.intp
-        ).reshape(-1, 3).T
+            [[s.start for s in rows], [s.size for s in rows], [s.label for s in rows]], np.intp
+        ).reshape(3, -1)
         cstart, csize, col_labels = np.array(
-            [(s.start, s.size, s.label) for s in cols], dtype=np.intp
-        ).reshape(-1, 3).T
+            [[s.start for s in cols], [s.size for s in cols], [s.label for s in cols]], np.intp
+        ).reshape(3, -1)
         tied = row_labels[:, None] == col_labels
         # tied blocks are square; summing the diagonals of equal-sized ones
         # as rows adds in np.mean's order, so each λ is bit-identical to it
@@ -466,15 +472,16 @@ class ReductionState:
         canonical = np.sqrt(sq) <= limit
         # zones are unions of blocks, so a block's first cell names its zone
         owner = self.owner[rstart[:, None], cstart]
-        return _Grid(row_labels, col_labels, tied, canonical, snapped, owner)
+        return _Grid(rstart, rsize, cstart, csize, tied, canonical, snapped, owner)
 
     def first_changing_block(self, grid: _Grid, depth: int):
         """Index pair ``(i, j)`` into ``rows`` and ``cols`` of the first
         block, in scan order from the cursor on, that is not canonical, or
-        None.  The canonical blocks passed on the way that no zone holds yet
-        become zones of their own, in one batch."""
+        None.  ``grid`` covers the rows up to the cursor's (the scan never
+        goes below it).  The canonical blocks passed on the way that no zone
+        holds yet become zones of their own, in one batch."""
         row, col = self.cursor
-        i0 = bisect.bisect_right(self.rows, -row, key=_start) - 1
+        i0 = grid.canonical.shape[0] - 1
         on_row = i0 >= 0 and self.rows[i0].start == -row
         j0 = bisect.bisect_left(self.cols, col, key=_start) if on_row else 0
         nc = len(self.cols)
@@ -483,37 +490,49 @@ class ReductionState:
         changing = np.flatnonzero(~canonical[j0:])
         stop = j0 + int(changing[0]) if changing.size else canonical.size
         passed = j0 + np.flatnonzero(grid.owner[i0::-1].ravel()[j0:stop] < 0)
-        tied = grid.tied[i0::-1].ravel()[passed].tolist()
-        for p, t in zip(passed.tolist(), tied):
-            i, j = divmod(p, nc)
-            rs, cs = self.rows[i0 - i], self.cols[j]
-            r0, c0, k = rs.start, cs.start, rs.size
-            block = (r0, k, c0, cs.size)
-            if t:  # a tied block is square: one stair down its diagonal
-                stair = tuple(zip(range(r0, r0 + k), range(c0, c0 + k)))
-                self._add_zone(depth, "similarity", block, (stair,))
-            else:
-                self._zero_candidates.append(self._add_zone(depth, "equivalence", block))
+        if passed.size:
+            self._install(grid, i0 - passed // nc, passed % nc, depth)
         if stop == canonical.size:
             return None
         i, j = divmod(stop, nc)
         return i0 - i, j
 
     # -- zone bookkeeping ----------------------------------------------
-    def _add_zone(self, depth, kind, block, stairs=(), rects=None) -> int:
-        """Install a zone owning ``rects`` (default: the block); return its id."""
-        r0, rs, c0, cs = block
-        rects = rects or [(r0, r0 + rs, c0, c0 + cs)]
+    def _install(self, grid: _Grid, i, j, depth) -> None:
+        """Give each block ``(i[k], j[k])``, none of them owned yet, a zone of
+        its own: a similarity zone with one stair down its diagonal if it is
+        tied (and so square), else an equivalence zone."""
         zid = len(self.zones)
-        for a, b, c, d in rects:
-            self.owner[a:b, c:d] = zid
-        self.zones.append((depth, kind, block, stairs, [], rects))
-        return zid
+        ids = np.full(grid.tied.shape, -1, dtype=np.intp)
+        ids[i, j] = np.arange(zid, zid + i.size)
+        # the new ids exceed every id in use and the blocks are unowned (-1)
+        cells = np.repeat(np.repeat(ids, grid.rsize, axis=0), grid.csize, axis=1)
+        top = self.owner[: cells.shape[0]]
+        np.maximum(top, cells, out=top)
+        tied = grid.tied[i, j].tolist()
+        self.zones += [
+            (depth, "similarity", (r, k, c, w), (tuple(zip(range(r, r + k), range(c, c + k))),), [])
+            if t else (depth, "equivalence", (r, k, c, w), (), [])
+            for r, k, c, w, t in zip(grid.rstart[i].tolist(), grid.rsize[i].tolist(),
+                                     grid.cstart[j].tolist(), grid.csize[j].tolist(), tied)
+        ]
+        self._zero_candidates += [zid + k for k, t in enumerate(tied) if not t]
 
     # -- transformations -----------------------------------------------
     def _apply(self, row_updates, col_updates):
-        """Apply per-substrip unitaries; accumulate transcripts."""
+        """Apply per-substrip unitaries; accumulate transcripts.  In a phase
+        step (every unitary 1x1) the rows and columns are scaled by the
+        phases instead of multiplied by dense matrices."""
         m, n = self.A.shape
+        if all(U.shape == (1, 1) for _, U in chain(row_updates, col_updates)):
+            p = np.ones(m, dtype=complex)
+            q = np.ones(n, dtype=complex)
+            for x, updates in ((p, row_updates), (q, col_updates)):
+                x[[sub.start for sub, _ in updates]] = [U[0, 0] for _, U in updates]
+            self.A = p.conj()[:, None] * self.A * q
+            self.R = self.R * p
+            self.S = self.S * q
+            return
         P = np.eye(m, dtype=complex)
         Q = np.eye(n, dtype=complex)
         for sub, U in row_updates:
@@ -571,7 +590,8 @@ class ReductionState:
         D = np.zeros((rs.size, cs.size), dtype=complex)
         D[range(r), range(r)] = [rep for rep, mult in clusters for _ in range(mult)]
         self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = D
-        self._add_zone(depth, "equivalence", (rs.start, rs.size, cs.start, cs.size))
+        self.owner[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = len(self.zones)
+        self.zones.append((depth, "equivalence", (rs.start, rs.size, cs.start, cs.size), (), []))
         row_sizes = [m for _, m in clusters] + [rs.size - r]
         col_sizes = [m for _, m in clusters] + [cs.size - r]
         pieces = self._divide([(rmem, row_sizes), (cmem, col_sizes)], direct={rs, cs})
@@ -604,7 +624,7 @@ class ReductionState:
         )
         offs = _offsets(sizes)
         # snap diagonal blocks and the zero blocks below them
-        stairs, rects = [], []
+        stairs = []
         for a in range(len(sizes)):
             r0, r1 = rs.start + offs[a], rs.start + offs[a + 1]
             c0, c1 = cs.start + offs[a], cs.start + offs[a + 1]
@@ -612,9 +632,9 @@ class ReductionState:
             self.A[r1 : rs.start + rs.size, c0:c1] = 0.0
             stairs.append(tuple(zip(range(r0, r1), range(c0, c1))))
             # the zone is a staircase: piece row a against column pieces 0..a
-            rects.append((r0, r1, cs.start, c1))
-        self._add_zone(
-            depth, "similarity", (rs.start, rs.size, cs.start, cs.size), tuple(stairs), rects
+            self.owner[r0:r1, cs.start : c1] = len(self.zones)
+        self.zones.append(
+            (depth, "similarity", (rs.start, rs.size, cs.start, cs.size), tuple(stairs), [])
         )
         pieces = self._divide([(mem, sizes)], direct={rs, cs})
         self._relabel([[pieces[x][a] for x in mem] for a in range(len(sizes))])
@@ -634,21 +654,21 @@ class ReductionState:
         if self.done:
             return False
         depth = len(self.steps)
-        grid = self._grid()
+        # blocks below the cursor's row stay canonical: the grid stops there
+        grid = self._grid(bisect.bisect_right(self.rows, -self.cursor[0], key=_start))
         target = self.first_changing_block(grid, depth)
         if target is None:
             self._merge_zero_zones()
-            # the merge rule only relabels zones, so the grid is still current
-            self.A = grid.snapped
+            self.A = self._grid().snapped
             self.done = True
             return False
         i, j = target
         rs, cs = self.rows[i], self.cols[j]
-        rmem = self._members(grid, grid.row_labels[i])
+        rmem = self._members(rs.label)
         if grid.tied[i, j]:
             self._reduce_similarity(rs, cs, depth, rmem)
         else:
-            cmem = self._members(grid, grid.col_labels[j])
+            cmem = self._members(cs.label)
             self._reduce_equivalence(rs, cs, depth, rmem, cmem)
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
@@ -672,6 +692,9 @@ class ReductionState:
             ) if across]
             if cells:
                 probes.append((zid, cells))
+        # an absorbed zone points at the zone that absorbed it; the owner map
+        # is read through the pointers and repainted once, at the end
+        owner, into = self.owner.tolist(), DisjointSet()
         changed = True
         while changed:
             changed = False
@@ -680,18 +703,20 @@ class ReductionState:
                 if z is None:
                     continue
                 for r, c in cells:
-                    tid = int(self.owner[r, c])
+                    tid = into.find(owner[r][c])
                     if tid < 0 or tid == zid:
                         continue
-                    _, _, block, _, absorbed, zrects = z
-                    _, _, _, _, merged, rects = self.zones[tid]
-                    merged.extend([block, *absorbed])
-                    rects.extend(zrects)
-                    for a, b, c_, d in zrects:
-                        self.owner[a:b, c_:d] = tid
+                    _, _, block, _, absorbed = z
+                    self.zones[tid][4].extend([block, *absorbed])
+                    into.union(zid, tid)
                     self.zones[zid] = None
                     changed = True
                     break
+        gone = [zid for zid, z in enumerate(self.zones) if z is None]
+        if gone:
+            lut = np.append(np.arange(len(self.zones)), -1)  # unowned (-1) stays so
+            lut[gone] = [into.find(zid) for zid in gone]
+            self.owner = lut[self.owner]
 
     def trace(self) -> ReductionTrace:
         # classes are numbered from 1 in order of first appearance
@@ -702,9 +727,15 @@ class ReductionState:
             info = row_info if sub.axis == "r" else col_info
             k = labels.setdefault(sub.label, len(labels) + 1)
             info[sub.strip].append((sub.start, sub.size, k))
+        # zones partition the cells they own: group the cells by owner once
+        order = np.argsort(self.owner, axis=None, kind="stable")
+        bounds = np.searchsorted(
+            self.owner.ravel()[order], np.arange(len(self.zones) + 1)
+        ).tolist()
+        cells = list(zip(*(x.tolist() for x in np.unravel_index(order, self.owner.shape))))
         zones = [
-            Zone(depth, kind, block, _cells(rects), stairs, tuple(merged))
-            for depth, kind, block, stairs, merged, rects in filter(None, self.zones)
+            Zone(z[0], z[1], z[2], frozenset(cells[bounds[k] : bounds[k + 1]]), z[3], tuple(z[4]))
+            for k, z in enumerate(self.zones) if z is not None
         ]
         return ReductionTrace(
             steps=list(self.steps),
@@ -745,6 +776,7 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     equals ``canonical`` within ``10 * n * tol.abs * s`` in the Frobenius
     norm (n the larger side); every call checks this certificate and raises
     :class:`CertificationError` when it fails."""
+    validate(M)  # before the division by the norm: entries must be finite
     s = float(np.linalg.norm(M.entries))
     unit = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries / (s or 1.0), M.marked)
     state = ReductionState(unit, tol)

@@ -87,6 +87,9 @@ def cluster_complex(vals, tol: Tolerance = Tolerance()):
     v = np.asarray(vals, dtype=complex).ravel()
     if v.size == 0:
         return []
+    if v.size == 1:  # the general path's bits: its sum gives -0.0 + 0.0 = +0.0
+        z = complex(v[0])
+        return [(complex(z.real + 0.0, z.imag), [0])]
     o = np.argsort(-v.real, kind="stable")
     x = v.real[o]
     g = np.zeros(v.size, dtype=np.intp)

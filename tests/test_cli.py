@@ -86,6 +86,21 @@ class TestExitCodes:
         assert dispatch(command + files) == 65
         assert "error" in json.loads(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "command", [["canon-matrix", "--mode", "simil"], ["canon-matrix", "--mode", "equiv"],
+                    ["canon-mbm"]], ids=["simil", "equiv", "mbm"],
+    )
+    def test_non_finite_entry(self, tmp_path, capsys, command, bad):
+        E = np.array([[1.0, 3.0], [0.0, 2.0]], dtype=complex)
+        E[0, 1] = bad
+        data = cmat(E) if command[0] == "canon-matrix" else MarkedBlockMatrix((2,), (2,), E).to_json()
+        f = write_json(tmp_path / "m.json", data)
+        assert dispatch(command + [f]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert err["error"].startswith("entry (1,2) is not finite")
+
     def test_invalid_representation(self, tmp_path, capsys):
         # the matrix of arrow a must be 1 x 2 for dims (2, 1)
         data = Representation(SINGLE_ARROW, (2, 1), {"a": [[3.0, 0.0]]}).to_json()

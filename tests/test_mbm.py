@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,70 @@ def engine_inputs():
 
 def rect_cells(r0, rows, c0, cols):
     return {(r, c) for r in range(r0, r0 + rows) for c in range(c0, c0 + cols)}
+
+
+def reference_inputs():
+    """Inputs on which the engine is compared with the reference versions
+    of its steps: the engine inputs and packed Kronecker and D4
+    representations, whose reductions are mostly phase steps and merges."""
+    return engine_inputs() + [
+        packed(KRONECKER, (8, 8), 3),
+        packed(KRONECKER, (16, 16), 4),
+        packed(D4, (4, 4, 4, 8), 5),
+    ]
+
+
+def dense_apply(state, row_updates, col_updates):
+    """``_apply`` without phase steps: every step builds the identity-plus-
+    block matrices P and Q and makes four dense products."""
+    m, n = state.A.shape
+    P = np.eye(m, dtype=complex)
+    Q = np.eye(n, dtype=complex)
+    for sub, U in row_updates:
+        P[sub.start : sub.start + sub.size, sub.start : sub.start + sub.size] = U
+    for sub, U in col_updates:
+        Q[sub.start : sub.start + sub.size, sub.start : sub.start + sub.size] = U
+    state.A = P.conj().T @ state.A @ Q
+    state.R = state.R @ P
+    state.S = state.S @ Q
+
+
+def repaint_merge(state):
+    """``_merge_zero_zones`` with the owner map repainted on every merge
+    instead of read through pointers: same probes, same order."""
+    rows, cols = state.propagated["r"], state.propagated["c"]
+    probes = []
+    for zid in state._zero_candidates:
+        r0, rs, c0, cs = state.zones[zid][2]
+        cells = [cell for across, cell in (
+            (c0 in cols, (r0, c0 - 1)), (c0 + cs in cols, (r0, c0 + cs)),
+            (r0 in rows, (r0 - 1, c0)), (r0 + rs in rows, (r0 + rs, c0)),
+        ) if across]
+        probes.append((zid, cells))
+    changed = True
+    while changed:
+        changed = False
+        for zid, cells in probes:
+            z = state.zones[zid]
+            if z is None:
+                continue
+            for r, c in cells:
+                tid = int(state.owner[r, c])
+                if tid < 0 or tid == zid:
+                    continue
+                _, _, block, _, absorbed = z
+                state.zones[tid][4].extend([block, *absorbed])
+                state.owner[state.owner == zid] = tid
+                state.zones[zid] = None
+                changed = True
+                break
+
+
+def reduce_fully(M, tol):
+    state = mbm.ReductionState(M, tol)
+    while state.derive():
+        pass
+    return state
 
 
 def rank_deficient_inputs():
@@ -148,6 +214,21 @@ class TestValidation:
     def test_entries_shape(self):
         with pytest.raises(DimensionMismatchError):
             validate(MarkedBlockMatrix((2,), (2,), np.zeros((2, 3))))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+    )
+    def test_non_finite_entry(self, bad):
+        E = np.ones((2, 3), dtype=complex)
+        E[1, 2] = E[0, 1] = bad
+        M = MarkedBlockMatrix((2,), (3,), E)
+        with pytest.raises(ValueError, match=r"entry \(1,2\) is not finite"):
+            validate(M)
+        # canonicalize checks before it divides by the norm: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                canonicalize(M)
 
     def test_tie_closure_chains(self):
         # marks (0,0) and (0,1) force both column strips into one class
@@ -329,6 +410,48 @@ class TestEngineInvariants:
                 assert grid.canonical[i, j] == reference_block(state, rs, cs, tol)[2]
         assert grid.snapped[0, 0] == grid.snapped[1, 1] == np.mean([5.0, 5.0 + d])
         assert not grid.snapped[:, 2:].any() and not grid.snapped[2:].any()
+
+
+class TestReferenceSteps:
+    """The engine's phase steps and pointer merges against the dense
+    products and the repaint-per-merge loop they replace."""
+
+    @pytest.mark.parametrize("reference", ["_apply", "_merge_zero_zones"])
+    @pytest.mark.parametrize("M", reference_inputs())
+    def test_same_reduction(self, tol, M, reference, monkeypatch):
+        state = reduce_fully(M, tol)
+        monkeypatch.setattr(
+            mbm.ReductionState, reference,
+            {"_apply": dense_apply, "_merge_zero_zones": repaint_merge}[reference],
+        )
+        ref = reduce_fully(M, tol)
+        # merges, merged blocks, owner map, zones, substrips: identical
+        assert state.zones == ref.zones
+        assert np.array_equal(state.owner, ref.owner)
+        got, want = state.trace(), ref.trace()
+        assert got.zones == want.zones
+        assert (got.row_substrips, got.col_substrips, got.num_classes) == (
+            want.row_substrips, want.col_substrips, want.num_classes)
+        assert len(got.steps) == len(want.steps)
+        scale = np.linalg.norm(M.entries)
+        for a, b in zip(got.steps, want.steps):
+            assert (a.kind, a.row_block, a.col_block, a.row_pieces, a.col_pieces) == (
+                b.kind, b.row_block, b.col_block, b.row_pieces, b.col_pieces)
+            assert [k for _, k in a.values] == [k for _, k in b.values]
+            va = np.array([v for v, _ in a.values], dtype=complex)
+            vb = np.array([v for v, _ in b.values], dtype=complex)
+            assert np.abs(va - vb).max() <= 1e-14 * scale
+        # numbers within 1e-14 relative
+        assert np.linalg.norm(state.A - ref.A) <= 1e-14 * scale
+        for X, Y in ((state.R, ref.R), (state.S, ref.S)):
+            assert np.linalg.norm(X - Y) <= 1e-14 * np.linalg.norm(Y)
+
+    def test_references_are_exercised(self, tol):
+        # the Kronecker reduction has phase steps (1x1 blocks) and merges
+        state = reduce_fully(packed(KRONECKER, (16, 16), 4), tol)
+        phase = [s for s in state.steps if s.row_block[1] == s.col_block[1] == 1]
+        assert len(phase) > len(state.steps) // 2
+        assert sum(z is None for z in state.zones) > 100
 
 
 class TestEmptyStrips:

@@ -62,6 +62,25 @@ class TestClustering:
         assert [m for _, m in groups] == [[2], [0, 3], [1]]
         assert groups[0][0] == 2.0
 
+    # (value, real part, imaginary part) as float.hex, as the general path
+    # returns them; its real-part sum turns a -0.0 real part into +0.0
+    SINGLE = [
+        (0j, "0x0.0p+0", "0x0.0p+0"),
+        (complex(-0.0, 0.0), "0x0.0p+0", "0x0.0p+0"),
+        (complex(0.0, -0.0), "0x0.0p+0", "-0x0.0p+0"),
+        (complex(-0.0, -0.0), "0x0.0p+0", "-0x0.0p+0"),
+        (complex(-1.5, -0.0), "-0x1.8000000000000p+0", "-0x0.0p+0"),
+        (complex(-0.0, 2.5), "0x0.0p+0", "0x1.4000000000000p+1"),
+        (complex(3.25, -4.0), "0x1.a000000000000p+1", "-0x1.0000000000000p+2"),
+        (complex(1e-300, -1e-300), "0x1.56e1fc2f8f359p-997", "-0x1.56e1fc2f8f359p-997"),
+    ]
+
+    @pytest.mark.parametrize("t", [Tolerance(), Tolerance(abs=0.0)])
+    @pytest.mark.parametrize("z, re, im", SINGLE)
+    def test_single_value_bits(self, z, re, im, t):
+        ((rep, members),) = cluster_complex([z], t)
+        assert (rep.real.hex(), rep.imag.hex(), members) == (re, im, [0])
+
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=12),
         st.floats(1e-9, 1.0),
