@@ -19,13 +19,17 @@ substrip grid, down to the row where its scan resumes, in one array pass
 every tied block, every block's residual against its canonical part and the
 zone owning it, all as numpy arrays.
 
-The engine's bookkeeping rests on two invariants, which the tests check:
+The engine's bookkeeping rests on three invariants, which the tests check:
 
 * blocks before the last target, in scan order, stay canonical under every
   later admissible transformation (the stabilizer property), so each scan
   resumes at a cursor instead of the first block;
 * zones are disjoint unions of current blocks, so the owner map's entry
-  (zone id per cell) at a block's first cell tells whether a zone holds it.
+  (zone id per cell) at a block's first cell tells whether a zone holds it;
+* a phase step (a 1x1 target that ties its two classes) divides nothing,
+  and admissible transformations keep ``‖B‖_F`` of untied blocks and
+  ``‖B - λI‖_F`` of tied ones, so every block but the target and the 1x1
+  blocks the step ties keeps its flag: the next scan updates the last grid.
 """
 
 from __future__ import annotations
@@ -169,6 +173,14 @@ def matrix_from_json(rows) -> np.ndarray:
     )
 
 
+def _check_finite(E: np.ndarray, what: str = "entry") -> None:
+    """Raise ValueError naming the first NaN or infinite entry of E (1-based)."""
+    bad = np.argwhere(~np.isfinite(E))
+    if bad.size:
+        r, c = bad[0].tolist()
+        raise ValueError(f"{what} ({r + 1},{c + 1}) is not finite: {E[r, c]}")
+
+
 def validate(M: MarkedBlockMatrix) -> None:
     m, n = M.entries.shape
     if m != sum(M.row_strips) or n != sum(M.col_strips):
@@ -176,10 +188,7 @@ def validate(M: MarkedBlockMatrix) -> None:
             f"entries shape {M.entries.shape} does not match strips "
             f"{M.row_strips} x {M.col_strips}"
         )
-    bad = np.argwhere(~np.isfinite(M.entries))
-    if bad.size:
-        r, c = bad[0].tolist()
-        raise ValueError(f"entry ({r + 1},{c + 1}) is not finite: {M.entries[r, c]}")
+    _check_finite(M.entries)
     for i, j in M.marked:
         if not (0 <= i < len(M.row_strips) and 0 <= j < len(M.col_strips)):
             raise DimensionMismatchError(f"marked block ({i},{j}) out of range")
@@ -379,7 +388,7 @@ class _Grid(NamedTuple):
     csize: np.ndarray
     tied: np.ndarray  # (i, j) -> row and column substrip share a tie class
     canonical: np.ndarray  # block equals its canonical part within tolerance
-    snapped: np.ndarray  # A with every block replaced by that part (λI or 0)
+    snapped: np.ndarray | None  # A with every block replaced by that part; None if carried
     owner: np.ndarray  # zone id of every block, -1 if none
 
 
@@ -416,6 +425,7 @@ class ReductionState:
         self.cursor = (-m, 0)  # scan key (-row start, col start) of the next scan
         # per axis, offsets of boundaries cut in substrips other than the target's
         self.propagated = {"r": set(), "c": set()}
+        self.grid: _Grid | None = None  # the next scan's grid, if carried over
         self.done = False
 
     def _members(self, label) -> list:
@@ -474,6 +484,19 @@ class ReductionState:
         owner = self.owner[rstart[:, None], cstart]
         return _Grid(rstart, rsize, cstart, csize, tied, canonical, snapped, owner)
 
+    def _carry(self, grid: _Grid, i: int, label: int) -> _Grid:
+        """The grid of the scan after a phase step on row ``i`` that tied its
+        classes into ``label``: the 1x1 blocks between members of ``label``
+        become tied and canonical, every other flag stays, owners are reread."""
+        n = i + 1  # the next scan resumes on row i
+        rows = np.array([s.label == label for s in self.rows[:n]])
+        both = rows[:, None] & np.array([s.label == label for s in self.cols])
+        return grid._replace(
+            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=grid.tied[:n] | both,
+            canonical=grid.canonical[:n] | both, snapped=None,
+            owner=self.owner[grid.rstart[:n, None], grid.cstart],
+        )
+
     def first_changing_block(self, grid: _Grid, depth: int):
         """Index pair ``(i, j)`` into ``rows`` and ``cols`` of the first
         block, in scan order from the cursor on, that is not canonical, or
@@ -511,7 +534,8 @@ class ReductionState:
         np.maximum(top, cells, out=top)
         tied = grid.tied[i, j].tolist()
         self.zones += [
-            (depth, "similarity", (r, k, c, w), (tuple(zip(range(r, r + k), range(c, c + k))),), [])
+            (depth, "similarity", (r, k, c, w),
+             (((r, c),),) if k == 1 else (tuple(zip(range(r, r + k), range(c, c + k))),), [])
             if t else (depth, "equivalence", (r, k, c, w), (), [])
             for r, k, c, w, t in zip(grid.rstart[i].tolist(), grid.rsize[i].tolist(),
                                      grid.cstart[j].tolist(), grid.csize[j].tolist(), tied)
@@ -588,7 +612,7 @@ class ReductionState:
         r = len(nonzero)
         # snap the block to its canonical part
         D = np.zeros((rs.size, cs.size), dtype=complex)
-        D[range(r), range(r)] = [rep for rep, mult in clusters for _ in range(mult)]
+        D.flat[: r * (cs.size + 1) : cs.size + 1] = [rep for rep, m in clusters for _ in range(m)]
         self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = D
         self.owner[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = len(self.zones)
         self.zones.append((depth, "equivalence", (rs.start, rs.size, cs.start, cs.size), (), []))
@@ -655,7 +679,8 @@ class ReductionState:
             return False
         depth = len(self.steps)
         # blocks below the cursor's row stay canonical: the grid stops there
-        grid = self._grid(bisect.bisect_right(self.rows, -self.cursor[0], key=_start))
+        grid = self.grid or self._grid(bisect.bisect_right(self.rows, -self.cursor[0], key=_start))
+        self.grid = None
         target = self.first_changing_block(grid, depth)
         if target is None:
             self._merge_zero_zones()
@@ -670,6 +695,8 @@ class ReductionState:
         else:
             cmem = self._members(cs.label)
             self._reduce_equivalence(rs, cs, depth, rmem, cmem)
+            if rs.size == cs.size == 1 and rs.label == cs.label:
+                self.grid = self._carry(grid, i, rs.label)
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
         self.cursor = (self.steps[-1].row_pieces[-1] - rs.start - rs.size, cs.start)
@@ -679,40 +706,40 @@ class ReductionState:
         """Merge rule: an all-zero block that was never itself reduced joins
         the zone of its neighbour across a propagated division boundary.
         Chains of such blocks settle in repeated passes."""
-        rows, cols = self.propagated["r"], self.propagated["c"]
-        # (zone id, neighbour cells across propagated boundaries); a boundary
-        # lies strictly inside the matrix, so every neighbour cell exists
+        zones, n = self.zones, self.owner.shape[1]
+        rows, cols, owner = self.propagated["r"], self.propagated["c"], self.owner.ravel().tolist()
+        # (zone id, owners of the neighbour cells left, right, above and below
+        # across propagated boundaries, which lie strictly inside the matrix)
         probes = []
         for zid in self._zero_candidates:
-            r0, rs_, c0, cs_ = self.zones[zid][2]
-            r1, c1 = r0 + rs_, c0 + cs_
-            cells = [cell for across, cell in (
-                (c0 in cols, (r0, c0 - 1)), (c1 in cols, (r0, c1)),
-                (r0 in rows, (r0 - 1, c0)), (r1 in rows, (r1, c0)),
+            r0, h, c0, w = zones[zid][2]
+            at = r0 * n + c0
+            tids = [owner[cell] for across, cell in (
+                (c0 in cols, at - 1), (c0 + w in cols, at + w),
+                (r0 in rows, at - n), (r0 + h in rows, at + h * n),
             ) if across]
-            if cells:
-                probes.append((zid, cells))
-        # an absorbed zone points at the zone that absorbed it; the owner map
-        # is read through the pointers and repainted once, at the end
-        owner, into = self.owner.tolist(), DisjointSet()
+            if tids:
+                probes.append((zid, tids))
+        # an absorbed zone points at the zone that absorbed it; the owners are
+        # read through the pointers and the map is repainted once, at the end
+        into, gone = DisjointSet(), []
         changed = True
         while changed:
             changed = False
-            for zid, cells in probes:
-                z = self.zones[zid]
+            for zid, tids in probes:
+                z = zones[zid]
                 if z is None:
                     continue
-                for r, c in cells:
-                    tid = into.find(owner[r][c])
+                for tid in map(into.find, tids):
                     if tid < 0 or tid == zid:
                         continue
                     _, _, block, _, absorbed = z
-                    self.zones[tid][4].extend([block, *absorbed])
+                    zones[tid][4].extend([block, *absorbed])
                     into.union(zid, tid)
-                    self.zones[zid] = None
+                    zones[zid] = None
+                    gone.append(zid)
                     changed = True
                     break
-        gone = [zid for zid, z in enumerate(self.zones) if z is None]
         if gone:
             lut = np.append(np.arange(len(self.zones)), -1)  # unowned (-1) stays so
             lut[gone] = [into.find(zid) for zid in gone]
@@ -734,8 +761,8 @@ class ReductionState:
         ).tolist()
         cells = list(zip(*(x.tolist() for x in np.unravel_index(order, self.owner.shape))))
         zones = [
-            Zone(z[0], z[1], z[2], frozenset(cells[bounds[k] : bounds[k + 1]]), z[3], tuple(z[4]))
-            for k, z in enumerate(self.zones) if z is not None
+            Zone(z[0], z[1], z[2], frozenset(cells[a:b]), z[3], tuple(z[4]))
+            for z, a, b in zip(self.zones, bounds, bounds[1:]) if z is not None
         ]
         return ReductionTrace(
             steps=list(self.steps),

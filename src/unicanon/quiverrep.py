@@ -9,8 +9,8 @@ vertex-wise unitaries.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -161,7 +161,8 @@ def pack(A: Representation):
     its row strip meets the column strip of i; a mark at the column strip of
     j forces the row transformation to equal S_j, so the admissible
     transformations of the packed matrix are exactly the vertex-wise
-    unitaries.  Returns ``(M, layout)``."""
+    unitaries.  Returns ``(M, layout)``; a NaN or infinite entry raises
+    ValueError naming the arrow and the entry's cell in the arrow's matrix."""
     Q = A.quiver
     col_strips = tuple(A.dims)
     row_order = [a for a, _, _ in reversed(Q.arrows)]
@@ -171,6 +172,7 @@ def pack(A: Representation):
     marked = set()
     for k, aid in enumerate(row_order):
         _, s, d = Q.arrow(aid)
+        mbm._check_finite(A.matrices[aid], f"arrow {aid}: entry")
         entries[ro[k] : ro[k + 1], co[s - 1] : co[s]] += A.matrices[aid]
         marked.add((k, d - 1))
     M = MarkedBlockMatrix(row_strips, col_strips, entries, frozenset(marked))
@@ -195,51 +197,52 @@ def unpack(M: MarkedBlockMatrix, layout) -> Representation:
 # canonical representations
 
 
+def _canonical(A: Representation, tol: Tolerance):
+    """The canonical representation of A, the isometry onto it, and the
+    packed canonical form, trace and layout they come from."""
+    M, layout = pack(A)
+    canonical, T, trace = mbm.canonicalize(M, tol)
+    iso = Isometry(tuple(T.S[v].conj().T for v in range(A.quiver.p)))
+    return unpack(canonical, layout), iso, canonical, trace, layout
+
+
 def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
     """Canonical representation, the isometry onto it, and per-arrow schemes.
 
     ``isometric(A, B)`` holds exactly when the canonical representations
     agree entrywise."""
-    M, layout = pack(A)
-    canonical, T, trace = mbm.canonicalize(M, tol)
-    Ainf = unpack(canonical, layout)
-    iso = Isometry(tuple(T.S[v].conj().T for v in range(A.quiver.p)))
-    full = scheme_of(canonical, trace_zones(trace), tol)
-    ro, co = mbm._offsets(M.row_strips).tolist(), mbm._offsets(M.col_strips).tolist()
+    Ainf, iso, C, trace, layout = _canonical(A, tol)
+    full = scheme_of(C, trace_zones(trace), tol)
+    ro, co = mbm._offsets(C.row_strips).tolist(), mbm._offsets(C.col_strips).tolist()
     sources = [A.quiver.arrow(aid)[1] for aid in layout["row_order"]]
+    strip_of = [k for k, h in enumerate(C.row_strips) for _ in range(h)]  # per row
     # a zone never crosses a strip boundary, so it lies in the rectangle of
     # the arrow whose row strip holds its block, or in a coupling block
     arrow_zones = [[] for _ in sources]
     for z in full.zones:
-        k = bisect_right(ro, z.block[0]) - 1
+        k = strip_of[z.block[0]]
         if co[sources[k] - 1] <= z.block[2] < co[sources[k]]:
             arrow_zones[k].append(z)
     schemes = {}
     for k, aid in enumerate(layout["row_order"]):
         _, s, d = A.quiver.arrow(aid)
         r0, r1, c0, c1 = ro[k], ro[k + 1], co[s - 1], co[s]
-
-        def inside(cell):
-            return r0 <= cell[0] < r1 and c0 <= cell[1] < c1
-
-        sub_zones = tuple(
-            mbm.Zone(z.depth, z.kind, z.block,
-                     frozenset((r - r0, c - c0) for r, c in z.cells),
-                     tuple(tuple((r - r0, c - c0) for r, c in st) for st in z.stairs))
-            for z in arrow_zones[k]
-        )
+        # packed cell -> arrow cell, for every cell of the arrow's rectangle
+        table = dict(zip(product(range(r0, r1), range(c0, c1)),
+                         product(range(r1 - r0), range(c1 - c0))))
+        shift = table.__getitem__
         schemes[aid] = Scheme(
             rows=r1 - r0,
             cols=c1 - c0,
-            symbols=tuple(
-                tuple(full.symbols[r][c0:c1]) for r in range(r0, r1)
+            symbols=tuple(tuple(full.symbols[r][c0:c1]) for r in range(r0, r1)),
+            links=frozenset(frozenset(map(shift, p)) for p in full.links if p <= table.keys()),
+            # at offset (0, 0) a zone that absorbed no blocks is its own copy
+            zones=tuple(
+                z if not (r0 or c0 or z.merged_blocks) else mbm.Zone(
+                    z.depth, z.kind, z.block, frozenset(map(shift, z.cells)),
+                    tuple(tuple(map(shift, st)) for st in z.stairs))
+                for z in arrow_zones[k]
             ),
-            links=frozenset(
-                frozenset({(a[0] - r0, a[1] - c0), (b[0] - r0, b[1] - c0)})
-                for a, b in (sorted(p) for p in full.links)
-                if inside(a) and inside(b)
-            ),
-            zones=sub_zones,
             row_strips=(r1 - r0,),
             col_strips=(c1 - c0,),
             marked=frozenset({(0, 0)} if s == d else ()),
@@ -272,8 +275,8 @@ def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()
         raise QuiverMismatchError("different quivers")
     if A.dims != B.dims:
         raise DimMismatchError(f"dims {A.dims} vs {B.dims}")
-    Ac, TA, _ = rep_canonical(A, tol)
-    Bc, TB, _ = rep_canonical(B, tol)
+    Ac, TA, *_ = _canonical(A, tol)
+    Bc, TB, *_ = _canonical(B, tol)
     if not same_canonical(Ac, Bc, tol):
         return None, Bc
     return Isometry(tuple(TB.S[v].conj().T @ TA.S[v] for v in range(A.quiver.p))), Bc

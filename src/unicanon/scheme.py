@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class IntegerModeInfeasible(ValueError):
 def zones(trace: ReductionTrace) -> list[Zone]:
     """Zone partition recorded in a reduction trace, sorted by depth then
     block location."""
-    return sorted(trace.zones, key=lambda z: (z.depth, z.block))
+    return sorted(trace.zones, key=attrgetter("depth", "block"))
 
 
 @dataclass(frozen=True)
@@ -165,16 +166,15 @@ def scheme_of(
     m, n = A.shape
     grid = [["."] * n for _ in range(m)]
     links: set = set()
-    zs = sorted(zone_list, key=lambda z: (z.depth, z.block))
+    zs = sorted(zone_list, key=attrgetter("depth", "block"))
+    circle = (np.abs(A) > eps).tolist()
     for z in zs:
         if z.kind == "similarity":
             for stair in z.stairs:
                 for (r, c) in stair:
                     grid[r][c] = "*"
         else:
-            circles = sorted(
-                (r, c) for (r, c) in z.cells if abs(A[r, c]) > eps
-            )
+            circles = sorted(cell for cell in z.cells if circle[cell[0]][cell[1]])
             for (r, c) in circles:
                 grid[r][c] = "o"
             # join equal values within the zone: consecutive members of an

@@ -101,6 +101,16 @@ class TestExitCodes:
         assert err["type"] == "ValueError"
         assert err["error"].startswith("entry (1,2) is not finite")
 
+    def test_non_finite_representation_entry(self, tmp_path, capsys):
+        # named by arrow and its own cell, not by the cell of the packed matrix
+        data = Representation(KRONECKER, (2, 2), {"a": np.eye(2), "b": np.ones((2, 2))}).to_json()
+        data["matrices"]["a"][1][1] = [float("nan"), 0.0]
+        f = write_json(tmp_path / "rep.json", data)
+        assert dispatch(["canon-rep", f]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ValueError"
+        assert err["error"].startswith("arrow a: entry (2,2) is not finite")
+
     def test_invalid_representation(self, tmp_path, capsys):
         # the matrix of arrow a must be 1 x 2 for dims (2, 1)
         data = Representation(SINGLE_ARROW, (2, 1), {"a": [[3.0, 0.0]]}).to_json()

@@ -1,3 +1,4 @@
+import bisect
 import warnings
 
 import numpy as np
@@ -452,6 +453,44 @@ class TestReferenceSteps:
         phase = [s for s in state.steps if s.row_block[1] == s.col_block[1] == 1]
         assert len(phase) > len(state.steps) // 2
         assert sum(z is None for z in state.zones) > 100
+
+
+def generic_similarity(n, seed):
+    """A generic complex n x n matrix as one marked strip."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return MarkedBlockMatrix((n,), (n,), X, {(0, 0)})
+
+
+def carried_grids(state):
+    """Run ``state`` to its fixpoint and yield ``(carried, fresh)`` before
+    every step that starts from a grid carried over a phase step: that grid
+    and a fresh ``_grid`` over the rows up to the cursor's."""
+    while True:
+        if state.grid is not None:
+            nrows = bisect.bisect_right(state.rows, -state.cursor[0], key=mbm._start)
+            yield state.grid, state._grid(nrows)
+        if not state.derive():
+            return
+
+
+class TestCarriedGrid:
+    """A phase step divides nothing, so the next scan updates the last
+    grid; the fresh ``_grid`` is the reference."""
+
+    @pytest.mark.parametrize("M", engine_inputs() + [generic_similarity(16, 23)])
+    def test_carried_grid_matches_fresh(self, tol, M):
+        for carried, fresh in carried_grids(mbm.ReductionState(M, tol)):
+            for name in ("rstart", "rsize", "cstart", "csize", "tied", "canonical", "owner"):
+                assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
+
+    def test_inputs_have_phase_steps(self, tol):
+        # most steps of these reductions start from a carried grid
+        for M in (packed(KRONECKER, (16, 16), 1), packed(D4, (6, 6, 6, 12), 2),
+                  generic_similarity(16, 23)):
+            state = mbm.ReductionState(M, tol)
+            carried = sum(1 for _ in carried_grids(state))
+            assert carried >= len(state.steps) // 2
 
 
 class TestEmptyStrips:
