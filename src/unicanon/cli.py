@@ -1,11 +1,16 @@
 """Command-line front end.
 
 All file formats use JSON with 1-based indices and complex numbers as
-[re, im] pairs (a plain number is real).  Exit codes: 0 success, 2 validation
-error (machine-readable object on stderr), 64 missing or unknown subcommand,
-65 parse error or an input file of the wrong structure, 70 a reduction whose
-transcript failed its certificate (``mbm.CertificationError``; no output is
-written), in every command that reduces, both ``canon-matrix`` modes included.
+[re, im] pairs (a plain number is real).  Exit codes: 0 success (``--help``
+included), 2 validation error (machine-readable object on stderr), 64 missing
+or unknown subcommand, 65 parse error or an input file of the wrong
+structure, 70 a reduction whose transcript failed its certificate
+(``mbm.CertificationError``; no output is written), in every command that
+reduces, both ``canon-matrix`` modes included.
+
+Each subcommand's handler is registered on its subparser; it imports the
+modules it runs and returns what to emit, so a process loads ``numcore`` and
+``mbm`` and only the rest its command needs.
 """
 
 from __future__ import annotations
@@ -14,19 +19,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .numcore import Tolerance
 from . import mbm
 from .mbm import MarkedBlockMatrix, matrix_from_json, matrix_to_json
-from . import scheme as scheme_mod
-from .scheme import Scheme, fill_general_position, render_ascii
-from . import quiverrep as qr
-from . import dims as dims_mod
-from . import euclid
-from . import wildness
+from .numcore import Tolerance
 
 __all__ = ["dispatch", "main"]
+
 
 class _CliError(Exception):
     def __init__(self, code, message):
@@ -34,7 +32,7 @@ class _CliError(Exception):
         self.code = code
 
 
-def _json_to_matrix(data) -> np.ndarray:
+def _json_to_matrix(data):
     """A matrix file: a list of rows, or an object whose ``entries`` is one.
     JSON of another structure exits 65, as for the other file types."""
     try:
@@ -56,13 +54,9 @@ def _load_json(path):
         raise _CliError(65, f"cannot parse {path}: {exc}")
 
 
-def _emit(obj, args):
-    text = obj if isinstance(obj, str) else json.dumps(obj, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _dump(path, record):
+    with open(path, "w") as fh:
+        json.dump(record, fh)
 
 
 def _transcript_json(T):
@@ -72,8 +66,8 @@ def _transcript_json(T):
     }
 
 
-def _isometry_json(T):
-    return {"S": [matrix_to_json(b) for b in T.S]}
+def _summands(parts, key="representation"):
+    return {"summands": [{"multiplicity": m, key: P.to_json()} for P, m in parts]}
 
 
 def _from_json(data, cls, path):
@@ -96,6 +90,122 @@ def _parse_dimvec(text):
         raise _CliError(65, f"bad dimension vector {text!r}")
 
 
+# ---------------------------------------------------------------------------
+# one handler per subcommand: (args, tol) -> the JSON object or text to emit
+
+
+def _canon_matrix(args, tol):
+    A = _json_to_matrix(_load_json(args.file))
+    # one strip each way: marked for similarity, unmarked for equivalence
+    marked = frozenset({(0, 0)}) if args.mode == "simil" else frozenset()
+    M = MarkedBlockMatrix(A.shape[:1], A.shape[1:], A, marked)
+    C, T, _ = mbm.canonicalize(M, tol)
+    if args.transcript:
+        if args.mode == "equiv":
+            _dump(args.transcript, {"R": matrix_to_json(T.R[0]), "S": matrix_to_json(T.S[0])})
+        else:
+            _dump(args.transcript, _transcript_json(T))
+    return {"matrix": matrix_to_json(C.entries)}
+
+
+def _canon_mbm(args, tol):
+    C, T, trace = mbm.canonicalize(_load(args.file, MarkedBlockMatrix), tol)
+    if args.transcript:
+        _dump(args.transcript, _transcript_json(T))
+    zones = [{"depth": z.depth, "kind": z.kind, "block": list(z.block)} for z in trace.zones]
+    return {"canonical": C.to_json(), "zones": zones}
+
+
+def _scheme(args, tol):
+    from .scheme import render_ascii, scheme_of
+    C, _, trace = mbm.canonicalize(_load(args.file, MarkedBlockMatrix), tol)
+    S = scheme_of(C, trace.zones, tol)
+    return S.to_json() if args.format == "json" else render_ascii(S)
+
+
+def _canon_rep(args, tol):
+    from . import quiverrep as qr
+    Ainf, T, schemes = qr.rep_canonical(_load(args.file, qr.Representation), tol)
+    if args.transcript:
+        _dump(args.transcript, {"S": [matrix_to_json(b) for b in T.S]})
+    schemes = {a: S.to_json() for a, S in schemes.items()}
+    return {"canonical": Ainf.to_json(), "schemes": schemes}
+
+
+def _decompose(args, tol):
+    from . import quiverrep as qr
+    data = _load_json(args.file)
+    if isinstance(data, dict) and "quiver" in data:
+        return _summands(qr.decompose_rep(_from_json(data, qr.Representation, args.file), tol))
+    return _summands(mbm.decompose(_from_json(data, MarkedBlockMatrix, args.file), tol), "matrix")
+
+
+def _isometric(args, tol):
+    from . import quiverrep as qr
+    A = _load(args.file, qr.Representation)
+    B = _load(args.file2, qr.Representation)
+    return {"isometric": bool(qr.isometric(A, B, tol))}
+
+
+def _fill_scheme(args, tol):
+    from .scheme import Scheme, fill_general_position
+    S = _load(args.file, Scheme)
+    return fill_general_position(S, args.mode, seed=args.seed, tol=tol).to_json()
+
+
+def _dims(args, tol):
+    from . import dims, quiverrep
+    vecs = dims.enumerate_D(_load(args.file, quiverrep.Quiver), args.bound)
+    return "\n".join(json.dumps(list(v)) for v in vecs)
+
+
+def _params(args, tol):
+    from . import dims, quiverrep
+    Q = _load(args.file, quiverrep.Quiver)
+    nr, nc = dims.max_params(Q, _parse_dimvec(args.d))
+    return {"real": nr, "complex": nc}
+
+
+def _construct(args, tol):
+    from . import dims, quiverrep
+    Q = _load(args.file, quiverrep.Quiver)
+    R = dims.construct_indecomposable(Q, _parse_dimvec(args.d), seed=args.seed, tol=tol)
+    return R.to_json()
+
+
+def _realify(args, tol):
+    from . import euclid, quiverrep
+    return euclid.realify(_load(args.file, quiverrep.Representation)).to_json()
+
+
+def _real_type(args, tol):
+    from . import euclid, quiverrep
+    rt = euclid.classify_real(_load(args.file, quiverrep.Representation), tol)
+    out = {"kind": rt.kind}
+    if rt.lam is not None:
+        out["lambda"] = int(rt.lam)
+    if rt.form is not None:
+        out["form"] = rt.form.to_json()
+    return out
+
+
+def _decompose_real(args, tol):
+    from . import euclid, quiverrep
+    return _summands(euclid.decompose_real(_load(args.file, quiverrep.Representation), tol))
+
+
+def _gadget(args, tol):
+    from . import wildness
+    if args.kind not in wildness.GADGET_KINDS:
+        raise _CliError(2, f"unknown gadget kind {args.kind!r}")
+    X = _json_to_matrix(_load_json(args.file))
+    out = {"gadget": wildness.gadget(args.kind, X).to_json()}
+    if args.file2:
+        Y = _json_to_matrix(_load_json(args.file2))
+        out["faithful"] = bool(wildness.gadget_faithful(args.kind, X, Y, tol))
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises instead of printing usage and exiting, so that dispatch picks
     the exit code."""
@@ -114,198 +224,37 @@ def _build_parser():
     ap.add_argument("--out", default=None, help="write output here instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("canon-matrix")
-    p.add_argument("--mode", choices=("equiv", "simil"), required=True)
-    p.add_argument("file")
-
-    for name in ("canon-mbm", "scheme"):
+    def command(name, run, flag=None, **option):
+        # the subparser of a command that runs ``run``: its option, then its file
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
+        if flag:
+            p.add_argument(flag, **option)
         p.add_argument("file")
+        return p
 
-    p = sub.add_parser("canon-rep")
-    p.add_argument("file")
-
-    p = sub.add_parser("decompose")
-    p.add_argument("file")
-
-    p = sub.add_parser("isometric")
-    p.add_argument("file")
-    p.add_argument("file2")
-
-    p = sub.add_parser("fill-scheme")
-    p.add_argument("--mode", choices=("real-random", "integer"), default="real-random")
-    p.add_argument("file")
-
-    p = sub.add_parser("dims")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("file")
-
-    p = sub.add_parser("params")
-    p.add_argument("--d", required=True)
-    p.add_argument("file")
-
-    p = sub.add_parser("construct")
-    p.add_argument("--d", required=True)
-    p.add_argument("file")
-
-    for name in ("realify", "real-type", "decompose-real"):
-        p = sub.add_parser(name)
-        p.add_argument("file")
-
-    p = sub.add_parser("gadget")
-    p.add_argument("--kind", required=True)
-    p.add_argument("file")
-    p.add_argument("--in2", dest="file2", default=None)
+    command("canon-matrix", _canon_matrix, "--mode", choices=("equiv", "simil"), required=True)
+    command("canon-mbm", _canon_mbm)
+    command("scheme", _scheme)
+    command("canon-rep", _canon_rep)
+    command("decompose", _decompose)
+    command("isometric", _isometric).add_argument("file2")
+    command("fill-scheme", _fill_scheme, "--mode", choices=("real-random", "integer"),
+            default="real-random")
+    command("dims", _dims, "--bound", type=int, required=True)
+    command("params", _params, "--d", required=True)
+    command("construct", _construct, "--d", required=True)
+    command("realify", _realify)
+    command("real-type", _real_type)
+    command("decompose-real", _decompose_real)
+    command("gadget", _gadget, "--kind", required=True).add_argument(
+        "--in2", dest="file2", default=None)
     return ap
 
 
-def _mbm_out(canonical, trace):
-    zs = scheme_mod.zones(trace)
-    return {
-        "canonical": canonical.to_json(),
-        "zones": [
-            {
-                "depth": z.depth,
-                "kind": z.kind,
-                "block": list(z.block),
-            }
-            for z in zs
-        ],
-    }
-
-
-def _run(args) -> int:
-    tol = Tolerance(abs=args.tol)
-    cmd = args.command
-    if cmd == "canon-matrix":
-        A = _json_to_matrix(_load_json(args.file))
-        # one strip each way: marked for similarity, unmarked for equivalence
-        marked = frozenset({(0, 0)}) if args.mode == "simil" else frozenset()
-        M = MarkedBlockMatrix(A.shape[:1], A.shape[1:], A, marked)
-        C, T, _ = mbm.canonicalize(M, tol)
-        if args.transcript:
-            if args.mode == "equiv":
-                record = {"R": matrix_to_json(T.R[0]), "S": matrix_to_json(T.S[0])}
-            else:
-                record = _transcript_json(T)
-            with open(args.transcript, "w") as fh:
-                json.dump(record, fh)
-        _emit({"matrix": matrix_to_json(C.entries)}, args)
-        return 0
-    if cmd == "canon-mbm":
-        M = _load(args.file, MarkedBlockMatrix)
-        C, T, trace = mbm.canonicalize(M, tol)
-        if args.transcript:
-            with open(args.transcript, "w") as fh:
-                json.dump(_transcript_json(T), fh)
-        _emit(_mbm_out(C, trace), args)
-        return 0
-    if cmd == "canon-rep":
-        A = _load(args.file, qr.Representation)
-        Ainf, T, schemes = qr.rep_canonical(A, tol)
-        out = {
-            "canonical": Ainf.to_json(),
-            "schemes": {a: S.to_json() for a, S in schemes.items()},
-        }
-        if args.transcript:
-            with open(args.transcript, "w") as fh:
-                json.dump(_isometry_json(T), fh)
-        _emit(out, args)
-        return 0
-    if cmd == "decompose":
-        data = _load_json(args.file)
-        rep = isinstance(data, dict) and "quiver" in data
-        A = _from_json(data, qr.Representation if rep else MarkedBlockMatrix, args.file)
-        if rep:
-            parts = qr.decompose_rep(A, tol)
-            out = {
-                "summands": [
-                    {"multiplicity": m, "representation": P.to_json()}
-                    for P, m in parts
-                ]
-            }
-        else:
-            parts = mbm.decompose(A, tol)
-            out = {
-                "summands": [
-                    {"multiplicity": m, "matrix": P.to_json()} for P, m in parts
-                ]
-            }
-        _emit(out, args)
-        return 0
-    if cmd == "isometric":
-        A = _load(args.file, qr.Representation)
-        B = _load(args.file2, qr.Representation)
-        _emit({"isometric": bool(qr.isometric(A, B, tol))}, args)
-        return 0
-    if cmd == "scheme":
-        M = _load(args.file, MarkedBlockMatrix)
-        C, _, trace = mbm.canonicalize(M, tol)
-        S = scheme_mod.scheme_of(C, scheme_mod.zones(trace), tol)
-        if args.format == "json":
-            _emit(S.to_json(), args)
-        else:
-            _emit(render_ascii(S), args)
-        return 0
-    if cmd == "fill-scheme":
-        S = _load(args.file, Scheme)
-        M = fill_general_position(S, args.mode, seed=args.seed, tol=tol)
-        _emit(M.to_json(), args)
-        return 0
-    if cmd == "dims":
-        Q = _load(args.file, qr.Quiver)
-        vecs = dims_mod.enumerate_D(Q, args.bound)
-        _emit("\n".join(json.dumps(list(v)) for v in vecs), args)
-        return 0
-    if cmd == "params":
-        Q = _load(args.file, qr.Quiver)
-        d = _parse_dimvec(args.d)
-        nr, nc = dims_mod.max_params(Q, d)
-        _emit({"real": nr, "complex": nc}, args)
-        return 0
-    if cmd == "construct":
-        Q = _load(args.file, qr.Quiver)
-        d = _parse_dimvec(args.d)
-        R = dims_mod.construct_indecomposable(Q, d, seed=args.seed, tol=tol)
-        _emit(R.to_json(), args)
-        return 0
-    if cmd == "realify":
-        A = _load(args.file, qr.Representation)
-        _emit(euclid.realify(A).to_json(), args)
-        return 0
-    if cmd == "real-type":
-        A = _load(args.file, qr.Representation)
-        rt = euclid.classify_real(A, tol)
-        out = {"kind": rt.kind}
-        if rt.lam is not None:
-            out["lambda"] = int(rt.lam)
-        if rt.form is not None:
-            out["form"] = rt.form.to_json()
-        _emit(out, args)
-        return 0
-    if cmd == "decompose-real":
-        A = _load(args.file, qr.Representation)
-        parts = euclid.decompose_real(A, tol)
-        _emit(
-            {
-                "summands": [
-                    {"multiplicity": m, "representation": P.to_json()}
-                    for P, m in parts
-                ]
-            },
-            args,
-        )
-        return 0
-    if cmd == "gadget":
-        if args.kind not in wildness.GADGET_KINDS:
-            raise _CliError(2, f"unknown gadget kind {args.kind!r}")
-        X = _json_to_matrix(_load_json(args.file))
-        out = {"gadget": wildness.gadget(args.kind, X).to_json()}
-        if args.file2:
-            Y = _json_to_matrix(_load_json(args.file2))
-            out["faithful"] = bool(wildness.gadget_faithful(args.kind, X, Y, tol))
-        _emit(out, args)
-        return 0
+def _fail(code, **report) -> int:
+    sys.stderr.write(json.dumps(report) + "\n")
+    return code
 
 
 def dispatch(argv) -> int:
@@ -313,31 +262,29 @@ def dispatch(argv) -> int:
     ns = argparse.Namespace()
     try:
         args = _build_parser().parse_args(argv, ns)
-    except (argparse.ArgumentError, SystemExit) as exc:
+    except SystemExit:  # -h or --help has printed its text
+        return 0
+    except argparse.ArgumentError as exc:
         # argparse sets the command as soon as it accepts it; unset, it is
         # missing or unknown, unless another argument failed before it
         if ns.command is None and getattr(exc, "argument_name", None) in (None, "command"):
-            sys.stderr.write(
-                json.dumps({"error": "unknown command", "argv": argv}) + "\n"
-            )
-            return 64
-        sys.stderr.write(json.dumps({"error": "bad arguments"}) + "\n")
-        return 65
+            return _fail(64, error="unknown command", argv=argv)
+        return _fail(65, error="bad arguments")
     try:
-        return _run(args)
+        out = args.run(args, Tolerance(abs=args.tol))
+        text = out if isinstance(out, str) else json.dumps(out, indent=2)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return 0
     except _CliError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return exc.code
+        return _fail(exc.code, error=str(exc))
     except mbm.CertificationError as exc:
-        sys.stderr.write(
-            json.dumps({"error": str(exc), "type": "CertificationError"}) + "\n"
-        )
-        return 70
+        return _fail(70, error=str(exc), type="CertificationError")
     except (ValueError, KeyError, RuntimeError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": str(exc), "type": type(exc).__name__}) + "\n"
-        )
-        return 2
+        return _fail(2, error=str(exc), type=type(exc).__name__)
 
 
 def main() -> None:

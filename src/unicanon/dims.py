@@ -15,7 +15,7 @@ import numpy as np
 
 from .numcore import Tolerance
 from . import mbm
-from .scheme import scheme_of, zones as trace_zones, fill_general_position
+from .scheme import scheme_of, fill_general_position
 from .quiverrep import (
     Quiver,
     Representation,
@@ -288,7 +288,7 @@ def construct_indecomposable(
         A = random_rep(Q, d, seed=sub)
         M, layout = pack(A)
         canonical, _, trace = mbm.canonicalize(M, tol)
-        S = scheme_of(canonical, trace_zones(trace), tol)
+        S = scheme_of(canonical, trace.zones, tol)
         filled = fill_general_position(S, "real-random", seed=sub, tol=tol)
         cand = unpack(filled, layout)
         try:

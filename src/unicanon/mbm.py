@@ -46,7 +46,6 @@ from .numcore import Tolerance, _svd, cluster_complex, random_unitary, same_form
 
 __all__ = [
     "MarkedBlockMatrix",
-    "TieTable",
     "Transcript",
     "ReductionTrace",
     "Zone",
@@ -133,11 +132,6 @@ class MarkedBlockMatrix:
     def shape(self):
         return self.entries.shape
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        ro = _offsets(self.row_strips)
-        co = _offsets(self.col_strips)
-        return self.entries[ro[i] : ro[i + 1], co[j] : co[j + 1]]
-
     def to_json(self) -> dict:
         return {
             "row_strips": list(self.row_strips),
@@ -199,25 +193,6 @@ def validate(M: MarkedBlockMatrix) -> None:
             )
 
 
-@dataclass(frozen=True)
-class TieTable:
-    """Partition of the row and column strip slots into classes.
-
-    Slots are ``('r', i)`` and ``('c', j)``; two slots share a class iff a
-    chain of marks ties them."""
-
-    classes: tuple[frozenset, ...]
-
-    def cls_of(self, slot):
-        for c in self.classes:
-            if slot in c:
-                return c
-        raise KeyError(slot)
-
-    def tied(self, i: int, j: int) -> bool:
-        return self.cls_of(("r", i)) is self.cls_of(("c", j))
-
-
 class DisjointSet:
     """Union-find over hashable items, with path halving.
 
@@ -248,7 +223,10 @@ class DisjointSet:
         return list(out.values())
 
 
-def tie_closure(M: MarkedBlockMatrix) -> TieTable:
+def tie_closure(M: MarkedBlockMatrix) -> tuple[frozenset, ...]:
+    """Partition of the row and column strip slots ``('r', i)`` and
+    ``('c', j)`` into classes: two slots share a class iff a chain of marks
+    ties them.  Validates M."""
     validate(M)
     slots = [("r", i) for i in range(len(M.row_strips))] + [
         ("c", j) for j in range(len(M.col_strips))
@@ -256,7 +234,7 @@ def tie_closure(M: MarkedBlockMatrix) -> TieTable:
     ties = DisjointSet(slots)
     for i, j in M.marked:
         ties.union(("r", i), ("c", j))
-    return TieTable(classes=tuple(frozenset(g) for g in ties.groups(slots)))
+    return tuple(frozenset(g) for g in ties.groups(slots))
 
 
 @dataclass(frozen=True)
@@ -307,10 +285,9 @@ def apply_admissible(
 
 def random_transcript(M: MarkedBlockMatrix, seed=None) -> Transcript:
     """Random tie-respecting admissible transformation."""
-    table = tie_closure(M)
     rng = np.random.default_rng(seed)
     unitaries = {}
-    for c in table.classes:
+    for c in tie_closure(M):
         slot = sorted(c)[0]
         size = (
             M.row_strips[slot[1]] if slot[0] == "r" else M.col_strips[slot[1]]
@@ -368,8 +345,10 @@ class StepRecord:
 
 @dataclass
 class ReductionTrace:
+    """A reduction's steps in order and its zones, sorted by ``(depth, block)``."""
+
     steps: list
-    zones: list
+    zones: list  # sorted by (depth, block)
     row_substrips: list  # per original strip: list of (start, size, class label)
     col_substrips: list
     num_classes: int
@@ -403,7 +382,7 @@ class ReductionState:
     builds the :class:`Zone` objects and their cell sets."""
 
     def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
-        classes = tie_closure(M).classes  # validates M
+        classes = tie_closure(M)  # validates M
         label = {slot: k for k, c in enumerate(classes) for slot in c}
         self.M = M
         self.tol = tol
@@ -764,6 +743,7 @@ class ReductionState:
             Zone(z[0], z[1], z[2], frozenset(cells[a:b]), z[3], tuple(z[4]))
             for z, a, b in zip(self.zones, bounds, bounds[1:]) if z is not None
         ]
+        zones.sort(key=attrgetter("depth", "block"))
         return ReductionTrace(
             steps=list(self.steps),
             zones=zones,

@@ -45,6 +45,8 @@ class Tolerance:
     def __post_init__(self) -> None:
         if self.abs < 0:
             raise ValueError("tolerance must be nonnegative")
+        if not np.isfinite(self.abs):
+            raise ValueError("tolerance must be finite")
 
     def threshold(self, X) -> float:
         """The decision threshold ``abs * ||X||_F``."""

@@ -17,7 +17,7 @@ import numpy as np
 from .numcore import Tolerance, same_form
 from . import mbm
 from .mbm import MarkedBlockMatrix
-from .scheme import Scheme, count_params, scheme_of, zones as trace_zones
+from .scheme import Scheme, count_params, scheme_of
 
 __all__ = [
     "Quiver",
@@ -212,7 +212,7 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
     ``isometric(A, B)`` holds exactly when the canonical representations
     agree entrywise."""
     Ainf, iso, C, trace, layout = _canonical(A, tol)
-    full = scheme_of(C, trace_zones(trace), tol)
+    full = scheme_of(C, trace.zones, tol)
     ro, co = mbm._offsets(C.row_strips).tolist(), mbm._offsets(C.col_strips).tolist()
     sources = [A.quiver.arrow(aid)[1] for aid in layout["row_order"]]
     strip_of = [k for k, h in enumerate(C.row_strips) for _ in range(h)]  # per row

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
 from .numcore import Tolerance, _rank, lex_cmp
-from .mbm import DisjointSet, MarkedBlockMatrix, ReductionTrace, Zone
+from .mbm import DisjointSet, MarkedBlockMatrix, Zone, validate
 
 __all__ = [
     "Scheme",
     "IntegerModeInfeasible",
-    "zones",
     "scheme_of",
     "validate_filling",
     "fill_general_position",
@@ -33,12 +31,6 @@ __all__ = [
 
 class IntegerModeInfeasible(ValueError):
     pass
-
-
-def zones(trace: ReductionTrace) -> list[Zone]:
-    """Zone partition recorded in a reduction trace, sorted by depth then
-    block location."""
-    return sorted(trace.zones, key=attrgetter("depth", "block"))
 
 
 @dataclass(frozen=True)
@@ -140,22 +132,27 @@ class Scheme:
                     raise ValueError(
                         f"zone {k} has cell ({r + 1},{c + 1}) outside the {rows}x{cols} symbols"
                     )
+        strips = tuple(data["row_strips"]), tuple(data["col_strips"])
+        marked = frozenset((i - 1, j - 1) for i, j in data.get("marked", []))
+        # the strips and marks must fit the symbol grid, as a filling's must
+        validate(MarkedBlockMatrix(*strips, np.zeros((rows, cols)), marked))
         return cls(
             rows=rows,
             cols=cols,
             symbols=symbols,
             links=links,
             zones=zs,
-            row_strips=tuple(data["row_strips"]),
-            col_strips=tuple(data["col_strips"]),
-            marked=frozenset((i - 1, j - 1) for i, j in data.get("marked", [])),
+            row_strips=strips[0],
+            col_strips=strips[1],
+            marked=marked,
         )
 
 
 def scheme_of(
     canonical: MarkedBlockMatrix, zone_list, tol: Tolerance = Tolerance()
 ) -> Scheme:
-    """Extract the scheme of a canonical matrix with its zone partition.
+    """Extract the scheme of a canonical matrix with its zone partition,
+    ``zone_list`` sorted by (depth, block) as ``ReductionTrace.zones`` is.
 
     Stars sit on the stair diagonals of similarity zones; circles at the
     cells of equivalence zones above the decision threshold of the canonical
@@ -166,9 +163,8 @@ def scheme_of(
     m, n = A.shape
     grid = [["."] * n for _ in range(m)]
     links: set = set()
-    zs = sorted(zone_list, key=attrgetter("depth", "block"))
     circle = (np.abs(A) > eps).tolist()
-    for z in zs:
+    for z in zone_list:
         if z.kind == "similarity":
             for stair in z.stairs:
                 for (r, c) in stair:
@@ -187,7 +183,7 @@ def scheme_of(
         cols=n,
         symbols=tuple(tuple(row) for row in grid),
         links=frozenset(links),
-        zones=tuple(zs),
+        zones=tuple(zone_list),
         row_strips=canonical.row_strips,
         col_strips=canonical.col_strips,
         marked=canonical.marked,

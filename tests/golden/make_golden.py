@@ -104,7 +104,7 @@ def trace_record(trace):
                 "stairs": [[list(p) for p in st] for st in z.stairs],
                 "merged_blocks": [list(b) for b in z.merged_blocks],
             }
-            for z in sm.zones(trace)
+            for z in trace.zones
         ],
         "row_substrips": [[list(t) for t in s] for s in trace.row_substrips],
         "col_substrips": [[list(t) for t in s] for s in trace.col_substrips],
@@ -293,7 +293,7 @@ def random_cases(out):
         "S": [cmat(b) for b in T.S],
     }
     C, _, trace = mbm.canonicalize(M, TOL)
-    S = sm.scheme_of(C, sm.zones(trace), TOL)
+    S = sm.scheme_of(C, trace.zones, TOL)
     for mode, seed in (("real-random", 111), ("real-random", 112), ("integer", 0)):
         F = sm.fill_general_position(S, mode, seed=seed, tol=TOL)
         out[f"fill_general_position 8x12 {mode} seed={seed}"] = cmat(F.entries)

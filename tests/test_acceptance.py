@@ -29,7 +29,7 @@ QUIVERS = (LOOP, KRONECKER, TWO_ARROWS_IN, FOUR_ARROWS)
 def rep_scheme(R, tol):
     M, _ = qr.pack(R)
     C, _, trace = mbm.canonicalize(M, tol)
-    return sm.scheme_of(C, sm.zones(trace), tol)
+    return sm.scheme_of(C, trace.zones, tol)
 
 
 class TestCanonicalCompleteness:
@@ -51,13 +51,13 @@ class TestWorkedExample:
 
     def test_ten_zones_with_depths(self, tol, M8x12):
         _, _, trace = mbm.canonicalize(M8x12, tol)
-        zs = sm.zones(trace)
+        zs = trace.zones
         assert len(zs) == 10
         assert sorted(z.depth for z in zs) == [0, 1, 2, 3, 3, 4, 5, 6, 7, 7]
 
     def test_scheme_placement(self, tol, M8x12):
         C, _, trace = mbm.canonicalize(M8x12, tol)
-        S = sm.scheme_of(C, sm.zones(trace), tol)
+        S = sm.scheme_of(C, trace.zones, tol)
         stars = {(r + 1, c + 1) for r, c in S.star_cells()}
         circles = {(r + 1, c + 1) for r, c in S.circle_cells()}
         assert stars == {(k, k) for k in range(1, 9)} | {
@@ -184,7 +184,7 @@ class TestIntegerFill:
                 R = qr.random_rep(Q, z, seed=int(rng.integers(1 << 30)))
                 M, _ = qr.pack(R)
                 C, _, trace = mbm.canonicalize(M, tol)
-                S = sm.scheme_of(C, sm.zones(trace), tol)
+                S = sm.scheme_of(C, trace.zones, tol)
                 F = sm.fill_general_position(S, "integer", seed=0, tol=tol)
                 vals = set(np.unique(F.entries.real)) | set(
                     np.unique(F.entries.imag)

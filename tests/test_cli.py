@@ -188,6 +188,33 @@ class TestExitCodes:
     def test_success(self, matrix_file):
         assert dispatch(["canon-matrix", "--mode", "equiv", matrix_file]) == 0
 
+    @pytest.mark.parametrize("argv", (["--help"], ["canon-matrix", "--help"]), ids=("program", "command"))
+    def test_help(self, argv, capsys):
+        assert dispatch(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: unicanon")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("value", ("inf", "nan", "-1"))
+    def test_tolerance_not_finite_or_negative(self, tmp_path, capsys, value):
+        # a generic matrix, whose form an infinite tolerance would turn into mean(diag) * I
+        rng = np.random.default_rng(12)
+        f = write_json(tmp_path / "m.json", cmat(rng.standard_normal((12, 12))))
+        assert dispatch(["--tol", value, "canon-matrix", "--mode", "simil", f]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ({"row_strips": [3], "col_strips": [2]},
+         {"row_strips": [2], "col_strips": [2], "marked": [[1, 2]]}),
+        ids=("strip-sum", "mark-beyond"),
+    )
+    def test_scheme_strips_do_not_fit_symbols(self, tmp_path, capsys, layout):
+        data = {"symbols": [[".", "o"], [".", "."]], "zones": [], **layout}
+        f = write_json(tmp_path / "s.json", data)
+        assert dispatch(["fill-scheme", f]) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "DimensionMismatchError"
+
     def test_mbm_unknown_key(self, tmp_path, capsys):
         # "marks" is not the key of the marked blocks; it must not be ignored
         data = example_8x12().to_json()

@@ -10,6 +10,13 @@ from unicanon.numcore import Tolerance, lex_cmp, cluster_complex, random_unitary
 from conftest import equiv_canonical, simil_canonical
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    def test_rejects_non_finite_or_negative(self, value):
+        with pytest.raises(ValueError):
+            Tolerance(abs=value)
+
+
 class TestLexOrder:
     def test_real_part_dominates(self):
         assert lex_cmp(1 + 5j, 2 - 5j) == -1

@@ -4,7 +4,7 @@ import pytest
 from unicanon.numcore import Tolerance, random_unitary
 from unicanon import mbm
 from unicanon import quiverrep as qr
-from unicanon.scheme import scheme_of, zones as trace_zones
+from unicanon.scheme import scheme_of
 from unicanon.quiverrep import (
     Quiver,
     Representation,
@@ -40,7 +40,7 @@ def reference_arrow_zones(A, tol):
     to the rectangle's corner."""
     M, layout = pack(A)
     canonical, _, trace = mbm.canonicalize(M, tol)
-    full = scheme_of(canonical, trace_zones(trace), tol)
+    full = scheme_of(canonical, trace.zones, tol)
     ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
     out = {}
     for k, aid in enumerate(layout["row_order"]):

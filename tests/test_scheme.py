@@ -6,7 +6,6 @@ from unicanon import mbm, scheme
 from unicanon.mbm import MarkedBlockMatrix
 from unicanon.scheme import (
     Scheme,
-    zones,
     scheme_of,
     validate_filling,
     fill_general_position,
@@ -19,21 +18,21 @@ from conftest import random_mbm
 
 def scheme_of_mbm(M, tol):
     C, _, trace = mbm.canonicalize(M, tol)
-    return scheme_of(C, zones(trace), tol), C
+    return scheme_of(C, trace.zones, tol), C
 
 
 class TestZones:
     def test_unmarked_1x1_grid(self, tol):
         M = MarkedBlockMatrix((2,), (2,), np.diag([2.0, 1.0]))
         _, _, trace = mbm.canonicalize(M, tol)
-        zs = zones(trace)
+        zs = trace.zones
         assert len(zs) == 1
         assert zs[0].kind == "equivalence" and zs[0].depth == 0
 
     def test_marked_distinct_eigs(self, tol):
         M = MarkedBlockMatrix((2,), (2,), [[1, 3], [0, 2]], {(0, 0)})
         _, _, trace = mbm.canonicalize(M, tol)
-        zs = zones(trace)
+        zs = trace.zones
         assert [z.depth for z in zs] == [0, 1]
         assert zs[0].kind == "similarity"
         assert zs[1].kind == "equivalence"
