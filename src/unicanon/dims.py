@@ -24,7 +24,6 @@ from .quiverrep import (
     pack,
     unpack,
     random_rep,
-    reverse_arrow,
     is_indecomposable_rep,
 )
 
@@ -219,8 +218,9 @@ def zero_summand_witness(A: Representation, tol: Tolerance = Tolerance()):
     """Split off a zero summand at a vertex with more dimension than its
     neighbourhood supplies.
 
-    If some vertex l has delta_l(dim A) < d_l after reversing the arrows
-    leaving l, the matrices meeting l stack into a tall block with a left
+    If some vertex l has delta_l(dim A) < d_l, the matrices of the arrows at
+    l, read as pointing into l (those leaving l conjugate-transposed, as
+    reversing the arrow makes them), stack into a tall block with a left
     null space; a basis change at l then exhibits
     A isometric to B + (zero representation of dimension e_l).  Returns
     ``(l, T, B)`` or None."""
@@ -237,31 +237,26 @@ def zero_summand_witness(A: Representation, tol: Tolerance = Tolerance()):
         need = sum(int(M[l - 1, w]) * d[w] for w in range(Q.p) if w != l - 1)
         if need >= d[l - 1]:
             continue
-        # reverse outgoing arrows so every arrow at l points into l
-        B = A
-        for a, s, dd in Q.arrows:
-            if s == l and dd != l:
-                B = reverse_arrow(B, a)
-        blocks = [
-            B.matrices[a] for a, s, dd in B.quiver.arrows if dd == l
-        ]
-        stacked = (
-            np.concatenate(blocks, axis=1)
-            if blocks
-            else np.zeros((d[l - 1], 0), dtype=complex)
-        )
         # the stack has need < d_l columns, so its last left singular vectors
         # span a left null space whatever ``tol``: rotate so the null rows come
         # last; the trailing rows of vertex l are then untouched by every arrow
-        U = np.linalg.svd(stacked)[0] if stacked.size else np.eye(d[l - 1], dtype=complex)
+        blocks = [
+            A.matrices[a] if dd == l else A.matrices[a].conj().T
+            for a, s, dd in Q.arrows
+            if l in (s, dd)
+        ]
+        U = (
+            np.linalg.svd(np.concatenate(blocks, axis=1))[0]
+            if need
+            else np.eye(d[l - 1], dtype=complex)
+        )
         T = Isometry(
             tuple(
                 U.conj().T if v == l - 1 else np.eye(d[v], dtype=complex)
                 for v in range(Q.p)
             )
         )
-        Bt = apply_isometry(A, T)
-        return l, T, Bt
+        return l, T, apply_isometry(A, T)
     return None
 
 

@@ -4,8 +4,9 @@ Realification doubles dimensions by replacing each entry a+bi with the
 rotation-scaling block [[a, b], [-b, a]].  An indecomposable unitary
 representation A is of real, quaternionic or complex type according to the
 self-conjugation isometry S: A -> conj(A): S symmetric (real form exists),
-S skew (quaternionic block form exists), or no S at all.  The symmetric and
-skew cases rest on Takagi-type factorizations of S.
+S skew (quaternionic block form exists), or no S at all.  Both forms come
+from one congruence split of S (:func:`_congruence`): a Takagi factor when S
+is symmetric, a factor onto the standard skew form when it is skew.
 """
 
 from __future__ import annotations
@@ -107,26 +108,15 @@ def conj_rep(A: Representation) -> Representation:
     )
 
 
-def _reversed_quiver(Q: Quiver) -> Quiver:
-    return Quiver(Q.p, tuple((a, d, s) for a, s, d in Q.arrows))
-
-
 def transpose_rep(A: Representation) -> Representation:
     """Transpose every matrix; all arrows reverse (shapes force it)."""
-    return Representation(
-        _reversed_quiver(A.quiver),
-        A.dims,
-        {a: M.T for a, M in A.matrices.items()},
-    )
+    Q = Quiver(A.quiver.p, tuple((a, d, s) for a, s, d in A.quiver.arrows))
+    return Representation(Q, A.dims, {a: M.T for a, M in A.matrices.items()})
 
 
 def adjoint_rep(A: Representation) -> Representation:
     """Conjugate-transpose every matrix; all arrows reverse."""
-    return Representation(
-        _reversed_quiver(A.quiver),
-        A.dims,
-        {a: M.conj().T for a, M in A.matrices.items()},
-    )
+    return transpose_rep(conj_rep(A))
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +183,38 @@ def _classify(A: Representation, S, tol: Tolerance) -> RealType:
 # Takagi-type factorizations
 
 
-def _completion_with_columns(cols: np.ndarray) -> np.ndarray:
-    """Unitary whose leading columns are the given orthonormal columns."""
-    n, k = cols.shape
-    if k == 0:
-        return np.eye(n, dtype=complex)
-    U, _, _ = np.linalg.svd(cols, full_matrices=True)
-    # U's first k columns span the same space; align them with cols exactly
-    rest = U[:, k:]
-    return np.concatenate([cols, rest], axis=1)
+def _congruence(S: np.ndarray, sign: int, tol: Tolerance) -> np.ndarray:
+    """U with U^T D U = S for unitary S with S^T = sign * S, where D is the
+    identity (sign +1) or J (sign -1), checks already made.
+
+    The antilinear map x -> S conj(x) fixes the unit vector u1 proportional
+    to e1 + S e1 (u1 = i e1 when S e1 is close to -e1) when sign is +1, and
+    swaps u1 = e1 and u2 = -S e1 up to sign when it is -1.  In a unitary
+    basis starting with those columns the problem splits off one 1x1
+    identity or one J block, and recurses on the trailing block."""
+    n = S.shape[0]
+    if n == 0:
+        return np.eye(0, dtype=complex)
+    e1 = np.zeros(n, dtype=complex)
+    e1[0] = 1.0
+    if sign > 0:
+        w = e1 + S[:, 0]
+        nw = np.linalg.norm(w)
+        cols = (1j * e1 if nw <= tol.bound(1.0) else w / nw).reshape(n, 1)
+    else:
+        cols = np.stack([e1, -S[:, 0]], axis=1)
+    k = cols.shape[1]
+    # a unitary basis whose leading columns are exactly ``cols``
+    V = np.concatenate([cols, np.linalg.svd(cols)[0][:, k:]], axis=1)
+    T = (V.conj().T @ S @ V.conj())[k:, k:]
+    U = np.eye(n, dtype=complex)
+    # re-(skew-)symmetrize against roundoff before recursing
+    U[k:, k:] = _congruence(0.5 * (T + T.T if sign > 0 else T - T.T), sign, tol)
+    return U @ V.T
 
 
 def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """U with U^T U = S, for symmetric unitary S.
-
-    Recursion on the antilinear involution x -> S conj(x): the unit vector
-    u1 proportional to e1 + S e1 is fixed (u1 = i e1 when S e1 is close to
-    -e1), and in any unitary basis starting with u1 the problem splits off a
-    1x1 identity block."""
+    """U with U^T U = S, for symmetric unitary S (see :func:`_congruence`)."""
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     if n == 0:
@@ -219,40 +223,13 @@ def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
         raise NotSymmetricError("S is not symmetric")
     if np.linalg.norm(S.conj().T @ S - np.eye(n)) > tol.bound(1.0, n):
         raise NotUnitaryError("S is not unitary")
-
-    def rec(S):
-        n = S.shape[0]
-        if n == 0:
-            return np.eye(0, dtype=complex)
-        e1 = np.zeros(n, dtype=complex)
-        e1[0] = 1.0
-        s1 = S[:, 0]
-        w = e1 + s1
-        nw = np.linalg.norm(w)
-        if nw <= tol.bound(1.0):
-            u1 = 1j * e1
-        else:
-            u1 = w / nw
-        V = _completion_with_columns(u1.reshape(n, 1))
-        T = V.conj().T @ S @ V.conj()
-        Tp = T[1:, 1:]
-        # symmetrize against roundoff before recursing
-        Tp = 0.5 * (Tp + Tp.T)
-        Up = rec(Tp)
-        Ut = np.eye(n, dtype=complex)
-        Ut[1:, 1:] = Up
-        return Ut @ V.T
-
-    return rec(S)
+    return _congruence(S, 1, tol)
 
 
 def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
     """U with U^T J U = S for skew-symmetric unitary S of even size, where
-    J is the direct sum of 2x2 blocks [[0, 1], [-1, 0]].
-
-    Recursion: u1 = e1, u2 = S e1 are orthonormal and the antilinear map
-    x -> S conj(x) swaps them up to sign, so the problem splits off one J
-    block per step."""
+    J is the direct sum of 2x2 blocks [[0, 1], [-1, 0]] (see
+    :func:`_congruence`)."""
     S = np.asarray(S, dtype=complex)
     n = S.shape[0]
     if n % 2:
@@ -263,25 +240,7 @@ def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
         raise NotSkewError("S is not skew-symmetric")
     if np.linalg.norm(S.conj().T @ S - np.eye(n)) > tol.bound(1.0, n):
         raise NotUnitaryError("S is not unitary")
-
-    def rec(S):
-        n = S.shape[0]
-        if n == 0:
-            return np.eye(0, dtype=complex)
-        e1 = np.zeros(n, dtype=complex)
-        e1[0] = 1.0
-        u1 = e1
-        u2 = -S[:, 0]
-        V = _completion_with_columns(np.stack([u1, u2], axis=1))
-        T = V.conj().T @ S @ V.conj()
-        Tp = T[2:, 2:]
-        Tp = 0.5 * (Tp - Tp.T)
-        Up = rec(Tp)
-        Ut = np.eye(n, dtype=complex)
-        Ut[2:, 2:] = Up
-        return Ut @ V.T
-
-    return rec(S)
+    return _congruence(S, -1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +252,8 @@ def to_real_form(
 ) -> Representation:
     """Real representation isometric to A, built from the symmetric
     self-conjugation S via per-vertex Takagi factors U_v (U_v^T U_v = S_v)."""
-    U = []
-    for v in range(A.quiver.p):
-        U.append(takagi_symmetric(S.S[v], tol))
-    B = apply_isometry(A, Isometry(tuple(U)))
+    U = tuple(takagi_symmetric(S.S[v], tol) for v in range(A.quiver.p))
+    B = apply_isometry(A, Isometry(U))
     mats = {}
     for a, M in B.matrices.items():
         if np.linalg.norm(M.imag) > tol.bound(M):
@@ -305,29 +262,17 @@ def to_real_form(
     return Representation(A.quiver, A.dims, mats)
 
 
-def _pair_permutation(n: int) -> np.ndarray:
-    """Permutation matrix sending interleaved pair coordinates
-    (1,2,3,4,...) to block coordinates (odd positions first)."""
-    P = np.zeros((n, n), dtype=complex)
-    h = n // 2
-    for k in range(h):
-        P[k, 2 * k] = 1.0
-        P[h + k, 2 * k + 1] = 1.0
-    return P
-
-
 def to_quaternionic_form(
     A: Representation, S: Isometry, tol: Tolerance = Tolerance()
 ) -> Representation:
     """Representation isometric to A whose matrices have the block shape
     [[X, Y], [-conj(Y), conj(X)]], built from skew S via per-vertex factors
-    V_v with V_v^T J V_v = S_v."""
-    W = []
-    for v in range(A.quiver.p):
-        V = skew_canonical(S.S[v], tol)
-        P = _pair_permutation(A.dims[v])
-        W.append(P @ V)
-    C = apply_isometry(A, Isometry(tuple(W)))
+    V_v with V_v^T J V_v = S_v, rows reordered from interleaved pairs to
+    blocks (odd positions first)."""
+    W = tuple(
+        skew_canonical(S.S[v], tol)[np.r_[0:d:2, 1:d:2]] for v, d in enumerate(A.dims)
+    )
+    C = apply_isometry(A, Isometry(W))
     for a, s, d in A.quiver.arrows:
         M = C.matrices[a]
         hr, hc = M.shape[0] // 2, M.shape[1] // 2
@@ -394,40 +339,27 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
     canonical form of the conjugate computed during classification."""
     parts = decompose_rep(A, tol)
     out = []
-    remaining = [[P, m] for P, m in parts]
-    for item in remaining:
-        P, m = item
-        if m == 0:
+    paired = set()
+    for i, (P, m) in enumerate(parts):
+        if i in paired:
             continue
         S, Pc = _isometry(P, conj_rep(P), tol)
         rt = _classify(P, S, tol)
         if rt.kind == "Real":
             out.append((rt.form, m))
-            item[1] = 0
-        elif rt.kind == "Quaternionic":
+            continue
+        if rt.kind == "Quaternionic":
             if m % 2:
-                raise ConjugatePairingFailure(
-                    "quaternionic summand with odd multiplicity"
-                )
+                raise ConjugatePairingFailure("quaternionic summand with odd multiplicity")
             out.append((realify(P), m // 2))
-            item[1] = 0
-        else:
-            # complex type: find the conjugate partner
-            partner = next(
-                (
-                    other
-                    for other in remaining
-                    if other is not item and other[1] and same_canonical(other[0], Pc, tol)
-                ),
-                None,
-            )
-            if partner is None or partner[1] != m:
-                raise ConjugatePairingFailure(
-                    "complex-type summand without matching conjugate"
-                )
-            out.append((realify(P), m))
-            item[1] = 0
-            partner[1] = 0
+            continue
+        # complex type: the partner is a later, unpaired summand
+        later = (j for j in range(i + 1, len(parts)) if j not in paired)
+        j = next((j for j in later if same_canonical(parts[j][0], Pc, tol)), None)
+        if j is None or parts[j][1] != m:
+            raise ConjugatePairingFailure("complex-type summand without matching conjugate")
+        paired.add(j)
+        out.append((realify(P), m))
     return out
 
 

@@ -42,7 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numcore import Tolerance, _svd, cluster_complex, random_unitary, same_form, simil_step
+from .numcore import (
+    Tolerance, _svd, cluster_complex, frobenius, random_unitary, same_form, simil_step,
+)
 
 __all__ = [
     "MarkedBlockMatrix",
@@ -760,12 +762,12 @@ def _certify(A, R, S, C, tol: Tolerance) -> None:
     larger side of A."""
     limit = tol.bound(1.0, max(1, *A.shape))
     for name, U in (("R", R), ("S", S)):
-        defect = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0])))
+        defect = frobenius(U.conj().T @ U - np.eye(U.shape[0]))
         if not defect <= limit:
             raise CertificationError(
                 f"transcript {name} is not unitary: ||U^H U - I||_F = {defect:.2e} > {limit:.2e}"
             )
-    resid = float(np.linalg.norm(R.conj().T @ A @ S - C))
+    resid = frobenius(R.conj().T @ A @ S - C)
     limit = tol.bound(A)
     if not resid <= limit:
         raise CertificationError(
@@ -784,7 +786,7 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     norm (n the larger side); every call checks this certificate and raises
     :class:`CertificationError` when it fails."""
     validate(M)  # before the division by the norm: entries must be finite
-    s = float(np.linalg.norm(M.entries))
+    s = frobenius(M.entries)
     unit = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries / (s or 1.0), M.marked)
     state = ReductionState(unit, tol)
     limit = 4 * max(1, M.entries.size) + 8

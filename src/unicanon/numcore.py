@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "Tolerance",
+    "frobenius",
     "lex_cmp",
     "cluster_complex",
     "same_form",
@@ -50,7 +51,7 @@ class Tolerance:
 
     def threshold(self, X) -> float:
         """The decision threshold ``abs * ||X||_F``."""
-        return self.abs * float(np.linalg.norm(X))
+        return self.abs * frobenius(X)
 
     def bound(self, X, n: int | None = None) -> float:
         """The check bound ``10 * n * abs * ||X||_F`` for a result computed
@@ -58,6 +59,25 @@ class Tolerance:
         if n is None:
             n = max((1, *np.shape(X)))
         return 10 * n * self.threshold(X)
+
+
+def frobenius(X) -> float:
+    """``||X||_F``, also where squaring the entries over- or underflows.
+
+    ``np.linalg.norm(X)`` when that lies in [2^-450, inf), where no square
+    that matters leaves the normal range; otherwise the norm of X times
+    2^-e, e the binary exponent of its largest entry, times 2^e.  Scaling
+    by a power of two is exact, so both agree wherever neither loses
+    range.  Infinite or NaN entries give ``np.linalg.norm``'s answer."""
+    with np.errstate(over="ignore"):
+        s = float(np.linalg.norm(X))
+    if 2.0**-450 <= s < np.inf:
+        return s
+    big = float(np.max(np.abs(X), initial=0.0))
+    if big == 0.0 or not np.isfinite(big):
+        return s
+    e = int(np.clip(np.frexp(big)[1], -1020, 1020))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(1.0, -e) * np.asarray(X)), e))
 
 
 def lex_cmp(a: complex, b: complex, tol: Tolerance = Tolerance()) -> int:
@@ -118,7 +138,7 @@ def same_form(X, Y, tol: Tolerance = Tolerance()) -> bool:
     ``||X - Y||_F`` within the decision threshold of the larger of the two."""
     X, Y = np.asarray(X), np.asarray(Y)
     return X.shape == Y.shape and bool(
-        np.linalg.norm(X - Y) <= max(tol.threshold(X), tol.threshold(Y))
+        frobenius(X - Y) <= max(tol.threshold(X), tol.threshold(Y))
     )
 
 

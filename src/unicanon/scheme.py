@@ -70,11 +70,10 @@ class Scheme:
         ]
 
     def link_chains(self):
-        """Connected components of the link relation (as frozensets)."""
-        chains = DisjointSet()
-        for pair in self.links:
-            chains.union(*sorted(pair))
-        return sorted(frozenset(c) for c in chains.groups())
+        """Connected components of the link relation (as frozensets),
+        ordered by their first cell."""
+        cells = sorted(set(chain.from_iterable(self.links)))
+        return [frozenset(c) for c in _link_classes(self, cells)]
 
     def to_json(self) -> dict:
         return {

@@ -131,6 +131,15 @@ class TestZeroSummand:
         for a in ("a", "b"):
             assert np.abs(B.matrices[a][2:, :]).max() < 1e-12
 
+    def test_kronecker_outgoing_only(self, tol):
+        # vertex 1 has only outgoing arrows: read reversed, they point into it
+        A = qr.random_rep(KRONECKER, (3, 1), seed=0)
+        l, T, B = zero_summand_witness(A, tol)
+        assert l == 1
+        for a in ("a", "b"):
+            assert np.abs(B.matrices[a][:, 2]).max() < 1e-12
+        assert qr.isometric(A, B, tol)
+
     def test_zero_rep_none(self, tol):
         A = qr.Representation(SINGLE_ARROW, (1, 0), {"a": np.zeros((0, 1))})
         assert zero_summand_witness(A, tol) is None

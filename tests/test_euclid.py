@@ -12,6 +12,7 @@ from unicanon.euclid import (
     NotSkewError,
     OddDimensionError,
     DecomposableError,
+    ConjugatePairingFailure,
     realify,
     conj_rep,
     transpose_rep,
@@ -27,7 +28,7 @@ from unicanon.euclid import (
     matrix_real_test,
 )
 
-from conftest import LOOP, KRONECKER, SINGLE_ARROW, interleaved_J
+from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_LOOPS, interleaved_J
 
 
 def loop_rep(A):
@@ -41,6 +42,16 @@ def quaternionic_loop(seed):
     Y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     M = np.block([[X, Y], [-Y.conj(), X.conj()]])
     return loop_rep(M)
+
+
+def quaternionic_two_loops(seed):
+    """Two loops, each [[x, y], [-conj(y), conj(x)]] with Gaussian x, y."""
+    rng = np.random.default_rng(seed)
+    mats = {}
+    for a in "ab":
+        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        mats[a] = np.array([[x, y], [-np.conj(y), np.conj(x)]])
+    return Representation(TWO_LOOPS, (2,), mats)
 
 
 class TestRealify:
@@ -264,6 +275,16 @@ class TestDecomposeReal:
         parts = decompose_real(rt.form, tol)
         assert len(parts) == 1 and parts[0][1] == 1
         assert parts[0][0].dims == (2,)
+
+    def test_quaternionic_summand_pairs_with_itself(self, tol):
+        Q = quaternionic_two_loops(1)
+        assert classify_real(Q, tol).kind == "Quaternionic"
+        parts = decompose_real(realify(Q), tol)
+        assert [(P.dims, m) for P, m in parts] == [((4,), 1)]
+
+    def test_quaternionic_odd_multiplicity(self, tol):
+        with pytest.raises(ConjugatePairingFailure, match="odd multiplicity"):
+            decompose_real(quaternionic_two_loops(1), tol)
 
 
 class TestMatrixRealTest:

@@ -4,8 +4,12 @@ Every tolerance decision is relative to the Frobenius norm of the input, so
 for c from 1e-6 to 1e6 the form of c * M is c times the form of M, and every
 discrete answer (ranks, clusters, summands with their multiplicities,
 parameter counts, isometry) is the one given at c = 1.  The examples are
-drawn deterministically, so the suite runs the same cases every time.
+drawn deterministically, so the suite runs the same cases every time.  At
+the extreme scales 1e-300 to 1e300, where squaring the entries over- or
+underflows, fixed examples check the same, with no floating-point warning.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from unicanon import mbm
 from unicanon import quiverrep as qr
+from unicanon.cli import dispatch
 from unicanon.mbm import MarkedBlockMatrix
 from unicanon.numcore import Tolerance, random_unitary
 
@@ -128,3 +133,53 @@ def test_twice_plus_decomposes_at_every_scale(tol, Q, dp, dr, c):
     A = twice_plus(Q, dp, dr, 0)
     assert summands(scaled_rep(A, c), tol) == sorted([(dp, 2), (dr, 1)])
     check_rep(A, c, tol)
+
+
+EXTREME = (1e-300, 1e-200, 1e200, 1e300)
+BASE = np.array([[1, 3], [0, 2]], dtype=complex)
+
+
+def assert_divided(got, want, c):
+    """``got / c`` equals ``want`` within 1e-12 relative; dividing first keeps
+    the comparison in range where ``c * want`` would overflow."""
+    assert got.shape == want.shape
+    assert np.linalg.norm(got / c - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", EXTREME)
+@pytest.mark.parametrize("marks", [frozenset({(0, 0)}), frozenset()], ids=["simil", "equiv"])
+def test_single_matrix_at_extreme_scales(tol, c, marks):
+    # canonicalize certifies every form it returns, so no check is needed here
+    C = mbm.canonicalize(MarkedBlockMatrix((2,), (2,), BASE, marks), tol)[0]
+    Cc = mbm.canonicalize(MarkedBlockMatrix((2,), (2,), c * BASE, marks), tol)[0]
+    assert_divided(Cc.entries, C.entries, c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", EXTREME)
+def test_representation_at_extreme_scales(tol, c):
+    A = twice_plus(KRONECKER, (2, 3), (3, 3), 0)
+    cA = scaled_rep(A, c)
+    want, got = qr.rep_canonical(A, tol)[0], qr.rep_canonical(cA, tol)[0]
+    for a in A.matrices:
+        assert_divided(got.matrices[a], want.matrices[a], c)
+    assert summands(cA, tol) == sorted([((2, 3), 2), ((3, 3), 1)])
+    B = scrambled(A, np.random.default_rng(0))
+    N = qr.Representation(A.quiver, A.dims, {**B.matrices, "a": 1.5 * B.matrices["a"]})
+    assert qr.isometric(cA, scaled_rep(B, c), tol)
+    assert not qr.isometric(cA, scaled_rep(N, c), tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["simil", "equiv"])
+def test_cli_above_norm_overflow(tmp_path, capsys, mode):
+    # the sum of the squared entries overflows from about 1e154 on
+    c = 1e160
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(mbm.matrix_to_json(c * BASE)))
+    assert dispatch(["canon-matrix", "--mode", mode, str(f)]) == 0
+    got = mbm.matrix_from_json(json.loads(capsys.readouterr().out)["matrix"])
+    marks = frozenset({(0, 0)}) if mode == "simil" else frozenset()
+    want = mbm.canonicalize(MarkedBlockMatrix((2,), (2,), BASE, marks))[0].entries
+    assert_divided(got, want, c)

@@ -65,6 +65,18 @@ class TestSchemeOf:
             [(5, 9), (6, 10), (7, 11)],
         ]
 
+    @pytest.mark.parametrize(
+        "values", [(3, 3, 2, 2, 1, 1), (4, 4, 3, 3, 2, 2, 1, 1), (5, 5, 5, 2, 2, 1, 1, 1)]
+    )
+    def test_link_chains_ordered_by_first_cell(self, tol, values):
+        M = MarkedBlockMatrix((len(values),), (len(values),), np.diag(np.array(values, float)))
+        S, _ = scheme_of_mbm(M, tol)
+        chains = S.link_chains()
+        runs = {}
+        for k, v in enumerate(values):
+            runs.setdefault(v, []).append((k, k))
+        assert [sorted(ch) for ch in chains] == list(runs.values())
+
     def test_equal_values_linked(self, tol):
         M = MarkedBlockMatrix((2,), (2,), np.diag([3.0, 3.0]))
         S, _ = scheme_of_mbm(M, tol)
