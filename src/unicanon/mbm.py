@@ -426,13 +426,12 @@ class ReductionState:
     def _block(self, rs: _Sub, cs: _Sub) -> np.ndarray:
         return self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
 
-    def _grid(self, nrows=None) -> _Grid:
-        """Decide, for every block of the first ``nrows`` row substrips (all
-        by default) at once, whether it is canonical.
-
-        A block between tied substrips is canonical when ``‖B - λI‖_F <=
-        tol.abs * max(1, size)`` with λ the mean of its diagonal; any other
-        block when ``‖B‖_F <= tol.abs * max(1, sqrt(rows * cols))``."""
+    def _snap(self, nrows=None):
+        """The canonical part of the first ``nrows`` row substrips (all by
+        default): ``(A, rstart, rsize, cstart, csize, tied, snapped)``, with A
+        the rows of ``self.A`` they cover, the substrip arrays, the tied-block
+        mask, and A with every tied block replaced by the mean of its diagonal
+        times I and every other block by zero."""
         rows, cols = self.rows[:nrows], self.cols
         A = self.A[: rows[-1].start + rows[-1].size if rows else 0]
         rstart, rsize, row_labels = np.array(
@@ -454,6 +453,16 @@ class ReductionState:
             means[i, j] = np.add.reduce(A[r, c], axis=1) / k
             eye[r, c] = 1.0
         snapped = np.repeat(np.repeat(means, rsize, axis=0), csize, axis=1) * eye
+        return A, rstart, rsize, cstart, csize, tied, snapped
+
+    def _grid(self, nrows=None) -> _Grid:
+        """Decide, for every block of the first ``nrows`` row substrips (all
+        by default) at once, whether it is canonical.
+
+        A block between tied substrips is canonical when ``‖B - λI‖_F <=
+        tol.abs * max(1, size)`` with λ the mean of its diagonal; any other
+        block when ``‖B‖_F <= tol.abs * max(1, sqrt(rows * cols))``."""
+        A, rstart, rsize, cstart, csize, tied, snapped = self._snap(nrows)
         D = A - snapped
         sq = np.add.reduceat(
             np.add.reduceat(D.real**2 + D.imag**2, rstart, axis=0), cstart, axis=1
@@ -665,7 +674,7 @@ class ReductionState:
         target = self.first_changing_block(grid, depth)
         if target is None:
             self._merge_zero_zones()
-            self.A = self._grid().snapped
+            self.A = self._snap()[-1]
             self.done = True
             return False
         i, j = target

@@ -106,29 +106,44 @@ def cluster_complex(vals, tol: Tolerance = Tolerance()):
     decreasing; ``members`` lists the indices into ``vals`` and the
     representative has the mean real part of its real-part group and the
     mean imaginary part of its members."""
+    return _clusters(vals, tol.abs)[0]
+
+
+def _clusters(vals, t: float):
+    """``(clusters, gap)``: :func:`cluster_complex` of ``vals`` at threshold
+    t, and the smallest gap that splits two of its clusters (a real-part gap,
+    or an imaginary gap within a real-part group; inf if none does).  Every
+    gap either splits at t or is <= t, so the clustering is the same at every
+    threshold in [t, gap)."""
     v = np.asarray(vals, dtype=complex).ravel()
     if v.size == 0:
-        return []
+        return [], np.inf
     if v.size == 1:  # the general path's bits: its sum gives -0.0 + 0.0 = +0.0
         z = complex(v[0])
-        return [(complex(z.real + 0.0, z.imag), [0])]
+        return [(complex(z.real + 0.0, z.imag), [0])], np.inf
     o = np.argsort(-v.real, kind="stable")
     x = v.real[o]
+    dx = x[:-1] - x[1:]
+    cut = dx > t
     g = np.zeros(v.size, dtype=np.intp)
-    np.cumsum(x[:-1] - x[1:] > tol.abs, out=g[1:])
+    np.cumsum(cut, out=g[1:])
     re = np.bincount(g, weights=x) / np.bincount(g)
     o = o[np.lexsort((-v.imag[o], g))]  # g is ascending, and stays so
     y = v.imag[o]
+    dy = y[:-1] - y[1:]
+    split = (dy > t) & ~cut
     new = np.ones(v.size, dtype=bool)
-    new[1:] = (g[1:] != g[:-1]) | (y[:-1] - y[1:] > tol.abs)
+    new[1:] = cut | split  # g[1:] != g[:-1] exactly where the real parts cut
     starts = np.flatnonzero(new)
     bounds = starts.tolist() + [v.size]
     im = np.add.reduceat(y, starts).tolist()
     o = o.tolist()
-    return [
+    gap = min(dx.min(initial=np.inf, where=cut), dy.min(initial=np.inf, where=split))
+    clusters = [
         (complex(r, i / (b - a)), o[a:b])
         for r, i, a, b in zip(re[g[starts]].tolist(), im, bounds, bounds[1:])
     ]
+    return clusters, float(gap)
 
 
 def same_form(X, Y, tol: Tolerance = Tolerance()) -> bool:
@@ -229,30 +244,55 @@ def simil_step(A: np.ndarray, tol: Tolerance):
     ``tol.abs``, the decision threshold of the unit-norm matrix that
     ``mbm.canonicalize`` reduces; eigenvalues are clustered at that
     threshold times 10^k, coarsest clustering first, because an eigenvalue of
-    a Jordan block of size e is computed only to about threshold^(1/e).  A
-    clustering is taken when its Schur basis leaves at most the threshold
-    below the cluster blocks and every cluster block minus its mean
-    eigenvalue is nilpotent by the staircase.  The finest clustering is the
-    last resort and is taken even when it fails a check; the certificate of
-    ``mbm.canonicalize`` then rejects the result if it is wrong.
+    a Jordan block of size e is computed only to about threshold^(1/e).  The
+    eigenvalues are clustered again only at the first power that reaches the
+    smallest gap splitting the last clustering, since below that gap the
+    clustering stays the same.  A clustering is taken when its Schur basis
+    leaves at most the threshold below the cluster blocks and every cluster
+    block minus its mean eigenvalue is nilpotent by the staircase.  The
+    coarsest clustering, one cluster, is not tried when A minus its mean
+    eigenvalue has every singular value above twice the threshold plus
+    rounding, as its staircase would find no kernel.  The finest clustering
+    is the last resort and is taken even when it fails a check, on the
+    Householder deflation if the staircase rejects the eigenvector basis;
+    the certificate of ``mbm.canonicalize`` then rejects the result if it
+    is wrong.
     """
     n = A.shape[0]
     if n == 0:
         return [], [], np.eye(0, dtype=complex)
     thresh = tol.abs
     w, V = np.linalg.eig(A)
-    candidates = [cluster_complex(w, tol)]
+    clusters, gap = _clusters(w, thresh)
+    candidates = [clusters]
     t = 10.0 * thresh
     while t > 0 and len(candidates[-1]) > 1:  # tol.abs = 0 clusters equal values only
-        clusters = cluster_complex(w, Tolerance(abs=t))
-        if len(clusters) < len(candidates[-1]):
-            candidates.append(clusters)
+        if t >= gap:
+            clusters, gap = _clusters(w, t)
+            if len(clusters) < len(candidates[-1]):
+                candidates.append(clusters)
         t *= 10.0
+    if len(candidates) > 1 and len(candidates[-1]) == 1 and _far_from_scalar(A, thresh):
+        candidates.pop()
     for clusters in reversed(candidates[1:]):
         out = _schur_staircase(A, V, clusters, thresh)
         if out is not None:
             return out
     return _schur_staircase(A, V, candidates[0], thresh, force=True)
+
+
+def _far_from_scalar(A: np.ndarray, thresh: float) -> bool:
+    """Whether A - mu I, mu the mean eigenvalue, has every singular value
+    above ``2 * thresh`` plus the rounding of a unitary similarity.  Then no
+    staircase at ``thresh`` finds a kernel in a one-cluster Schur block of A,
+    and that clustering must fail.  False when the SVD does not converge."""
+    n = A.shape[0]
+    mu = np.trace(A) / n
+    try:
+        s = np.linalg.svd(A - mu * np.eye(n), compute_uv=False)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(s[-1] > 2.0 * thresh + 10.0 * n * np.finfo(float).eps * (s[0] + abs(mu)))
 
 
 def _schur_staircase(A, V, clusters, thresh: float, force: bool = False):
@@ -267,10 +307,22 @@ def _schur_staircase(A, V, clusters, thresh: float, force: bool = False):
     # the shifted trailing blocks below the diagonal
     Z = np.linalg.qr(V[:, [i for m in members for i in m]])[0]
     T = Z.conj().T @ A @ Z
-    if _below_blocks(T, counts) > thresh:
-        Z, T = _deflate(A, [lam for lam, m in clusters for _ in m])
-        if _below_blocks(T, counts) > thresh and not force:
-            return None
+    if _below_blocks(T, counts) <= thresh:
+        out = _staircases(Z, T, counts, thresh)
+        # a defective eigenvalue can leave the QR basis invariant but mixed
+        # across clusters; a forced clustering then tries the deflation too
+        if out is not None or not force:
+            return out
+    Z, T = _deflate(A, [lam for lam, m in clusters for _ in m])
+    if _below_blocks(T, counts) > thresh and not force:
+        return None
+    return _staircases(Z, T, counts, thresh, force)
+
+
+def _staircases(Z, T, counts, thresh: float, force: bool = False):
+    """``(lams, sizes, S)`` from the Schur basis Z and T = Z^H A Z, by the
+    staircase on each cluster block of the given sizes; None if one of them
+    is not nilpotent, unless ``force``."""
     lams: list[complex] = []
     sizes: list[int] = []
     S = Z.copy()

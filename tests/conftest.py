@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unicanon.numcore import Tolerance, random_unitary, simil_step
+from unicanon.numcore import Tolerance, _schur_staircase, cluster_complex, random_unitary, simil_step
 from unicanon.mbm import MarkedBlockMatrix, canonicalize
 from unicanon.quiverrep import Quiver
 
@@ -123,6 +123,28 @@ def interleaved_J(n):
         J[k, k + 1] = 1.0
         J[k + 1, k] = -1.0
     return J
+
+
+def reference_simil_step(A, tol):
+    """``numcore.simil_step`` as the loop over candidates was first written:
+    the eigenvalues clustered at every power of 10 from ``tol.abs`` on,
+    and every coarser clustering tried, the one-cluster one included."""
+    n = A.shape[0]
+    if n == 0:
+        return [], [], np.eye(0, dtype=complex)
+    w, V = np.linalg.eig(A)
+    candidates = [cluster_complex(w, tol)]
+    t = 10.0 * tol.abs
+    while t > 0 and len(candidates[-1]) > 1:
+        clusters = cluster_complex(w, Tolerance(abs=t))
+        if len(clusters) < len(candidates[-1]):
+            candidates.append(clusters)
+        t *= 10.0
+    for clusters in reversed(candidates[1:]):
+        out = _schur_staircase(A, V, clusters, tol.abs)
+        if out is not None:
+            return out
+    return _schur_staircase(A, V, candidates[0], tol.abs, force=True)
 
 
 def not_reducing_step(A, tol):

@@ -13,7 +13,7 @@ import pytest
 
 from unicanon import dims, mbm
 from unicanon.mbm import CertificationError, MarkedBlockMatrix
-from unicanon.numcore import Tolerance, random_unitary, simil_step
+from unicanon.numcore import Tolerance, random_unitary, same_form, simil_step
 
 from conftest import LOOP, jordan_sum, not_reducing_step, square
 from conftest import SQUARE_KINDS as KINDS
@@ -44,6 +44,40 @@ def test_similarity_certified_and_scramble_invariant(kind, n, scale, tol):
         certify(M, C, T, tol)
         forms.append(C.entries)
     assert np.abs(forms[0] - forms[1]).max() <= 1e-6 * max(1.0, np.linalg.norm(A))
+
+
+def assert_certified_fixed_point(X, tol):
+    """The similarity form of X is certified and is its own form."""
+    M = MarkedBlockMatrix(X.shape[:1], X.shape[1:], X, frozenset({(0, 0)}))
+    C, T, _ = mbm.canonicalize(M, tol)
+    certify(M, C, T, tol)
+    assert same_form(mbm.canonicalize(C, tol)[0].entries, C.entries, tol)
+
+
+# eigenvalue 0 four times, its four computed eigenvectors parallel: their QR
+# spans an invariant subspace that holds the eigenvector of -1, and only the
+# Householder deflation separates the two clusters
+INTEGER_5X5 = np.array(
+    [[-1, 1, 1, 1, 2], [0, 0, 1, -1, -2], [0, 0, 0, -1, 2], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+    dtype=complex,
+)
+
+
+@pytest.mark.parametrize("transpose", (False, True))
+def test_integer_5x5_certified(transpose, tol):
+    assert_certified_fixed_point(INTEGER_5X5.T if transpose else INTEGER_5X5, tol)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_integer_triangular_certified(seed, tol):
+    """Upper triangular integer matrices and their transposes: eigenvalues
+    repeat exactly, with Jordan blocks of every size."""
+    rng = np.random.default_rng([seed])
+    n = int(rng.integers(2, 10))
+    A = np.triu(rng.integers(-2, 3, (n, n))).astype(complex)
+    for X in (A, A.T):
+        for c in (1e-3, 1.0, 1e3):
+            assert_certified_fixed_point(c * X, tol)
 
 
 def not_unitary(A, tol):

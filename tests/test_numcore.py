@@ -5,9 +5,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unicanon.mbm import MarkedBlockNotSquareError
-from unicanon.numcore import Tolerance, lex_cmp, cluster_complex, random_unitary
+from unicanon.numcore import (
+    Tolerance, _clusters, _far_from_scalar, cluster_complex, lex_cmp, random_unitary, simil_step,
+)
 
-from conftest import equiv_canonical, simil_canonical
+from conftest import SQUARE_KINDS, equiv_canonical, reference_simil_step, simil_canonical, square
+
+DERANDOMIZED = settings(max_examples=150, deadline=None, derandomize=True)
+THRESHOLDS = st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.1])
+
+
+def chained_values(seed, n):
+    """n complex values near a coarse grid, off it by 1e-12 to 1e-2 or not
+    at all, so that chains, ties and near-ties occur at every threshold."""
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-3, 4, (n, 2)) * 0.5
+    v += rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-12, -1, (n, 1)) * (rng.random((n, 1)) < 0.7)
+    return v[:, 0] + 1j * v[:, 1]
+
+
+def cluster_bits(clusters):
+    return [(z.real.hex(), z.imag.hex(), m) for z, m in clusters]
 
 
 class TestTolerance:
@@ -96,6 +114,66 @@ class TestClustering:
         groups = cluster_complex(vals, Tolerance(abs=eps))
         members = sorted(vals[i] for _, m in groups for i in m)
         assert members == sorted(vals)
+
+    @DERANDOMIZED
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), THRESHOLDS)
+    def test_clusters_is_cluster_complex(self, seed, n, t):
+        v = chained_values(seed, n)
+        assert _clusters(v, t)[0] == cluster_complex(v, Tolerance(abs=t))
+
+    @DERANDOMIZED
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), THRESHOLDS, st.floats(0.0, 1.0))
+    def test_same_clustering_below_gap(self, seed, n, t, u):
+        v = chained_values(seed, n)
+        clusters, gap = _clusters(v, t)
+        assert gap > t
+        below = np.nextafter(gap, 0.0)
+        for s in [min(t + u * (gap - t), below), below] if gap < np.inf else [1e300]:
+            assert cluster_bits(_clusters(v, s)[0]) == cluster_bits(clusters)
+
+
+def step_bits(out):
+    lams, sizes, S = out
+    return np.array(lams, dtype=complex).tobytes(), list(sizes), S.tobytes()
+
+
+class TestSimilStep:
+    """``simil_step`` against :func:`conftest.reference_simil_step`, which
+    clusters at every power of 10 and tries every candidate."""
+
+    @DERANDOMIZED
+    @given(
+        st.sampled_from(SQUARE_KINDS + ("integer",)),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1e-9, 1e-6, 0.0]),
+    )
+    def test_matches_reference(self, kind, n, seed, t):
+        rng = np.random.default_rng(seed)
+        if kind == "integer":  # upper or lower triangular: repeated, defective eigenvalues
+            A = np.triu(rng.integers(-2, 3, (n, n))).astype(complex)
+            A = A.T.copy() if rng.random() < 0.5 else A
+        else:
+            A = square(kind, n, rng)
+        A = A / (np.linalg.norm(A) or 1.0)  # the unit-norm matrix of canonicalize
+        tol = Tolerance(abs=t)
+        assert step_bits(simil_step(A, tol)) == step_bits(reference_simil_step(A, tol))
+
+    def test_far_from_scalar(self):
+        assert _far_from_scalar(np.diag([1.0, -1.0]).astype(complex), 1e-9)
+        N = np.triu(np.ones((4, 4)), 1)
+        U = random_unitary(4, seed=3)
+        A = U @ ((0.3 - 0.2j) * np.eye(4) + N) @ U.conj().T  # one eigenvalue, nilpotent part
+        assert not _far_from_scalar(A, 1e-9)
+        assert not _far_from_scalar(np.diag([1.0, 1.0 + 1e-9]).astype(complex), 1e-9)
+
+    def test_nearly_nilpotent_is_one_block(self):
+        # eigenvalues +-3e-5, apart at the threshold but one cluster at 1e-4;
+        # the smallest singular value 0.9e-9 is below the threshold, so the
+        # one-cluster candidate must be tried, and its staircase succeeds
+        A = np.array([[0.0, 1.0], [0.9e-9, 0.0]], dtype=complex)
+        lams, sizes, _ = simil_step(A, Tolerance())
+        assert sizes == [1, 1] and lams[0] == lams[1] and abs(lams[0]) < 1e-12
 
 
 class TestEquivCanonical:
