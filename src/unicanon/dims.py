@@ -20,8 +20,8 @@ from .quiverrep import (
     Quiver,
     Representation,
     Isometry,
+    _canonical,
     apply_isometry,
-    pack,
     unpack,
     random_rep,
     is_indecomposable_rep,
@@ -84,62 +84,28 @@ def tits(Q: Quiver, x) -> int:
     return out
 
 
-def _support_connected(Q: Quiver, z) -> bool:
-    supp = [v for v in range(1, Q.p + 1) if z[v - 1] != 0]
-    if not supp:
-        return False
-    adj = {v: set() for v in supp}
-    for _, s, d in Q.arrows:
-        if s in adj and d in adj:
-            adj[s].add(d)
-            adj[d].add(s)
-    seen = {supp[0]}
-    stack = [supp[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(supp)
-
-
-def _support_kind(Q: Quiver, z) -> str:
-    """'vertex' for a single vertex without loops, 'arrow' for two vertices
-    joined by exactly one arrow, else 'other'."""
-    supp = [v for v in range(1, Q.p + 1) if z[v - 1] != 0]
-    arrows = [
-        (s, d) for _, s, d in Q.arrows if s in supp and d in supp
-    ]
-    if len(supp) == 1 and not arrows:
-        return "vertex"
-    if len(supp) == 2 and len(arrows) == 1 and arrows[0][0] != arrows[0][1]:
-        return "arrow"
-    return "other"
-
-
 def in_D(Q: Quiver, z) -> bool:
+    """Whether z is the dimension of an indecomposable, by the paper's three
+    clauses: z is a unit vector e_i; or z = e_i + e_j for vertices i, j
+    joined by a single arrow; or z is nonzero with connected support, the
+    support is neither one loop-free vertex nor two vertices joined by a
+    single arrow, and z M_Q >= z componentwise."""
     z = tuple(int(x) for x in z)
     if len(z) != Q.p:
         raise ValueError(f"dimension vector must have length {Q.p}")
-    if any(x < 0 for x in z) or all(x == 0 for x in z):
+    if any(x < 0 for x in z) or not any(z):
         return False
-    nz = [x for x in z if x != 0]
-    M = m_matrix(Q)
-    # unit vectors
-    if sum(z) == 1:
-        return True
-    # e_i + e_j over a single arrow
-    if sorted(nz) == [1, 1]:
-        i, j = [v for v in range(Q.p) if z[v] != 0]
-        if M[i, j] == 1:
-            return True
-    if not _support_connected(Q, z):
-        return False
-    if _support_kind(Q, z) in ("vertex", "arrow"):
-        return False
-    d = np.asarray(z) @ M
-    return bool(np.all(d >= np.asarray(z)))
+    supp = [v for v in range(1, Q.p + 1) if z[v - 1]]
+    inner = [(s, d) for _, s, d in Q.arrows if z[s - 1] and z[d - 1]]
+    # on a loop-free vertex or a single arrow only the first two clauses hold
+    if (len(supp) == 1 and not inner) or (
+        len(supp) == 2 and len(inner) == 1 and inner[0][0] != inner[0][1]
+    ):
+        return max(z) == 1
+    parts = mbm.DisjointSet(supp)
+    for s, d in inner:
+        parts.union(s, d)
+    return len(parts.groups()) == 1 and bool(np.all(np.asarray(z) @ m_matrix(Q) >= z))
 
 
 def enumerate_D(Q: Quiver, bound: int):
@@ -280,9 +246,7 @@ def construct_indecomposable(
     rng = np.random.default_rng(seed)
     for attempt in range(32):
         sub = int(rng.integers(0, 2**32))
-        A = random_rep(Q, d, seed=sub)
-        M, layout = pack(A)
-        canonical, _, trace = mbm.canonicalize(M, tol)
+        Ac, _, canonical, trace, layout = _canonical(random_rep(Q, d, seed=sub), tol)
         S = scheme_of(canonical, trace.zones, tol)
         filled = fill_general_position(S, "real-random", seed=sub, tol=tol)
         cand = unpack(filled, layout)
@@ -292,7 +256,6 @@ def construct_indecomposable(
         except (mbm.NoConvergenceError, np.linalg.LinAlgError):
             pass
         # plain random canonical candidate as a second shot
-        Ac = unpack(canonical, layout)
         if is_indecomposable_rep(Ac, tol):
             return Ac
     raise RuntimeError(

@@ -149,7 +149,7 @@ class MarkedBlockMatrix:
             raise KeyError(f"unknown keys {sorted(unknown)}")
         rows = tuple(data["row_strips"])
         cols = tuple(data["col_strips"])
-        entries = matrix_from_json(data["entries"]).reshape(sum(rows), sum(cols))
+        entries = _shaped(matrix_from_json(data["entries"]), (sum(rows), sum(cols)))
         marked = frozenset((i - 1, j - 1) for i, j in data.get("marked", []))
         return cls(rows, cols, entries, marked)
 
@@ -167,6 +167,16 @@ def matrix_from_json(rows) -> np.ndarray:
          for row in rows],
         dtype=complex,
     )
+
+
+def _shaped(A, shape, error=DimensionMismatchError, what="entries") -> np.ndarray:
+    """A as a complex matrix of the given shape.  Only an empty A is
+    reshaped, and only to a shape with a zero side (``[]`` in JSON is a
+    0 x k matrix); any other shape raises ``error``."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape != shape and (A.size or 0 not in shape):
+        raise error(f"{what}: shape {A.shape} does not match {shape}")
+    return A.reshape(shape)
 
 
 def _check_finite(E: np.ndarray, what: str = "entry") -> None:

@@ -10,7 +10,6 @@ vertex-wise unitaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -108,12 +107,11 @@ class Representation:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.dims) != self.quiver.p:
             raise DimMismatchError("dims length != number of vertices")
-        mats = {}
-        for a, s, d in self.quiver.arrows:
-            A = np.asarray(self.matrices[a], dtype=complex).reshape(
-                self.dims[d - 1], self.dims[s - 1]
-            )
-            mats[a] = A
+        mats = {
+            a: mbm._shaped(self.matrices[a], (self.dims[d - 1], self.dims[s - 1]),
+                           DimMismatchError, f"arrow {a}")
+            for a, s, d in self.quiver.arrows
+        }
         object.__setattr__(self, "matrices", mats)
 
     def to_json(self) -> dict:
@@ -126,12 +124,8 @@ class Representation:
     @classmethod
     def from_json(cls, data: dict) -> "Representation":
         Q = Quiver.from_json(data["quiver"])
-        dims = tuple(data["dims"])
-        mats = {
-            a: mbm.matrix_from_json(data["matrices"][a]).reshape(dims[d - 1], dims[s - 1])
-            for a, s, d in Q.arrows
-        }
-        return cls(Q, dims, mats)
+        mats = {a: mbm.matrix_from_json(data["matrices"][a]) for a, _, _ in Q.arrows}
+        return cls(Q, tuple(data["dims"]), mats)
 
 
 @dataclass(frozen=True)
@@ -227,20 +221,21 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
     for k, aid in enumerate(layout["row_order"]):
         _, s, d = A.quiver.arrow(aid)
         r0, r1, c0, c1 = ro[k], ro[k + 1], co[s - 1], co[s]
-        # packed cell -> arrow cell, for every cell of the arrow's rectangle
-        table = dict(zip(product(range(r0, r1), range(c0, c1)),
-                         product(range(r1 - r0), range(c1 - c0))))
-        shift = table.__getitem__
+
+        def shift(cells):  # packed cells -> cells of the arrow's rectangle
+            return tuple((r - r0, c - c0) for r, c in cells)
+
         schemes[aid] = Scheme(
             rows=r1 - r0,
             cols=c1 - c0,
             symbols=tuple(tuple(full.symbols[r][c0:c1]) for r in range(r0, r1)),
-            links=frozenset(frozenset(map(shift, p)) for p in full.links if p <= table.keys()),
+            links=frozenset(frozenset(shift(p)) for p in full.links
+                            if all(r0 <= r < r1 and c0 <= c < c1 for r, c in p)),
             # at offset (0, 0) a zone that absorbed no blocks is its own copy
             zones=tuple(
                 z if not (r0 or c0 or z.merged_blocks) else mbm.Zone(
-                    z.depth, z.kind, z.block, frozenset(map(shift, z.cells)),
-                    tuple(tuple(map(shift, st)) for st in z.stairs))
+                    z.depth, z.kind, z.block, frozenset(shift(z.cells)),
+                    tuple(shift(st) for st in z.stairs))
                 for z in arrow_zones[k]
             ),
             row_strips=(r1 - r0,),

@@ -53,21 +53,15 @@ class Scheme:
     def depths(self) -> tuple:
         return tuple(z.depth for z in self.zones)
 
+    def _cells(self, symbol):
+        return [(r, c) for r, row in enumerate(self.symbols)
+                for c, x in enumerate(row) if x == symbol]
+
     def circle_cells(self):
-        return [
-            (r, c)
-            for r in range(self.rows)
-            for c in range(self.cols)
-            if self.symbols[r][c] == "o"
-        ]
+        return self._cells("o")
 
     def star_cells(self):
-        return [
-            (r, c)
-            for r in range(self.rows)
-            for c in range(self.cols)
-            if self.symbols[r][c] == "*"
-        ]
+        return self._cells("*")
 
     def link_chains(self):
         """Connected components of the link relation (as frozensets),
@@ -228,24 +222,17 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
                     )
     for k, z in enumerate(S.zones):
         if z.kind == "equivalence":
-            circles = sorted(c for c in z.cells if S.symbols[c[0]][c[1]] == "o")
             for pair in S.links:
                 a, b = sorted(pair)
-                if a in z.cells and b in z.cells:
-                    if abs(val(a) - val(b)) > 2 * eps:
-                        bad.append(
-                            f"linked circles ({a[0] + 1},{a[1] + 1}) and "
-                            f"({b[0] + 1},{b[1] + 1}) differ: {val(a)} vs {val(b)}"
-                        )
-            linked = {
-                frozenset(p) for p in S.links if all(q in z.cells for q in p)
-            }
+                if pair <= z.cells and abs(val(a) - val(b)) > 2 * eps:
+                    bad.append(
+                        f"linked circles ({a[0] + 1},{a[1] + 1}) and "
+                        f"({b[0] + 1},{b[1] + 1}) differ: {val(a)} vs {val(b)}"
+                    )
+            circles = sorted(c for c in z.cells if S.symbols[c[0]][c[1]] == "o")
             for a, b in zip(circles, circles[1:]):
-                if (b[0] - a[0], b[1] - a[1]) != (1, 1):
-                    continue
-                if frozenset({a, b}) in linked:
-                    continue
-                if not val(a).real > val(b).real + eps:
+                unlinked = (b[0] - a[0], b[1] - a[1]) == (1, 1) and frozenset({a, b}) not in S.links
+                if unlinked and not val(a).real > val(b).real + eps:
                     bad.append(
                         f"unlinked consecutive circles ({a[0] + 1},{a[1] + 1}) > "
                         f"({b[0] + 1},{b[1] + 1}) required: {val(a)} vs {val(b)}"
@@ -310,28 +297,18 @@ def fill_general_position(
         return [float(x) for x in vals]
 
     for z in sorted(S.zones, key=lambda z: -z.depth):
-        if z.kind == "equivalence":
-            circles = sorted(c for c in z.cells if S.symbols[c[0]][c[1]] == "o")
-            classes = _link_classes(S, circles)
-            k = len(classes)
-            if mode == "integer" and k > budget:
-                raise IntegerModeInfeasible(
-                    f"zone needs {k} distinct values, budget is {budget}"
-                )
-            for value, group in zip(descending(k), classes):
-                for cell in group:
-                    entries[cell] = value
-        else:
-            k = len(z.stairs)
-            if mode == "integer" and k > budget:
-                raise IntegerModeInfeasible(
-                    f"zone needs {k} distinct values, budget is {budget}"
-                )
-            for value, stair in zip(descending(k), z.stairs):
-                for cell in stair:
-                    entries[cell] = value
-    M = MarkedBlockMatrix(S.row_strips, S.col_strips, entries, S.marked)
-    return M
+        # one value per link class of the circles, or per stair
+        groups = _link_classes(
+            S, sorted(c for c in z.cells if S.symbols[c[0]][c[1]] == "o")
+        ) if z.kind == "equivalence" else z.stairs
+        if mode == "integer" and len(groups) > budget:
+            raise IntegerModeInfeasible(
+                f"zone needs {len(groups)} distinct values, budget is {budget}"
+            )
+        for value, group in zip(descending(len(groups)), groups):
+            for cell in group:
+                entries[cell] = value
+    return MarkedBlockMatrix(S.row_strips, S.col_strips, entries, S.marked)
 
 
 def count_params(S: Scheme):

@@ -28,7 +28,7 @@ sys.path.insert(0, str(HERE.parent))
 
 from conftest import example_8x12, jordan_sum  # noqa: E402
 
-from unicanon import euclid, mbm, wildness  # noqa: E402
+from unicanon import dims as dm, euclid, mbm, wildness  # noqa: E402
 from unicanon import quiverrep as qr  # noqa: E402
 from unicanon import scheme as sm  # noqa: E402
 from unicanon.mbm import MarkedBlockMatrix  # noqa: E402
@@ -43,6 +43,8 @@ D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
 TWO_LOOPS = Quiver(1, [("a", 1, 1), ("b", 1, 1)])
 LOOP_ARROW = Quiver(2, [("l", 1, 1), ("x", 1, 2)])
 LOOP = Quiver(1, [("a", 1, 1)])
+LOOP_AND_VERTEX = Quiver(2, [("l", 1, 1)])
+LOOPS_PARALLEL = Quiver(3, [("l", 1, 1), ("a", 1, 2), ("b", 2, 1), ("m", 3, 3)])
 
 
 def cnum(z):
@@ -194,6 +196,54 @@ def rep_canonical_cases(out):
     for Q, d, seed in cases:
         A = rep(Q, d, np.random.default_rng(seed))
         out[f"rep_canonical q{Q.p}/{len(Q.arrows)} d={d}"] = rep_record(A)
+    out["rep_canonical q2/2 d=(3, 3) tied"] = rep_record(tied_kronecker())
+
+
+def tied_kronecker():
+    """A Kronecker representation whose first arrow has singular values
+    3, 2, 2: its canonical form has linked and unlinked circles and stairs."""
+    rng = np.random.default_rng(3)
+    return Representation(
+        KRONECKER, (3, 3), {"a": np.diag([3.0, 2.0, 2.0]), "b": gaussian(rng, (3, 3))}
+    )
+
+
+def filling_messages(S, seed):
+    """``validate_filling``'s messages on a general-position filling of S and
+    on perturbations of it: a circle negated, a linked pair split, an
+    unlinked consecutive pair made equal, the last longest stair raised, and
+    a stair set to the value of the stair before it."""
+    F = sm.fill_general_position(S, "real-random", seed=seed, tol=TOL)
+    base = {(r, c): complex(F.entries[r, c]) for r in range(S.rows) for c in range(S.cols)}
+    edits = {"none": {}}
+    first = S.circle_cells()[0]
+    edits["circle negated"] = {first: -base[first]}
+    a, b = min(sorted(p) for p in S.links)
+    edits["linked pair split"] = {b: base[b] + 0.25}
+    for z in S.zones:
+        circles = sorted(c for c in z.cells if S.symbols[c[0]][c[1]] == "o")
+        for a, b in zip(circles, circles[1:]):
+            if (b[0] - a[0], b[1] - a[1]) == (1, 1) and frozenset({a, b}) not in S.links:
+                edits.setdefault("unlinked pair equal", {b: base[a]})
+        if len(z.stairs) > 1:
+            s1, s2 = z.stairs[:2]
+            edits.setdefault("stair equal to previous", {c: base[s1[0]] for c in s2})
+    stair = max(reversed([st for z in S.zones for st in z.stairs]), key=len)
+    edits["stair raised"] = {stair[0]: base[stair[0]] + 10}
+    return {name: sm.validate_filling(S, {**base, **e}, TOL) for name, e in edits.items()}
+
+
+def descriptive_cases(out):
+    """The paper's descriptive layer: scheme constraints and D(Q)."""
+    C, _, trace = mbm.canonicalize(example_8x12(), TOL)
+    out["validate_filling 8x12"] = filling_messages(sm.scheme_of(C, trace.zones, TOL), 121)
+    packed, _ = qr.pack(tied_kronecker())
+    C, _, trace = mbm.canonicalize(packed, TOL)
+    out["validate_filling packed q2/2 d=(3, 3) tied"] = filling_messages(
+        sm.scheme_of(C, trace.zones, TOL), 122
+    )
+    for Q, bound in ((LOOP_ARROW, 6), (TWO_LOOPS, 6), (LOOP_AND_VERTEX, 6), (LOOPS_PARALLEL, 5)):
+        out[f"enumerate_D {Q.arrows} bound={bound}"] = [list(z) for z in dm.enumerate_D(Q, bound)]
 
 
 def decompose_cases(out):
@@ -320,6 +370,7 @@ def compute() -> dict:
     euclid_cases(out)
     gadget_cases(out)
     random_cases(out)
+    descriptive_cases(out)
     return plain(out)
 
 

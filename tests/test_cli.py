@@ -119,6 +119,20 @@ class TestExitCodes:
         assert dispatch(["canon-rep", f]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
+    def test_transposed_representation_matrix(self, tmp_path, capsys):
+        # a 2 x 1 matrix for a 1 x 2 arrow is rejected, not read row by row
+        data = Representation(SINGLE_ARROW, (2, 1), {"a": [[3.0, 0.0]]}).to_json()
+        data["matrices"]["a"] = [[[3.0, 0.0]], [[0.0, 0.0]]]
+        f = write_json(tmp_path / "rep.json", data)
+        assert dispatch(["canon-rep", f]) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "DimMismatchError"
+
+    def test_transposed_mbm_entries(self, tmp_path, capsys):
+        data = {"row_strips": [4], "col_strips": [3], "entries": cmat(np.arange(12).reshape(3, 4))}
+        f = write_json(tmp_path / "m.json", data)
+        assert dispatch(["canon-mbm", f]) == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "DimensionMismatchError"
+
     def test_invalid_quiver(self, tmp_path, capsys):
         data = {"vertices": 2, "arrows": [{"id": "a", "src": 1, "dst": 3}]}
         f = write_json(tmp_path / "q.json", data)

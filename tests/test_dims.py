@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance
-from unicanon import dims as dm
 from unicanon import quiverrep as qr
 from unicanon.dims import (
     NotInDError,
@@ -18,7 +17,7 @@ from unicanon.dims import (
     zero_summand_witness,
 )
 
-from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_ARROWS_IN, FOUR_ARROWS
+from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_ARROWS_IN, FOUR_ARROWS, d_set
 
 SINGLE_VERTEX = qr.Quiver(1, [])
 
@@ -68,13 +67,39 @@ class TestMembership:
         for Q in (KRONECKER, TWO_ARROWS_IN, FOUR_ARROWS):
             M = m_matrix(Q)
             for z in enumerate_D(Q, 5):
-                if dm._support_kind(Q, z) != "other":
-                    continue
+                supp = [v for v in range(1, Q.p + 1) if z[v - 1]]
+                inner = [(s, d) for _, s, d in Q.arrows if s in supp and d in supp]
+                if len(supp) == 1 and not inner:
+                    continue  # a single vertex without loops
+                if len(supp) == 2 and len(inner) == 1 and inner[0][0] != inner[0][1]:
+                    continue  # two vertices joined by exactly one arrow
                 if any(M[v, v] and z[v] for v in range(Q.p)):
                     continue  # a supported loop allows z M_Q = z
                 d = np.asarray(z) @ M
                 assert np.all(d >= np.asarray(z))
                 assert np.any(d > np.asarray(z))
+
+    def test_two_vertex_support_joined_only_by_a_loop(self):
+        # the support's one inner arrow is a loop: it is not connected
+        for Q in (qr.Quiver(2, [("l", 1, 1)]), qr.Quiver(2, [("l", 1, 1), ("m", 2, 2)])):
+            for z in ((1, 1), (2, 1), (1, 2)):
+                assert not in_D(Q, z)
+                assert z not in d_set(Q, 3)
+            assert in_D(Q, (2, 0))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_reference_on_random_quivers(self, seed):
+        # up to five arrows on up to four vertices, loops and parallel
+        # arrows included
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 5))
+        arrows = [
+            (f"a{k}", int(rng.integers(1, p + 1)), int(rng.integers(1, p + 1)))
+            for k in range(int(rng.integers(0, 6)))
+        ]
+        Q = qr.Quiver(p, arrows)
+        bound = 6 if p <= 2 else 4
+        assert enumerate_D(Q, bound) == d_set(Q, bound)
 
 
 class TestPaths:

@@ -249,6 +249,18 @@ class TestValidation:
         with pytest.raises(KeyError, match="marks"):
             MarkedBlockMatrix.from_json(data)
 
+    def test_json_wrong_shape_rejected(self):
+        # strips 4 x 3 take 4 x 3 entries, not 3 x 4 read row by row
+        data = MarkedBlockMatrix((4,), (3,), np.zeros((4, 3))).to_json()
+        data["entries"] = np.ones((3, 4)).tolist()
+        with pytest.raises(DimensionMismatchError, match=r"shape \(3, 4\)"):
+            MarkedBlockMatrix.from_json(data)
+
+    def test_json_empty_entries(self):
+        data = MarkedBlockMatrix((0,), (3,), np.zeros((0, 3))).to_json()
+        assert data["entries"] == []
+        assert MarkedBlockMatrix.from_json(data).entries.shape == (0, 3)
+
     def test_json_plain_numbers(self):
         M = MarkedBlockMatrix((2,), (2,), [[1.0, 2.0], [3.0, 4.0]], {(0, 0)})
         data = dict(M.to_json(), entries=[[1, 2], [3, 4]])

@@ -81,6 +81,29 @@ class TestQuiver:
         assert Q2 == FOUR_ARROWS
 
 
+class TestRepresentationShape:
+    # arrow a: 1 -> 2 of dims (3, 2) takes a 2 x 3 matrix
+    def test_transposed_matrix_rejected(self):
+        with pytest.raises(DimMismatchError, match=r"arrow a: shape \(3, 2\)"):
+            Representation(SINGLE_ARROW, (3, 2), {"a": np.ones((3, 2))})
+
+    def test_flat_matrix_rejected(self):
+        with pytest.raises(DimMismatchError):
+            Representation(SINGLE_ARROW, (3, 2), {"a": np.ones(6)})
+
+    def test_json_transposed_matrix_rejected(self):
+        data = Representation(SINGLE_ARROW, (3, 2), {"a": np.ones((2, 3))}).to_json()
+        data["dims"] = [2, 3]
+        with pytest.raises(DimMismatchError):
+            Representation.from_json(data)
+
+    @pytest.mark.parametrize("d", [(3, 0), (0, 3)])
+    def test_empty_arrow(self, d):
+        A = Representation(SINGLE_ARROW, d, {"a": []})
+        assert A.matrices["a"].shape == (d[1], d[0])
+        assert Representation.from_json(A.to_json()).matrices["a"].shape == (d[1], d[0])
+
+
 class TestPack:
     def test_single_arrow_layout(self):
         A = Representation(SINGLE_ARROW, (1, 1), {"a": [[1.0]]})
