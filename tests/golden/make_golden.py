@@ -111,7 +111,11 @@ def trace_record(trace):
         "row_substrips": [[list(t) for t in s] for s in trace.row_substrips],
         "col_substrips": [[list(t) for t in s] for s in trace.col_substrips],
         "num_classes": trace.num_classes,
-        "steps": [[st.kind, list(st.row_pieces), list(st.col_pieces)] for st in trace.steps],
+        "steps": [
+            [st.kind, list(st.row_block), list(st.col_block),
+             [[cnum(v), k] for v, k in st.values], list(st.row_pieces), list(st.col_pieces)]
+            for st in trace.steps
+        ],
     }
 
 
@@ -261,7 +265,9 @@ def decompose_cases(out):
         mparts = mbm.decompose(M, TOL)
         out[f"decompose q{Q.p}/{len(Q.arrows)} d={A.dims}"] = {
             "rep": [[list(S.dims), m] for S, m in parts],
-            "mbm": [[list(S.row_strips), list(S.col_strips), m] for S, m in mparts],
+            "mbm": [
+                [list(S.row_strips), list(S.col_strips), m, cmat(S.entries)] for S, m in mparts
+            ],
         }
 
 
