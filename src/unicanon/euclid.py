@@ -301,7 +301,7 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     if S is None:
         return None
     norm = np.linalg.norm([np.linalg.norm(M) for M in A.matrices.values()])
-    limit = tol.bound(norm, max(A.dims))
+    limit = tol.bound(norm, max((1, *A.dims)))
     thetas = [np.pi * k / 24 for k in range(24)]
     rng = np.random.default_rng(0)
     thetas += list(rng.uniform(0, np.pi, size=16))

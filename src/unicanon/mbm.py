@@ -9,6 +9,10 @@ order "bottom strip row first, left to right within a strip row", that still
 changes under admissible transformations, reduces it by unitary equivalence
 or unitary similarity, refines the strips into substrips, and propagates
 divisions classwide through all tied strips until a fixpoint is reached.
+Both kinds of step share one body (:meth:`ReductionState._reduce`): only the
+kernel (an SVD of an untied block, :func:`simil_step` of a tied one) and the
+zone it snaps (the whole block, or the staircase below the eigenvalues)
+depend on the kind.
 The fixpoint is the canonical matrix: every block between tied substrips is
 a scalar multiple of the identity and every other block is zero.
 
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -433,9 +437,6 @@ class ReductionState:
             self.labels += 1
 
     # -- block helpers -------------------------------------------------
-    def _block(self, rs: _Sub, cs: _Sub) -> np.ndarray:
-        return self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
-
     def _snap(self, nrows=None):
         """The canonical part of the first ``nrows`` row substrips (all by
         default): ``(A, rstart, rsize, cstart, csize, tied, snapped)``, with A
@@ -595,81 +596,59 @@ class ReductionState:
                 lst[at : at + 1] = new
         return pieces
 
-    # -- reduction steps -----------------------------------------------
-    def _reduce_equivalence(self, rs: _Sub, cs: _Sub, depth: int, rmem, cmem):
-        tol = self.tol
-        B = self._block(rs, cs)
-        U, s, Vh = _svd(B)
-        V = Vh.conj().T
+    # -- reduction step ------------------------------------------------
+    def _reduce(self, rs: _Sub, cs: _Sub, depth: int, tied: bool):
+        """Reduce block ``(rs, cs)`` to its canonical form.  Only the kernel
+        and the zone depend on the kind: a tied block keeps its one class,
+        with S of :func:`simil_step`, and snaps the staircase of pieces
+        ``a >= b``; an untied block transforms its row class by U and its
+        column class by V of the SVD, each with a leftover piece for the zero
+        singular values, and snaps the whole block.  Piece a is then tied
+        across all classes, and each leftover within its own class."""
+        rows, cols = slice(rs.start, rs.start + rs.size), slice(cs.start, cs.start + cs.size)
+        B = self.A[rows, cols]
+        rmem = self._members(rs.label)
+        if tied:
+            kind = "similarity"
+            lams, sizes, S = simil_step(B, self.tol)
+            values = list(zip(lams, sizes))
+            classes = [(rmem, S, rs.size)]
+            piece = np.repeat(np.arange(len(sizes)), sizes)
+            zone = piece[:, None] >= piece
+            diagonal = zip(range(rs.start, rs.start + rs.size), range(cs.start, cs.start + cs.size))
+            stairs = tuple(tuple(islice(diagonal, k)) for k in sizes)
+        else:
+            U, s, Vh = _svd(B)
+            clusters = cluster_complex(s[s > self.tol.abs], self.tol)
+            values = [(rep.real, len(m)) for rep, m in clusters]
+            classes = [(rmem, U, rs.size), (self._members(cs.label), Vh.conj().T, cs.size)]
+            kind, zone, stairs = "equivalence", ..., ()
+        sizes = [k for _, k in values]
+        r = sum(sizes)
         self._apply(
-            [(x, U) for x in rmem if x.axis == "r"]
-            + [(x, V) for x in cmem if x.axis == "r"],
-            [(x, U) for x in rmem if x.axis == "c"]
-            + [(x, V) for x in cmem if x.axis == "c"],
+            [(x, W) for mem, W, _ in classes for x in mem if x.axis == "r"],
+            [(x, W) for mem, W, _ in classes for x in mem if x.axis == "c"],
         )
-        nonzero = s[s > tol.abs]
-        clusters = [(rep.real, len(mem)) for rep, mem in cluster_complex(nonzero, tol)]
-        r = len(nonzero)
-        # snap the block to its canonical part
-        D = np.zeros((rs.size, cs.size), dtype=complex)
-        D.flat[: r * (cs.size + 1) : cs.size + 1] = [rep for rep, m in clusters for _ in range(m)]
-        self.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = D
-        self.owner[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size] = len(self.zones)
-        self.zones.append((depth, "equivalence", (rs.start, rs.size, cs.start, cs.size), (), []))
-        row_sizes = [m for _, m in clusters] + [rs.size - r]
-        col_sizes = [m for _, m in clusters] + [cs.size - r]
-        pieces = self._divide([(rmem, row_sizes), (cmem, col_sizes)], direct={rs, cs})
-        k = len(clusters)
-        # marks: piece alpha of the row class is tied to piece alpha of the
-        # column class for every singular-value cluster; leftover pieces stay
-        # tied within their own former class
+        self.A[rows, cols][zone] = 0.0
+        n = self.A.shape[1]  # the block's diagonal: every (n + 1)-th entry from its corner
+        at = rs.start * n + cs.start
+        self.A.flat[at : at + r * (n + 1) : n + 1] = [v for v, k in values for _ in range(k)]
+        self.owner[rows, cols][zone] = len(self.zones)
+        self.zones.append((depth, kind, (rs.start, rs.size, cs.start, cs.size), stairs, []))
+        pieces = self._divide([(mem, sizes + [m - r]) for mem, _, m in classes], direct={rs, cs})
+        k = len(sizes)
         self._relabel(
-            [[pieces[x][a] for x in rmem + cmem] for a in range(k)]
-            + [[pieces[x][k] for x in group if len(pieces[x]) > k] for group in (rmem, cmem)]
+            [[pieces[x][a] for mem, _, _ in classes for x in mem] for a in range(k)]
+            + [[pieces[x][k] for x in mem if len(pieces[x]) > k] for mem, _, _ in classes]
         )
         self.steps.append(
             StepRecord(
-                kind="equivalence",
+                kind=kind,
                 row_block=(rs.start, rs.size),
                 col_block=(cs.start, cs.size),
-                values=tuple(clusters) + (((0.0, rs.size - r),) if rs.size > r else ()),
-                row_pieces=tuple(s_ for s_ in row_sizes if s_ > 0),
-                col_pieces=tuple(s_ for s_ in col_sizes if s_ > 0),
-            )
-        )
-
-    def _reduce_similarity(self, rs: _Sub, cs: _Sub, depth: int, mem):
-        tol = self.tol
-        B = self._block(rs, cs)
-        lams, sizes, S = simil_step(B, tol)
-        self._apply(
-            [(x, S) for x in mem if x.axis == "r"],
-            [(x, S) for x in mem if x.axis == "c"],
-        )
-        offs = _offsets(sizes)
-        # snap diagonal blocks and the zero blocks below them
-        stairs = []
-        for a in range(len(sizes)):
-            r0, r1 = rs.start + offs[a], rs.start + offs[a + 1]
-            c0, c1 = cs.start + offs[a], cs.start + offs[a + 1]
-            self.A[r0:r1, c0:c1] = lams[a] * np.eye(sizes[a])
-            self.A[r1 : rs.start + rs.size, c0:c1] = 0.0
-            stairs.append(tuple(zip(range(r0, r1), range(c0, c1))))
-            # the zone is a staircase: piece row a against column pieces 0..a
-            self.owner[r0:r1, cs.start : c1] = len(self.zones)
-        self.zones.append(
-            (depth, "similarity", (rs.start, rs.size, cs.start, cs.size), tuple(stairs), [])
-        )
-        pieces = self._divide([(mem, sizes)], direct={rs, cs})
-        self._relabel([[pieces[x][a] for x in mem] for a in range(len(sizes))])
-        self.steps.append(
-            StepRecord(
-                kind="similarity",
-                row_block=(rs.start, rs.size),
-                col_block=(cs.start, cs.size),
-                values=tuple((lams[a], sizes[a]) for a in range(len(sizes))),
-                row_pieces=tuple(sizes),
-                col_pieces=tuple(sizes),
+                values=tuple(values) + (((0.0, rs.size - r),) if rs.size > r else ()),
+                row_pieces=tuple(x.size for x in pieces[rs]),
+                col_pieces=tuple(x.size for x in pieces[cs]),
             )
         )
 
@@ -689,14 +668,10 @@ class ReductionState:
             return False
         i, j = target
         rs, cs = self.rows[i], self.cols[j]
-        rmem = self._members(rs.label)
-        if grid.tied[i, j]:
-            self._reduce_similarity(rs, cs, depth, rmem)
-        else:
-            cmem = self._members(cs.label)
-            self._reduce_equivalence(rs, cs, depth, rmem, cmem)
-            if rs.size == cs.size == 1 and rs.label == cs.label:
-                self.grid = self._carry(grid, i, rs.label)
+        self._reduce(rs, cs, depth, bool(grid.tied[i, j]))
+        # a phase step (a tied 1x1 block is canonical, so never a target)
+        if rs.size == cs.size == 1 and rs.label == cs.label:
+            self.grid = self._carry(grid, i, rs.label)
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
         self.cursor = (self.steps[-1].row_pieces[-1] - rs.start - rs.size, cs.start)
@@ -862,33 +837,25 @@ def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     """Krull-Schmidt decomposition into canonical indecomposable summands
     with multiplicities."""
     canonical, _, trace = canonicalize(M, tol)
-    lr, lc = len(M.row_strips), len(M.col_strips)
+    # per class, in order of first appearance (the order of its label): its
+    # size, and the starts of its substrips per axis and strip
     by_class: dict = {}
-    for key, strips in (("rows", trace.row_substrips), ("cols", trace.col_substrips)):
+    for axis, strips in enumerate((trace.row_substrips, trace.col_substrips)):
         for i, subs in enumerate(strips):
             for start, size, label in subs:
-                info = by_class.setdefault(label, {"rows": [[] for _ in range(lr)],
-                                                   "cols": [[] for _ in range(lc)],
-                                                   "size": size})
-                info[key][i].append(start)
-    summands = []
-    for label in sorted(by_class):
-        info = by_class[label]
-        row_counts = tuple(len(v) for v in info["rows"])
-        col_counts = tuple(len(v) for v in info["cols"])
-        row_starts = [s for v in info["rows"] for s in v]
-        col_starts = [s for v in info["cols"] for s in v]
-        P = canonical.entries[np.ix_(row_starts, col_starts)]
-        summand = MarkedBlockMatrix(row_counts, col_counts, P, M.marked)
-        summands.append((summand, info["size"]))
-    # merge equal summands (equal canonical matrices are the same class)
+                _, starts = by_class.setdefault(
+                    label, (size, ([[] for _ in M.row_strips], [[] for _ in M.col_strips]))
+                )
+                starts[axis][i].append(start)
     out = []
-    for P, mult in summands:
+    for mult, starts in by_class.values():
+        rows, cols = ([s for v in side for s in v] for side in starts)
+        P = MarkedBlockMatrix(*(tuple(map(len, side)) for side in starts),
+                              canonical.entries[np.ix_(rows, cols)], M.marked)
+        # equal canonical matrices are the same class: merge them
         for k, (Q, qm) in enumerate(out):
-            if (
-                P.row_strips == Q.row_strips
-                and P.col_strips == Q.col_strips
-                and same_form(P.entries, Q.entries, tol)
+            if (P.row_strips, P.col_strips) == (Q.row_strips, Q.col_strips) and same_form(
+                P.entries, Q.entries, tol
             ):
                 out[k] = (Q, qm + mult)
                 break

@@ -101,10 +101,6 @@ class Scheme:
         symbols = tuple(tuple(row) for row in data["symbols"])
         rows = len(symbols)
         cols = len(symbols[0]) if rows else 0
-        links = frozenset(
-            frozenset({(a[0] - 1, a[1] - 1), (b[0] - 1, b[1] - 1)})
-            for a, b in data.get("links", [])
-        )
         zs = tuple(
             Zone(
                 depth=int(zd["depth"]),
@@ -119,6 +115,15 @@ class Scheme:
         )
         if any(len(row) != cols for row in symbols):
             raise ValueError("scheme symbols rows differ in length")
+        links = [frozenset((r - 1, c - 1) for r, c in link) for link in data.get("links", [])]
+        for link, pair in zip(data.get("links", []), links):
+            if len(link) != 2 or len(pair) != 2 or any(
+                not (0 <= r < rows and 0 <= c < cols) for r, c in pair
+            ):
+                cells = "-".join(f"({r},{c})" for r, c in link)
+                raise ValueError(
+                    f"link {cells} is not two distinct cells of the {rows}x{cols} symbols"
+                )
         for k, z in enumerate(zs):
             for r, c in chain(z.cells, *z.stairs):
                 if not (0 <= r < rows and 0 <= c < cols):
@@ -133,7 +138,7 @@ class Scheme:
             rows=rows,
             cols=cols,
             symbols=symbols,
-            links=links,
+            links=frozenset(links),
             zones=zs,
             row_strips=strips[0],
             col_strips=strips[1],

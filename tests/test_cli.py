@@ -171,6 +171,19 @@ class TestExitCodes:
         assert dispatch(["fill-scheme", f]) == 2
         assert "outside" in json.loads(capsys.readouterr().err)["error"]
 
+    @pytest.mark.parametrize(
+        "link", ([[1, 2], [3, 3]], [[2, 2], [2, 2]], [[1, 1], [2, 2], [1, 2]]),
+        ids=("outside", "to-itself", "three-cells"),
+    )
+    def test_scheme_bad_link(self, tmp_path, capsys, link):
+        data = {"symbols": [["o", "o"], [".", "o"]], "links": [link], "zones": [],
+                "row_strips": [2], "col_strips": [2]}
+        f = write_json(tmp_path / "s.json", data)
+        assert dispatch(["fill-scheme", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not two distinct cells" in json.loads(captured.err)["error"]
+
     def test_certification_error(self, matrix_file, capsys, monkeypatch):
         monkeypatch.setattr(mbm, "simil_step", not_reducing_step)
         assert dispatch(["canon-matrix", "--mode", "simil", matrix_file]) == 70

@@ -255,6 +255,10 @@ class TestRealIsometry:
     def test_distinct_scalars_none(self, tol):
         assert real_isometry(loop_rep([[1.0]]), loop_rep([[2.0]]), tol) is None
 
+    def test_quiver_without_vertices(self, tol):
+        A = Representation(Quiver(0, []), (), {})
+        assert real_isometry(A, A, tol) == Isometry(())
+
 
 class TestDecomposeReal:
     def test_rotation_block(self, tol):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,18 @@ class TestSchemeOf:
         assert S2.symbols == S.symbols
         assert S2.links == S.links
         assert S2.depths == S.depths
+
+    @pytest.mark.parametrize(
+        "link, name",
+        (([[1, 2], [3, 3]], "(1,2)-(3,3)"), ([[2, 2], [2, 2]], "(2,2)-(2,2)"),
+         ([[1, 1], [2, 2], [1, 2]], "(1,1)-(2,2)-(1,2)"), ([[0, 1], [1, 1]], "(0,1)-(1,1)")),
+        ids=("outside", "to-itself", "three-cells", "cell-zero"),
+    )
+    def test_json_bad_link(self, link, name):
+        data = {"symbols": [["o", "o"], [".", "o"]], "links": [[[1, 1], [2, 2]], link],
+                "zones": [], "row_strips": [2], "col_strips": [2]}
+        with pytest.raises(ValueError, match=rf"link {re.escape(name)} is not two distinct"):
+            Scheme.from_json(data)
 
 
 class TestValidateFilling:
