@@ -33,7 +33,8 @@ The engine's bookkeeping rests on three invariants, which the tests check:
 * a phase step (a 1x1 target that ties its two classes) divides nothing,
   and admissible transformations keep ``‖B‖_F`` of untied blocks and
   ``‖B - λI‖_F`` of tied ones, so every block but the target and the 1x1
-  blocks the step ties keeps its flag: the next scan updates the last grid.
+  blocks the step ties keeps its flag: one grid names all targets of a run
+  of phase steps, which the run reduces in one pass and carries over.
 """
 
 from __future__ import annotations
@@ -154,8 +155,15 @@ class MarkedBlockMatrix:
         rows = tuple(data["row_strips"])
         cols = tuple(data["col_strips"])
         entries = _shaped(matrix_from_json(data["entries"]), (sum(rows), sum(cols)))
-        marked = frozenset((i - 1, j - 1) for i, j in data.get("marked", []))
+        marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
         return cls(rows, cols, entries, marked)
+
+
+def _cell(x, holder: str) -> tuple:
+    """The 1-based JSON cell x as a 0-based pair; a ValueError names x and its holder if not."""
+    if not (isinstance(x, (list, tuple)) and len(x) == 2):
+        raise ValueError(f"{holder}{x!r} is not a [row, col] pair")
+    return x[0] - 1, x[1] - 1
 
 
 def matrix_to_json(A) -> list:
@@ -485,19 +493,6 @@ class ReductionState:
         owner = self.owner[rstart[:, None], cstart]
         return _Grid(rstart, rsize, cstart, csize, tied, canonical, snapped, owner)
 
-    def _carry(self, grid: _Grid, i: int, label: int) -> _Grid:
-        """The grid of the scan after a phase step on row ``i`` that tied its
-        classes into ``label``: the 1x1 blocks between members of ``label``
-        become tied and canonical, every other flag stays, owners are reread."""
-        n = i + 1  # the next scan resumes on row i
-        rows = np.array([s.label == label for s in self.rows[:n]])
-        both = rows[:, None] & np.array([s.label == label for s in self.cols])
-        return grid._replace(
-            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=grid.tied[:n] | both,
-            canonical=grid.canonical[:n] | both, snapped=None,
-            owner=self.owner[grid.rstart[:n, None], grid.cstart],
-        )
-
     def first_changing_block(self, grid: _Grid, depth: int):
         """Index pair ``(i, j)`` into ``rows`` and ``cols`` of the first
         block, in scan order from the cursor on, that is not canonical, or
@@ -515,17 +510,19 @@ class ReductionState:
         stop = j0 + int(changing[0]) if changing.size else canonical.size
         passed = j0 + np.flatnonzero(grid.owner[i0::-1].ravel()[j0:stop] < 0)
         if passed.size:
-            self._install(grid, i0 - passed // nc, passed % nc, depth)
+            i, j = i0 - passed // nc, passed % nc
+            self._install(grid, i, j, [depth] * i.size, grid.tied[i, j])
         if stop == canonical.size:
             return None
         i, j = divmod(stop, nc)
         return i0 - i, j
 
     # -- zone bookkeeping ----------------------------------------------
-    def _install(self, grid: _Grid, i, j, depth) -> None:
+    def _install(self, grid: _Grid, i, j, depths, tied, reduced=False) -> None:
         """Give each block ``(i[k], j[k])``, none of them owned yet, a zone of
-        its own: a similarity zone with one stair down its diagonal if it is
-        tied (and so square), else an equivalence zone."""
+        its own at ``depths[k]``: a similarity zone with one stair down its
+        diagonal if ``tied[k]`` (the block is then square), else an
+        equivalence zone, which the merge rule considers unless ``reduced[k]``."""
         zid = len(self.zones)
         ids = np.full(grid.tied.shape, -1, dtype=np.intp)
         ids[i, j] = np.arange(zid, zid + i.size)
@@ -533,31 +530,20 @@ class ReductionState:
         cells = np.repeat(np.repeat(ids, grid.rsize, axis=0), grid.csize, axis=1)
         top = self.owner[: cells.shape[0]]
         np.maximum(top, cells, out=top)
-        tied = grid.tied[i, j].tolist()
         self.zones += [
-            (depth, "similarity", (r, k, c, w),
+            (d, "similarity", (r, k, c, w),
              (((r, c),),) if k == 1 else (tuple(zip(range(r, r + k), range(c, c + k))),), [])
-            if t else (depth, "equivalence", (r, k, c, w), (), [])
-            for r, k, c, w, t in zip(grid.rstart[i].tolist(), grid.rsize[i].tolist(),
-                                     grid.cstart[j].tolist(), grid.csize[j].tolist(), tied)
+            if t else (d, "equivalence", (r, k, c, w), (), [])
+            for r, k, c, w, d, t in zip(grid.rstart[i].tolist(), grid.rsize[i].tolist(),
+                                        grid.cstart[j].tolist(), grid.csize[j].tolist(),
+                                        depths, tied.tolist())
         ]
-        self._zero_candidates += [zid + k for k, t in enumerate(tied) if not t]
+        self._zero_candidates += (zid + np.flatnonzero(~tied & ~reduced)).tolist()
 
     # -- transformations -----------------------------------------------
     def _apply(self, row_updates, col_updates):
-        """Apply per-substrip unitaries; accumulate transcripts.  In a phase
-        step (every unitary 1x1) the rows and columns are scaled by the
-        phases instead of multiplied by dense matrices."""
+        """Apply per-substrip unitaries; accumulate transcripts."""
         m, n = self.A.shape
-        if all(U.shape == (1, 1) for _, U in chain(row_updates, col_updates)):
-            p = np.ones(m, dtype=complex)
-            q = np.ones(n, dtype=complex)
-            for x, updates in ((p, row_updates), (q, col_updates)):
-                x[[sub.start for sub, _ in updates]] = [U[0, 0] for _, U in updates]
-            self.A = p.conj()[:, None] * self.A * q
-            self.R = self.R * p
-            self.S = self.S * q
-            return
         P = np.eye(m, dtype=complex)
         Q = np.eye(n, dtype=complex)
         for sub, U in row_updates:
@@ -652,8 +638,82 @@ class ReductionState:
             )
         )
 
+    def _phase_run(self, grid: _Grid, i: int, j: int, depth: int) -> bool:
+        """Reduce the run of phase steps from the untied 1x1 target ``(i, j)``
+        in one pass; False, changing nothing, if its value is at the threshold.
+
+        The run's targets are the next non-canonical 1x1 blocks in scan order
+        whose classes it has not yet joined.  Each value b is read through
+        the phases so far, the row class's phases are multiplied by b / |b|
+        (the U of its SVD; V is 1) and the classes are joined.  A larger
+        block or a value at the threshold ends the run and goes to
+        :meth:`_reduce`.  A, R and S are scaled once; a block passed between
+        targets k and k + 1 gets its zone at ``depth + k + 1``, with the ties
+        of that moment, and the grid is carried to the next scan."""
+        nc, i0 = len(self.cols), grid.canonical.shape[0] - 1
+        rl = np.array([s.label for s in self.rows], np.intp)
+        cl = np.array([s.label for s in self.cols], np.intp)
+        pr, pc = np.ones(rl.size, complex), np.ones(cl.size, complex)
+        rstart, rsize = grid.rstart.tolist(), grid.rsize.tolist()
+        cstart, csize = grid.cstart.tolist(), grid.csize.tolist()
+        f0 = (i0 - i) * nc + j
+        history = [(rl, cl)]  # the labels before every step, and after the run
+        run = []  # (scan position, |b|) per target
+        for f in (f0 + np.flatnonzero(~grid.canonical[i0::-1].ravel()[f0:])).tolist():
+            i, j = i0 - f // nc, f % nc
+            if rsize[i] != 1 or csize[j] != 1:
+                break
+            a, c = rl[i], cl[j]
+            if a == c:  # tied by this run, so canonical
+                continue
+            b = pr[i].conjugate() * self.A[rstart[i], cstart[j]] * pc[j]
+            s = abs(b)
+            if not s > self.tol.abs:
+                break
+            rows, cols = rl == a, cl == a
+            pr[rows] *= b / s
+            pc[cols] *= b / s
+            rl = np.where(rows | (rl == c), self.labels, rl)
+            cl = np.where(cols | (cl == c), self.labels, cl)
+            self.labels += 1
+            history.append((rl, cl))
+            run.append((f, float(s)))
+        if not run:
+            return False
+        p = np.repeat(pr, [s.size for s in self.rows])
+        q = np.repeat(pc, [s.size for s in self.cols])
+        self.A = p.conj()[:, None] * self.A * q
+        self.R, self.S = self.R * p, self.S * q
+        targets, values = zip(*run)
+        tf = np.array(targets)
+        ti, tj = i0 - tf // nc, tf % nc
+        self.A[grid.rstart[ti], grid.cstart[tj]] = values
+        # the targets and the unowned blocks between them, in scan order
+        at = np.union1d(tf, f0 + np.flatnonzero(grid.owner[i0::-1].ravel()[f0 : tf[-1]] < 0))
+        k = np.searchsorted(tf, at)  # steps of the run made before each
+        i, j = i0 - at // nc, at % nc
+        rls, cls = (np.array(x) for x in zip(*history))
+        tied = rls[k, i] == cls[k, j]
+        self._install(grid, i, j, (depth + k).tolist(), tied, tf[k] == at)
+        for sub, label in chain(zip(self.rows, rl.tolist()), zip(self.cols, cl.tolist())):
+            sub.label = label
+        self.steps += [
+            StepRecord("equivalence", (r, 1), (c, 1), ((v, 1),), (1,), (1,))
+            for r, c, v in zip(grid.rstart[ti].tolist(), grid.cstart[tj].tolist(), values)
+        ]
+        # the run ties 1x1 blocks only, and a tied 1x1 block is canonical
+        n = int(ti[-1]) + 1  # the next scan resumes on the last target's row
+        tied = rl[:n, None] == cl
+        self.grid = grid._replace(
+            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=tied, snapped=None,
+            canonical=grid.canonical[:n] | (tied & ~grid.tied[:n]),
+            owner=self.owner[grid.rstart[:n, None], grid.cstart])
+        self.cursor = (-rstart[ti[-1]], cstart[tj[-1]])
+        return True
+
     def derive(self) -> bool:
-        """One step of the iteration.  Returns False at the fixpoint."""
+        """One step, or one run of phase steps, of the iteration.  Returns
+        False at the fixpoint."""
         if self.done:
             return False
         depth = len(self.steps)
@@ -668,10 +728,10 @@ class ReductionState:
             return False
         i, j = target
         rs, cs = self.rows[i], self.cols[j]
+        # a tied 1x1 block is canonical, so a 1x1 target starts a phase run
+        if rs.size == cs.size == 1 and self._phase_run(grid, i, j, depth):
+            return True
         self._reduce(rs, cs, depth, bool(grid.tied[i, j]))
-        # a phase step (a tied 1x1 block is canonical, so never a target)
-        if rs.size == cs.size == 1 and rs.label == cs.label:
-            self.grid = self._carry(grid, i, rs.label)
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
         self.cursor = (self.steps[-1].row_pieces[-1] - rs.start - rs.size, cs.start)
@@ -784,12 +844,10 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     unit = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries / (s or 1.0), M.marked)
     state = ReductionState(unit, tol)
     limit = 4 * max(1, M.entries.size) + 8
-    steps = 0
     while state.derive():
-        steps += 1
-        if steps > limit:
+        if len(state.steps) > limit:
             raise NoConvergenceError(
-                f"reduction did not converge after {steps} steps"
+                f"reduction did not converge after {len(state.steps)} steps"
             )
     C = s * state.A
     _certify(M.entries, state.R, state.S, C, tol)

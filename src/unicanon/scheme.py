@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .numcore import Tolerance, _rank, lex_cmp
-from .mbm import DisjointSet, MarkedBlockMatrix, Zone, validate
+from .mbm import DisjointSet, MarkedBlockMatrix, Zone, _cell, validate
 
 __all__ = [
     "Scheme",
@@ -106,16 +106,17 @@ class Scheme:
                 depth=int(zd["depth"]),
                 kind=zd["kind"],
                 block=tuple(zd["block"]),
-                cells=frozenset((r - 1, c - 1) for r, c in zd["cells"]),
+                cells=frozenset(_cell(x, f"zone {k}: cell ") for x in zd["cells"]),
                 stairs=tuple(
-                    tuple((r - 1, c - 1) for r, c in st) for st in zd["stairs"]
+                    tuple(_cell(x, f"zone {k}: cell ") for x in st) for st in zd["stairs"]
                 ),
             )
-            for zd in data.get("zones", [])
+            for k, zd in enumerate(data.get("zones", []))
         )
         if any(len(row) != cols for row in symbols):
             raise ValueError("scheme symbols rows differ in length")
-        links = [frozenset((r - 1, c - 1) for r, c in link) for link in data.get("links", [])]
+        links = [frozenset(_cell(x, f"link {link!r}: cell ") for x in link)
+                 for link in data.get("links", [])]
         for link, pair in zip(data.get("links", []), links):
             if len(link) != 2 or len(pair) != 2 or any(
                 not (0 <= r < rows and 0 <= c < cols) for r, c in pair
@@ -131,7 +132,7 @@ class Scheme:
                         f"zone {k} has cell ({r + 1},{c + 1}) outside the {rows}x{cols} symbols"
                     )
         strips = tuple(data["row_strips"]), tuple(data["col_strips"])
-        marked = frozenset((i - 1, j - 1) for i, j in data.get("marked", []))
+        marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
         # the strips and marks must fit the symbol grid, as a filling's must
         validate(MarkedBlockMatrix(*strips, np.zeros((rows, cols)), marked))
         return cls(

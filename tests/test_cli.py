@@ -184,6 +184,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert "is not two distinct cells" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        ((["fill-scheme"], {"links": [[[1], [2, 2]]]}),
+         (["fill-scheme"], {"zones": [{"depth": 0, "kind": "equivalence", "block": [0, 2, 0, 2],
+                                       "cells": [[1]], "stairs": []}]}),
+         (["fill-scheme"], {"marked": [[1]]}),
+         (["canon-mbm"], {"marked": [[1]]})),
+        ids=("scheme-link", "scheme-zone", "scheme-mark", "mbm-mark"),
+    )
+    def test_cell_not_a_pair(self, tmp_path, capsys, command, extra):
+        base = example_8x12().to_json() if command == ["canon-mbm"] else {
+            "symbols": [["o", "o"], [".", "o"]], "zones": [], "row_strips": [2], "col_strips": [2]}
+        f = write_json(tmp_path / "x.json", {**base, **extra})
+        assert dispatch(command + [f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[1] is not a [row, col] pair" in json.loads(captured.err)["error"]
+
     def test_certification_error(self, matrix_file, capsys, monkeypatch):
         monkeypatch.setattr(mbm, "simil_step", not_reducing_step)
         assert dispatch(["canon-matrix", "--mode", "simil", matrix_file]) == 70

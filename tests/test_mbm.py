@@ -63,19 +63,24 @@ def reference_inputs():
     ]
 
 
-def dense_apply(state, row_updates, col_updates):
-    """``_apply`` without phase steps: every step builds the identity-plus-
-    block matrices P and Q and makes four dense products."""
-    m, n = state.A.shape
-    P = np.eye(m, dtype=complex)
-    Q = np.eye(n, dtype=complex)
-    for sub, U in row_updates:
-        P[sub.start : sub.start + sub.size, sub.start : sub.start + sub.size] = U
-    for sub, U in col_updates:
-        Q[sub.start : sub.start + sub.size, sub.start : sub.start + sub.size] = U
-    state.A = P.conj().T @ state.A @ Q
-    state.R = state.R @ P
-    state.S = state.S @ Q
+def phase_step(state, grid, i, j, depth):
+    """``_phase_run`` one phase step per ``derive`` call: ``_reduce`` (an SVD
+    and dense products), after which the next scan's grid is carried over
+    the step: the 1x1 blocks between members of the joined class become
+    tied and canonical, every other flag stays, owners are reread."""
+    rs, cs = state.rows[i], state.cols[j]
+    state._reduce(rs, cs, depth, False)
+    if rs.label == cs.label:  # the value was above the threshold
+        n = i + 1  # the next scan resumes on row i
+        rows = np.array([s.label == rs.label for s in state.rows[:n]])
+        both = rows[:, None] & np.array([s.label == rs.label for s in state.cols])
+        state.grid = grid._replace(
+            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=grid.tied[:n] | both,
+            canonical=grid.canonical[:n] | both, snapped=None,
+            owner=state.owner[grid.rstart[:n, None], grid.cstart],
+        )
+    state.cursor = (-rs.start, cs.start)
+    return True
 
 
 def repaint_merge(state):
@@ -161,23 +166,24 @@ def partition(subs, class_of):
 
 
 def replay_ties(state):
-    """Run ``state`` to its fixpoint and yield after every ``derive`` step a
-    union-find over the current substrips, built without the engine's labels:
-    the marks first, then for every step the pieces joined the way the
-    reduction ties them (piece alpha of every member of the reduced classes;
-    for equivalence also the leftover pieces within each former class)."""
+    """Run ``state`` to its fixpoint and yield after every ``derive`` call a
+    union-find over the current substrips, built without the engine's labels,
+    and the number of steps replayed so far: the marks first, then for every
+    step the call recorded, in order, the pieces joined the way the reduction
+    ties them (piece alpha of every member of the reduced classes; for
+    equivalence also the leftover pieces within each former class)."""
     M = state.M
     ties = mbm.DisjointSet(state.rows + state.cols)
     first = {(s.axis, s.strip): s for s in state.rows + state.cols}
     for i, j in M.marked:
         if ("r", i) in first and ("c", j) in first:  # size-0 strips have none
             ties.union(first["r", i], first["c", j])
-    yield ties
+    yield ties, 0
     while True:
-        before = state.rows + state.cols
+        before, done = state.rows + state.cols, len(state.steps)
         if not state.derive():
             return
-        step, after = state.steps[-1], state.rows + state.cols
+        after = state.rows + state.cols
 
         def old(axis, start):
             return next(s for s in before if (s.axis, s.start) == (axis, start))
@@ -191,18 +197,19 @@ def replay_ties(state):
                 key=lambda s: s.start,
             )
 
-        rmem = members(old("r", step.row_block[0]))
-        if step.kind == "similarity":
-            for a in range(len(step.row_pieces)):
-                union_all(ties, [pieces(x)[a] for x in rmem])
-        else:
-            cmem = members(old("c", step.col_block[0]))
-            k = sum(1 for value, _ in step.values if value != 0)
-            for a in range(k):
-                union_all(ties, [pieces(x)[a] for x in rmem + cmem])
-            for group in (rmem, cmem):
-                union_all(ties, [pieces(x)[k] for x in group if len(pieces(x)) > k])
-        yield ties
+        for step in state.steps[done:]:  # a run of phase steps divides nothing
+            rmem = members(old("r", step.row_block[0]))
+            if step.kind == "similarity":
+                for a in range(len(step.row_pieces)):
+                    union_all(ties, [pieces(x)[a] for x in rmem])
+            else:
+                cmem = members(old("c", step.col_block[0]))
+                k = sum(1 for value, _ in step.values if value != 0)
+                for a in range(k):
+                    union_all(ties, [pieces(x)[a] for x in rmem + cmem])
+                for group in (rmem, cmem):
+                    union_all(ties, [pieces(x)[k] for x in group if len(pieces(x)) > k])
+        yield ties, len(state.steps)
 
 
 class TestValidation:
@@ -247,6 +254,12 @@ class TestValidation:
         data = example_8x12().to_json()
         data["marks"] = data.pop("marked")
         with pytest.raises(KeyError, match="marks"):
+            MarkedBlockMatrix.from_json(data)
+
+    def test_json_mark_not_a_pair(self):
+        data = example_8x12().to_json()
+        data["marked"] = [[1, 1], [1]]
+        with pytest.raises(ValueError, match=r"mark \[1\] is not a \[row, col\] pair"):
             MarkedBlockMatrix.from_json(data)
 
     def test_json_wrong_shape_rejected(self):
@@ -369,12 +382,10 @@ class TestEngineInvariants:
     @pytest.mark.parametrize("M", engine_inputs() + rank_deficient_inputs())
     def test_labels_match_union_find_replay(self, tol, M):
         state = mbm.ReductionState(M, tol)
-        steps = 0
-        for ties in replay_ties(state):
+        for ties, replayed in replay_ties(state):
             subs = state.rows + state.cols
             assert partition(subs, lambda s: s.label) == partition(subs, ties.find)
-            steps += 1
-        assert steps == len(state.steps) + 1
+        assert replayed == len(state.steps)
         trace = state.trace()
         assert trace.num_classes == len(partition(subs, ties.find))
 
@@ -425,17 +436,21 @@ class TestEngineInvariants:
 
 
 class TestReferenceSteps:
-    """The engine's phase steps and pointer merges against the dense
-    products and the repaint-per-merge loop they replace."""
+    """The engine's runs of phase steps and pointer merges against what they
+    replace: one phase step per call through ``_reduce`` and ``_apply``'s
+    dense products (reference ``_apply``), and the repaint-per-merge loop."""
 
     @pytest.mark.parametrize("reference", ["_apply", "_merge_zero_zones"])
-    @pytest.mark.parametrize("M", reference_inputs())
+    @pytest.mark.parametrize("M", reference_inputs() + [
+        packed(KRONECKER, (24, 24), 6), packed(KRONECKER, (48, 48), 7),
+        packed(D4, (12, 12, 12, 24), 8),
+    ])
     def test_same_reduction(self, tol, M, reference, monkeypatch):
         state = reduce_fully(M, tol)
-        monkeypatch.setattr(
-            mbm.ReductionState, reference,
-            {"_apply": dense_apply, "_merge_zero_zones": repaint_merge}[reference],
-        )
+        method, replacement = {
+            "_apply": ("_phase_run", phase_step), "_merge_zero_zones": ("_merge_zero_zones", repaint_merge),
+        }[reference]
+        monkeypatch.setattr(mbm.ReductionState, method, replacement)
         ref = reduce_fully(M, tol)
         # merges, merged blocks, owner map, zones, substrips: identical
         assert state.zones == ref.zones
@@ -496,12 +511,27 @@ class TestCarriedGrid:
                 assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
 
     def test_inputs_have_phase_steps(self, tol):
-        # most steps of these reductions start from a carried grid
+        # most steps of these reductions are made in runs, each of which
+        # carries its grid to the next scan
         for M in (packed(KRONECKER, (16, 16), 1), packed(D4, (6, 6, 6, 12), 2),
                   generic_similarity(16, 23)):
             state = mbm.ReductionState(M, tol)
-            carried = sum(1 for _ in carried_grids(state))
-            assert carried >= len(state.steps) // 2
+            in_runs, before = 0, 0
+            while state.derive():
+                if state.grid is not None:  # the call made a run
+                    in_runs += len(state.steps) - before
+                before = len(state.steps)
+            assert in_runs >= len(state.steps) // 2
+
+    def test_kronecker_run_in_one_call(self, tol):
+        # an SVD step on the first arrow's block, then its run of 23 phase steps
+        state = mbm.ReductionState(packed(KRONECKER, (24, 24), 9), tol)
+        calls = []
+        while state.derive():
+            calls.append(state.steps[sum(map(len, calls)):])
+        assert [len(c) for c in calls] == [1, 23]
+        assert calls[0][0].row_block[1] == 24
+        assert all(s.row_block[1] == s.col_block[1] == 1 for s in calls[1])
 
 
 class TestEmptyStrips:

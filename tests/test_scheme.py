@@ -118,6 +118,20 @@ class TestSchemeOf:
         with pytest.raises(ValueError, match=rf"link {re.escape(name)} is not two distinct"):
             Scheme.from_json(data)
 
+    @pytest.mark.parametrize(
+        "extra, holder",
+        (({"links": [[[1], [2, 2]]]}, "link [[1], [2, 2]]: cell "),
+         ({"zones": [{"depth": 0, "kind": "equivalence", "block": [0, 2, 0, 2],
+                      "cells": [[1, 1], [1]], "stairs": []}]}, "zone 0: cell "),
+         ({"marked": [[1]]}, "mark ")),
+        ids=("link", "zone", "mark"),
+    )
+    def test_json_cell_not_a_pair(self, extra, holder):
+        data = {"symbols": [["o", "o"], [".", "o"]], "zones": [],
+                "row_strips": [2], "col_strips": [2], **extra}
+        with pytest.raises(ValueError, match=re.escape(f"{holder}[1] is not a [row, col] pair")):
+            Scheme.from_json(data)
+
 
 class TestValidateFilling:
     def fill_of(self, S, C):
