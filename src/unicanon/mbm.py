@@ -688,8 +688,8 @@ class ReductionState:
         tf = np.array(targets)
         ti, tj = i0 - tf // nc, tf % nc
         self.A[grid.rstart[ti], grid.cstart[tj]] = values
-        # the targets and the unowned blocks between them, in scan order
-        at = np.union1d(tf, f0 + np.flatnonzero(grid.owner[i0::-1].ravel()[f0 : tf[-1]] < 0))
+        # unowned blocks from first target to last: no zone holds a target
+        at = f0 + np.flatnonzero(grid.owner[i0::-1].ravel()[f0 : tf[-1] + 1] < 0)
         k = np.searchsorted(tf, at)  # steps of the run made before each
         i, j = i0 - at // nc, at % nc
         rls, cls = (np.array(x) for x in zip(*history))
