@@ -195,7 +195,8 @@ class TestExitCodes:
     )
     def test_cell_not_a_pair(self, tmp_path, capsys, command, extra):
         base = example_8x12().to_json() if command == ["canon-mbm"] else {
-            "symbols": [["o", "o"], [".", "o"]], "zones": [], "row_strips": [2], "col_strips": [2]}
+            "symbols": [["o", "o"], [".", "o"]], "zones": [],
+            "row_strips": [2], "col_strips": [2]}
         f = write_json(tmp_path / "x.json", {**base, **extra})
         assert dispatch(command + [f]) == 2
         captured = capsys.readouterr()

@@ -64,10 +64,11 @@ def reference_inputs():
 
 
 def phase_step(state, grid, i, j, depth):
-    """``_phase_run`` one phase step per ``derive`` call: ``_reduce`` (an SVD
-    and dense products), after which the next scan's grid is carried over
-    the step: the 1x1 blocks between members of the joined class become
-    tied and canonical, every other flag stays, owners are reread."""
+    """The reference of ``_phase_run``: one phase step per ``derive`` call,
+    made by ``_reduce`` (an SVD and ``_apply``'s dense products).  The next
+    scan's grid is then carried over the step: the 1x1 blocks between
+    members of the joined class become tied and canonical, every other flag
+    stays, owners are reread."""
     rs, cs = state.rows[i], state.cols[j]
     state._reduce(rs, cs, depth, False)
     if rs.label == cs.label:  # the value was above the threshold
@@ -448,7 +449,8 @@ class TestReferenceSteps:
     def test_same_reduction(self, tol, M, reference, monkeypatch):
         state = reduce_fully(M, tol)
         method, replacement = {
-            "_apply": ("_phase_run", phase_step), "_merge_zero_zones": ("_merge_zero_zones", repaint_merge),
+            "_apply": ("_phase_run", phase_step),
+            "_merge_zero_zones": ("_merge_zero_zones", repaint_merge),
         }[reference]
         monkeypatch.setattr(mbm.ReductionState, method, replacement)
         ref = reduce_fully(M, tol)
