@@ -492,8 +492,8 @@ def generic_similarity(n, seed):
 
 def carried_grids(state):
     """Run ``state`` to its fixpoint and yield ``(carried, fresh)`` before
-    every step that starts from a grid carried over a phase step: that grid
-    and a fresh ``_grid`` over the rows up to the cursor's."""
+    every call that starts from a grid carried over a run of phase steps:
+    that grid and a fresh ``_grid`` over the rows up to the cursor's."""
     while True:
         if state.grid is not None:
             nrows = bisect.bisect_right(state.rows, -state.cursor[0], key=mbm._start)
@@ -503,8 +503,8 @@ def carried_grids(state):
 
 
 class TestCarriedGrid:
-    """A phase step divides nothing, so the next scan updates the last
-    grid; the fresh ``_grid`` is the reference."""
+    """A run of phase steps divides nothing, so the scan after it updates
+    the run's grid; the fresh ``_grid`` is the reference."""
 
     @pytest.mark.parametrize("M", engine_inputs() + [generic_similarity(16, 23)])
     def test_carried_grid_matches_fresh(self, tol, M):
