@@ -16,8 +16,9 @@ depend on the kind.
 The fixpoint is the canonical matrix: every block between tied substrips is
 a scalar multiple of the identity and every other block is zero.
 
-Each substrip carries an integer tie-class label; a step gives the pieces it
-cuts fresh labels.  Each step decides "is this block canonical" for the
+The substrips of each axis are four integer arrays: first row or column,
+size, strip and tie-class label.  A step replaces them, and gives the pieces
+it cuts fresh labels.  Each step decides "is this block canonical" for the
 substrip grid, down to the row where its scan resumes, in one array pass
 (:meth:`ReductionState._grid`): the tied-block mask, the diagonal mean of
 every tied block, every block's residual against its canonical part and the
@@ -39,9 +40,8 @@ The engine's bookkeeping rests on three invariants, which the tests check:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -328,22 +328,6 @@ def random_transcript(M: MarkedBlockMatrix, seed=None) -> Transcript:
 # reduction engine
 
 
-class _Sub:
-    """A substrip: a run of rows or columns inside one strip, and its tie-class label."""
-
-    __slots__ = ("axis", "strip", "start", "size", "label")
-
-    def __init__(self, axis, strip, start, size, label=-1):
-        self.axis = axis
-        self.strip = strip
-        self.start = start
-        self.size = size
-        self.label = label
-
-    def __repr__(self):  # pragma: no cover
-        return f"Sub({self.axis}{self.strip}@{self.start}+{self.size}#{self.label})"
-
-
 @dataclass
 class Zone:
     """Canonical part installed at one point of the reduction."""
@@ -378,7 +362,23 @@ class ReductionTrace:
     num_classes: int
 
 
-_start = attrgetter("start")
+class _Subs(NamedTuple):
+    """The substrips of one axis in order: runs of rows (or columns) inside
+    one strip, which tile the axis.  Steps replace these arrays and never
+    write into them, so a run of phase steps can keep the labels of each
+    step."""
+
+    start: np.ndarray  # first row or column
+    size: np.ndarray
+    strip: np.ndarray  # the strip it lies in
+    label: np.ndarray  # its tie class
+
+
+def _substrips(sizes, labels) -> _Subs:
+    """One substrip for every nonempty strip of ``sizes``, of its label."""
+    sizes = np.array(sizes, np.intp)
+    keep = np.flatnonzero(sizes)
+    return _Subs(_offsets(sizes)[keep], sizes[keep], keep, np.array(labels, np.intp)[keep])
 
 
 class _Grid(NamedTuple):
@@ -391,7 +391,6 @@ class _Grid(NamedTuple):
     csize: np.ndarray
     tied: np.ndarray  # (i, j) -> row and column substrip share a tie class
     canonical: np.ndarray  # block equals its canonical part within tolerance
-    snapped: np.ndarray | None  # A with every block replaced by that part; None if carried
     owner: np.ndarray  # zone id of every block, -1 if none
 
 
@@ -414,11 +413,8 @@ class ReductionState:
         m, n = self.A.shape
         self.R = np.eye(m, dtype=complex)
         self.S = np.eye(n, dtype=complex)
-        ro, co = _offsets(M.row_strips), _offsets(M.col_strips)
-        self.rows = [_Sub("r", i, int(ro[i]), s, label["r", i])
-                     for i, s in enumerate(M.row_strips) if s > 0]
-        self.cols = [_Sub("c", j, int(co[j]), s, label["c", j])
-                     for j, s in enumerate(M.col_strips) if s > 0]
+        self.rows = _substrips(M.row_strips, [label["r", i] for i in range(len(M.row_strips))])
+        self.cols = _substrips(M.col_strips, [label["c", j] for j in range(len(M.col_strips))])
         self.labels = len(classes)  # labels handed out; the next one is fresh
         self.steps: list[StepRecord] = []
         # zone ids index ``zones``; a zone merged into another becomes None
@@ -431,19 +427,6 @@ class ReductionState:
         self.grid: _Grid | None = None  # the next scan's grid, if carried over
         self.done = False
 
-    def _members(self, label) -> list:
-        """Substrips of tie class ``label``: row substrips, then columns."""
-        return [s for s in self.rows if s.label == label] + [
-            s for s in self.cols if s.label == label
-        ]
-
-    def _relabel(self, classes) -> None:
-        """Give every list of substrips in ``classes`` a fresh label."""
-        for subs in classes:
-            for s in subs:
-                s.label = self.labels
-            self.labels += 1
-
     # -- block helpers -------------------------------------------------
     def _snap(self, nrows=None):
         """The canonical part of the first ``nrows`` row substrips (all by
@@ -451,15 +434,10 @@ class ReductionState:
         the rows of ``self.A`` they cover, the substrip arrays, the tied-block
         mask, and A with every tied block replaced by the mean of its diagonal
         times I and every other block by zero."""
-        rows, cols = self.rows[:nrows], self.cols
-        A = self.A[: rows[-1].start + rows[-1].size if rows else 0]
-        rstart, rsize, row_labels = np.array(
-            [[s.start for s in rows], [s.size for s in rows], [s.label for s in rows]], np.intp
-        ).reshape(3, -1)
-        cstart, csize, col_labels = np.array(
-            [[s.start for s in cols], [s.size for s in cols], [s.label for s in cols]], np.intp
-        ).reshape(3, -1)
-        tied = row_labels[:, None] == col_labels
+        rstart, rsize = self.rows.start[:nrows], self.rows.size[:nrows]
+        cstart, csize = self.cols.start, self.cols.size
+        A = self.A[: rstart[-1] + rsize[-1] if rstart.size else 0]
+        tied = self.rows.label[:nrows, None] == self.cols.label
         # tied blocks are square; summing the diagonals of equal-sized ones
         # as rows adds in np.mean's order, so each λ is bit-identical to it
         means = np.zeros(tied.shape, dtype=complex)
@@ -491,7 +469,7 @@ class ReductionState:
         canonical = np.sqrt(sq) <= limit
         # zones are unions of blocks, so a block's first cell names its zone
         owner = self.owner[rstart[:, None], cstart]
-        return _Grid(rstart, rsize, cstart, csize, tied, canonical, snapped, owner)
+        return _Grid(rstart, rsize, cstart, csize, tied, canonical, owner)
 
     def first_changing_block(self, grid: _Grid, depth: int):
         """Index pair ``(i, j)`` into ``rows`` and ``cols`` of the first
@@ -501,9 +479,9 @@ class ReductionState:
         holds yet become zones of their own, in one batch."""
         row, col = self.cursor
         i0 = grid.canonical.shape[0] - 1
-        on_row = i0 >= 0 and self.rows[i0].start == -row
-        j0 = bisect.bisect_left(self.cols, col, key=_start) if on_row else 0
-        nc = len(self.cols)
+        on_row = i0 >= 0 and grid.rstart[i0] == -row
+        j0 = int(np.searchsorted(grid.cstart, col)) if on_row else 0
+        nc = grid.cstart.size
         # flags of rows i0, i0 - 1, ..., 0 in turn, each left to right
         canonical = grid.canonical[i0::-1].ravel()
         changing = np.flatnonzero(~canonical[j0:])
@@ -541,102 +519,89 @@ class ReductionState:
         self._zero_candidates += (zid + np.flatnonzero(~tied & ~reduced)).tolist()
 
     # -- transformations -----------------------------------------------
-    def _apply(self, row_updates, col_updates):
-        """Apply per-substrip unitaries; accumulate transcripts."""
+    def _apply(self, classes):
+        """Apply, for each ``(label, W)`` in ``classes``, the unitary W to
+        every substrip of tie class ``label``; accumulate transcripts."""
         m, n = self.A.shape
         P = np.eye(m, dtype=complex)
         Q = np.eye(n, dtype=complex)
-        for sub, U in row_updates:
-            P[sub.start : sub.start + sub.size, sub.start : sub.start + sub.size] = U
-        for sub, U in col_updates:
-            Q[sub.start : sub.start + sub.size, sub.start : sub.start + sub.size] = U
+        unitary = dict(classes)
+        for X, subs in ((P, self.rows), (Q, self.cols)):
+            for s, k, label in zip(*(v.tolist() for v in (subs.start, subs.size, subs.label))):
+                if label in unitary:
+                    X[s : s + k, s : s + k] = unitary[label]
         self.A = P.conj().T @ self.A @ Q
         self.R = self.R @ P
         self.S = self.S @ Q
 
-    def _divide(self, groups, direct: set):
-        """Divide substrips into pieces.
-
-        ``groups``: list of (subs, piece_sizes).  Returns a dict sub -> list
-        of its pieces; a sub of one piece is kept as its own piece.  Updates
-        positional lists and records the boundaries of subs not in
-        ``direct`` (the subs of the reduced block) as propagated."""
-        pieces = {}
-        for subs, sizes in groups:
-            sizes = [s for s in sizes if s > 0]
-            for sub in subs:
-                assert sum(sizes) == sub.size
-                if len(sizes) == 1:
-                    pieces[sub] = [sub]
-                    continue
-                new = []
-                off = sub.start
-                for k, s in enumerate(sizes):
-                    if k > 0 and sub not in direct:
-                        self.propagated[sub.axis].add(off)
-                    new.append(_Sub(sub.axis, sub.strip, off, s))
-                    off += s
-                pieces[sub] = new
-                lst = self.rows if sub.axis == "r" else self.cols
-                at = bisect.bisect_left(lst, sub.start, key=_start)
-                lst[at : at + 1] = new
-        return pieces
+    def _divide(self, classes, sizes, i, j) -> list:
+        """Cut every substrip of each tie class ``(label, W)`` in ``classes``
+        into pieces of ``sizes`` and, where they fall short of W's size, a
+        leftover piece.  Piece a gets the fresh label ``base + a`` and the
+        leftover of the q-th class ``base + k + q`` (k pieces).  Records the
+        cuts in substrips other than row i and column j (the reduced block)
+        as propagated.  Returns the piece sizes of each class, as tuples."""
+        k, base = len(sizes), self.labels
+        self.labels += k + len(classes)
+        cuts = {}  # class label -> (size, label) of every piece
+        for q, (label, W) in enumerate(classes):
+            left = W.shape[0] - sum(sizes)
+            labels = [*range(base, base + k), base + k + q][: k + (left > 0)]
+            cuts[label] = list(zip(sizes + [left] * (left > 0), labels))
+        out = []
+        for axis, subs, target in (("r", self.rows, i), ("c", self.cols, j)):
+            new = []  # (start, size, strip, label) of every piece, in order
+            for x, (start, size, strip, label) in enumerate(zip(*(v.tolist() for v in subs))):
+                for a, (piece, fresh) in enumerate(cuts.get(label, [(size, label)])):
+                    if a and x != target:  # a cut outside the reduced block
+                        self.propagated[axis].add(start)
+                    new.append((start, piece, strip, fresh))
+                    start += piece
+            out.append(_Subs(*np.array(new, np.intp).reshape(-1, 4).T))
+        self.rows, self.cols = out
+        return [tuple(piece for piece, _ in cuts[label]) for label, _ in classes]
 
     # -- reduction step ------------------------------------------------
-    def _reduce(self, rs: _Sub, cs: _Sub, depth: int, tied: bool):
-        """Reduce block ``(rs, cs)`` to its canonical form.  Only the kernel
-        and the zone depend on the kind: a tied block keeps its one class,
-        with S of :func:`simil_step`, and snaps the staircase of pieces
-        ``a >= b``; an untied block transforms its row class by U and its
-        column class by V of the SVD, each with a leftover piece for the zero
-        singular values, and snaps the whole block.  Piece a is then tied
-        across all classes, and each leftover within its own class."""
-        rows, cols = slice(rs.start, rs.start + rs.size), slice(cs.start, cs.start + cs.size)
+    def _reduce(self, i: int, j: int, depth: int, tied: bool):
+        """Reduce block ``(i, j)`` of the substrip grid to its canonical
+        form.  Only the kernel and the zone depend on the kind: a tied block
+        keeps its one class, with S of :func:`simil_step`, and snaps the
+        staircase of pieces ``a >= b``; an untied block transforms its row
+        class by U and its column class by V of the SVD, each with a leftover
+        piece for the zero singular values, and snaps the whole block.  Piece
+        a is then tied across all classes, and each leftover within its own
+        class."""
+        r0, h = int(self.rows.start[i]), int(self.rows.size[i])
+        c0, w = int(self.cols.start[j]), int(self.cols.size[j])
+        rows, cols = slice(r0, r0 + h), slice(c0, c0 + w)
         B = self.A[rows, cols]
-        rmem = self._members(rs.label)
         if tied:
             kind = "similarity"
             lams, sizes, S = simil_step(B, self.tol)
             values = list(zip(lams, sizes))
-            classes = [(rmem, S, rs.size)]
+            classes = [(int(self.rows.label[i]), S)]
             piece = np.repeat(np.arange(len(sizes)), sizes)
             zone = piece[:, None] >= piece
-            diagonal = zip(range(rs.start, rs.start + rs.size), range(cs.start, cs.start + cs.size))
+            diagonal = zip(range(r0, r0 + h), range(c0, c0 + w))
             stairs = tuple(tuple(islice(diagonal, k)) for k in sizes)
         else:
             U, s, Vh = _svd(B)
             clusters = cluster_complex(s[s > self.tol.abs], self.tol)
             values = [(rep.real, len(m)) for rep, m in clusters]
-            classes = [(rmem, U, rs.size), (self._members(cs.label), Vh.conj().T, cs.size)]
+            classes = [(int(self.rows.label[i]), U), (int(self.cols.label[j]), Vh.conj().T)]
             kind, zone, stairs = "equivalence", ..., ()
         sizes = [k for _, k in values]
         r = sum(sizes)
-        self._apply(
-            [(x, W) for mem, W, _ in classes for x in mem if x.axis == "r"],
-            [(x, W) for mem, W, _ in classes for x in mem if x.axis == "c"],
-        )
+        self._apply(classes)
         self.A[rows, cols][zone] = 0.0
         n = self.A.shape[1]  # the block's diagonal: every (n + 1)-th entry from its corner
-        at = rs.start * n + cs.start
+        at = r0 * n + c0
         self.A.flat[at : at + r * (n + 1) : n + 1] = [v for v, k in values for _ in range(k)]
         self.owner[rows, cols][zone] = len(self.zones)
-        self.zones.append((depth, kind, (rs.start, rs.size, cs.start, cs.size), stairs, []))
-        pieces = self._divide([(mem, sizes + [m - r]) for mem, _, m in classes], direct={rs, cs})
-        k = len(sizes)
-        self._relabel(
-            [[pieces[x][a] for mem, _, _ in classes for x in mem] for a in range(k)]
-            + [[pieces[x][k] for x in mem if len(pieces[x]) > k] for mem, _, _ in classes]
-        )
-        self.steps.append(
-            StepRecord(
-                kind=kind,
-                row_block=(rs.start, rs.size),
-                col_block=(cs.start, cs.size),
-                values=tuple(values) + (((0.0, rs.size - r),) if rs.size > r else ()),
-                row_pieces=tuple(x.size for x in pieces[rs]),
-                col_pieces=tuple(x.size for x in pieces[cs]),
-            )
-        )
+        self.zones.append((depth, kind, (r0, h, c0, w), stairs, []))
+        values = tuple(values) + (((0.0, h - r),) if h > r else ())
+        pieces = self._divide(classes, sizes, i, j)  # a tied block's one class cuts both sides
+        self.steps.append(StepRecord(kind, (r0, h), (c0, w), values, pieces[0], pieces[-1]))
 
     def _phase_run(self, grid: _Grid, i: int, j: int, depth: int) -> bool:
         """Reduce the run of phase steps from the untied 1x1 target ``(i, j)``
@@ -650,9 +615,8 @@ class ReductionState:
         :meth:`_reduce`.  A, R and S are scaled once; a block passed between
         targets k and k + 1 gets its zone at ``depth + k + 1``, with the ties
         of that moment, and the grid is carried to the next scan."""
-        nc, i0 = len(self.cols), grid.canonical.shape[0] - 1
-        rl = np.array([s.label for s in self.rows], np.intp)
-        cl = np.array([s.label for s in self.cols], np.intp)
+        nc, i0 = grid.cstart.size, grid.canonical.shape[0] - 1
+        rl, cl = self.rows.label, self.cols.label
         pr, pc = np.ones(rl.size, complex), np.ones(cl.size, complex)
         rstart, rsize = grid.rstart.tolist(), grid.rsize.tolist()
         cstart, csize = grid.cstart.tolist(), grid.csize.tolist()
@@ -680,8 +644,7 @@ class ReductionState:
             run.append((f, float(s)))
         if not run:
             return False
-        p = np.repeat(pr, [s.size for s in self.rows])
-        q = np.repeat(pc, [s.size for s in self.cols])
+        p, q = np.repeat(pr, self.rows.size), np.repeat(pc, self.cols.size)
         self.A = p.conj()[:, None] * self.A * q
         self.R, self.S = self.R * p, self.S * q
         targets, values = zip(*run)
@@ -695,8 +658,7 @@ class ReductionState:
         rls, cls = (np.array(x) for x in zip(*history))
         tied = rls[k, i] == cls[k, j]
         self._install(grid, i, j, (depth + k).tolist(), tied, tf[k] == at)
-        for sub, label in chain(zip(self.rows, rl.tolist()), zip(self.cols, cl.tolist())):
-            sub.label = label
+        self.rows, self.cols = self.rows._replace(label=rl), self.cols._replace(label=cl)
         self.steps += [
             StepRecord("equivalence", (r, 1), (c, 1), ((v, 1),), (1,), (1,))
             for r, c, v in zip(grid.rstart[ti].tolist(), grid.cstart[tj].tolist(), values)
@@ -705,7 +667,7 @@ class ReductionState:
         n = int(ti[-1]) + 1  # the next scan resumes on the last target's row
         tied = rl[:n, None] == cl
         self.grid = grid._replace(
-            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=tied, snapped=None,
+            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=tied,
             canonical=grid.canonical[:n] | (tied & ~grid.tied[:n]),
             owner=self.owner[grid.rstart[:n, None], grid.cstart])
         self.cursor = (-rstart[ti[-1]], cstart[tj[-1]])
@@ -718,7 +680,7 @@ class ReductionState:
             return False
         depth = len(self.steps)
         # blocks below the cursor's row stay canonical: the grid stops there
-        grid = self.grid or self._grid(bisect.bisect_right(self.rows, -self.cursor[0], key=_start))
+        grid = self.grid or self._grid(np.searchsorted(self.rows.start, -self.cursor[0], "right"))
         self.grid = None
         target = self.first_changing_block(grid, depth)
         if target is None:
@@ -727,14 +689,14 @@ class ReductionState:
             self.done = True
             return False
         i, j = target
-        rs, cs = self.rows[i], self.cols[j]
         # a tied 1x1 block is canonical, so a 1x1 target starts a phase run
-        if rs.size == cs.size == 1 and self._phase_run(grid, i, j, depth):
+        if grid.rsize[i] == grid.csize[j] == 1 and self._phase_run(grid, i, j, depth):
             return True
-        self._reduce(rs, cs, depth, bool(grid.tied[i, j]))
+        self._reduce(i, j, depth, bool(grid.tied[i, j]))
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
-        self.cursor = (self.steps[-1].row_pieces[-1] - rs.start - rs.size, cs.start)
+        step = self.steps[-1]
+        self.cursor = (step.row_pieces[-1] - sum(step.row_block), step.col_block[0])
         return True
 
     def _merge_zero_zones(self):
@@ -785,10 +747,9 @@ class ReductionState:
         labels: dict = {}
         row_info = [[] for _ in self.M.row_strips]
         col_info = [[] for _ in self.M.col_strips]
-        for sub in self.rows + self.cols:
-            info = row_info if sub.axis == "r" else col_info
-            k = labels.setdefault(sub.label, len(labels) + 1)
-            info[sub.strip].append((sub.start, sub.size, k))
+        for subs, info in ((self.rows, row_info), (self.cols, col_info)):
+            for start, size, strip, label in zip(*(x.tolist() for x in subs)):
+                info[strip].append((start, size, labels.setdefault(label, len(labels) + 1)))
         # zones partition the cells they own: group the cells by owner once
         order = np.argsort(self.owner, axis=None, kind="stable")
         bounds = np.searchsorted(

@@ -1,4 +1,3 @@
-import bisect
 import warnings
 
 import numpy as np
@@ -68,19 +67,19 @@ def phase_step(state, grid, i, j, depth):
     made by ``_reduce`` (an SVD and ``_apply``'s dense products).  The next
     scan's grid is then carried over the step: the 1x1 blocks between
     members of the joined class become tied and canonical, every other flag
-    stays, owners are reread."""
-    rs, cs = state.rows[i], state.cols[j]
-    state._reduce(rs, cs, depth, False)
-    if rs.label == cs.label:  # the value was above the threshold
+    stays, owners are reread.  A 1x1 target is not divided, so the indices
+    of every substrip stay."""
+    state._reduce(i, j, depth, False)
+    label = state.rows.label[i]
+    if label == state.cols.label[j]:  # the value was above the threshold
         n = i + 1  # the next scan resumes on row i
-        rows = np.array([s.label == rs.label for s in state.rows[:n]])
-        both = rows[:, None] & np.array([s.label == rs.label for s in state.cols])
+        both = (state.rows.label[:n, None] == label) & (state.cols.label == label)
         state.grid = grid._replace(
             rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=grid.tied[:n] | both,
-            canonical=grid.canonical[:n] | both, snapped=None,
+            canonical=grid.canonical[:n] | both,
             owner=state.owner[grid.rstart[:n, None], grid.cstart],
         )
-    state.cursor = (-rs.start, cs.start)
+    state.cursor = (-int(grid.rstart[i]), int(grid.cstart[j]))
     return True
 
 
@@ -140,15 +139,18 @@ def rank_deficient_inputs():
     return out
 
 
-def reference_block(state, rs, cs, tol):
-    """The per-block rule the engine's grid implements, one block at a time:
-    ``(tied, diagonal mean or None, canonical)``."""
-    B = state.A[rs.start : rs.start + rs.size, cs.start : cs.start + cs.size]
-    if rs.label == cs.label:
+def reference_block(state, i, j, tol):
+    """The per-block rule the engine's grid implements, one block at a time,
+    for row substrip i and column substrip j: ``(tied, diagonal mean or None,
+    canonical)``."""
+    r0, h = state.rows.start[i], state.rows.size[i]
+    c0, w = state.cols.start[j], state.cols.size[j]
+    B = state.A[r0 : r0 + h, c0 : c0 + w]
+    if state.rows.label[i] == state.cols.label[j]:
         lam = np.mean(np.diagonal(B))
-        residual = np.linalg.norm(B - lam * np.eye(rs.size))
-        return True, lam, residual <= tol.abs * max(1.0, rs.size)
-    limit = tol.abs * max(1.0, (rs.size * cs.size) ** 0.5)
+        residual = np.linalg.norm(B - lam * np.eye(h))
+        return True, lam, residual <= tol.abs * max(1.0, h)
+    limit = tol.abs * max(1.0, (h * w) ** 0.5)
     return False, None, np.linalg.norm(B) <= limit
 
 
@@ -158,11 +160,23 @@ def union_all(ties, items):
         ties.union(items[0], x)
 
 
+def substrips(state):
+    """The current substrips, rows then columns, each keyed by ``(axis,
+    start, size)``, with their labels: a division gives every piece a new
+    key, and a substrip left whole keeps its key."""
+    return {
+        (axis, start, size): label
+        for axis, subs in (("r", state.rows), ("c", state.cols))
+        for start, size, label in zip(*(x.tolist() for x in (subs.start, subs.size, subs.label)))
+    }
+
+
 def partition(subs, class_of):
-    """The classes of ``subs`` under ``class_of``, as sets of (axis, start)."""
+    """The classes of the substrip keys ``subs`` under ``class_of``, as sets
+    of (axis, start)."""
     classes = {}
     for s in subs:
-        classes.setdefault(class_of(s), set()).add((s.axis, s.start))
+        classes.setdefault(class_of(s), set()).add(s[:2])
     return {frozenset(c) for c in classes.values()}
 
 
@@ -174,29 +188,29 @@ def replay_ties(state):
     ties them (piece alpha of every member of the reduced classes; for
     equivalence also the leftover pieces within each former class)."""
     M = state.M
-    ties = mbm.DisjointSet(state.rows + state.cols)
-    first = {(s.axis, s.strip): s for s in state.rows + state.cols}
+    ties = mbm.DisjointSet(substrips(state))
+    strips = [("r", k) for k in state.rows.strip.tolist()] + [
+        ("c", k) for k in state.cols.strip.tolist()]
+    first = dict(zip(strips, substrips(state)))  # one substrip per nonempty strip
     for i, j in M.marked:
         if ("r", i) in first and ("c", j) in first:  # size-0 strips have none
             ties.union(first["r", i], first["c", j])
     yield ties, 0
     while True:
-        before, done = state.rows + state.cols, len(state.steps)
+        before, done = list(substrips(state)), len(state.steps)
         if not state.derive():
             return
-        after = state.rows + state.cols
+        after = list(substrips(state))
 
         def old(axis, start):
-            return next(s for s in before if (s.axis, s.start) == (axis, start))
+            return next(s for s in before if s[:2] == (axis, start))
 
         def members(x):
-            return [s for s in before if ties.find(s) is ties.find(x)]
+            return [s for s in before if ties.find(s) == ties.find(x)]
 
         def pieces(x):
-            return sorted(
-                (s for s in after if s.axis == x.axis and x.start <= s.start < x.start + x.size),
-                key=lambda s: s.start,
-            )
+            axis, start, size = x
+            return sorted(s for s in after if s[0] == axis and start <= s[1] < start + size)
 
         for step in state.steps[done:]:  # a run of phase steps divides nothing
             rmem = members(old("r", step.row_block[0]))
@@ -352,12 +366,12 @@ class TestCanonicalize:
         rng = np.random.default_rng(4)
         M = random_mbm(rng)
         state = mbm.ReductionState(M, tol)
-        prev_rows = len(state.rows)
-        prev_cols = len(state.cols)
+        prev_rows = len(state.rows.start)
+        prev_cols = len(state.cols.start)
         while state.derive():
-            assert len(state.rows) >= prev_rows
-            assert len(state.cols) >= prev_cols
-            prev_rows, prev_cols = len(state.rows), len(state.cols)
+            assert len(state.rows.start) >= prev_rows
+            assert len(state.cols.start) >= prev_cols
+            prev_rows, prev_cols = len(state.rows.start), len(state.cols.start)
 
 
 class TestEngineInvariants:
@@ -384,8 +398,8 @@ class TestEngineInvariants:
     def test_labels_match_union_find_replay(self, tol, M):
         state = mbm.ReductionState(M, tol)
         for ties, replayed in replay_ties(state):
-            subs = state.rows + state.cols
-            assert partition(subs, lambda s: s.label) == partition(subs, ties.find)
+            subs = substrips(state)
+            assert partition(subs, subs.get) == partition(subs, ties.find)
         assert replayed == len(state.steps)
         trace = state.trace()
         assert trace.num_classes == len(partition(subs, ties.find))
@@ -394,24 +408,24 @@ class TestEngineInvariants:
     def test_blocks_before_cursor_stay_canonical(self, tol, M):
         state = mbm.ReductionState(M, tol)
         while state.derive():
-            for rs in state.rows:
-                for cs in state.cols:
-                    if (-rs.start, cs.start) < state.cursor:
-                        assert reference_block(state, rs, cs, tol)[2]
+            for i, r0 in enumerate(state.rows.start.tolist()):
+                for j, c0 in enumerate(state.cols.start.tolist()):
+                    if (-r0, c0) < state.cursor:
+                        assert reference_block(state, i, j, tol)[2]
 
     @pytest.mark.parametrize("M", engine_inputs())
     def test_grid_matches_per_block_reference(self, tol, M):
         state = mbm.ReductionState(M, tol)
         running = True
         while running:
-            grid = state._grid()
-            for i, rs in enumerate(state.rows):
-                for j, cs in enumerate(state.cols):
-                    tied, lam, canonical = reference_block(state, rs, cs, tol)
+            grid, snapped = state._grid(), state._snap()[-1]
+            for i, r0 in enumerate(state.rows.start.tolist()):
+                for j, c0 in enumerate(state.cols.start.tolist()):
+                    tied, lam, canonical = reference_block(state, i, j, tol)
                     assert grid.tied[i, j] == tied
                     assert grid.canonical[i, j] == canonical
                     if tied:
-                        mean = grid.snapped[rs.start, cs.start]
+                        mean = snapped[r0, c0]
                         assert np.isclose(mean, lam, rtol=1e-12, atol=0)
             running = state.derive()
 
@@ -426,14 +440,14 @@ class TestEngineInvariants:
         A[2:, :2] = 1.1e-3
         A[2:, 2:] = 1.1e-3
         state = mbm.ReductionState(MarkedBlockMatrix((2, 3), (2, 3), A, {(0, 0)}), tol)
-        grid = state._grid()
+        grid, snapped = state._grid(), state._snap()[-1]
         assert grid.canonical.tolist() == [[True, True], [False, False]]
         assert grid.tied.tolist() == [[True, False], [False, False]]
-        for i, rs in enumerate(state.rows):
-            for j, cs in enumerate(state.cols):
-                assert grid.canonical[i, j] == reference_block(state, rs, cs, tol)[2]
-        assert grid.snapped[0, 0] == grid.snapped[1, 1] == np.mean([5.0, 5.0 + d])
-        assert not grid.snapped[:, 2:].any() and not grid.snapped[2:].any()
+        for i in range(len(state.rows.start)):
+            for j in range(len(state.cols.start)):
+                assert grid.canonical[i, j] == reference_block(state, i, j, tol)[2]
+        assert snapped[0, 0] == snapped[1, 1] == np.mean([5.0, 5.0 + d])
+        assert not snapped[:, 2:].any() and not snapped[2:].any()
 
 
 class TestReferenceSteps:
@@ -496,7 +510,7 @@ def carried_grids(state):
     that grid and a fresh ``_grid`` over the rows up to the cursor's."""
     while True:
         if state.grid is not None:
-            nrows = bisect.bisect_right(state.rows, -state.cursor[0], key=mbm._start)
+            nrows = np.searchsorted(state.rows.start, -state.cursor[0], "right")
             yield state.grid, state._grid(nrows)
         if not state.derive():
             return
