@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import Tolerance
+from .numcore import Tolerance, frobenius
 from .quiverrep import (
     Quiver,
     Representation,
@@ -256,7 +256,7 @@ def to_real_form(
     B = apply_isometry(A, Isometry(U))
     mats = {}
     for a, M in B.matrices.items():
-        if np.linalg.norm(M.imag) > tol.bound(M):
+        if frobenius(M.imag) > tol.bound(M):
             raise NonScalarGaugeError("real form has residual imaginary parts")
         mats[a] = M.real.astype(complex)
     return Representation(A.quiver, A.dims, mats)
@@ -277,9 +277,7 @@ def to_quaternionic_form(
         M = C.matrices[a]
         hr, hc = M.shape[0] // 2, M.shape[1] // 2
         X, Y = M[:hr, :hc], M[:hr, hc:]
-        resid = np.hypot(
-            np.linalg.norm(M[hr:, :hc] + Y.conj()), np.linalg.norm(M[hr:, hc:] - X.conj())
-        )
+        resid = np.hypot(frobenius(M[hr:, :hc] + Y.conj()), frobenius(M[hr:, hc:] - X.conj()))
         if resid > tol.bound(M):
             raise NonScalarGaugeError("quaternionic block symmetry violated")
     return C
@@ -300,7 +298,7 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     S, _ = _isometry(A, B, tol)
     if S is None:
         return None
-    norm = np.linalg.norm([np.linalg.norm(M) for M in A.matrices.values()])
+    norm = frobenius([frobenius(M) for M in A.matrices.values()])
     limit = tol.bound(norm, max((1, *A.dims)))
     thetas = [np.pi * k / 24 for k in range(24)]
     rng = np.random.default_rng(0)
@@ -318,8 +316,8 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
                 Phi = U_ @ Vh_
             T.append(Phi.astype(complex))
         else:
-            resid = np.linalg.norm([
-                np.linalg.norm(T[d - 1] @ A.matrices[a] - B.matrices[a] @ T[s - 1])
+            resid = frobenius([
+                frobenius(T[d - 1] @ A.matrices[a] - B.matrices[a] @ T[s - 1])
                 for a, s, d in A.quiver.arrows
             ])
             if resid <= limit:

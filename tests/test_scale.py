@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unicanon import euclid as eu
 from unicanon import mbm
 from unicanon import quiverrep as qr
 from unicanon.cli import dispatch
@@ -22,6 +23,7 @@ from unicanon.mbm import MarkedBlockMatrix
 from unicanon.numcore import Tolerance, random_unitary
 
 from conftest import D4, KRONECKER, LOOP, SQUARE_KINDS, TWO_LOOPS, random_mbm, square
+from test_euclid import quaternionic_loop
 
 SCALES = (1e-6, 1e-3, 1e3, 1e6)
 CASES = settings(max_examples=25, deadline=None, derandomize=True)
@@ -183,3 +185,32 @@ def test_cli_above_norm_overflow(tmp_path, capsys, mode):
     marks = frozenset({(0, 0)}) if mode == "simil" else frozenset()
     want = mbm.canonicalize(MarkedBlockMatrix((2,), (2,), BASE, marks))[0].entries
     assert_divided(got, want, c)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", EXTREME)
+@pytest.mark.parametrize("kind", ["Real", "Quaternionic"])
+def test_real_types_at_extreme_scales(tol, kind, c):
+    # a generic real 4 x 4 loop, or [[X, Y], [-conj(Y), conj(X)]] with 2 x 2 X, Y
+    rng = np.random.default_rng(0)
+    if kind == "Real":
+        A = qr.Representation(LOOP, (4,), {"a": rng.standard_normal((4, 4)).astype(complex)})
+        R = A
+    else:
+        A = quaternionic_loop(0)
+        R = eu.realify(A)  # real-entried, for decompose_real and real_isometry
+    want, got = eu.classify_real(A, tol), eu.classify_real(scaled_rep(A, c), tol)
+    assert (got.kind, got.lam) == (want.kind, want.lam) == (kind, 1 if kind == "Real" else -1)
+    F = got.form.matrices["a"] / c
+    if kind == "Real":
+        assert not F.imag.any()
+    else:
+        X, Y = F[:2, :2], F[:2, 2:]
+        assert np.linalg.norm(F[2:] - np.hstack([-Y.conj(), X.conj()])) <= 1e-12 * np.linalg.norm(F)
+    assert qr.isometric(got.form, scaled_rep(A, c), tol)
+    assert [(P.dims, m) for P, m in eu.decompose_real(scaled_rep(R, c), tol)] == [
+        (P.dims, m) for P, m in eu.decompose_real(R, tol)]
+    n = R.dims[0]
+    O = np.linalg.qr(rng.standard_normal((n, n)))[0]  # a real orthogonal scramble
+    B = qr.apply_isometry(R, qr.Isometry((O.astype(complex),)))
+    assert eu.real_isometry(scaled_rep(R, c), scaled_rep(B, c), tol) is not None
