@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import Tolerance, _rank, cluster_complex, same_form
+from .numcore import Tolerance, _rank, cluster_complex, frobenius, same_form
 from .mbm import MarkedBlockMatrix, canonicalize
 from .quiverrep import Quiver, Representation, isometric
 
@@ -117,7 +117,8 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
     if kind == "Nilpotent2":
         A = _square(data)
         n = A.shape[0]
-        if np.linalg.norm(A @ A) > tol.bound(np.linalg.norm(A) ** 2, n):
+        B = A / (frobenius(A) or 1.0)  # A^2 = 0 is decided at unit norm, in range
+        if frobenius(B @ B) > tol.bound(1.0, n):
             raise RelationViolatedError("A^2 != 0")
         eps = tol.threshold(A)
         s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
@@ -131,7 +132,9 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
     if kind == "Projector":
         P = _square(data)
         n = P.shape[0]
-        if np.linalg.norm(P @ P - P) > tol.bound(np.linalg.norm(P) ** 2, n):
+        s = frobenius(P)
+        B = P / (s or 1.0)  # P^2 - P = s (s B^2 - B), in range where P^2 is not
+        if frobenius(s * (B @ B) - B) > tol.bound(s, n):
             raise RelationViolatedError("P^2 != P")
         r = int(round(float(np.trace(P).real)))
         eps = tol.threshold(P)

@@ -157,6 +157,31 @@ class TestTameProjector:
             tame_canonical("Projector", 2 * np.eye(2), tol)
 
 
+class TestTameAtExtremeScales:
+    """The relations are decided at unit norm, where no square over- or
+    underflows."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, c", [
+        ("Nilpotent2", 1e-200), ("Nilpotent2", 1e200),
+        ("Projector", 1e-200), ("Projector", 1e155), ("Projector", 1e200),
+    ])
+    def test_scaled_identity_is_rejected(self, tol, kind, c):
+        with pytest.raises(RelationViolatedError):
+            tame_canonical(kind, c * np.eye(2), tol)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [1e-200, 1e200])
+    def test_nilpotent_form_scales(self, tol, c):
+        A = np.zeros((4, 4), dtype=complex)
+        A[:2, 2:] = [[1.0, 2j], [0.5, 3.0]]
+        U = random_unitary(4, seed=5)
+        A = U.conj().T @ A @ U
+        C = tame_canonical("Nilpotent2", A, tol)
+        Cc = tame_canonical("Nilpotent2", c * A, tol)
+        assert np.linalg.norm(Cc / c - C) <= 1e-12 * np.linalg.norm(C)
+
+
 class TestTameSubspacePair:
     def test_single_angle(self, tol):
         c, s = np.cos(0.4), np.sin(0.4)
