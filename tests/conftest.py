@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -154,46 +152,3 @@ def not_reducing_step(A, tol):
     lams, sizes, _ = simil_step(A, tol)
     return lams, sizes, np.eye(A.shape[0], dtype=complex)
 
-
-def d_set(quiver, bound):
-    """D(Q) with component sum <= bound, straight from the paper's three
-    clauses: unit vectors; e_i + e_j over a single arrow i -- j; nonzero z
-    with connected support, other than a loop-free single vertex or two
-    vertices joined by one arrow, with z M_Q >= z (M_Q the symmetric arrow
-    count matrix, loops counted once).  A reference for ``dims.enumerate_D``
-    that shares no code with it."""
-    p = quiver.p
-    M = np.zeros((p, p), dtype=int)
-    for _, s, d in quiver.arrows:
-        if s == d:
-            M[s - 1, s - 1] += 1
-        else:
-            M[s - 1, d - 1] += 1
-            M[d - 1, s - 1] += 1
-    out = []
-    for z in itertools.product(range(bound + 1), repeat=p):
-        if not 1 <= sum(z) <= bound:
-            continue
-        supp = [v for v in range(p) if z[v]]
-        if sum(z) == 1:
-            out.append(z)
-            continue
-        if sorted(x for x in z if x) == [1, 1] and M[supp[0], supp[1]] == 1:
-            out.append(z)
-            continue
-        seen, stack = {supp[0]}, [supp[0]]
-        while stack:
-            v = stack.pop()
-            for w in supp:
-                if w not in seen and M[v, w]:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(supp):
-            continue
-        if len(supp) == 1 and M[supp[0], supp[0]] == 0:
-            continue
-        if len(supp) == 2 and M[supp[0], supp[1]] == 1 and M[supp[0], supp[0]] == 0 and M[supp[1], supp[1]] == 0:
-            continue
-        if np.all(np.asarray(z) @ M >= np.asarray(z)):
-            out.append(z)
-    return sorted(out)

@@ -17,7 +17,8 @@ from unicanon.dims import (
     zero_summand_witness,
 )
 
-from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_ARROWS_IN, FOUR_ARROWS, d_set
+from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_ARROWS_IN, FOUR_ARROWS
+from oracle import d_set
 
 SINGLE_VERTEX = qr.Quiver(1, [])
 
