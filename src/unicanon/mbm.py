@@ -18,8 +18,8 @@ a scalar multiple of the identity and every other block is zero.
 
 The substrips of each axis are four integer arrays: first row or column,
 size, strip and tie-class label.  A step replaces them, and gives the pieces
-it cuts fresh labels.  Each step decides "is this block canonical" for the
-substrip grid, down to the row where its scan resumes, in one array pass
+it cuts fresh labels.  Each scan decides "is this block canonical" for the
+substrip grid, down to the row where it resumes, in one array pass
 (:meth:`ReductionState._grid`): the tied-block mask, the diagonal mean of
 every tied block, every block's residual against its canonical part and the
 zone owning it, all as numpy arrays.
@@ -34,8 +34,9 @@ The engine's bookkeeping rests on three invariants, which the tests check:
 * a phase step (a 1x1 target that ties its two classes) divides nothing,
   and admissible transformations keep ``‖B‖_F`` of untied blocks and
   ``‖B - λI‖_F`` of tied ones, so every block but the target and the 1x1
-  blocks the step ties keeps its flag: one grid names all targets of a run
-  of phase steps, which the run reduces in one pass and carries over.
+  blocks the step ties keeps its flag: one grid serves a whole scan, which
+  makes the phase steps on its way in one pass, skips the blocks they tie
+  and stops at the next block that still changes.
 """
 
 from __future__ import annotations
@@ -365,8 +366,8 @@ class ReductionTrace:
 class _Subs(NamedTuple):
     """The substrips of one axis in order: runs of rows (or columns) inside
     one strip, which tile the axis.  Steps replace these arrays and never
-    write into them, so a run of phase steps can keep the labels of each
-    step."""
+    write into them, so a scan can keep the labels before each of its phase
+    steps."""
 
     start: np.ndarray  # first row or column
     size: np.ndarray
@@ -424,7 +425,6 @@ class ReductionState:
         self.cursor = (-m, 0)  # scan key (-row start, col start) of the next scan
         # per axis, offsets of boundaries cut in substrips other than the target's
         self.propagated = {"r": set(), "c": set()}
-        self.grid: _Grid | None = None  # the next scan's grid, if carried over
         self.done = False
 
     # -- block helpers -------------------------------------------------
@@ -471,32 +471,8 @@ class ReductionState:
         owner = self.owner[rstart[:, None], cstart]
         return _Grid(rstart, rsize, cstart, csize, tied, canonical, owner)
 
-    def first_changing_block(self, grid: _Grid, depth: int):
-        """Index pair ``(i, j)`` into ``rows`` and ``cols`` of the first
-        block, in scan order from the cursor on, that is not canonical, or
-        None.  ``grid`` covers the rows up to the cursor's (the scan never
-        goes below it).  The canonical blocks passed on the way that no zone
-        holds yet become zones of their own, in one batch."""
-        row, col = self.cursor
-        i0 = grid.canonical.shape[0] - 1
-        on_row = i0 >= 0 and grid.rstart[i0] == -row
-        j0 = int(np.searchsorted(grid.cstart, col)) if on_row else 0
-        nc = grid.cstart.size
-        # flags of rows i0, i0 - 1, ..., 0 in turn, each left to right
-        canonical = grid.canonical[i0::-1].ravel()
-        changing = np.flatnonzero(~canonical[j0:])
-        stop = j0 + int(changing[0]) if changing.size else canonical.size
-        passed = j0 + np.flatnonzero(grid.owner[i0::-1].ravel()[j0:stop] < 0)
-        if passed.size:
-            i, j = i0 - passed // nc, passed % nc
-            self._install(grid, i, j, [depth] * i.size, grid.tied[i, j])
-        if stop == canonical.size:
-            return None
-        i, j = divmod(stop, nc)
-        return i0 - i, j
-
     # -- zone bookkeeping ----------------------------------------------
-    def _install(self, grid: _Grid, i, j, depths, tied, reduced=False) -> None:
+    def _install(self, grid: _Grid, i, j, depths, tied, reduced) -> None:
         """Give each block ``(i[k], j[k])``, none of them owned yet, a zone of
         its own at ``depths[k]``: a similarity zone with one stair down its
         diagonal if ``tied[k]`` (the block is then square), else an
@@ -603,32 +579,37 @@ class ReductionState:
         pieces = self._divide(classes, sizes, i, j)  # a tied block's one class cuts both sides
         self.steps.append(StepRecord(kind, (r0, h), (c0, w), values, pieces[0], pieces[-1]))
 
-    def _phase_run(self, grid: _Grid, i: int, j: int, depth: int) -> bool:
-        """Reduce the run of phase steps from the untied 1x1 target ``(i, j)``
-        in one pass; False, changing nothing, if its value is at the threshold.
+    def _scan(self, grid: _Grid, depth: int):
+        """Walk ``grid`` in scan order from the cursor on, making every phase
+        step on the way, and return the first other non-canonical block as
+        ``(i, j)``, or None at the end.
 
-        The run's targets are the next non-canonical 1x1 blocks in scan order
-        whose classes it has not yet joined.  Each value b is read through
-        the phases so far, the row class's phases are multiplied by b / |b|
-        (the U of its SVD; V is 1) and the classes are joined.  A larger
-        block or a value at the threshold ends the run and goes to
-        :meth:`_reduce`.  A, R and S are scaled once; a block passed between
-        targets k and k + 1 gets its zone at ``depth + k + 1``, with the ties
-        of that moment, and the grid is carried to the next scan."""
+        A phase step's target is a non-canonical 1x1 block whose classes the
+        scan has not yet joined.  Its value b is read through the phases so
+        far, the row class's phases are multiplied by b / |b| (the U of its
+        SVD; V is 1) and the classes are joined.  A larger block, or a value
+        at the threshold, ends the scan.  A, R and S are scaled once, and
+        every unowned block passed gets its zone, in one batch, at ``depth +
+        k`` (k steps made before it) with the ties of that moment.  ``grid``
+        covers the rows up to the cursor's (the scan never goes below it)."""
+        row, col = self.cursor
         nc, i0 = grid.cstart.size, grid.canonical.shape[0] - 1
+        on_row = i0 >= 0 and grid.rstart[i0] == -row
+        f0 = int(np.searchsorted(grid.cstart, col)) if on_row else 0
         rl, cl = self.rows.label, self.cols.label
         pr, pc = np.ones(rl.size, complex), np.ones(cl.size, complex)
         rstart, rsize = grid.rstart.tolist(), grid.rsize.tolist()
         cstart, csize = grid.cstart.tolist(), grid.csize.tolist()
-        f0 = (i0 - i) * nc + j
-        history = [(rl, cl)]  # the labels before every step, and after the run
-        run = []  # (scan position, |b|) per target
-        for f in (f0 + np.flatnonzero(~grid.canonical[i0::-1].ravel()[f0:])).tolist():
-            i, j = i0 - f // nc, f % nc
+        # flags of rows i0, i0 - 1, ..., 0 in turn, each left to right
+        canonical = grid.canonical[i0::-1].ravel()
+        history = [(rl, cl)]  # the labels before every step, and after the scan
+        targets, values = [], []  # scan position and |b| per target
+        for stop in (f0 + np.flatnonzero(~canonical[f0:])).tolist():
+            i, j = i0 - stop // nc, stop % nc
             if rsize[i] != 1 or csize[j] != 1:
                 break
             a, c = rl[i], cl[j]
-            if a == c:  # tied by this run, so canonical
+            if a == c:  # tied by this scan, so canonical
                 continue
             b = pr[i].conjugate() * self.A[rstart[i], cstart[j]] * pc[j]
             s = abs(b)
@@ -641,58 +622,49 @@ class ReductionState:
             cl = np.where(cols | (cl == c), self.labels, cl)
             self.labels += 1
             history.append((rl, cl))
-            run.append((f, float(s)))
-        if not run:
-            return False
-        p, q = np.repeat(pr, self.rows.size), np.repeat(pc, self.cols.size)
-        self.A = p.conj()[:, None] * self.A * q
-        self.R, self.S = self.R * p, self.S * q
-        targets, values = zip(*run)
-        tf = np.array(targets)
-        ti, tj = i0 - tf // nc, tf % nc
-        self.A[grid.rstart[ti], grid.cstart[tj]] = values
-        # unowned blocks from first target to last: no zone holds a target
-        at = f0 + np.flatnonzero(grid.owner[i0::-1].ravel()[f0 : tf[-1] + 1] < 0)
-        k = np.searchsorted(tf, at)  # steps of the run made before each
-        i, j = i0 - at // nc, at % nc
-        rls, cls = (np.array(x) for x in zip(*history))
-        tied = rls[k, i] == cls[k, j]
-        self._install(grid, i, j, (depth + k).tolist(), tied, tf[k] == at)
-        self.rows, self.cols = self.rows._replace(label=rl), self.cols._replace(label=cl)
-        self.steps += [
-            StepRecord("equivalence", (r, 1), (c, 1), ((v, 1),), (1,), (1,))
-            for r, c, v in zip(grid.rstart[ti].tolist(), grid.cstart[tj].tolist(), values)
-        ]
-        # the run ties 1x1 blocks only, and a tied 1x1 block is canonical
-        n = int(ti[-1]) + 1  # the next scan resumes on the last target's row
-        tied = rl[:n, None] == cl
-        self.grid = grid._replace(
-            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=tied,
-            canonical=grid.canonical[:n] | (tied & ~grid.tied[:n]),
-            owner=self.owner[grid.rstart[:n, None], grid.cstart])
-        self.cursor = (-rstart[ti[-1]], cstart[tj[-1]])
-        return True
+            targets.append(stop)
+            values.append(float(s))
+        else:
+            stop = canonical.size  # the scan reached the end
+        tf = np.array(targets, np.intp)
+        at = f0 + np.flatnonzero(grid.owner[i0::-1].ravel()[f0:stop] < 0)
+        if at.size:
+            k = np.searchsorted(tf, at)  # steps made before each passed block
+            i, j = i0 - at // nc, at % nc
+            rls, cls = (np.array(x) for x in zip(*history))
+            reduced = np.searchsorted(tf, at, "right") > k
+            self._install(grid, i, j, (depth + k).tolist(), rls[k, i] == cls[k, j], reduced)
+        if targets:
+            p, q = np.repeat(pr, self.rows.size), np.repeat(pc, self.cols.size)
+            self.A = p.conj()[:, None] * self.A * q
+            self.R, self.S = self.R * p, self.S * q
+            ti, tj = i0 - tf // nc, tf % nc
+            self.A[grid.rstart[ti], grid.cstart[tj]] = values
+            self.rows, self.cols = self.rows._replace(label=rl), self.cols._replace(label=cl)
+            self.steps += [
+                StepRecord("equivalence", (r, 1), (c, 1), ((v, 1),), (1,), (1,))
+                for r, c, v in zip(grid.rstart[ti].tolist(), grid.cstart[tj].tolist(), values)
+            ]
+        return None if stop == canonical.size else (i0 - stop // nc, stop % nc)
 
     def derive(self) -> bool:
-        """One step, or one run of phase steps, of the iteration.  Returns
+        """One scan of the iteration: the phase steps on its way and the
+        reduction of the block it stops at, or, if it reaches the end, the
+        merge rule and the final snap.  Returns whether the call made a step;
         False at the fixpoint."""
         if self.done:
             return False
         depth = len(self.steps)
         # blocks below the cursor's row stay canonical: the grid stops there
-        grid = self.grid or self._grid(np.searchsorted(self.rows.start, -self.cursor[0], "right"))
-        self.grid = None
-        target = self.first_changing_block(grid, depth)
+        grid = self._grid(np.searchsorted(self.rows.start, -self.cursor[0], "right"))
+        target = self._scan(grid, depth)
         if target is None:
             self._merge_zero_zones()
             self.A = self._snap()[-1]
             self.done = True
-            return False
+            return len(self.steps) > depth
         i, j = target
-        # a tied 1x1 block is canonical, so a 1x1 target starts a phase run
-        if grid.rsize[i] == grid.csize[j] == 1 and self._phase_run(grid, i, j, depth):
-            return True
-        self._reduce(i, j, depth, bool(grid.tied[i, j]))
+        self._reduce(i, j, len(self.steps), bool(grid.tied[i, j]))
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
         step = self.steps[-1]
@@ -701,41 +673,26 @@ class ReductionState:
 
     def _merge_zero_zones(self):
         """Merge rule: an all-zero block that was never itself reduced joins
-        the zone of its neighbour across a propagated division boundary.
-        Chains of such blocks settle in repeated passes."""
+        the zone of its neighbour across a propagated division boundary; one
+        pass in zone order settles chains."""
         zones, n = self.zones, self.owner.shape[1]
         rows, cols, owner = self.propagated["r"], self.propagated["c"], self.owner.ravel().tolist()
-        # (zone id, owners of the neighbour cells left, right, above and below
-        # across propagated boundaries, which lie strictly inside the matrix)
-        probes = []
-        for zid in self._zero_candidates:
-            r0, h, c0, w = zones[zid][2]
-            at = r0 * n + c0
-            tids = [owner[cell] for across, cell in (
-                (c0 in cols, at - 1), (c0 + w in cols, at + w),
-                (r0 in rows, at - n), (r0 + h in rows, at + h * n),
-            ) if across]
-            if tids:
-                probes.append((zid, tids))
         # an absorbed zone points at the zone that absorbed it; the owners are
         # read through the pointers and the map is repainted once, at the end
         into, gone = DisjointSet(), []
-        changed = True
-        while changed:
-            changed = False
-            for zid, tids in probes:
-                z = zones[zid]
-                if z is None:
-                    continue
-                for tid in map(into.find, tids):
-                    if tid < 0 or tid == zid:
-                        continue
-                    _, _, block, _, absorbed = z
-                    zones[tid][4].extend([block, *absorbed])
+        for zid in self._zero_candidates:
+            r0, h, c0, w = block = zones[zid][2]
+            at = r0 * n + c0
+            # the neighbour cells left, right, above and below across
+            # propagated boundaries, which lie strictly inside the matrix
+            for across, cell in ((c0 in cols, at - 1), (c0 + w in cols, at + w),
+                                 (r0 in rows, at - n), (r0 + h in rows, at + h * n)):
+                tid = into.find(owner[cell]) if across else -1
+                if tid >= 0 and tid != zid:
+                    zones[tid][4].extend([block, *zones[zid][4]])
                     into.union(zid, tid)
                     zones[zid] = None
                     gone.append(zid)
-                    changed = True
                     break
         if gone:
             lut = np.append(np.arange(len(self.zones)), -1)  # unowned (-1) stays so

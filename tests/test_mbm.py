@@ -62,25 +62,28 @@ def reference_inputs():
     ]
 
 
-def phase_step(state, grid, i, j, depth):
-    """The reference of ``_phase_run``: one phase step per ``derive`` call,
-    made by ``_reduce`` (an SVD and ``_apply``'s dense products).  The next
-    scan's grid is then carried over the step: the 1x1 blocks between
-    members of the joined class become tied and canonical, every other flag
-    stays, owners are reread.  A 1x1 target is not divided, so the indices
-    of every substrip stay."""
-    state._reduce(i, j, depth, False)
-    label = state.rows.label[i]
-    if label == state.cols.label[j]:  # the value was above the threshold
-        n = i + 1  # the next scan resumes on row i
-        both = (state.rows.label[:n, None] == label) & (state.cols.label == label)
-        state.grid = grid._replace(
-            rstart=grid.rstart[:n], rsize=grid.rsize[:n], tied=grid.tied[:n] | both,
-            canonical=grid.canonical[:n] | both,
-            owner=state.owner[grid.rstart[:n, None], grid.cstart],
-        )
-    state.cursor = (-int(grid.rstart[i]), int(grid.cstart[j]))
-    return True
+def one_target_scan(state, grid, depth):
+    """The reference of ``_scan``: no phase step on the way.  It installs
+    the blocks passed from the cursor on, at ``depth`` with ``grid.tied``,
+    and returns the first non-canonical block, which ``derive`` then
+    reduces by ``_reduce`` (a 1x1 one by an SVD and ``_apply``'s dense
+    products): one step per call, each on a fresh grid."""
+    row, col = state.cursor
+    i0 = grid.canonical.shape[0] - 1
+    on_row = i0 >= 0 and grid.rstart[i0] == -row
+    j0 = int(np.searchsorted(grid.cstart, col)) if on_row else 0
+    nc = grid.cstart.size
+    canonical = grid.canonical[i0::-1].ravel()
+    changing = np.flatnonzero(~canonical[j0:])
+    stop = j0 + int(changing[0]) if changing.size else canonical.size
+    passed = j0 + np.flatnonzero(grid.owner[i0::-1].ravel()[j0:stop] < 0)
+    if passed.size:
+        i, j = i0 - passed // nc, passed % nc
+        state._install(grid, i, j, [depth] * i.size, grid.tied[i, j], np.zeros(i.size, bool))
+    if stop == canonical.size:
+        return None
+    i, j = divmod(stop, nc)
+    return i0 - i, j
 
 
 def repaint_merge(state):
@@ -451,9 +454,10 @@ class TestEngineInvariants:
 
 
 class TestReferenceSteps:
-    """The engine's runs of phase steps and pointer merges against what they
-    replace: one phase step per call through ``_reduce`` and ``_apply``'s
-    dense products (reference ``_apply``), and the repaint-per-merge loop."""
+    """The engine's scans, with their phase steps on the way, and its
+    pointer merges against what they replace: one step per call on a fresh
+    grid, a 1x1 target reduced through ``_reduce`` and ``_apply``'s dense
+    products (reference ``_apply``), and the repaint-per-merge loop."""
 
     @pytest.mark.parametrize("reference", ["_apply", "_merge_zero_zones"])
     @pytest.mark.parametrize("M", reference_inputs() + [
@@ -463,7 +467,7 @@ class TestReferenceSteps:
     def test_same_reduction(self, tol, M, reference, monkeypatch):
         state = reduce_fully(M, tol)
         method, replacement = {
-            "_apply": ("_phase_run", phase_step),
+            "_apply": ("_scan", one_target_scan),
             "_merge_zero_zones": ("_merge_zero_zones", repaint_merge),
         }[reference]
         monkeypatch.setattr(mbm.ReductionState, method, replacement)
@@ -504,40 +508,76 @@ def generic_similarity(n, seed):
     return MarkedBlockMatrix((n,), (n,), X, {(0, 0)})
 
 
-def carried_grids(state):
-    """Run ``state`` to its fixpoint and yield ``(carried, fresh)`` before
-    every call that starts from a grid carried over a run of phase steps:
-    that grid and a fresh ``_grid`` over the rows up to the cursor's."""
-    while True:
-        if state.grid is not None:
-            nrows = np.searchsorted(state.rows.start, -state.cursor[0], "right")
-            yield state.grid, state._grid(nrows)
-        if not state.derive():
-            return
+def scans_stopped_after_phase_steps(M, tol, monkeypatch):
+    """Reduce M and list, for every call whose scan makes phase steps and
+    then stops at a block: the grid the scan walked, a fresh ``_grid`` over
+    the same rows, taken just before ``_reduce``, and the grid indices of
+    the last phase target and of the stop."""
+    scan, out = mbm.ReductionState._scan, []
+
+    def recording(state, grid, depth):
+        stop = scan(state, grid, depth)
+        if stop is not None and len(state.steps) > depth:
+            last = state.steps[-1]
+            at = (int(np.searchsorted(grid.rstart, last.row_block[0])),
+                  int(np.searchsorted(grid.cstart, last.col_block[0])))
+            out.append((grid, state._grid(grid.rstart.size), at, stop))
+        return stop
+
+    monkeypatch.setattr(mbm.ReductionState, "_scan", recording)
+    reduce_fully(M, tol)
+    return out
 
 
 class TestCarriedGrid:
-    """A run of phase steps divides nothing, so the scan after it updates
-    the run's grid; the fresh ``_grid`` is the reference."""
+    """A phase step divides nothing and changes only the flags of the 1x1
+    blocks it ties, which the scan skips, so one grid is carried through a
+    whole scan; the fresh ``_grid`` is the reference."""
 
     @pytest.mark.parametrize("M", engine_inputs() + [generic_similarity(16, 23)])
-    def test_carried_grid_matches_fresh(self, tol, M):
-        for carried, fresh in carried_grids(mbm.ReductionState(M, tol)):
-            for name in ("rstart", "rsize", "cstart", "csize", "tied", "canonical", "owner"):
-                assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
+    def test_carried_grid_matches_fresh(self, tol, M, monkeypatch):
+        # from the last phase target on, a fresh grid stops the scan where the
+        # carried one did, at a block of the same tie
+        for grid, fresh, last, stop in scans_stopped_after_phase_steps(M, tol, monkeypatch):
+            for name in ("rstart", "rsize", "cstart", "csize"):
+                assert np.array_equal(getattr(grid, name), getattr(fresh, name)), name
+            i0, nc = grid.rstart.size - 1, grid.cstart.size
+            a, b = ((i0 - i) * nc + j for i, j in (last, stop))
+            flags = fresh.canonical[i0::-1].ravel()
+            assert a < b and flags[a:b].all()
+            assert not fresh.canonical[stop]
+            assert fresh.tied[stop] == grid.tied[stop]
+
+    def test_scans_stop_after_phase_steps(self, tol, monkeypatch):
+        # the case above is exercised: a D4 reduction has such scans
+        assert scans_stopped_after_phase_steps(packed(D4, (6, 6, 6, 12), 2), tol, monkeypatch)
 
     def test_inputs_have_phase_steps(self, tol):
-        # most steps of these reductions are made in runs, each of which
-        # carries its grid to the next scan
+        # most steps of these reductions are phase steps, made by the scans
+        # on their way: every step of a call but the block it stops at
         for M in (packed(KRONECKER, (16, 16), 1), packed(D4, (6, 6, 6, 12), 2),
                   generic_similarity(16, 23)):
             state = mbm.ReductionState(M, tol)
             in_runs, before = 0, 0
             while state.derive():
-                if state.grid is not None:  # the call made a run
-                    in_runs += len(state.steps) - before
+                made = len(state.steps) - before
+                in_runs += made if state.done else made - 1
                 before = len(state.steps)
             assert in_runs >= len(state.steps) // 2
+
+    def test_stop_at_a_value_at_the_threshold(self, tol):
+        # a 1x1 zero block flagged non-canonical: its phase b / |b| is 0 / 0,
+        # so the scan stops there and makes no step
+        A = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
+        state = mbm.ReductionState(MarkedBlockMatrix((1, 1), (1, 1), A), tol)
+        grid = state._grid()
+        canonical = grid.canonical.copy()
+        canonical[1, 0] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state._scan(grid._replace(canonical=canonical), 0) == (1, 0)
+        assert state.steps == []
+        assert np.array_equal(state.A, A)
 
     def test_kronecker_run_in_one_call(self, tol):
         # an SVD step on the first arrow's block, then its run of 23 phase steps
