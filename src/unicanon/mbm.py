@@ -201,6 +201,9 @@ def _check_finite(E: np.ndarray, what: str = "entry") -> None:
 
 
 def validate(M: MarkedBlockMatrix) -> None:
+    for axis, strips in (("row", M.row_strips), ("column", M.col_strips)):
+        if any(k < 0 for k in strips):
+            raise DimensionMismatchError(f"{axis} strips {strips}: a strip size is negative")
     m, n = M.entries.shape
     if m != sum(M.row_strips) or n != sum(M.col_strips):
         raise DimensionMismatchError(

@@ -107,6 +107,8 @@ class Representation:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(self.dims) != self.quiver.p:
             raise DimMismatchError("dims length != number of vertices")
+        if any(d < 0 for d in self.dims):
+            raise DimMismatchError(f"dims {self.dims}: a dimension is negative")
         mats = {
             a: mbm._shaped(self.matrices[a], (self.dims[d - 1], self.dims[s - 1]),
                            DimMismatchError, f"arrow {a}")

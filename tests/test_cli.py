@@ -261,6 +261,36 @@ class TestExitCodes:
         assert dispatch(["fill-scheme", f]) == 2
         assert json.loads(capsys.readouterr().err)["type"] == "DimensionMismatchError"
 
+    @pytest.mark.parametrize(
+        "command, data",
+        ((["fill-scheme"], {"symbols": [["o", "o"], [".", "o"]], "zones": [],
+                            "row_strips": [3, -1], "col_strips": [2]}),
+         (["canon-mbm"], {"row_strips": [3, -1], "col_strips": [2],
+                          "entries": cmat(np.ones((2, 2)))})),
+        ids=("fill-scheme", "canon-mbm"),
+    )
+    def test_negative_strip(self, tmp_path, capsys, command, data):
+        # before: fill-scheme exited 0 and wrote the strips back out
+        f = write_json(tmp_path / "x.json", data)
+        assert dispatch(command + [f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["type"] == "DimensionMismatchError"
+        assert err["error"] == "row strips (3, -1): a strip size is negative"
+
+    @pytest.mark.parametrize("command", (["canon-rep"], ["decompose"], ["real-type"]), ids=lambda c: c[0])
+    def test_negative_dim(self, tmp_path, capsys, command):
+        # before: exit 2 with numpy's "repeats may not contain negative values"
+        data = {"quiver": Quiver(2, []).to_json(), "dims": [2, -1], "matrices": {}}
+        f = write_json(tmp_path / "rep.json", data)
+        assert dispatch(command + [f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["type"] == "DimMismatchError"
+        assert err["error"] == "dims (2, -1): a dimension is negative"
+
     def test_mbm_unknown_key(self, tmp_path, capsys):
         # "marks" is not the key of the marked blocks; it must not be ignored
         data = example_8x12().to_json()

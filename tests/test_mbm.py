@@ -242,6 +242,18 @@ class TestValidation:
             validate(MarkedBlockMatrix((2,), (2,), np.zeros((2, 3))))
 
     @pytest.mark.parametrize(
+        "rows, cols, axis",
+        [((3, -1), (2,), "row"), ((-1, 2), (2,), "row"), ((2,), (2, -1, 1), "column")],
+    )
+    def test_negative_strip(self, tol, rows, cols, axis):
+        # before: numpy's broadcast and "repeats may not contain negative
+        # values" errors; size-0 strips stay valid (TestEmptyStrips)
+        M = MarkedBlockMatrix(rows, cols, np.zeros((sum(rows), sum(cols))))
+        message = rf"{axis} strips \({', '.join(map(str, rows if axis == 'row' else cols))}\)"
+        with pytest.raises(DimensionMismatchError, match=message + ": a strip size is negative"):
+            canonicalize(M, tol)
+
+    @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
     )
     def test_non_finite_entry(self, bad):

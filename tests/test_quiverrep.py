@@ -97,6 +97,16 @@ class TestRepresentationShape:
         with pytest.raises(DimMismatchError):
             Representation.from_json(data)
 
+    @pytest.mark.parametrize(
+        "Q, mats",
+        [(Quiver(2, [("a", 1, 1)]), {"a": [[2.0]]}), (Quiver(2, []), {})],
+        ids=["loop", "no-arrows"],
+    )
+    def test_negative_dim_rejected(self, tol, Q, mats):
+        # before: is_indecomposable_rep raised IndexError and numpy's ValueError
+        with pytest.raises(DimMismatchError, match=r"dims \(1, -1\): a dimension is negative"):
+            is_indecomposable_rep(Representation(Q, (1, -1), mats), tol)
+
     @pytest.mark.parametrize("d", [(3, 0), (0, 3)])
     def test_empty_arrow(self, d):
         A = Representation(SINGLE_ARROW, d, {"a": []})
