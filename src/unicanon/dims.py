@@ -255,8 +255,8 @@ def construct_indecomposable(
                 return cand
         except (mbm.NoConvergenceError, np.linalg.LinAlgError):
             pass
-        # plain random canonical candidate as a second shot
-        if is_indecomposable_rep(Ac, tol):
+        # plain random canonical candidate as a second shot, by its reduction
+        if mbm._one_summand(trace):
             return Ac
     raise RuntimeError(
         f"could not produce an indecomposable of dimension {d} "

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mbm
 from .numcore import Tolerance, frobenius
 from .quiverrep import (
     Quiver,
     Representation,
     Isometry,
+    ZeroDimError,
     apply_isometry,
-    decompose_rep,
-    is_indecomposable_rep,
-    same_canonical,
+    pack,
+    unpack,
     _isometry,
 )
 
@@ -333,15 +334,17 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
     summands are emitted as real forms; complex-type summands pair with
     their conjugates and each pair realifies into one real summand;
     quaternionic summands pair with themselves (even multiplicity).  The
-    summands are canonical, so a partner is found by comparing it with the
-    canonical form of the conjugate computed during classification."""
-    parts = decompose_rep(A, tol)
+    packed summands are canonical, so a partner is found by comparing it with
+    the packed canonical form of the conjugate computed during classification."""
+    M, layout = pack(A)
+    parts = mbm.decompose(M, tol)
     out = []
     paired = set()
-    for i, (P, m) in enumerate(parts):
+    for i, (C, m) in enumerate(parts):
         if i in paired:
             continue
-        S, Pc = _isometry(P, conj_rep(P), tol)
+        P = unpack(C, layout)
+        S, (_, _, Pc, _, _) = _isometry(P, conj_rep(P), tol)
         rt = _classify(P, S, tol)
         if rt.kind == "Real":
             out.append((rt.form, m))
@@ -353,7 +356,7 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
             continue
         # complex type: the partner is a later, unpaired summand
         later = (j for j in range(i + 1, len(parts)) if j not in paired)
-        j = next((j for j in later if same_canonical(parts[j][0], Pc, tol)), None)
+        j = next((j for j in later if mbm.same_canonical(parts[j][0], Pc, tol)), None)
         if j is None or parts[j][1] != m:
             raise ConjugatePairingFailure("complex-type summand without matching conjugate")
         paired.add(j)
@@ -365,16 +368,19 @@ def matrix_real_test(A, tol: Tolerance = Tolerance()):
     """Is the square matrix A unitarily similar to a real matrix?
 
     Returns ``(flag, witness)``; the witness is the real matrix when it
-    exists.  A must be indecomposable under unitary similarity."""
+    exists.  A must be indecomposable under unitary similarity; the reduction
+    of conj(A), which the self-conjugation needs anyway, decides it."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    loop = Quiver(1, [("a", 1, 1)])
-    R = Representation(loop, (n,), {"a": A})
-    if not is_indecomposable_rep(R, tol):
+    R = Representation(Quiver(1, [("a", 1, 1)]), (n,), {"a": A})
+    if n == 0:
+        raise ZeroDimError("the zero dimension vector is not indecomposable")
+    S, (_, _, _, trace, _) = _isometry(R, conj_rep(R), tol)
+    if not mbm._one_summand(trace):
         raise DecomposableError(
             "matrix is unitarily similar to a direct sum"
         )
-    rt = classify_real(R, tol)
+    rt = _classify(R, S, tol)
     if rt.kind == "Real":
         return True, rt.form.matrices["a"].real
     return False, None

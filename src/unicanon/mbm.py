@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +72,7 @@ __all__ = [
     "canonicalize",
     "block_direct_sum",
     "decompose",
+    "same_canonical",
     "is_indecomposable",
     "matrix_to_json",
     "matrix_from_json",
@@ -115,6 +116,15 @@ def _offsets(sizes):
     return np.concatenate(([0], np.cumsum(sizes))).astype(int)
 
 
+def _integers(values, error, what: str) -> tuple:
+    """``values`` as a tuple of ints; an int or a numpy integer passes, and
+    any other value (1.9, 2.0, "2") raises ``error`` naming ``what``."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise error(f"{what} {values}: a value is not an integer") from None
+
+
 @dataclass(frozen=True)
 class MarkedBlockMatrix:
     """Block matrix with strip partitions and marked (square) blocks.
@@ -128,8 +138,9 @@ class MarkedBlockMatrix:
     marked: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "row_strips", tuple(int(s) for s in self.row_strips))
-        object.__setattr__(self, "col_strips", tuple(int(s) for s in self.col_strips))
+        for name, axis in (("row_strips", "row"), ("col_strips", "column")):
+            sizes = _integers(getattr(self, name), DimensionMismatchError, f"{axis} strips")
+            object.__setattr__(self, name, sizes)
         e = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", e)
         object.__setattr__(
@@ -153,8 +164,8 @@ class MarkedBlockMatrix:
         unknown = set(data) - {"row_strips", "col_strips", "marked", "entries"}
         if unknown:
             raise KeyError(f"unknown keys {sorted(unknown)}")
-        rows = tuple(data["row_strips"])
-        cols = tuple(data["col_strips"])
+        rows = _integers(data["row_strips"], DimensionMismatchError, "row strips")
+        cols = _integers(data["col_strips"], DimensionMismatchError, "column strips")
         entries = _shaped(matrix_from_json(data["entries"]), (sum(rows), sum(cols)))
         marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
         return cls(rows, cols, entries, marked)
@@ -791,24 +802,18 @@ def _diagonal_blocks(X: np.ndarray, sizes) -> tuple:
 def block_direct_sum(M: MarkedBlockMatrix, N: MarkedBlockMatrix) -> MarkedBlockMatrix:
     validate(M)
     validate(N)
-    if len(M.row_strips) != len(N.row_strips) or len(M.col_strips) != len(
-        N.col_strips
-    ):
+    axes = ((M.row_strips, N.row_strips), (M.col_strips, N.col_strips))
+    if any(len(m) != len(n) for m, n in axes):
         raise ShapeMismatchError("block grids differ")
     if M.marked != N.marked:
         raise MarkMismatchError("marked sets differ")
-    rows = tuple(a + b for a, b in zip(M.row_strips, N.row_strips))
-    cols = tuple(a + b for a, b in zip(M.col_strips, N.col_strips))
-    out = np.zeros((sum(rows), sum(cols)), dtype=complex)
-    ro, co = _offsets(rows), _offsets(cols)
-    mro, mco = _offsets(M.row_strips), _offsets(M.col_strips)
-    nro, nco = _offsets(N.row_strips), _offsets(N.col_strips)
-    for i in range(len(rows)):
-        for j in range(len(cols)):
-            mb = M.entries[mro[i] : mro[i + 1], mco[j] : mco[j + 1]]
-            nb = N.entries[nro[i] : nro[i + 1], nco[j] : nco[j + 1]]
-            out[ro[i] : ro[i] + mb.shape[0], co[j] : co[j] + mb.shape[1]] = mb
-            out[ro[i] + mb.shape[0] : ro[i + 1], co[j] + mb.shape[1] : co[j + 1]] = nb
+    # every strip of the sum holds its rows (columns) of M, then those of N
+    r, c = (np.repeat(np.tile([True, False], len(m)), [k for mn in zip(m, n) for k in mn])
+            for m, n in axes)
+    out = np.zeros((r.size, c.size), dtype=complex)
+    out[np.ix_(r, c)] = M.entries
+    out[np.ix_(~r, ~c)] = N.entries
+    rows, cols = (tuple(map(sum, zip(m, n))) for m, n in axes)
     return MarkedBlockMatrix(rows, cols, out, M.marked)
 
 
@@ -833,9 +838,7 @@ def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
                               canonical.entries[np.ix_(rows, cols)], M.marked)
         # equal canonical matrices are the same class: merge them
         for k, (Q, qm) in enumerate(out):
-            if (P.row_strips, P.col_strips) == (Q.row_strips, Q.col_strips) and same_form(
-                P.entries, Q.entries, tol
-            ):
+            if same_canonical(P, Q, tol):
                 out[k] = (Q, qm + mult)
                 break
         else:
@@ -843,8 +846,22 @@ def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     return out
 
 
+def same_canonical(C: MarkedBlockMatrix, D: MarkedBlockMatrix, tol: Tolerance = Tolerance()) -> bool:
+    """Whether two canonical forms are the same: the same strip grid, and
+    :func:`numcore.same_form` on the entries, so every block is compared at
+    the threshold of the whole matrix."""
+    grid = (C.row_strips, C.col_strips) == (D.row_strips, D.col_strips)
+    return grid and same_form(C.entries, D.entries, tol)
+
+
+def _one_summand(trace: ReductionTrace) -> bool:
+    """Whether the reduction behind ``trace`` found one summand of
+    multiplicity 1 (:func:`decompose`'s rule): one tie class, of size 1."""
+    subs = (*trace.row_substrips, *trace.col_substrips)
+    return trace.num_classes == 1 and all(size == 1 for s in subs for _, size, _ in s)
+
+
 def is_indecomposable(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()) -> bool:
     if M.entries.shape == (0, 0):
         raise ZeroSizeError("the 0x0 matrix is not considered indecomposable")
-    parts = decompose(M, tol)
-    return len(parts) == 1 and parts[0][1] == 1
+    return _one_summand(canonicalize(M, tol)[2])

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import Tolerance, same_form
+from .numcore import Tolerance
 from . import mbm
 from .mbm import MarkedBlockMatrix
 from .scheme import Scheme, count_params, scheme_of
@@ -65,11 +65,11 @@ class Quiver:
     arrows: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "arrows",
-            tuple((str(a), int(s), int(d)) for a, s, d in self.arrows),
-        )
+        (p,) = mbm._integers((self.p,), ValueError, "vertices")
+        arrows = tuple((str(a), *mbm._integers((s, d), ValueError, f"arrow {a}: endpoints"))
+                       for a, s, d in self.arrows)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "arrows", arrows)
         ids = [a for a, _, _ in self.arrows]
         if len(set(ids)) != len(ids):
             raise ValueError("arrow ids must be unique")
@@ -92,7 +92,7 @@ class Quiver:
     @classmethod
     def from_json(cls, data: dict) -> "Quiver":
         return cls(
-            p=int(data["vertices"]),
+            p=data["vertices"],
             arrows=tuple((a["id"], a["src"], a["dst"]) for a in data["arrows"]),
         )
 
@@ -104,7 +104,7 @@ class Representation:
     matrices: dict = field(default_factory=dict)  # arrow id -> ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", mbm._integers(self.dims, DimMismatchError, "dims"))
         if len(self.dims) != self.quiver.p:
             raise DimMismatchError("dims length != number of vertices")
         if any(d < 0 for d in self.dims):
@@ -160,33 +160,28 @@ def pack(A: Representation):
     unitaries.  Returns ``(M, layout)``; a NaN or infinite entry raises
     ValueError naming the arrow and the entry's cell in the arrow's matrix."""
     Q = A.quiver
-    col_strips = tuple(A.dims)
-    row_order = [a for a, _, _ in reversed(Q.arrows)]
-    row_strips = tuple(A.dims[Q.arrow(a)[2] - 1] for a in row_order)
-    ro, co = mbm._offsets(row_strips), mbm._offsets(col_strips)
+    arrows = Q.arrows[::-1]
+    row_strips = tuple(A.dims[d - 1] for _, _, d in arrows)
+    ro, co = mbm._offsets(row_strips), mbm._offsets(A.dims)
     entries = np.zeros((int(ro[-1]), int(co[-1])), dtype=complex)
     marked = set()
-    for k, aid in enumerate(row_order):
-        _, s, d = Q.arrow(aid)
+    for k, (aid, s, d) in enumerate(arrows):
         mbm._check_finite(A.matrices[aid], f"arrow {aid}: entry")
         entries[ro[k] : ro[k + 1], co[s - 1] : co[s]] += A.matrices[aid]
         marked.add((k, d - 1))
-    M = MarkedBlockMatrix(row_strips, col_strips, entries, frozenset(marked))
-    layout = {"row_order": row_order, "quiver": Q}
-    return M, layout
+    M = MarkedBlockMatrix(row_strips, A.dims, entries, frozenset(marked))
+    return M, {"row_order": [a for a, _, _ in arrows], "quiver": Q}
 
 
 def unpack(M: MarkedBlockMatrix, layout) -> Representation:
     """Inverse of :func:`pack` on the same layout (grids may have different
     strip sizes, e.g. for summands)."""
     Q = layout["quiver"]
-    dims = tuple(M.col_strips)
     ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
     mats = {}
-    for k, aid in enumerate(layout["row_order"]):
-        _, s, _ = Q.arrow(aid)
+    for k, (aid, s, _) in enumerate(Q.arrows[::-1]):
         mats[aid] = M.entries[ro[k] : ro[k + 1], co[s - 1] : co[s]].copy()
-    return Representation(Q, dims, mats)
+    return Representation(Q, M.col_strips, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +202,20 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
 
     ``isometric(A, B)`` holds exactly when the canonical representations
     agree entrywise."""
-    Ainf, iso, C, trace, layout = _canonical(A, tol)
+    Ainf, iso, C, trace, _ = _canonical(A, tol)
     full = scheme_of(C, trace.zones, tol)
     ro, co = mbm._offsets(C.row_strips).tolist(), mbm._offsets(C.col_strips).tolist()
-    sources = [A.quiver.arrow(aid)[1] for aid in layout["row_order"]]
+    arrows = A.quiver.arrows[::-1]  # the arrow of every row strip
     strip_of = [k for k, h in enumerate(C.row_strips) for _ in range(h)]  # per row
     # a zone never crosses a strip boundary, so it lies in the rectangle of
     # the arrow whose row strip holds its block, or in a coupling block
-    arrow_zones = [[] for _ in sources]
+    arrow_zones = [[] for _ in arrows]
     for z in full.zones:
         k = strip_of[z.block[0]]
-        if co[sources[k] - 1] <= z.block[2] < co[sources[k]]:
+        if co[arrows[k][1] - 1] <= z.block[2] < co[arrows[k][1]]:
             arrow_zones[k].append(z)
     schemes = {}
-    for k, aid in enumerate(layout["row_order"]):
-        _, s, d = A.quiver.arrow(aid)
+    for k, (aid, s, d) in enumerate(arrows):
         r0, r1, c0, c1 = ro[k], ro[k + 1], co[s - 1], co[s]
 
         def shift(cells):  # packed cells -> cells of the arrow's rectangle
@@ -257,26 +251,20 @@ def rep_params(A: Representation, tol: Tolerance = Tolerance()):
     return sum(nr for nr, _ in counts), sum(nc for _, nc in counts)
 
 
-def same_canonical(Ac: Representation, Bc: Representation, tol: Tolerance = Tolerance()) -> bool:
-    """Whether two canonical representations of one quiver are the same:
-    equal dimensions and :func:`numcore.same_form` on the packed matrices,
-    so every arrow is compared at the threshold of the whole representation."""
-    return Ac.dims == Bc.dims and same_form(pack(Ac)[0].entries, pack(Bc)[0].entries, tol)
-
-
 def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()):
-    """``(T, Bc)``: an isometry T from A onto B (``apply_isometry(A, T)`` is
-    B), composed from the two reduction transcripts, or None when A and B
-    are not isometric; and the canonical representation Bc of B."""
-    if A.quiver.arrows != B.quiver.arrows or A.quiver.p != B.quiver.p:
+    """``(T, canonical_B)``: an isometry T from A onto B (``apply_isometry(A,
+    T)`` is B) composed from the two reduction transcripts, or None when the
+    packed canonical forms differ (their coupling blocks are exact zeros, so
+    each is its representation's packing); and B's :func:`_canonical` record."""
+    if A.quiver != B.quiver:
         raise QuiverMismatchError("different quivers")
     if A.dims != B.dims:
         raise DimMismatchError(f"dims {A.dims} vs {B.dims}")
-    Ac, TA, *_ = _canonical(A, tol)
-    Bc, TB, *_ = _canonical(B, tol)
-    if not same_canonical(Ac, Bc, tol):
-        return None, Bc
-    return Isometry(tuple(TB.S[v].conj().T @ TA.S[v] for v in range(A.quiver.p))), Bc
+    _, TA, CA, _, _ = _canonical(A, tol)
+    _, TB, CB, _, _ = canonical_B = _canonical(B, tol)
+    if not mbm.same_canonical(CA, CB, tol):
+        return None, canonical_B
+    return Isometry(tuple(TB.S[v].conj().T @ TA.S[v] for v in range(A.quiver.p))), canonical_B
 
 
 def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()) -> bool:
@@ -284,32 +272,23 @@ def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()
 
 
 def direct_sum(A: Representation, B: Representation) -> Representation:
-    if A.quiver.arrows != B.quiver.arrows or A.quiver.p != B.quiver.p:
+    if A.quiver != B.quiver:
         raise QuiverMismatchError("different quivers")
-    dims = tuple(a + b for a, b in zip(A.dims, B.dims))
-    mats = {}
-    for aid, s, d in A.quiver.arrows:
-        X, Y = A.matrices[aid], B.matrices[aid]
-        Z = np.zeros((dims[d - 1], dims[s - 1]), dtype=complex)
-        Z[: X.shape[0], : X.shape[1]] = X
-        Z[X.shape[0] :, X.shape[1] :] = Y
-        mats[aid] = Z
-    return Representation(A.quiver, dims, mats)
+    M, layout = pack(A)
+    return unpack(mbm.block_direct_sum(M, pack(B)[0]), layout)
 
 
 def decompose_rep(A: Representation, tol: Tolerance = Tolerance()):
     """Krull-Schmidt decomposition into pairwise non-isometric canonical
     indecomposable representations with multiplicities."""
     M, layout = pack(A)
-    parts = mbm.decompose(M, tol)
-    return [(unpack(P, layout), mult) for P, mult in parts]
+    return [(unpack(P, layout), mult) for P, mult in mbm.decompose(M, tol)]
 
 
 def is_indecomposable_rep(A: Representation, tol: Tolerance = Tolerance()) -> bool:
     if all(d == 0 for d in A.dims):
         raise ZeroDimError("the zero dimension vector is not indecomposable")
-    parts = decompose_rep(A, tol)
-    return len(parts) == 1 and parts[0][1] == 1
+    return mbm.is_indecomposable(pack(A)[0], tol)
 
 
 def reverse_arrow(A: Representation, arrow_id) -> Representation:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numcore import Tolerance, _rank, cluster_complex, frobenius, same_form
-from .mbm import MarkedBlockMatrix, canonicalize
-from .quiverrep import Quiver, Representation, isometric
+from .numcore import Tolerance, _rank, cluster_complex, frobenius
+from .mbm import MarkedBlockMatrix, canonicalize, same_canonical
+from .quiverrep import Quiver, Representation, pack
 
 __all__ = [
     "GADGET_KINDS",
@@ -90,17 +90,14 @@ def gadget(kind: str, X, Y=None):
 
 
 def gadget_faithful(kind: str, X, Y, tol: Tolerance = Tolerance()) -> bool:
-    """Whether gadget(kind, X) and gadget(kind, Y) are isometric.
-
-    By the wildness reductions this holds exactly when X and Y are unitarily
-    similar."""
-    GX = gadget(kind, X)
-    GY = gadget(kind, Y)
-    if isinstance(GX, MarkedBlockMatrix):
-        CX, _, _ = canonicalize(GX, tol)
-        CY, _, _ = canonicalize(GY, tol)
-        return same_form(CX.entries, CY.entries, tol)
-    return isometric(GX, GY, tol)
+    """Whether gadget(kind, X) and gadget(kind, Y) have the same packed
+    canonical form: by the wildness reductions, whether X and Y are unitarily
+    similar.  X and Y of different sizes raise :class:`ShapeMismatchError`."""
+    MX, MY = (pack(G)[0] if isinstance(G, Representation) else G
+              for G in (gadget(kind, X), gadget(kind, Y)))
+    if MX.shape != MY.shape:
+        raise ShapeMismatchError("X and Y must have equal sizes")
+    return same_canonical(canonicalize(MX, tol)[0], canonicalize(MY, tol)[0], tol)
 
 
 def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):

@@ -291,6 +291,31 @@ class TestExitCodes:
         assert err["type"] == "DimMismatchError"
         assert err["error"] == "dims (2, -1): a dimension is negative"
 
+    @pytest.mark.parametrize(
+        "command, data, error",
+        ((["canon-rep"], {"quiver": SINGLE_ARROW.to_json(), "dims": [1.9, 1],
+                          "matrices": {"a": [[1.0]]}}, "DimMismatchError"),
+         (["canon-mbm"], {"row_strips": [1.5, 0.5], "col_strips": [2],
+                          "entries": cmat(np.eye(2))}, "DimensionMismatchError"),
+         (["fill-scheme"], {"symbols": [["o", "."], [".", "o"]], "zones": [],
+                            "row_strips": [1.5, 0.5], "col_strips": [2]}, "DimensionMismatchError"),
+         (["dims", "--bound", "2"], {"vertices": 2.5, "arrows": []}, "ValueError"),
+         (["dims", "--bound", "2"], {"vertices": 2, "arrows": [{"id": "a", "src": 1.7, "dst": 2}]},
+          "ValueError")),
+        ids=("canon-rep", "canon-mbm", "fill-scheme", "vertices", "endpoint"),
+    )
+    def test_non_integer_size(self, tmp_path, capsys, command, data, error):
+        # before: canon-rep exited 0 and wrote "dims": [1, 1]; canon-mbm
+        # exited 65 with a TypeError; dims truncated 2.5 vertices and the
+        # endpoint 1.7 to integers
+        f = write_json(tmp_path / "x.json", data)
+        assert dispatch(command + [f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["type"] == error
+        assert err["error"].endswith(": a value is not an integer")
+
     def test_mbm_unknown_key(self, tmp_path, capsys):
         # "marks" is not the key of the marked blocks; it must not be ignored
         data = example_8x12().to_json()
@@ -516,6 +541,15 @@ class TestGadget:
     def test_unknown_kind(self, tmp_path, capsys):
         f = write_json(tmp_path / "x.json", cmat([[1.0]]))
         assert dispatch(["gadget", "--kind", "nope", f]) == 2
+
+    def test_size_mismatch(self, tmp_path, capsys):
+        # before: exit 0 with "faithful": false for SubspaceTriple only
+        f1 = write_json(tmp_path / "x.json", cmat(np.eye(2)))
+        f2 = write_json(tmp_path / "y.json", cmat(np.eye(3)))
+        assert dispatch(["gadget", "--kind", "SubspaceTriple", f1, "--in2", f2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["type"] == "ShapeMismatchError"
 
 
 class TestOutFile:

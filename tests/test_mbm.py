@@ -23,7 +23,7 @@ from unicanon.mbm import (
     is_indecomposable,
 )
 
-from unicanon.quiverrep import Quiver, Representation, pack
+from unicanon.quiverrep import Quiver, Representation, direct_sum, pack, random_rep
 
 from conftest import D4, KRONECKER, example_8x12, random_mbm
 
@@ -45,6 +45,17 @@ def engine_inputs():
         packed(KRONECKER, (16, 16), 1),
         packed(D4, (6, 6, 6, 12), 2),
     ]
+
+
+def sums_of_packings():
+    """Packings of P, P + P and P + Q for indecomposable Kronecker and D4
+    representations P and Q, and of loops with equal and distinct blocks."""
+    out = []
+    for Q, dp, dq, seed in ((KRONECKER, (2, 3), (1, 2), 30), (D4, (1, 1, 1, 2), (0, 1, 1, 1), 31),
+                            (Quiver(1, [("a", 1, 1)]), (2,), (1,), 32)):
+        P, R = random_rep(Q, dp, seed=seed), random_rep(Q, dq, seed=seed + 10)
+        out += [pack(P)[0], pack(direct_sum(P, P))[0], pack(direct_sum(P, R))[0]]
+    return out
 
 
 def rect_cells(r0, rows, c0, cols):
@@ -252,6 +263,28 @@ class TestValidation:
         message = rf"{axis} strips \({', '.join(map(str, rows if axis == 'row' else cols))}\)"
         with pytest.raises(DimensionMismatchError, match=message + ": a strip size is negative"):
             canonicalize(M, tol)
+
+    @pytest.mark.parametrize(
+        "rows, cols, axis",
+        [((2.7,), (1,), "row"), ((2.0,), (1,), "row"), (("2",), (1,), "row"),
+         ((2,), (1, 0.5), "column")],
+        ids=["2.7", "2.0", "text", "column"],
+    )
+    def test_non_integer_strip(self, rows, cols, axis):
+        # before: int() truncated (2.7,) to (2,) and the matrix reduced
+        with pytest.raises(DimensionMismatchError, match=f"{axis} strips .*: a value is not an integer"):
+            MarkedBlockMatrix(rows, cols, np.ones((2, 1)))
+
+    def test_numpy_integer_strips(self):
+        M = MarkedBlockMatrix((np.int64(2),), (np.int32(1),), np.ones((2, 1)))
+        assert M.row_strips == (2,) and M.col_strips == (1,)
+        assert all(type(k) is int for k in M.row_strips + M.col_strips)
+
+    def test_json_non_integer_strip(self):
+        # before: a TypeError from numpy's reshape
+        data = {"row_strips": [1.5, 0.5], "col_strips": [2], "entries": np.eye(2).tolist()}
+        with pytest.raises(DimensionMismatchError, match=r"row strips \[1.5, 0.5\]"):
+            MarkedBlockMatrix.from_json(data)
 
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
@@ -691,3 +724,14 @@ class TestDecompose:
     def test_not_indecomposable(self, tol):
         M = MarkedBlockMatrix((2,), (2,), np.diag([2.0, 1.0]))
         assert not is_indecomposable(M, tol)
+
+    @pytest.mark.parametrize("M", engine_inputs() + sums_of_packings())
+    def test_indecomposable_from_the_trace(self, tol, M):
+        # the reference rule: one summand, of multiplicity 1
+        parts = decompose(M, tol)
+        assert is_indecomposable(M, tol) == (len(parts) == 1 and parts[0][1] == 1)
+
+    def test_both_verdicts_are_exercised(self, tol):
+        verdicts = [is_indecomposable(M, tol) for M in engine_inputs() + sums_of_packings()]
+        assert any(verdicts) and not all(verdicts)
+

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance, random_unitary
-from unicanon import mbm
+from unicanon import dims, euclid, mbm, wildness
 from unicanon import quiverrep as qr
 from unicanon.scheme import scheme_of
 from unicanon.quiverrep import (
@@ -80,6 +80,24 @@ class TestQuiver:
         Q2 = Quiver.from_json(FOUR_ARROWS.to_json())
         assert Q2 == FOUR_ARROWS
 
+    @pytest.mark.parametrize("p", [2.5, 2.0, "2"])
+    def test_non_integer_vertex_count(self, p):
+        # before: Quiver kept p = 2.5, and from_json truncated it to 2
+        with pytest.raises(ValueError, match=r"vertices .*: a value is not an integer"):
+            Quiver(p, ())
+        with pytest.raises(ValueError, match=r"vertices .*: a value is not an integer"):
+            Quiver.from_json({"vertices": p, "arrows": []})
+
+    @pytest.mark.parametrize("src", [1.7, 1.0, "1"])
+    def test_non_integer_endpoint(self, src):
+        # before: the endpoint 1.7 became 1
+        with pytest.raises(ValueError, match=r"arrow a: endpoints .*: a value is not an integer"):
+            Quiver(2, [("a", src, 2)])
+
+    def test_numpy_integers(self):
+        Q = Quiver(np.int64(2), [("a", np.int32(1), np.int64(2))])
+        assert Q == SINGLE_ARROW and type(Q.p) is int
+
 
 class TestRepresentationShape:
     # arrow a: 1 -> 2 of dims (3, 2) takes a 2 x 3 matrix
@@ -106,6 +124,12 @@ class TestRepresentationShape:
         # before: is_indecomposable_rep raised IndexError and numpy's ValueError
         with pytest.raises(DimMismatchError, match=r"dims \(1, -1\): a dimension is negative"):
             is_indecomposable_rep(Representation(Q, (1, -1), mats), tol)
+
+    @pytest.mark.parametrize("d", [(1.9, 1), (1, 2.0), ("1", 1)], ids=["1.9", "2.0", "text"])
+    def test_non_integer_dim_rejected(self, d):
+        # before: int() truncated (1.9, 1) to (1, 1)
+        with pytest.raises(DimMismatchError, match=r"dims .*: a value is not an integer"):
+            Representation(SINGLE_ARROW, d, {"a": [[1.0]]})
 
     @pytest.mark.parametrize("d", [(3, 0), (0, 3)])
     def test_empty_arrow(self, d):
@@ -144,6 +168,35 @@ class TestPack:
         assert B.dims == A.dims
         for a in A.matrices:
             assert np.allclose(B.matrices[a], A.matrices[a])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize(
+        "Q, d",
+        [(KRONECKER, (3, 4)), (D4, (2, 2, 2, 4)), (TWO_LOOPS, (3,)), (LOOP_ARROW, (3, 2))],
+        ids=["kronecker", "d4", "two-loops", "loop-arrow"],
+    )
+    def test_canonical_packing_round_trips(self, tol, Q, d, scale):
+        # a packed canonical form has coupling blocks of exact zeros, so it
+        # is the packing of its canonical representation: isometric and
+        # decompose_real compare packed forms for that reason
+        A = random_rep(Q, d, seed=sum(d))
+        A = Representation(Q, d, {a: scale * X for a, X in A.matrices.items()})
+        _, _, C, _, layout = qr._canonical(A, tol)
+        assert np.array_equal(pack(unpack(C, layout))[0].entries, C.entries)
+
+    @pytest.mark.parametrize(
+        "Q, da, db",
+        [(KRONECKER, (1, 2), (2, 1)), (FOUR_ARROWS, (2, 1, 0), (1, 2, 2)),
+         (D4, (1, 0, 1, 2), (0, 1, 1, 1)), (LOOP, (2,), (0,))],
+        ids=["kronecker", "four-arrows", "d4", "loop-empty"],
+    )
+    def test_direct_sum_packs_to_block_direct_sum(self, Q, da, db):
+        A, B = random_rep(Q, da, seed=2), random_rep(Q, db, seed=3)
+        got = pack(direct_sum(A, B))[0]
+        want = mbm.block_direct_sum(pack(A)[0], pack(B)[0])
+        assert (got.row_strips, got.col_strips, got.marked) == (
+            want.row_strips, want.col_strips, want.marked)
+        assert np.array_equal(got.entries, want.entries)
 
 
 class TestCanonical:
@@ -343,3 +396,54 @@ class TestRandomRep:
         B = Representation.from_json(A.to_json())
         for a in A.matrices:
             assert np.allclose(B.matrices[a], A.matrices[a])
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Count ``canonicalize`` calls, under both names the program calls it
+    by (``wildness`` imports it from ``mbm``)."""
+    calls = []
+    original = mbm.canonicalize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mbm, "canonicalize", counted)
+    monkeypatch.setattr(wildness, "canonicalize", counted)
+    return calls
+
+
+class TestReductionsPerCall:
+    """One reduction per input: the layer compares and splits the packed
+    forms of the reductions it makes, and makes none twice."""
+
+    def test_isometric(self, tol, reductions):
+        A = random_rep(KRONECKER, (2, 3), seed=6)
+        assert isometric(A, A, tol) and len(reductions) == 2
+
+    def test_is_indecomposable_rep(self, tol, reductions):
+        assert is_indecomposable_rep(random_rep(KRONECKER, (2, 3), seed=6), tol)
+        assert len(reductions) == 1
+
+    def test_classify_real(self, tol, reductions):
+        assert euclid.classify_real(loop_rep([[1.0, 3.0], [0.0, 2.0]]), tol).kind == "Real"
+        assert len(reductions) == 2
+
+    def test_matrix_real_test(self, tol, reductions):
+        # R and conj(R) once each; indecomposability is read from conj(R)'s
+        # reduction (three reductions before: one more for that)
+        assert euclid.matrix_real_test([[1.0, 3.0], [0.0, 2.0]], tol)[0]
+        assert len(reductions) == 2
+
+    @pytest.mark.parametrize("kind", wildness.GADGET_KINDS)
+    def test_gadget_faithful(self, tol, reductions, kind):
+        X = random_rep(LOOP, (2,), seed=7).matrices["a"]
+        assert wildness.gadget_faithful(kind, X, X, tol)
+        assert len(reductions) == 2
+
+    def test_construct_indecomposable(self, tol, reductions):
+        # the random representation, then the filled candidate, which passes
+        R = dims.construct_indecomposable(KRONECKER, (2, 3), seed=0, tol=tol)
+        assert len(reductions) == 2
+        assert is_indecomposable_rep(R, tol)

@@ -98,6 +98,12 @@ class TestFaithful:
             )
 
     @pytest.mark.parametrize("kind", GADGET_KINDS)
+    def test_size_mismatch(self, kind, tol):
+        # before: DimMismatchError for four kinds, False for SubspaceTriple
+        with pytest.raises(ShapeMismatchError, match="equal sizes"):
+            gadget_faithful(kind, np.eye(2), np.eye(3), tol)
+
+    @pytest.mark.parametrize("kind", GADGET_KINDS)
     def test_scalars(self, kind, tol):
         one = np.array([[1.0]])
         two = np.array([[2.0]])
