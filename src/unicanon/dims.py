@@ -20,6 +20,7 @@ from .quiverrep import (
     Quiver,
     Representation,
     Isometry,
+    DimMismatchError,
     _canonical,
     apply_isometry,
     unpack,
@@ -51,6 +52,20 @@ class NoSuccessorError(RuntimeError):
     pass
 
 
+def _vector(Q: Quiver, z) -> tuple:
+    """z as a dimension vector of Q: Q.p integers by ``mbm._integers``'s
+    rule, so 1.9, 2.0 and "2" raise DimMismatchError."""
+    z = mbm._integers(z, DimMismatchError, "dimension vector")
+    if len(z) != Q.p:
+        raise DimMismatchError(f"dimension vector must have length {Q.p}")
+    return z
+
+
+def _plus_unit(z: tuple, v: int) -> tuple:
+    """z + e_v, v 0-based."""
+    return z[:v] + (z[v] + 1,) + z[v + 1 :]
+
+
 def m_matrix(Q: Quiver) -> np.ndarray:
     """Symmetric vertex-adjacency count matrix: m_ij is the number of arrows
     between i and j in either direction; each loop counts once on the
@@ -67,21 +82,13 @@ def m_matrix(Q: Quiver) -> np.ndarray:
 
 def delta(z, Q: Quiver):
     """z M_Q, componentwise."""
-    z = np.asarray(z, dtype=int)
-    if z.shape != (Q.p,):
-        raise ValueError(f"dimension vector must have length {Q.p}")
-    return tuple(int(x) for x in z @ m_matrix(Q))
+    return tuple(int(x) for x in np.array(_vector(Q, z)) @ m_matrix(Q))
 
 
 def tits(Q: Quiver, x) -> int:
     """Tits form: sum of squares minus one cross term per arrow."""
-    x = np.asarray(x, dtype=int)
-    if x.shape != (Q.p,):
-        raise ValueError(f"dimension vector must have length {Q.p}")
-    out = int(np.sum(x * x))
-    for _, s, d in Q.arrows:
-        out -= int(x[s - 1] * x[d - 1])
-    return out
+    x = _vector(Q, x)
+    return sum(v * v for v in x) - sum(x[s - 1] * x[d - 1] for _, s, d in Q.arrows)
 
 
 def in_D(Q: Quiver, z) -> bool:
@@ -90,9 +97,7 @@ def in_D(Q: Quiver, z) -> bool:
     joined by a single arrow; or z is nonzero with connected support, the
     support is neither one loop-free vertex nor two vertices joined by a
     single arrow, and z M_Q >= z componentwise."""
-    z = tuple(int(x) for x in z)
-    if len(z) != Q.p:
-        raise ValueError(f"dimension vector must have length {Q.p}")
+    z = _vector(Q, z)
     if any(x < 0 for x in z) or not any(z):
         return False
     supp = [v for v in range(1, Q.p + 1) if z[v - 1]]
@@ -125,43 +130,27 @@ def successor(z, u, Q: Quiver) -> int:
 
     Support growth is preferred: a vertex outside supp(z) adjacent to it is
     tried first."""
-    z = tuple(int(x) for x in z)
-    u = tuple(int(x) for x in u)
-    candidates = [v for v in range(1, Q.p + 1) if z[v - 1] < u[v - 1]]
-    M = m_matrix(Q)
-
-    def grows_support(v):
-        if z[v - 1] != 0:
-            return False
-        return any(M[v - 1, w - 1] and z[w - 1] for w in range(1, Q.p + 1)) or sum(
-            z
-        ) == 0
-
-    ordered = sorted(candidates, key=lambda v: (not grows_support(v), v))
-    for v in ordered:
-        z2 = tuple(z[k] + (1 if k == v - 1 else 0) for k in range(Q.p))
-        if in_D(Q, z2):
-            return v
+    z, u = _vector(Q, z), _vector(Q, u)
+    # v grows the support when z_v = 0 and an arrow joins v to supp(z)
+    grows = (np.array(z) == 0) & ((m_matrix(Q) * z != 0).any(axis=1) | (sum(z) == 0))
+    candidates = [v for v in range(Q.p) if z[v] < u[v]]
+    for v in sorted(candidates, key=lambda v: (not grows[v], v)):
+        if in_D(Q, _plus_unit(z, v)):
+            return v + 1
     raise NoSuccessorError(f"no successor of {z} toward {u}")
 
 
 def growth_path(Q: Quiver, d):
     """Chain e_i = u_1 <= u_2 <= ... <= u_t = d inside D(Q) with unit-vector
     steps."""
-    d = tuple(int(x) for x in d)
+    d = _vector(Q, d)
     if not in_D(Q, d):
         raise NotInDError(f"{d} is not in D(Q)")
-    starts = [v for v in range(1, Q.p + 1) if d[v - 1] > 0]
-    for v0 in starts:
-        z = tuple(1 if v == v0 else 0 for v in range(1, Q.p + 1))
-        path = [z]
+    for v0 in (v for v in range(Q.p) if d[v] > 0):
+        path = [_plus_unit((0,) * Q.p, v0)]
         try:
-            while z != d:
-                v = successor(z, d, Q)
-                z = tuple(
-                    z[k] + (1 if k == v - 1 else 0) for k in range(Q.p)
-                )
-                path.append(z)
+            while path[-1] != d:
+                path.append(_plus_unit(path[-1], successor(path[-1], d, Q) - 1))
             return path
         except NoSuccessorError:
             continue
@@ -172,7 +161,7 @@ def max_params(Q: Quiver, d):
     """Parameter counts of a general-position indecomposable of dimension d:
     (sum d_i - 1) real parameters and 1 - tits + sum d_i (d_i - 1) / 2
     complex ones."""
-    d = tuple(int(x) for x in d)
+    d = _vector(Q, d)
     if not in_D(Q, d):
         raise NotInDError(f"{d} is not in D(Q)")
     n_real = sum(d) - 1
@@ -234,7 +223,7 @@ def construct_indecomposable(
     Samples a general-position canonical representation (reduce a random
     d-representation, re-fill its packed scheme in general position) and
     verifies indecomposability, retrying over a seed budget."""
-    d = tuple(int(x) for x in d)
+    d = _vector(Q, d)
     if not in_D(Q, d):
         raise NotInDError(f"{d} is not in D(Q)")
     if sum(d) == 1:

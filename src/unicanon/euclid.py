@@ -214,17 +214,22 @@ def _congruence(S: np.ndarray, sign: int, tol: Tolerance) -> np.ndarray:
     return U @ V.T
 
 
-def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """U with U^T U = S, for symmetric unitary S (see :func:`_congruence`)."""
-    S = np.asarray(S, dtype=complex)
+def _checked_congruence(S: np.ndarray, sign: int, tol: Tolerance) -> np.ndarray:
+    """:func:`_congruence` of S once S^T = sign * S and S^H S = I are
+    checked, both at the bound of a unitary of its size."""
     n = S.shape[0]
-    if n == 0:
-        return np.eye(0, dtype=complex)
-    if np.linalg.norm(S - S.T) > tol.bound(1.0, n):
-        raise NotSymmetricError("S is not symmetric")
+    if np.linalg.norm(S - sign * S.T) > tol.bound(1.0, n):
+        if sign > 0:
+            raise NotSymmetricError("S is not symmetric")
+        raise NotSkewError("S is not skew-symmetric")
     if np.linalg.norm(S.conj().T @ S - np.eye(n)) > tol.bound(1.0, n):
         raise NotUnitaryError("S is not unitary")
-    return _congruence(S, 1, tol)
+    return _congruence(S, sign, tol)
+
+
+def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """U with U^T U = S, for symmetric unitary S (see :func:`_congruence`)."""
+    return _checked_congruence(np.asarray(S, dtype=complex), 1, tol)
 
 
 def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -232,16 +237,9 @@ def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
     J is the direct sum of 2x2 blocks [[0, 1], [-1, 0]] (see
     :func:`_congruence`)."""
     S = np.asarray(S, dtype=complex)
-    n = S.shape[0]
-    if n % 2:
+    if S.shape[0] % 2:
         raise OddDimensionError("skew unitary matrices have even size")
-    if n == 0:
-        return np.eye(0, dtype=complex)
-    if np.linalg.norm(S + S.T) > tol.bound(1.0, n):
-        raise NotSkewError("S is not skew-symmetric")
-    if np.linalg.norm(S.conj().T @ S - np.eye(n)) > tol.bound(1.0, n):
-        raise NotUnitaryError("S is not unitary")
-    return _congruence(S, -1, tol)
+    return _checked_congruence(S, -1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +326,52 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
 
 def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
     """Decomposition of a real-entried representation into summands that are
-    indecomposable over the reals.
+    indecomposable over the reals, from one reduction.
 
-    Decompose over the complexes and classify each summand: real-type
-    summands are emitted as real forms; complex-type summands pair with
-    their conjugates and each pair realifies into one real summand;
-    quaternionic summands pair with themselves (even multiplicity).  The
-    packed summands are canonical, so a partner is found by comparing it with
-    the packed canonical form of the conjugate computed during classification."""
+    With C = R^H A S the canonical form, G = S^T S is unitary and symmetric,
+    and conj(C) = G C G^H (R^T R on the rows) holds for real A: checked first
+    within the bound of the packing, so input that is not real raises
+    ConjugatePairingFailure.  G maps each summand's copies onto those of its
+    conjugate.  A complex-type summand (paired with another) realifies with
+    its partner; a self-paired one is classified by G's largest block between
+    two of its copies: real-type summands are emitted as real forms,
+    quaternionic ones pair with themselves (even multiplicity)."""
     M, layout = pack(A)
-    parts = mbm.decompose(M, tol)
+    C, T, trace = mbm.canonicalize(M, tol)
+    R, S = T.full_matrices()
+    G = S.T @ S
+    resid = frobenius(C.entries.conj() - R.T @ R @ C.entries @ G.conj().T)
+    limit = tol.bound(M.entries)
+    if not resid <= limit:
+        raise ConjugatePairingFailure(
+            f"input is not real: ||conj(C) - G C G^H||_F = {resid:.2e} > {limit:.2e}"
+        )
+    parts = mbm._summands(C, trace, tol)
+    owner = np.empty(len(G), np.intp)  # the summand of every canonical column
+    for i, (_, copies) in enumerate(parts):
+        owner[np.concatenate(copies)] = i
+    # the partner holds the image of the first column of the first copy, and
+    # G is unitary, so all mass outside the partners is stray
+    partner = np.array([owner[np.abs(G[:, c[0][0]]).argmax()] for _, c in parts], np.intp)
+    stray = frobenius(G[owner[:, None] != partner[owner]])
+    if not stray <= tol.bound(1.0, len(G)):
+        raise ConjugatePairingFailure(f"G does not pair the summands: stray mass {stray:.2e}")
     out = []
-    paired = set()
-    for i, (C, m) in enumerate(parts):
-        if i in paired:
+    for i, (P, copies) in enumerate(parts):
+        m, P = len(copies), unpack(P, layout)
+        if partner[i] != i:  # complex type: emitted with the first of the pair
+            if partner[i] > i:
+                out.append((realify(P), m))
             continue
-        P = unpack(C, layout)
-        S, (_, _, Pc, _, _) = _isometry(P, conj_rep(P), tol)
-        rt = _classify(P, S, tol)
+        X = max((G[np.ix_(a, b)] for a in copies for b in copies), key=frobenius)
+        X *= np.sqrt(len(X)) / frobenius(X)  # a unitary multiple of P's self-conjugation
+        rt = _classify(P, Isometry(mbm._diagonal_blocks(X, P.dims)), tol)
         if rt.kind == "Real":
             out.append((rt.form, m))
-            continue
-        if rt.kind == "Quaternionic":
-            if m % 2:
-                raise ConjugatePairingFailure("quaternionic summand with odd multiplicity")
+        elif m % 2:
+            raise ConjugatePairingFailure("quaternionic summand with odd multiplicity")
+        else:
             out.append((realify(P), m // 2))
-            continue
-        # complex type: the partner is a later, unpaired summand
-        later = (j for j in range(i + 1, len(parts)) if j not in paired)
-        j = next((j for j in later if mbm.same_canonical(parts[j][0], Pc, tol)), None)
-        if j is None or parts[j][1] != m:
-            raise ConjugatePairingFailure("complex-type summand without matching conjugate")
-        paired.add(j)
-        out.append((realify(P), m))
     return out
 
 

@@ -284,19 +284,14 @@ class Transcript:
     S: tuple
 
     def full_matrices(self):
-        R = _blockdiag(self.R)
-        S = _blockdiag(self.S)
-        return R, S
+        return _blockdiag(self.R), _blockdiag(self.S)
 
 
 def _blockdiag(blocks):
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n), dtype=complex)
-    o = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[o : o + k, o : o + k] = b
-        o += k
+    o = _offsets([len(b) for b in blocks])
+    out = np.zeros((o[-1], o[-1]), dtype=complex)
+    for b, start, stop in zip(blocks, o, o[1:]):
+        out[start:stop, start:stop] = b
     return out
 
 
@@ -306,17 +301,15 @@ def apply_admissible(
     validate(M)
     if len(T.R) != len(M.row_strips) or len(T.S) != len(M.col_strips):
         raise DimensionMismatchError("transcript does not match strip counts")
-    for k, (b, s) in enumerate(zip(T.R, M.row_strips)):
-        if b.shape != (s, s):
-            raise DimensionMismatchError(f"R[{k}] has shape {b.shape}, expected {s}")
-    for k, (b, s) in enumerate(zip(T.S, M.col_strips)):
-        if b.shape != (s, s):
-            raise DimensionMismatchError(f"S[{k}] has shape {b.shape}, expected {s}")
+    for name, blocks, sizes in (("R", T.R, M.row_strips), ("S", T.S, M.col_strips)):
+        for k, (b, s) in enumerate(zip(blocks, sizes)):
+            if b.shape != (s, s):
+                raise DimensionMismatchError(f"{name}[{k}] has shape {b.shape}, expected {s}")
     for i, j in M.marked:
         # unitaries have spectral norm 1: the bound of a unit scalar, at size
         if np.linalg.norm(T.R[i] - T.S[j]) > tol.bound(1.0, M.row_strips[i]):
             raise TieViolationError(f"R[{i}] != S[{j}] on marked block ({i},{j})")
-    R, S = _blockdiag(T.R), _blockdiag(T.S)
+    R, S = T.full_matrices()
     return MarkedBlockMatrix(
         M.row_strips, M.col_strips, R.conj().T @ M.entries @ S, M.marked
     )
@@ -327,10 +320,8 @@ def random_transcript(M: MarkedBlockMatrix, seed=None) -> Transcript:
     rng = np.random.default_rng(seed)
     unitaries = {}
     for c in tie_closure(M):
-        slot = sorted(c)[0]
-        size = (
-            M.row_strips[slot[1]] if slot[0] == "r" else M.col_strips[slot[1]]
-        )
+        axis, k = min(c)  # the first slot of the class sets its size
+        size = (M.row_strips if axis == "r" else M.col_strips)[k]
         U = random_unitary(size, seed=rng.integers(0, 2**32))
         for s in c:
             unitaries[s] = U
@@ -817,33 +808,41 @@ def block_direct_sum(M: MarkedBlockMatrix, N: MarkedBlockMatrix) -> MarkedBlockM
     return MarkedBlockMatrix(rows, cols, out, M.marked)
 
 
-def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
-    """Krull-Schmidt decomposition into canonical indecomposable summands
-    with multiplicities."""
-    canonical, _, trace = canonicalize(M, tol)
+def _summands(canonical: MarkedBlockMatrix, trace: ReductionTrace, tol: Tolerance) -> list:
+    """The summands of one reduction: per class of equal canonical matrices,
+    in order of first appearance, the packed summand and the canonical
+    column indices of each of its copies (copy k takes column k of every
+    substrip of its tie classes)."""
     # per class, in order of first appearance (the order of its label): its
     # size, and the starts of its substrips per axis and strip
     by_class: dict = {}
     for axis, strips in enumerate((trace.row_substrips, trace.col_substrips)):
         for i, subs in enumerate(strips):
             for start, size, label in subs:
-                _, starts = by_class.setdefault(
-                    label, (size, ([[] for _ in M.row_strips], [[] for _ in M.col_strips]))
-                )
+                _, starts = by_class.setdefault(label, (size, (
+                    [[] for _ in canonical.row_strips], [[] for _ in canonical.col_strips])))
                 starts[axis][i].append(start)
     out = []
     for mult, starts in by_class.values():
         rows, cols = ([s for v in side for s in v] for side in starts)
         P = MarkedBlockMatrix(*(tuple(map(len, side)) for side in starts),
-                              canonical.entries[np.ix_(rows, cols)], M.marked)
+                              canonical.entries[np.ix_(rows, cols)], canonical.marked)
+        copies = [np.array(cols, np.intp) + k for k in range(mult)]
         # equal canonical matrices are the same class: merge them
-        for k, (Q, qm) in enumerate(out):
+        for Q, qcopies in out:
             if same_canonical(P, Q, tol):
-                out[k] = (Q, qm + mult)
+                qcopies += copies
                 break
         else:
-            out.append((P, mult))
+            out.append((P, copies))
     return out
+
+
+def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
+    """Krull-Schmidt decomposition into canonical indecomposable summands
+    with multiplicities."""
+    canonical, _, trace = canonicalize(M, tol)
+    return [(P, len(copies)) for P, copies in _summands(canonical, trace, tol)]
 
 
 def same_canonical(C: MarkedBlockMatrix, D: MarkedBlockMatrix, tol: Tolerance = Tolerance()) -> bool:

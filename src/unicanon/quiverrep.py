@@ -307,7 +307,7 @@ def reverse_arrow(A: Representation, arrow_id) -> Representation:
 def random_rep(Q: Quiver, d, seed=None) -> Representation:
     """Representation with complex standard-Gaussian entries."""
     rng = np.random.default_rng(seed)
-    d = tuple(int(x) for x in d)
+    d = mbm._integers(d, DimMismatchError, "dims")
     mats = {}
     for a, s, dst in Q.arrows:
         shape = (d[dst - 1], d[s - 1])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance, _schur_staircase, cluster_complex, random_unitary, simil_step
+from unicanon import mbm, wildness
 from unicanon.mbm import MarkedBlockMatrix, canonicalize
 from unicanon.quiverrep import Quiver
 
@@ -9,6 +10,22 @@ from unicanon.quiverrep import Quiver
 @pytest.fixture
 def tol():
     return Tolerance()
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Count ``canonicalize`` calls, under both names the program calls it
+    by (``wildness`` imports it from ``mbm``)."""
+    calls = []
+    original = mbm.canonicalize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mbm, "canonicalize", counted)
+    monkeypatch.setattr(wildness, "canonicalize", counted)
+    return calls
 
 
 def example_8x12():
@@ -77,6 +94,10 @@ def jordan_sum(n, rng):
     U = random_unitary(n, seed=int(rng.integers(2**31)))
     return U @ J @ U.conj().T
 
+
+# two-vertex dimension vectors with an entry that is not an integer
+NON_INTEGER_DIMS = [pytest.param(d, id=i) for d, i in (((1.9, 1), "1.9"), ((1, 2.0), "2.0"),
+                                                       (("1", 1), "text"))]
 
 SQUARE_KINDS = ("complex", "real", "jordan", "normal")
 

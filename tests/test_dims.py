@@ -3,6 +3,7 @@ import pytest
 
 from unicanon.numcore import Tolerance
 from unicanon import quiverrep as qr
+from unicanon.quiverrep import DimMismatchError
 from unicanon.dims import (
     NotInDError,
     m_matrix,
@@ -17,7 +18,7 @@ from unicanon.dims import (
     zero_summand_witness,
 )
 
-from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_ARROWS_IN, FOUR_ARROWS
+from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_ARROWS_IN, FOUR_ARROWS, NON_INTEGER_DIMS
 from oracle import d_set
 
 SINGLE_VERTEX = qr.Quiver(1, [])
@@ -43,6 +44,44 @@ class TestMatrixAndForms:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             delta((1,), KRONECKER)
+
+
+class TestIntegerVectors:
+    """Every function taking a dimension vector applies the integer rule of
+    strips and dims: 1.9, 2.0 and "1" raise instead of being truncated."""
+
+    FUNCTIONS = {
+        "max_params": lambda d: max_params(KRONECKER, d),
+        "construct_indecomposable": lambda d: construct_indecomposable(KRONECKER, d, seed=0),
+        "growth_path": lambda d: growth_path(KRONECKER, d),
+        "in_D": lambda d: in_D(KRONECKER, d),
+        "delta": lambda d: delta(d, KRONECKER),
+        "tits": lambda d: tits(KRONECKER, d),
+        "successor-z": lambda d: successor(d, (2, 2), KRONECKER),
+        "successor-u": lambda d: successor((0, 1), d, KRONECKER),
+    }
+
+    @pytest.mark.parametrize("d", NON_INTEGER_DIMS)
+    @pytest.mark.parametrize("name", FUNCTIONS)
+    def test_non_integer_rejected(self, name, d):
+        # before: max_params(KRONECKER, (1.9, 1)) returned (1, 1), delta
+        # gave (2, 2) and tits 0
+        with pytest.raises(DimMismatchError, match="vector .*: a value is not an integer"):
+            self.FUNCTIONS[name](d)
+
+    def test_numpy_integers(self):
+        d = np.array([1, 1])
+        assert max_params(KRONECKER, d) == max_params(KRONECKER, (1, 1))
+        assert delta(d, KRONECKER) == (2, 2) and tits(KRONECKER, d) == 0
+        assert growth_path(KRONECKER, d) == growth_path(KRONECKER, (1, 1))
+
+    def test_negative_entry_is_not_in_D(self):
+        assert not in_D(KRONECKER, (-1, 2))
+
+    def test_length_mismatch_everywhere(self):
+        for fn in self.FUNCTIONS.values():
+            with pytest.raises(ValueError, match="length 2"):
+                fn((1, 1, 1))
 
 
 class TestMembership:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from unicanon.numcore import Tolerance, random_unitary
-from unicanon import mbm
+from unicanon.numcore import random_unitary
 from unicanon import euclid as eu
 from unicanon import quiverrep as qr
 from unicanon.quiverrep import Quiver, Representation, Isometry
@@ -28,7 +27,8 @@ from unicanon.euclid import (
     matrix_real_test,
 )
 
-from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_LOOPS, interleaved_J
+from conftest import D4, LOOP, KRONECKER, SINGLE_ARROW, TWO_LOOPS, interleaved_J
+import oracle
 
 
 def loop_rep(A):
@@ -286,9 +286,81 @@ class TestDecomposeReal:
         parts = decompose_real(realify(Q), tol)
         assert [(P.dims, m) for P, m in parts] == [((4,), 1)]
 
+    @pytest.mark.parametrize("Q, d", [(Quiver(0, []), ()), (KRONECKER, (0, 0))],
+                             ids=["no-vertices", "zero-dims"])
+    def test_empty(self, tol, Q, d):
+        A = Representation(Q, d, {a: np.zeros((0, 0)) for a, _, _ in Q.arrows})
+        assert decompose_real(A, tol) == []
+
     def test_quaternionic_odd_multiplicity(self, tol):
-        with pytest.raises(ConjugatePairingFailure, match="odd multiplicity"):
+        # complex-entried input fails the real-input certificate before the
+        # multiplicity check is reached
+        with pytest.raises(ConjugatePairingFailure, match="input is not real"):
             decompose_real(quaternionic_two_loops(1), tol)
+
+    @pytest.mark.parametrize("make", [
+        lambda: quaternionic_two_loops(1),
+        lambda: qr.random_rep(KRONECKER, (1, 2), seed=11),
+    ], ids=["quaternionic", "kronecker"])
+    def test_non_real_input_rejected(self, tol, make):
+        with pytest.raises(ConjugatePairingFailure, match="input is not real"):
+            decompose_real(make(), tol)
+
+
+ZERO_VERTEX = Quiver(3, [("a", 1, 2), ("b", 1, 2), ("c", 2, 3)])
+
+
+def real_rep(Q, d, rng):
+    mats = {a: rng.standard_normal((d[t - 1], d[s - 1])) + 0j for a, s, t in Q.arrows}
+    return Representation(Q, d, mats)
+
+
+def complex_pair(Q, d, rng):
+    """realify(P) for a complex Gaussian P: a complex-type pair over C."""
+    return realify(qr.random_rep(Q, d, seed=int(rng.integers(2**31))))
+
+
+def real_sum_case(name, rng):
+    """``(A, expected)``: a real-entried direct sum and its summands over the
+    reals with multiplicities, one case per branch of ``decompose_real``."""
+    if name.startswith("real-type x2"):
+        # on the loop, the similarity step's complex Schur vectors mix the
+        # two copies, so G's blocks between copies are not unitary
+        R = real_rep(*((LOOP, (3,)) if name.endswith("loop") else (KRONECKER, (2, 3))), rng)
+        return qr.direct_sum(R, R), [(R, 2)]
+    if name == "complex pairs x2":
+        C = complex_pair(KRONECKER, (1, 1), rng)
+        return qr.direct_sum(C, C), [(C, 2)]
+    if name == "quaternionic + real":
+        H, R = realify(quaternionic_two_loops(1)), real_rep(TWO_LOOPS, (2,), rng)
+        return qr.direct_sum(H, R), [(H, 1), (R, 1)]
+    Q, d = {"d4": (D4, (1, 1, 1, 2)), "zero vertex": (ZERO_VERTEX, (1, 2, 0))}[name]
+    R, C = real_rep(Q, d, rng), complex_pair(Q, d, rng)
+    return qr.direct_sum(R, C), [(R, 1), (C, 1)]
+
+
+def scaled_rep(A, c):
+    return Representation(A.quiver, A.dims, {a: c * X for a, X in A.matrices.items()})
+
+
+class TestDecomposeRealBranches:
+    """Each branch of ``decompose_real`` on real-orthogonally scrambled sums,
+    checked by the engine-independent oracle: summands isometric to the
+    ones built, with their multiplicities, and real-entried."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("name", [
+        "real-type x2", "real-type x2 loop", "complex pairs x2", "quaternionic + real", "d4",
+        "zero vertex"])
+    def test_summands(self, tol, name, scale):
+        rng = np.random.default_rng(12)
+        A, expected = real_sum_case(name, rng)
+        O = tuple(oracle.haar_orthogonal(n, rng) + 0j for n in A.dims)
+        parts = decompose_real(scaled_rep(qr.apply_isometry(A, Isometry(O)), scale), tol)
+        for P, _ in parts:
+            oracle.check_real_entries(P, "summand")
+        oracle.check_decomposition(
+            parts, [(scaled_rep(R, scale), m) for R, m in expected], indecomposable=False)
 
 
 class TestMatrixRealTest:
@@ -322,22 +394,10 @@ class TestMatrixRealTest:
 class TestReductionCounts:
     """Each canonical form is computed once per request."""
 
-    @pytest.fixture
-    def count(self, monkeypatch):
-        calls = []
-        real = mbm.canonicalize
-
-        def counting(M, tol=Tolerance()):
-            calls.append(M.entries.shape)
-            return real(M, tol)
-
-        monkeypatch.setattr(mbm, "canonicalize", counting)
-        return calls
-
     @pytest.mark.parametrize(
         "name", ["isometric", "self_conj_isometry", "classify_real", "real_isometry"]
     )
-    def test_two_reductions(self, tol, count, name):
+    def test_two_reductions(self, tol, reductions, name):
         rng = np.random.default_rng(10)
         M = rng.standard_normal((3, 3))
         O, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -349,10 +409,10 @@ class TestReductionCounts:
             "real_isometry": lambda: real_isometry(A, B, tol),
         }[name]
         assert run()
-        assert len(count) == 2
+        assert len(reductions) == 2
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_decompose_real(self, tol, count, k):
+    def test_decompose_real(self, tol, reductions, k):
         rng = np.random.default_rng(20 + k)
         A = qr.random_rep(KRONECKER, (1, 1), seed=30 + k)
         A = Representation(KRONECKER, (1, 1), {a: M.real + 0j for a, M in A.matrices.items()})
@@ -365,5 +425,6 @@ class TestReductionCounts:
         A = qr.apply_isometry(A, Isometry(tuple(O)))
         parts = decompose_real(A, tol)
         assert sorted(m for _, m in parts) == [1] * (k + 1)
-        # one decomposition, then at most two per complex-type summand (2k)
-        assert len(count) <= 1 + 2 * (2 * k)
+        # the one reduction of the packing: pairing and classification read
+        # its transcript
+        assert len(reductions) == 1

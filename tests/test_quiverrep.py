@@ -25,7 +25,7 @@ from unicanon.quiverrep import (
     random_rep,
 )
 
-from conftest import D4, LOOP, KRONECKER, SINGLE_ARROW, FOUR_ARROWS
+from conftest import D4, LOOP, KRONECKER, SINGLE_ARROW, FOUR_ARROWS, NON_INTEGER_DIMS
 
 
 D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
@@ -125,11 +125,17 @@ class TestRepresentationShape:
         with pytest.raises(DimMismatchError, match=r"dims \(1, -1\): a dimension is negative"):
             is_indecomposable_rep(Representation(Q, (1, -1), mats), tol)
 
-    @pytest.mark.parametrize("d", [(1.9, 1), (1, 2.0), ("1", 1)], ids=["1.9", "2.0", "text"])
+    @pytest.mark.parametrize("d", NON_INTEGER_DIMS)
     def test_non_integer_dim_rejected(self, d):
         # before: int() truncated (1.9, 1) to (1, 1)
         with pytest.raises(DimMismatchError, match=r"dims .*: a value is not an integer"):
             Representation(SINGLE_ARROW, d, {"a": [[1.0]]})
+
+    @pytest.mark.parametrize("d", NON_INTEGER_DIMS)
+    def test_random_rep_non_integer_dim_rejected(self, d):
+        # before: random_rep(SINGLE_ARROW, (1.9, 1)) had dims (1, 1)
+        with pytest.raises(DimMismatchError, match=r"dims .*: a value is not an integer"):
+            random_rep(SINGLE_ARROW, d, seed=0)
 
     @pytest.mark.parametrize("d", [(3, 0), (0, 3)])
     def test_empty_arrow(self, d):
@@ -396,22 +402,6 @@ class TestRandomRep:
         B = Representation.from_json(A.to_json())
         for a in A.matrices:
             assert np.allclose(B.matrices[a], A.matrices[a])
-
-
-@pytest.fixture
-def reductions(monkeypatch):
-    """Count ``canonicalize`` calls, under both names the program calls it
-    by (``wildness`` imports it from ``mbm``)."""
-    calls = []
-    original = mbm.canonicalize
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(mbm, "canonicalize", counted)
-    monkeypatch.setattr(wildness, "canonicalize", counted)
-    return calls
 
 
 class TestReductionsPerCall:
