@@ -42,6 +42,7 @@ The engine's bookkeeping rests on three invariants, which the tests check:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 from operator import attrgetter, index
 from typing import NamedTuple
@@ -359,13 +360,82 @@ class StepRecord:
 
 @dataclass
 class ReductionTrace:
-    """A reduction's steps in order and its zones, sorted by ``(depth, block)``."""
+    """A reduction's steps in order, its substrips and its zones.
+
+    ``zones`` runs the merge rule and builds the :class:`Zone` objects,
+    sorted by ``(depth, block)``, when first read, and caches them.  Until
+    then the trace holds only what they read: the zone records, the owner
+    map, the propagated boundaries and the merge candidates."""
 
     steps: list
-    zones: list  # sorted by (depth, block)
     row_substrips: list  # per original strip: list of (start, size, class label)
     col_substrips: list
     num_classes: int
+    _book: tuple = field(repr=False, compare=False)  # (records, owner, propagated, candidates)
+
+    @cached_property
+    def _merged(self) -> tuple:
+        return _merge_zero_zones(*self._book)
+
+    @cached_property
+    def zones(self) -> list:
+        return self._zones(slice(None), slice(None), self._merged[1])
+
+    def zones_in(self, rows: slice, cols: slice) -> list:
+        """The zones of ``rows`` x ``cols``, a rectangle of whole strips (a
+        zone lies in one block of the strip grid), in its coordinates and
+        without merged blocks, as a scheme's zones are."""
+        return self._zones(rows, cols, {})
+
+    def _zones(self, rows, cols, merged) -> list:
+        # zones partition the cells they own: group the cells by owner once
+        owner, (r0, c0) = self._merged[0][rows, cols], (rows.start or 0, cols.start or 0)
+        order = np.argsort(owner, axis=None, kind="stable")
+        ids = owner.ravel()[order]
+        first = np.flatnonzero(np.diff(ids, prepend=-2))  # the first cell of every owner
+        bounds = [*first.tolist(), ids.size]
+        cells = list(zip(*(x.tolist() for x in np.unravel_index(order, owner.shape))))
+        zones = []
+        for zid, a, b in zip(ids[first].tolist(), bounds, bounds[1:]):
+            if zid >= 0:  # not the unowned cells
+                depth, kind, block, stairs = self._book[0][zid]
+                if r0 or c0:
+                    stairs = tuple(tuple((r - r0, c - c0) for r, c in st) for st in stairs)
+                zones.append(Zone(depth, kind, block, frozenset(cells[a:b]), stairs,
+                                  tuple(merged.get(zid, ()))))
+        return sorted(zones, key=attrgetter("depth", "block"))
+
+
+def _merge_zero_zones(zones, owner, propagated, candidates) -> tuple:
+    """Merge rule: an all-zero block that was never itself reduced joins
+    the zone of its neighbour across a propagated division boundary; one
+    pass in zone order settles chains.  Returns the owner map repainted and
+    the blocks every zone absorbed, by zone id."""
+    n = owner.shape[1]
+    rows, cols, flat = propagated["r"], propagated["c"], owner.ravel().tolist()
+    # an absorbed zone points at the zone that absorbed it; the owners are
+    # read through the pointers and the map is repainted once, at the end
+    into, merged = list(range(len(zones))), {}
+    for zid in candidates:
+        r0, h, c0, w = block = zones[zid][2]
+        at = r0 * n + c0
+        # the neighbour cells left, right, above and below across
+        # propagated boundaries, which lie strictly inside the matrix
+        for across, cell in ((c0 in cols, at - 1), (c0 + w in cols, at + w),
+                             (r0 in rows, at - n), (r0 + h in rows, at + h * n)):
+            tid = flat[cell] if across else -1
+            while tid >= 0 and into[tid] != tid:
+                into[tid] = tid = into[into[tid]]  # path halving
+            if tid >= 0 and tid != zid:
+                merged.setdefault(tid, []).extend([block, *merged.pop(zid, ())])
+                into[zid] = tid
+                break
+    if merged:
+        lut = np.array([*into, -1])  # unowned (-1) stays so
+        while (lut[lut] != lut).any():
+            lut = lut[lut]
+        owner = lut[owner]
+    return owner, merged
 
 
 class _Subs(NamedTuple):
@@ -405,10 +475,11 @@ class ReductionState:
 
     It reduces the matrix it is given and decides at the absolute
     ``tol.abs``; :func:`canonicalize` is the scale-relative entry point,
-    which hands it the unit-norm matrix.  While the reduction runs, a zone
-    is a record ``(depth, kind, block, stairs, merged_blocks)`` and the
-    owner map (zone id per cell) holds the cells it owns; :meth:`trace`
-    builds the :class:`Zone` objects and their cell sets."""
+    which hands it the unit-norm matrix.  A zone is a record ``(depth,
+    kind, block, stairs)`` and the owner map (zone id per cell) holds the
+    cells it owns; :meth:`trace` hands both, unmerged, to the trace, which
+    runs the merge rule and builds the :class:`Zone` objects when they are
+    first read."""
 
     def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
         classes = tie_closure(M)  # validates M
@@ -423,8 +494,7 @@ class ReductionState:
         self.cols = _substrips(M.col_strips, [label["c", j] for j in range(len(M.col_strips))])
         self.labels = len(classes)  # labels handed out; the next one is fresh
         self.steps: list[StepRecord] = []
-        # zone ids index ``zones``; a zone merged into another becomes None
-        self.zones: list[tuple | None] = []
+        self.zones: list[tuple] = []  # zone records, indexed by zone id
         self.owner = np.full((m, n), -1, dtype=np.intp)  # zone id per cell
         self._zero_candidates: list[int] = []
         self.cursor = (-m, 0)  # scan key (-row start, col start) of the next scan
@@ -491,8 +561,8 @@ class ReductionState:
         np.maximum(top, cells, out=top)
         self.zones += [
             (d, "similarity", (r, k, c, w),
-             (((r, c),),) if k == 1 else (tuple(zip(range(r, r + k), range(c, c + k))),), [])
-            if t else (d, "equivalence", (r, k, c, w), (), [])
+             (((r, c),),) if k == 1 else (tuple(zip(range(r, r + k), range(c, c + k))),))
+            if t else (d, "equivalence", (r, k, c, w), ())
             for r, k, c, w, d, t in zip(grid.rstart[i].tolist(), grid.rsize[i].tolist(),
                                         grid.cstart[j].tolist(), grid.csize[j].tolist(),
                                         depths, tied.tolist())
@@ -579,7 +649,7 @@ class ReductionState:
         at = r0 * n + c0
         self.A.flat[at : at + r * (n + 1) : n + 1] = [v for v, k in values for _ in range(k)]
         self.owner[rows, cols][zone] = len(self.zones)
-        self.zones.append((depth, kind, (r0, h, c0, w), stairs, []))
+        self.zones.append((depth, kind, (r0, h, c0, w), stairs))
         values = tuple(values) + (((0.0, h - r),) if h > r else ())
         pieces = self._divide(classes, sizes, i, j)  # a tied block's one class cuts both sides
         self.steps.append(StepRecord(kind, (r0, h), (c0, w), values, pieces[0], pieces[-1]))
@@ -655,8 +725,7 @@ class ReductionState:
     def derive(self) -> bool:
         """One scan of the iteration: the phase steps on its way and the
         reduction of the block it stops at, or, if it reaches the end, the
-        merge rule and the final snap.  Returns whether the call made a step;
-        False at the fixpoint."""
+        final snap.  Returns whether the call made a step; False at the fixpoint."""
         if self.done:
             return False
         depth = len(self.steps)
@@ -664,7 +733,6 @@ class ReductionState:
         grid = self._grid(np.searchsorted(self.rows.start, -self.cursor[0], "right"))
         target = self._scan(grid, depth)
         if target is None:
-            self._merge_zero_zones()
             self.A = self._snap()[-1]
             self.done = True
             return len(self.steps) > depth
@@ -676,34 +744,6 @@ class ReductionState:
         self.cursor = (step.row_pieces[-1] - sum(step.row_block), step.col_block[0])
         return True
 
-    def _merge_zero_zones(self):
-        """Merge rule: an all-zero block that was never itself reduced joins
-        the zone of its neighbour across a propagated division boundary; one
-        pass in zone order settles chains."""
-        zones, n = self.zones, self.owner.shape[1]
-        rows, cols, owner = self.propagated["r"], self.propagated["c"], self.owner.ravel().tolist()
-        # an absorbed zone points at the zone that absorbed it; the owners are
-        # read through the pointers and the map is repainted once, at the end
-        into, gone = DisjointSet(), []
-        for zid in self._zero_candidates:
-            r0, h, c0, w = block = zones[zid][2]
-            at = r0 * n + c0
-            # the neighbour cells left, right, above and below across
-            # propagated boundaries, which lie strictly inside the matrix
-            for across, cell in ((c0 in cols, at - 1), (c0 + w in cols, at + w),
-                                 (r0 in rows, at - n), (r0 + h in rows, at + h * n)):
-                tid = into.find(owner[cell]) if across else -1
-                if tid >= 0 and tid != zid:
-                    zones[tid][4].extend([block, *zones[zid][4]])
-                    into.union(zid, tid)
-                    zones[zid] = None
-                    gone.append(zid)
-                    break
-        if gone:
-            lut = np.append(np.arange(len(self.zones)), -1)  # unowned (-1) stays so
-            lut[gone] = [into.find(zid) for zid in gone]
-            self.owner = lut[self.owner]
-
     def trace(self) -> ReductionTrace:
         # classes are numbered from 1 in order of first appearance
         labels: dict = {}
@@ -712,24 +752,10 @@ class ReductionState:
         for subs, info in ((self.rows, row_info), (self.cols, col_info)):
             for start, size, strip, label in zip(*(x.tolist() for x in subs)):
                 info[strip].append((start, size, labels.setdefault(label, len(labels) + 1)))
-        # zones partition the cells they own: group the cells by owner once
-        order = np.argsort(self.owner, axis=None, kind="stable")
-        bounds = np.searchsorted(
-            self.owner.ravel()[order], np.arange(len(self.zones) + 1)
-        ).tolist()
-        cells = list(zip(*(x.tolist() for x in np.unravel_index(order, self.owner.shape))))
-        zones = [
-            Zone(z[0], z[1], z[2], frozenset(cells[a:b]), z[3], tuple(z[4]))
-            for z, a, b in zip(self.zones, bounds, bounds[1:]) if z is not None
-        ]
-        zones.sort(key=attrgetter("depth", "block"))
-        return ReductionTrace(
-            steps=list(self.steps),
-            zones=zones,
-            row_substrips=row_info,
-            col_substrips=col_info,
-            num_classes=len(labels),
-        )
+        # a snapshot: the engine grows these in place
+        book = (list(self.zones), self.owner.copy(), {k: set(v) for k, v in self.propagated.items()},
+                list(self._zero_candidates))
+        return ReductionTrace(list(self.steps), row_info, col_info, len(labels), book)
 
 
 def _certify(A, R, S, C, tol: Tolerance) -> None:

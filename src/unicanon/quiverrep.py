@@ -16,7 +16,7 @@ import numpy as np
 from .numcore import Tolerance
 from . import mbm
 from .mbm import MarkedBlockMatrix
-from .scheme import Scheme, count_params, scheme_of
+from .scheme import Scheme, _symbols, count_params
 
 __all__ = [
     "Quiver",
@@ -203,41 +203,16 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
     ``isometric(A, B)`` holds exactly when the canonical representations
     agree entrywise."""
     Ainf, iso, C, trace, _ = _canonical(A, tol)
-    full = scheme_of(C, trace.zones, tol)
+    eps = tol.threshold(C.entries)  # every arrow's symbols at the packed matrix's threshold
     ro, co = mbm._offsets(C.row_strips).tolist(), mbm._offsets(C.col_strips).tolist()
-    arrows = A.quiver.arrows[::-1]  # the arrow of every row strip
-    strip_of = [k for k, h in enumerate(C.row_strips) for _ in range(h)]  # per row
-    # a zone never crosses a strip boundary, so it lies in the rectangle of
-    # the arrow whose row strip holds its block, or in a coupling block
-    arrow_zones = [[] for _ in arrows]
-    for z in full.zones:
-        k = strip_of[z.block[0]]
-        if co[arrows[k][1] - 1] <= z.block[2] < co[arrows[k][1]]:
-            arrow_zones[k].append(z)
     schemes = {}
-    for k, (aid, s, d) in enumerate(arrows):
-        r0, r1, c0, c1 = ro[k], ro[k + 1], co[s - 1], co[s]
-
-        def shift(cells):  # packed cells -> cells of the arrow's rectangle
-            return tuple((r - r0, c - c0) for r, c in cells)
-
-        schemes[aid] = Scheme(
-            rows=r1 - r0,
-            cols=c1 - c0,
-            symbols=tuple(tuple(full.symbols[r][c0:c1]) for r in range(r0, r1)),
-            links=frozenset(frozenset(shift(p)) for p in full.links
-                            if all(r0 <= r < r1 and c0 <= c < c1 for r, c in p)),
-            # at offset (0, 0) a zone that absorbed no blocks is its own copy
-            zones=tuple(
-                z if not (r0 or c0 or z.merged_blocks) else mbm.Zone(
-                    z.depth, z.kind, z.block, frozenset(shift(z.cells)),
-                    tuple(shift(st) for st in z.stairs))
-                for z in arrow_zones[k]
-            ),
-            row_strips=(r1 - r0,),
-            col_strips=(c1 - c0,),
-            marked=frozenset({(0, 0)} if s == d else ()),
-        )
+    for k, (aid, s, d) in enumerate(A.quiver.arrows[::-1]):  # the arrow of every row strip
+        rows, cols = slice(ro[k], ro[k + 1]), slice(co[s - 1], co[s])
+        zones = trace.zones_in(rows, cols)
+        symbols, links = _symbols(C.entries[rows, cols], zones, eps)
+        h, w = ro[k + 1] - ro[k], co[s] - co[s - 1]
+        schemes[aid] = Scheme(h, w, symbols, links, tuple(zones), (h,), (w,),
+                              frozenset({(0, 0)} if s == d else ()))
     return Ainf, iso, schemes
 
 
@@ -308,6 +283,8 @@ def random_rep(Q: Quiver, d, seed=None) -> Representation:
     """Representation with complex standard-Gaussian entries."""
     rng = np.random.default_rng(seed)
     d = mbm._integers(d, DimMismatchError, "dims")
+    if len(d) != Q.p:  # before the arrows index it
+        raise DimMismatchError("dims length != number of vertices")
     mats = {}
     for a, s, dst in Q.arrows:
         shape = (d[dst - 1], d[s - 1])

@@ -151,16 +151,21 @@ def scheme_of(
     canonical: MarkedBlockMatrix, zone_list, tol: Tolerance = Tolerance()
 ) -> Scheme:
     """Extract the scheme of a canonical matrix with its zone partition,
-    ``zone_list`` sorted by (depth, block) as ``ReductionTrace.zones`` is.
-
-    Stars sit on the stair diagonals of similarity zones; circles at the
-    cells of equivalence zones above the decision threshold of the canonical
-    matrix, with links between equal circles of one zone (equality at twice
-    that threshold)."""
+    ``zone_list`` sorted by (depth, block) as ``ReductionTrace.zones`` is,
+    with the symbols and links of :func:`_symbols` at the decision
+    threshold of the canonical matrix."""
     A = canonical.entries
-    eps = tol.threshold(A)
-    m, n = A.shape
-    grid = [["."] * n for _ in range(m)]
+    symbols, links = _symbols(A, zone_list, tol.threshold(A))
+    return Scheme(*A.shape, symbols, links, tuple(zone_list), canonical.row_strips,
+                  canonical.col_strips, canonical.marked)
+
+
+def _symbols(A, zone_list, eps) -> tuple:
+    """The symbol grid and links of the matrix A whose zones are
+    ``zone_list``: stars on the stair diagonals of similarity zones; circles
+    at the cells of equivalence zones above ``eps``, with links between
+    equal circles of one zone (equality at ``2 * eps``)."""
+    grid = [["."] * A.shape[1] for _ in range(A.shape[0])]
     links: set = set()
     circle = (np.abs(A) > eps).tolist()
     for z in zone_list:
@@ -177,16 +182,7 @@ def scheme_of(
             for (a, b) in zip(circles, circles[1:]):
                 if abs(A[a] - A[b]) <= 2 * eps:
                     links.add(frozenset({a, b}))
-    return Scheme(
-        rows=m,
-        cols=n,
-        symbols=tuple(tuple(row) for row in grid),
-        links=frozenset(links),
-        zones=tuple(zone_list),
-        row_strips=canonical.row_strips,
-        col_strips=canonical.col_strips,
-        marked=canonical.marked,
-    )
+    return tuple(tuple(row) for row in grid), frozenset(links)
 
 
 def _link_classes(S: Scheme, cells):

@@ -28,6 +28,21 @@ def reductions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def merges(monkeypatch):
+    """Count runs of the merge rule, which a trace makes when its zones are
+    first read."""
+    calls = []
+    original = mbm._merge_zero_zones
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(mbm, "_merge_zero_zones", counted)
+    return calls
+
+
 def example_8x12():
     """The 8x12 marked block matrix whose reduction has ten zones."""
     i = 1j

@@ -97,35 +97,53 @@ def one_target_scan(state, grid, depth):
     return i0 - i, j
 
 
-def repaint_merge(state):
-    """``_merge_zero_zones`` with the owner map repainted on every merge
-    instead of read through pointers: same probes, same order."""
-    rows, cols = state.propagated["r"], state.propagated["c"]
+def repaint_merge(zones, owner, propagated, candidates):
+    """``mbm._merge_zero_zones`` with the owner map repainted on every merge
+    instead of read through pointers: same probes, same order, passes until
+    none merges."""
+    rows, cols = propagated["r"], propagated["c"]
     probes = []
-    for zid in state._zero_candidates:
-        r0, rs, c0, cs = state.zones[zid][2]
+    for zid in candidates:
+        r0, rs, c0, cs = zones[zid][2]
         cells = [cell for across, cell in (
             (c0 in cols, (r0, c0 - 1)), (c0 + cs in cols, (r0, c0 + cs)),
             (r0 in rows, (r0 - 1, c0)), (r0 + rs in rows, (r0 + rs, c0)),
         ) if across]
         probes.append((zid, cells))
+    owner, merged, gone = owner.copy(), {}, set()
     changed = True
     while changed:
         changed = False
         for zid, cells in probes:
-            z = state.zones[zid]
-            if z is None:
+            if zid in gone:
                 continue
             for r, c in cells:
-                tid = int(state.owner[r, c])
+                tid = int(owner[r, c])
                 if tid < 0 or tid == zid:
                     continue
-                _, _, block, _, absorbed = z
-                state.zones[tid][4].extend([block, *absorbed])
-                state.owner[state.owner == zid] = tid
-                state.zones[zid] = None
+                merged.setdefault(tid, []).extend([zones[zid][2], *merged.pop(zid, ())])
+                owner[owner == zid] = tid
+                gone.add(zid)
                 changed = True
                 break
+    return owner, merged
+
+
+def eager_zones(state):
+    """The zones as ``trace()`` built them at once: the merge rule (here
+    its repaint reference), then the cells of every zone grouped from one
+    stable sort of the owner map, in zone id order, every zone but the
+    absorbed ones, sorted by (depth, block)."""
+    owner, merged = repaint_merge(state.zones, state.owner, state.propagated, state._zero_candidates)
+    absorbed = {block for blocks in merged.values() for block in blocks}  # blocks are distinct
+    order = np.argsort(owner, axis=None, kind="stable")
+    bounds = np.searchsorted(owner.ravel()[order], np.arange(len(state.zones) + 1)).tolist()
+    cells = list(zip(*(x.tolist() for x in np.unravel_index(order, owner.shape))))
+    zones = [
+        mbm.Zone(z[0], z[1], z[2], frozenset(cells[a:b]), z[3], tuple(merged.get(zid, ())))
+        for zid, (z, a, b) in enumerate(zip(state.zones, bounds, bounds[1:])) if z[2] not in absorbed
+    ]
+    return sorted(zones, key=lambda z: (z.depth, z.block))
 
 
 def reduce_fully(M, tol):
@@ -511,17 +529,22 @@ class TestReferenceSteps:
     ])
     def test_same_reduction(self, tol, M, reference, monkeypatch):
         state = reduce_fully(M, tol)
-        method, replacement = {
-            "_apply": ("_scan", one_target_scan),
-            "_merge_zero_zones": ("_merge_zero_zones", repaint_merge),
+        got = state.trace()
+        got.zones  # the engine's merge rule runs here, before the patch
+        owner, method, replacement = {
+            "_apply": (mbm.ReductionState, "_scan", one_target_scan),
+            "_merge_zero_zones": (mbm, "_merge_zero_zones", repaint_merge),
         }[reference]
-        monkeypatch.setattr(mbm.ReductionState, method, replacement)
+        monkeypatch.setattr(owner, method, replacement)
         ref = reduce_fully(M, tol)
-        # merges, merged blocks, owner map, zones, substrips: identical
+        want = ref.trace()
+        # zone records, owner map, merges, merged blocks, zones, substrips:
+        # identical
         assert state.zones == ref.zones
         assert np.array_equal(state.owner, ref.owner)
-        got, want = state.trace(), ref.trace()
-        assert got.zones == want.zones
+        assert want.zones == got.zones
+        assert np.array_equal(got._merged[0], want._merged[0])
+        assert got._merged[1] == want._merged[1]
         assert (got.row_substrips, got.col_substrips, got.num_classes) == (
             want.row_substrips, want.col_substrips, want.num_classes)
         assert len(got.steps) == len(want.steps)
@@ -538,12 +561,20 @@ class TestReferenceSteps:
         for X, Y in ((state.R, ref.R), (state.S, ref.S)):
             assert np.linalg.norm(X - Y) <= 1e-14 * np.linalg.norm(Y)
 
+    @pytest.mark.parametrize("M", reference_inputs() + [example_8x12()])
+    def test_lazy_zones_match_eager_build(self, tol, M):
+        state = reduce_fully(M, tol)
+        trace = state.trace()
+        assert trace.zones is trace.zones  # built once, then cached
+        assert trace.zones == eager_zones(state)
+
     def test_references_are_exercised(self, tol):
         # the Kronecker reduction has phase steps (1x1 blocks) and merges
         state = reduce_fully(packed(KRONECKER, (16, 16), 4), tol)
         phase = [s for s in state.steps if s.row_block[1] == s.col_block[1] == 1]
         assert len(phase) > len(state.steps) // 2
-        assert sum(z is None for z in state.zones) > 100
+        # every zone the merge rule absorbs leaves the trace's zones
+        assert len(state.zones) - len(state.trace().zones) > 100
 
 
 def generic_similarity(n, seed):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,37 @@ def reference_arrow_zones(A, tol):
                     for st in z.stairs if all(map(inside, st))
                 )
                 out[aid].append((z.depth, z.kind, z.block, cells, stairs))
+    return out
+
+
+def shifted_arrow_schemes(A, tol):
+    """Per-arrow schemes built from the packed scheme, as ``rep_canonical``
+    built them before it read the owner map: every packed zone whose block
+    lies in the arrow's rectangle, with its cells and stairs shifted by the
+    rectangle's corner (its block kept) and no merged blocks, and the
+    packed scheme's symbols and links inside the rectangle."""
+    M, layout = pack(A)
+    C, _, trace = mbm.canonicalize(M, tol)
+    full = scheme_of(C, trace.zones, tol)
+    ro, co = mbm._offsets(C.row_strips).tolist(), mbm._offsets(C.col_strips).tolist()
+    out = {}
+    for k, aid in enumerate(layout["row_order"]):
+        _, s, d = A.quiver.arrow(aid)
+        r0, r1, c0, c1 = ro[k], ro[k + 1], co[s - 1], co[s]
+
+        def shift(cells):
+            return tuple((r - r0, c - c0) for r, c in cells)
+
+        zones = tuple(
+            mbm.Zone(z.depth, z.kind, z.block, frozenset(shift(z.cells)),
+                     tuple(shift(st) for st in z.stairs))
+            for z in full.zones if r0 <= z.block[0] < r1 and c0 <= z.block[2] < c1
+        )
+        links = frozenset(frozenset(shift(p)) for p in full.links
+                          if all(r0 <= r < r1 and c0 <= c < c1 for r, c in p))
+        symbols = tuple(tuple(row[c0:c1]) for row in full.symbols[r0:r1])
+        marked = frozenset({(0, 0)} if s == d else ())
+        out[aid] = qr.Scheme(r1 - r0, c1 - c0, symbols, links, zones, (r1 - r0,), (c1 - c0,), marked)
     return out
 
 
@@ -136,6 +169,12 @@ class TestRepresentationShape:
         # before: random_rep(SINGLE_ARROW, (1.9, 1)) had dims (1, 1)
         with pytest.raises(DimMismatchError, match=r"dims .*: a value is not an integer"):
             random_rep(SINGLE_ARROW, d, seed=0)
+
+    @pytest.mark.parametrize("d", [(1,), (1, 2, 3)], ids=["short", "long"])
+    def test_random_rep_dims_length(self, d):
+        # before: the short vector raised a bare IndexError
+        with pytest.raises(DimMismatchError, match="dims length"):
+            random_rep(KRONECKER, d, seed=0)
 
     @pytest.mark.parametrize("d", [(3, 0), (0, 3)])
     def test_empty_arrow(self, d):
@@ -437,3 +476,51 @@ class TestReductionsPerCall:
         R = dims.construct_indecomposable(KRONECKER, (2, 3), seed=0, tol=tol)
         assert len(reductions) == 2
         assert is_indecomposable_rep(R, tol)
+
+
+class TestZonesWhenRead:
+    """The merge rule and the zone objects run when a caller reads the
+    zones, and only then; what they build is what was built before."""
+
+    def test_not_built_when_not_read(self, tol, merges):
+        A = random_rep(KRONECKER, (2, 3), seed=6)
+        real = Representation(KRONECKER, (2, 3), {a: M.real + 0j for a, M in A.matrices.items()})
+        X = random_rep(LOOP, (2,), seed=7).matrices["a"]
+        assert isometric(A, A, tol)
+        assert decompose_rep(A, tol)
+        assert is_indecomposable_rep(A, tol)
+        assert euclid.classify_real(loop_rep([[1.0, 3.0], [0.0, 2.0]]), tol).kind == "Real"
+        assert euclid.decompose_real(real, tol)
+        for kind in wildness.GADGET_KINDS:
+            assert wildness.gadget_faithful(kind, X, X, tol)
+        mbm.canonicalize(pack(A)[0], tol)
+        assert merges == []
+
+    def test_built_when_read(self, tol, merges, tmp_path, capsys):
+        from unicanon.cli import dispatch
+
+        _, _, schemes = rep_canonical(random_rep(KRONECKER, (2, 3), seed=6), tol)
+        assert all(S.zones for S in schemes.values()) and len(merges) == 1
+        dims.construct_indecomposable(KRONECKER, (2, 3), seed=0, tol=tol)
+        assert len(merges) == 2
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(pack(random_rep(KRONECKER, (2, 3), seed=6))[0].to_json()))
+        assert dispatch(["canon-mbm", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["zones"] and len(merges) == 3
+
+    def test_read_twice_is_the_same_list(self, tol, merges):
+        trace = mbm.canonicalize(pack(random_rep(KRONECKER, (3, 3), seed=1))[0], tol)[2]
+        assert trace.zones is trace.zones and len(merges) == 1
+
+    @pytest.mark.parametrize(
+        "Q, d",
+        [(KRONECKER, (4, 5)), (KRONECKER, (24, 24)), (D4, (2, 3, 1, 4)), (D4, (1, 0, 2, 3)),
+         (D4, (6, 6, 6, 12)), (TWO_LOOPS, (3,)), (TWO_LOOPS, (24,)), (LOOP_ARROW, (3, 2)),
+         (LOOP_ARROW, (24, 24))],
+        ids=["kronecker-4-5", "kronecker-24-24", "d4-2-3-1-4", "d4-1-0-2-3", "d4-6-6-6-12",
+             "two-loops-3", "two-loops-24", "loop-arrow-3-2", "loop-arrow-24-24"],
+    )
+    def test_arrow_schemes_match_shifted_packed_zones(self, tol, Q, d):
+        for seed in range(2):
+            A = random_rep(Q, d, seed=seed)
+            assert rep_canonical(A, tol)[2] == shifted_arrow_schemes(A, tol)
