@@ -383,8 +383,9 @@ class ReductionTrace:
 
     def zones_in(self, rows: slice, cols: slice) -> list:
         """The zones of ``rows`` x ``cols``, a rectangle of whole strips (a
-        zone lies in one block of the strip grid), in its coordinates and
-        without merged blocks, as a scheme's zones are."""
+        zone lies in one block of the strip grid), their blocks, cells and
+        stairs in its coordinates and without merged blocks, as a scheme's
+        zones are."""
         return self._zones(rows, cols, {})
 
     def _zones(self, rows, cols, merged) -> list:
@@ -400,6 +401,7 @@ class ReductionTrace:
             if zid >= 0:  # not the unowned cells
                 depth, kind, block, stairs = self._book[0][zid]
                 if r0 or c0:
+                    block = (block[0] - r0, block[1], block[2] - c0, block[3])
                     stairs = tuple(tuple((r - r0, c - c0) for r, c in st) for st in stairs)
                 zones.append(Zone(depth, kind, block, frozenset(cells[a:b]), stairs,
                                   tuple(merged.get(zid, ()))))
@@ -752,9 +754,8 @@ class ReductionState:
         for subs, info in ((self.rows, row_info), (self.cols, col_info)):
             for start, size, strip, label in zip(*(x.tolist() for x in subs)):
                 info[strip].append((start, size, labels.setdefault(label, len(labels) + 1)))
-        # a snapshot: the engine grows these in place
         book = (list(self.zones), self.owner.copy(), {k: set(v) for k, v in self.propagated.items()},
-                list(self._zero_candidates))
+                list(self._zero_candidates))  # a snapshot: the engine grows these in place
         return ReductionTrace(list(self.steps), row_info, col_info, len(labels), book)
 
 

@@ -38,8 +38,8 @@ LOOP_ARROW = Quiver(2, [("l", 1, 1), ("x", 1, 2)])
 def reference_arrow_zones(A, tol):
     """Per-arrow zones of ``rep_canonical`` by the per-cell rule: a zone
     belongs to every arrow whose rectangle in the packed matrix holds one of
-    its cells, with those cells and the stairs lying wholly inside, shifted
-    to the rectangle's corner."""
+    its cells, with its block, those cells and the stairs lying wholly
+    inside, shifted to the rectangle's corner."""
     M, layout = pack(A)
     canonical, _, trace = mbm.canonicalize(M, tol)
     full = scheme_of(canonical, trace.zones, tol)
@@ -60,15 +60,16 @@ def reference_arrow_zones(A, tol):
                     tuple((r - r0, c - c0) for r, c in st)
                     for st in z.stairs if all(map(inside, st))
                 )
-                out[aid].append((z.depth, z.kind, z.block, cells, stairs))
+                block = (z.block[0] - r0, z.block[1], z.block[2] - c0, z.block[3])
+                out[aid].append((z.depth, z.kind, block, cells, stairs))
     return out
 
 
 def shifted_arrow_schemes(A, tol):
     """Per-arrow schemes built from the packed scheme, as ``rep_canonical``
     built them before it read the owner map: every packed zone whose block
-    lies in the arrow's rectangle, with its cells and stairs shifted by the
-    rectangle's corner (its block kept) and no merged blocks, and the
+    lies in the arrow's rectangle, with its block, cells and stairs shifted
+    by the rectangle's corner and no merged blocks, and the
     packed scheme's symbols and links inside the rectangle."""
     M, layout = pack(A)
     C, _, trace = mbm.canonicalize(M, tol)
@@ -83,7 +84,8 @@ def shifted_arrow_schemes(A, tol):
             return tuple((r - r0, c - c0) for r, c in cells)
 
         zones = tuple(
-            mbm.Zone(z.depth, z.kind, z.block, frozenset(shift(z.cells)),
+            mbm.Zone(z.depth, z.kind, (z.block[0] - r0, z.block[1], z.block[2] - c0, z.block[3]),
+                     frozenset(shift(z.cells)),
                      tuple(shift(st) for st in z.stairs))
             for z in full.zones if r0 <= z.block[0] < r1 and c0 <= z.block[2] < c1
         )
@@ -93,6 +95,13 @@ def shifted_arrow_schemes(A, tol):
         marked = frozenset({(0, 0)} if s == d else ())
         out[aid] = qr.Scheme(r1 - r0, c1 - c0, symbols, links, zones, (r1 - r0,), (c1 - c0,), marked)
     return out
+
+
+def zero_one(A):
+    """A with every entry replaced by 1 where its real part is positive,
+    else 0: rank-deficient blocks, on which the merge rule acts inside the
+    arrows' rectangles too."""
+    return Representation(A.quiver, A.dims, {a: (X.real > 0) + 0j for a, X in A.matrices.items()})
 
 
 def loop_rep(A):
@@ -512,15 +521,25 @@ class TestZonesWhenRead:
         trace = mbm.canonicalize(pack(random_rep(KRONECKER, (3, 3), seed=1))[0], tol)[2]
         assert trace.zones is trace.zones and len(merges) == 1
 
+    @pytest.mark.parametrize("entries", ["gaussian", "zero-one"])
     @pytest.mark.parametrize(
         "Q, d",
-        [(KRONECKER, (4, 5)), (KRONECKER, (24, 24)), (D4, (2, 3, 1, 4)), (D4, (1, 0, 2, 3)),
-         (D4, (6, 6, 6, 12)), (TWO_LOOPS, (3,)), (TWO_LOOPS, (24,)), (LOOP_ARROW, (3, 2)),
+        [(KRONECKER, (3, 3)), (KRONECKER, (24, 24)), (D4, (2, 3, 1, 4)), (D4, (1, 0, 2, 3)),
+         (D4, (6, 6, 6, 12)), (TWO_LOOPS, (3,)), (TWO_LOOPS, (24,)), (LOOP_ARROW, (4, 2)),
          (LOOP_ARROW, (24, 24))],
-        ids=["kronecker-4-5", "kronecker-24-24", "d4-2-3-1-4", "d4-1-0-2-3", "d4-6-6-6-12",
-             "two-loops-3", "two-loops-24", "loop-arrow-3-2", "loop-arrow-24-24"],
+        ids=["kronecker-3-3", "kronecker-24-24", "d4-2-3-1-4", "d4-1-0-2-3", "d4-6-6-6-12",
+             "two-loops-3", "two-loops-24", "loop-arrow-4-2", "loop-arrow-24-24"],
     )
-    def test_arrow_schemes_match_shifted_packed_zones(self, tol, Q, d):
+    def test_arrow_schemes_match_shifted_packed_zones(self, tol, Q, d, entries):
         for seed in range(2):
             A = random_rep(Q, d, seed=seed)
+            A = zero_one(A) if entries == "zero-one" else A
             assert rep_canonical(A, tol)[2] == shifted_arrow_schemes(A, tol)
+
+    def test_zero_one_entries_merge_inside_arrows(self, tol):
+        # so the comparison above covers arrow zones that absorbed blocks, at
+        # offset (0, 0) (Kronecker's b) and away from it (D4's c at (0, 5))
+        for Q, d, rows, cols in ((KRONECKER, (3, 3), 3, (0, 3)), (D4, (2, 3, 1, 4), 4, (5, 6))):
+            trace = mbm.canonicalize(pack(zero_one(random_rep(Q, d, seed=0)))[0], tol)[2]
+            assert any(z.merged_blocks for z in trace.zones
+                       if z.block[0] < rows and cols[0] <= z.block[2] < cols[1])
