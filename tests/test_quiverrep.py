@@ -5,6 +5,7 @@ import pytest
 
 from unicanon.numcore import Tolerance, random_unitary
 from unicanon import dims, euclid, mbm, wildness
+from unicanon.cli import dispatch
 from unicanon import quiverrep as qr
 from unicanon.scheme import scheme_of
 from unicanon.quiverrep import (
@@ -506,8 +507,6 @@ class TestZonesWhenRead:
         assert merges == []
 
     def test_built_when_read(self, tol, merges, tmp_path, capsys):
-        from unicanon.cli import dispatch
-
         _, _, schemes = rep_canonical(random_rep(KRONECKER, (2, 3), seed=6), tol)
         assert all(S.zones for S in schemes.values()) and len(merges) == 1
         dims.construct_indecomposable(KRONECKER, (2, 3), seed=0, tol=tol)
