@@ -9,8 +9,6 @@ parameters (Tits form) and constructs verified indecomposables.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .numcore import Tolerance
@@ -61,9 +59,9 @@ def _vector(Q: Quiver, z) -> tuple:
     return z
 
 
-def _plus_unit(z: tuple, v: int) -> tuple:
-    """z + e_v, v 0-based."""
-    return z[:v] + (z[v] + 1,) + z[v + 1 :]
+def _plus_unit(z: tuple, v: int, c: int = 1) -> tuple:
+    """z + c e_v, v 0-based."""
+    return z[:v] + (z[v] + c,) + z[v + 1 :]
 
 
 def m_matrix(Q: Quiver) -> np.ndarray:
@@ -72,10 +70,8 @@ def m_matrix(Q: Quiver) -> np.ndarray:
     diagonal."""
     M = np.zeros((Q.p, Q.p), dtype=int)
     for _, s, d in Q.arrows:
-        if s == d:
-            M[s - 1, s - 1] += 1
-        else:
-            M[s - 1, d - 1] += 1
+        M[s - 1, d - 1] += 1
+        if s != d:
             M[d - 1, s - 1] += 1
     return M
 
@@ -103,9 +99,7 @@ def in_D(Q: Quiver, z) -> bool:
     supp = [v for v in range(1, Q.p + 1) if z[v - 1]]
     inner = [(s, d) for _, s, d in Q.arrows if z[s - 1] and z[d - 1]]
     # on a loop-free vertex or a single arrow only the first two clauses hold
-    if (len(supp) == 1 and not inner) or (
-        len(supp) == 2 and len(inner) == 1 and inner[0][0] != inner[0][1]
-    ):
+    if len(supp) == len(inner) + 1 <= 2 and all(s != d for s, d in inner):
         return max(z) == 1
     parts = mbm.DisjointSet(supp)
     for s, d in inner:
@@ -114,15 +108,27 @@ def in_D(Q: Quiver, z) -> bool:
 
 
 def enumerate_D(Q: Quiver, bound: int):
-    """All members of D(Q) with component sum <= bound, lexicographically."""
+    """All members of D(Q) with component sum <= bound, lexicographically.
+
+    Grown from the unit vectors by adding e_v to members only, about p ``in_D``
+    calls per member, by the lemma: each z in D(Q) with sum z >= 2 has a vertex
+    i with y = z - e_i in D(Q).  Proof, M = M_Q: yM >= y holds at i and off
+    supp(y).  A 0/1 z: take i a leaf of a spanning tree of supp(z); supp(y)
+    stays connected, each of its vertices keeps a neighbour in it, so y is a
+    unit vector, a single-arrow pair or in clause 3.  Else z is in clause 3:
+    take z_i maximal (>= 2), so supp(y) = supp(z).  As (yM)_v = (zM)_v - m_iv,
+    yM >= y fails only at a loop-free v with z_v = z_i whose only arrow in
+    supp(z) is a single arrow to i; removing e_v then fails only at i, likewise,
+    so supp(z) is that arrow, which clause 3 excludes."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    out = []
-    for z in itertools.product(range(bound + 1), repeat=Q.p):
-        if 1 <= sum(z) <= bound and in_D(Q, z):
-            out.append(z)
-    out.sort()
-    return out
+    layer = [_plus_unit((0,) * Q.p, v) for v in range(Q.p)]
+    out = list(layer)
+    for _ in range(bound - 1):
+        grown = dict.fromkeys(_plus_unit(z, v) for z in layer for v in range(Q.p))
+        layer = [z for z in grown if in_D(Q, z)]
+        out += layer
+    return sorted(out)
 
 
 def successor(z, u, Q: Quiver) -> int:
@@ -142,19 +148,14 @@ def successor(z, u, Q: Quiver) -> int:
 
 def growth_path(Q: Quiver, d):
     """Chain e_i = u_1 <= u_2 <= ... <= u_t = d inside D(Q) with unit-vector
-    steps."""
-    d = _vector(Q, d)
-    if not in_D(Q, d):
-        raise NotInDError(f"{d} is not in D(Q)")
-    for v0 in (v for v in range(Q.p) if d[v] > 0):
-        path = [_plus_unit((0,) * Q.p, v0)]
-        try:
-            while path[-1] != d:
-                path.append(_plus_unit(path[-1], successor(path[-1], d, Q) - 1))
-            return path
-        except NoSuccessorError:
-            continue
-    raise NoSuccessorError(f"no growth path to {d}")
+    steps, walked down from d by ``enumerate_D``'s lemma."""
+    path = [_vector(Q, d)]
+    if not in_D(Q, path[0]):
+        raise NotInDError(f"{path[0]} is not in D(Q)")
+    while sum(path[-1]) > 1:
+        steps = (_plus_unit(path[-1], v, -1) for v in range(Q.p) if path[-1][v])
+        path.append(next(y for y in steps if in_D(Q, y)))
+    return path[::-1]
 
 
 def max_params(Q: Quiver, d):

@@ -176,7 +176,7 @@ def _cell(x, holder: str) -> tuple:
     """The 1-based JSON cell x as a 0-based pair; a ValueError names x and its holder if not."""
     if not (isinstance(x, (list, tuple)) and len(x) == 2):
         raise ValueError(f"{holder}{x!r} is not a [row, col] pair")
-    return x[0] - 1, x[1] - 1
+    return tuple(v - 1 for v in _integers(x, ValueError, holder.strip()))
 
 
 def matrix_to_json(A) -> list:

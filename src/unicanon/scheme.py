@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .numcore import Tolerance, _rank, lex_cmp
-from .mbm import DisjointSet, MarkedBlockMatrix, Zone, _cell, validate
+from .mbm import DisjointSet, MarkedBlockMatrix, Zone, _cell, _integers, validate
 
 __all__ = [
     "Scheme",
@@ -99,22 +99,11 @@ class Scheme:
     @classmethod
     def from_json(cls, data: dict) -> "Scheme":
         symbols = tuple(tuple(row) for row in data["symbols"])
-        rows = len(symbols)
-        cols = len(symbols[0]) if rows else 0
-        zs = tuple(
-            Zone(
-                depth=int(zd["depth"]),
-                kind=zd["kind"],
-                block=tuple(zd["block"]),
-                cells=frozenset(_cell(x, f"zone {k}: cell ") for x in zd["cells"]),
-                stairs=tuple(
-                    tuple(_cell(x, f"zone {k}: cell ") for x in st) for st in zd["stairs"]
-                ),
-            )
-            for k, zd in enumerate(data.get("zones", []))
-        )
+        rows, cols = len(symbols), len(symbols[0]) if symbols else 0
         if any(len(row) != cols for row in symbols):
             raise ValueError("scheme symbols rows differ in length")
+        if any(x not in (".", "o", "*") for x in chain(*symbols)):
+            raise ValueError("scheme symbols must be '.', 'o' or '*'")
         links = [frozenset(_cell(x, f"link {link!r}: cell ") for x in link)
                  for link in data.get("links", [])]
         for link, pair in zip(data.get("links", []), links):
@@ -125,12 +114,22 @@ class Scheme:
                 raise ValueError(
                     f"link {cells} is not two distinct cells of the {rows}x{cols} symbols"
                 )
-        for k, z in enumerate(zs):
+        zs = []
+        for k, zd in enumerate(data.get("zones", [])):
+            z = Zone(_integers([zd["depth"]], ValueError, f"zone {k} depth")[0], zd["kind"],
+                     _integers(zd["block"], ValueError, f"zone {k} block"),
+                     frozenset(_cell(x, f"zone {k}: cell ") for x in zd["cells"]),
+                     tuple(tuple(_cell(x, f"zone {k}: cell ") for x in st) for st in zd["stairs"]))
+            if z.kind not in ("equivalence", "similarity"):
+                raise ValueError(f"zone {k} kind {z.kind!r} is not equivalence or similarity")
+            if len(z.block) != 4 or min(z.block) < 0:
+                raise ValueError(f"zone {k} block {z.block} is not four non-negative integers")
             for r, c in chain(z.cells, *z.stairs):
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ValueError(
                         f"zone {k} has cell ({r + 1},{c + 1}) outside the {rows}x{cols} symbols"
                     )
+            zs.append(z)
         strips = tuple(data["row_strips"]), tuple(data["col_strips"])
         marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
         # the strips and marks must fit the symbol grid, as a filling's must
@@ -140,7 +139,7 @@ class Scheme:
             cols=cols,
             symbols=symbols,
             links=frozenset(links),
-            zones=zs,
+            zones=tuple(zs),
             row_strips=strips[0],
             col_strips=strips[1],
             marked=marked,

@@ -114,6 +114,24 @@ def jordan_sum(n, rng):
 NON_INTEGER_DIMS = [pytest.param(d, id=i) for d, i in (((1.9, 1), "1.9"), ((1, 2.0), "2.0"),
                                                        (("1", 1), "text"))]
 
+# 2x2 schemes with one malformed zone or symbol, and the start of the
+# ValueError each raises: (data, message, id)
+_ZONE = {"depth": 0, "kind": "equivalence", "block": [0, 2, 0, 2], "cells": [[1, 2]], "stairs": []}
+MALFORMED_SCHEMES = [
+    pytest.param({"symbols": [["o", "o"], [".", "o"]], "zones": [{**_ZONE, **zone}],
+                  "row_strips": [2], "col_strips": [2]}, message, id=i)
+    for zone, message, i in (
+        ({"kind": "bogus"}, "zone 0 kind 'bogus' is not equivalence or similarity", "kind"),
+        ({"depth": 1.9}, "zone 0 depth [1.9]: a value is not an integer", "depth-float"),
+        ({"block": ["a"]}, "zone 0 block ['a']: a value is not an integer", "block-text"),
+        ({"block": [0, 2, 0]}, "zone 0 block (0, 2, 0) is not four non-negative", "block-three"),
+        ({"block": [0, -1, 0, 2]}, "zone 0 block (0, -1, 0, 2) is not four non-negative",
+         "block-negative"),
+        ({"cells": [[1.5, 2]]}, "zone 0: cell [1.5, 2]: a value is not an integer", "cell-float"),
+    )
+] + [pytest.param({"symbols": [["o", "x"], [".", "o"]], "zones": [], "row_strips": [2],
+                   "col_strips": [2]}, "scheme symbols must be '.', 'o' or '*'", id="symbol")]
+
 SQUARE_KINDS = ("complex", "real", "jordan", "normal")
 
 

@@ -9,7 +9,7 @@ from unicanon.mbm import MarkedBlockMatrix
 from unicanon.numcore import cluster_complex
 from unicanon.quiverrep import Quiver, Representation
 
-from conftest import example_8x12, not_reducing_step, KRONECKER, SINGLE_ARROW
+from conftest import example_8x12, not_reducing_step, KRONECKER, SINGLE_ARROW, MALFORMED_SCHEMES
 
 
 def cmat(M):
@@ -184,6 +184,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert "is not two distinct cells" in json.loads(captured.err)["error"]
 
+    @pytest.mark.parametrize("data, message", MALFORMED_SCHEMES)
+    def test_scheme_malformed_zone_or_symbol(self, tmp_path, capsys, data, message):
+        # before: fill-scheme filled a zone of kind "bogus" as a similarity
+        # zone and exited 0
+        f = write_json(tmp_path / "s.json", data)
+        assert dispatch(["fill-scheme", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["type"] == "ValueError" and err["error"].startswith(message)
+
     @pytest.mark.parametrize(
         "command, extra",
         ((["fill-scheme"], {"links": [[[1], [2, 2]]]}),
@@ -301,8 +312,14 @@ class TestExitCodes:
                             "row_strips": [1.5, 0.5], "col_strips": [2]}, "DimensionMismatchError"),
          (["dims", "--bound", "2"], {"vertices": 2.5, "arrows": []}, "ValueError"),
          (["dims", "--bound", "2"], {"vertices": 2, "arrows": [{"id": "a", "src": 1.7, "dst": 2}]},
+          "ValueError"),
+         (["canon-mbm"], {"row_strips": [1, 1], "col_strips": [1, 1], "marked": [[1.0, 1]],
+                          "entries": cmat(np.eye(2))}, "ValueError"),
+         (["fill-scheme"], {"symbols": [["o", "."], [".", "o"]], "zones": [],
+                            "links": [[[1, 1.0], [2, 2]]], "row_strips": [2], "col_strips": [2]},
           "ValueError")),
-        ids=("canon-rep", "canon-mbm", "fill-scheme", "vertices", "endpoint"),
+        ids=("canon-rep", "canon-mbm", "fill-scheme", "vertices", "endpoint", "mbm-mark",
+             "scheme-link"),
     )
     def test_non_integer_size(self, tmp_path, capsys, command, data, error):
         # before: canon-rep exited 0 and wrote "dims": [1, 1]; canon-mbm

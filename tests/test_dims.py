@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance
-from unicanon import quiverrep as qr
+from unicanon import dims, quiverrep as qr
 from unicanon.quiverrep import DimMismatchError
 from unicanon.dims import (
     NotInDError,
@@ -22,6 +22,35 @@ from conftest import LOOP, KRONECKER, SINGLE_ARROW, TWO_ARROWS_IN, FOUR_ARROWS, 
 from oracle import d_set
 
 SINGLE_VERTEX = qr.Quiver(1, [])
+
+
+def star(arms):
+    """``arms`` arrows into the last of arms + 1 vertices."""
+    return qr.Quiver(arms + 1, [(f"a{k}", k, arms + 1) for k in range(1, arms + 1)])
+
+
+def random_quiver(seed):
+    """Up to five arrows on up to four vertices, loops and parallel arrows
+    included, with the component-sum bound its D(Q) is listed to."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 5))
+    arrows = [
+        (f"a{k}", int(rng.integers(1, p + 1)), int(rng.integers(1, p + 1)))
+        for k in range(int(rng.integers(0, 6)))
+    ]
+    return qr.Quiver(p, arrows), 6 if p <= 2 else 4
+
+
+# (quiver, bound): the 60 random quivers, then stars with 205 and 268 members
+D_CASES = [pytest.param(*random_quiver(seed), id=str(seed)) for seed in range(60)] + [
+    pytest.param(star(4), 8, id="star4-bound8"),
+    pytest.param(star(5), 7, id="star5-bound7"),
+]
+
+
+def minus_unit(z, v):
+    """z - e_v, v 0-based."""
+    return z[:v] + (z[v] - 1,) + z[v + 1 :]
 
 
 class TestMatrixAndForms:
@@ -127,19 +156,35 @@ class TestMembership:
                 assert z not in d_set(Q, 3)
             assert in_D(Q, (2, 0))
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_matches_reference_on_random_quivers(self, seed):
-        # up to five arrows on up to four vertices, loops and parallel
-        # arrows included
-        rng = np.random.default_rng(seed)
-        p = int(rng.integers(1, 5))
-        arrows = [
-            (f"a{k}", int(rng.integers(1, p + 1)), int(rng.integers(1, p + 1)))
-            for k in range(int(rng.integers(0, 6)))
-        ]
-        Q = qr.Quiver(p, arrows)
-        bound = 6 if p <= 2 else 4
+    @pytest.mark.parametrize("Q, bound", D_CASES)
+    def test_matches_reference_on_random_quivers(self, Q, bound):
         assert enumerate_D(Q, bound) == d_set(Q, bound)
+
+    @pytest.mark.parametrize("Q, bound", D_CASES)
+    def test_every_member_grows_from_a_member(self, Q, bound):
+        # the lemma enumerate_D rests on, against the reference D(Q)
+        members = set(d_set(Q, bound))
+        for z in members:
+            assert sum(z) == 1 or any(minus_unit(z, v) in members for v in range(Q.p) if z[v])
+
+    @pytest.mark.parametrize(
+        "Q, bound", ((KRONECKER, 4), (FOUR_ARROWS, 5), (TWO_ARROWS_IN, 5), (star(4), 6)),
+        ids=("kronecker", "four-arrows", "two-arrows-in", "star4"),
+    )
+    def test_enumerate_asks_only_about_grown_members(self, monkeypatch, Q, bound):
+        # before: the scan of every vector asked about (3, 0) on Kronecker at
+        # bound 4, whose one predecessor (2, 0) is not in D(Q)
+        asked = []
+
+        def recording_in_D(Q, z):
+            asked.append(tuple(z))
+            return in_D(Q, z)
+
+        monkeypatch.setattr(dims, "in_D", recording_in_D)
+        members = set(dims.enumerate_D(Q, bound))
+        for z in asked:
+            assert sum(z) == 1 or any(minus_unit(z, v) in members for v in range(Q.p) if z[v])
+        assert len(asked) <= Q.p * len(members)
 
 
 class TestPaths:
@@ -157,6 +202,15 @@ class TestPaths:
             diff = tuple(y - x for x, y in zip(a, b))
             assert sorted(diff) == [0, 1]
             assert in_D(KRONECKER, b)
+
+    @pytest.mark.parametrize("Q, bound", D_CASES)
+    def test_paths_on_random_quivers(self, Q, bound):
+        for z in d_set(Q, bound):
+            path = growth_path(Q, z)
+            assert sum(path[0]) == 1 and path[-1] == z
+            for a, b in zip(path, path[1:]):
+                assert sorted(y - x for x, y in zip(a, b)) == [0] * (Q.p - 1) + [1]
+            assert all(in_D(Q, u) for u in path)
 
     def test_successor_support_growth(self):
         i = successor((0, 1, 0), (1, 1, 1), TWO_ARROWS_IN)

@@ -15,7 +15,7 @@ from unicanon.scheme import (
     render_ascii,
 )
 
-from conftest import random_mbm
+from conftest import random_mbm, MALFORMED_SCHEMES
 
 
 def scheme_of_mbm(M, tol):
@@ -130,6 +130,13 @@ class TestSchemeOf:
         data = {"symbols": [["o", "o"], [".", "o"]], "zones": [],
                 "row_strips": [2], "col_strips": [2], **extra}
         with pytest.raises(ValueError, match=re.escape(f"{holder}[1] is not a [row, col] pair")):
+            Scheme.from_json(data)
+
+    @pytest.mark.parametrize("data, message", MALFORMED_SCHEMES)
+    def test_json_malformed_zone_or_symbol(self, data, message):
+        # before: kind "bogus", block ["a"] and symbol "x" were accepted and
+        # depth 1.9 was truncated to 1
+        with pytest.raises(ValueError, match=re.escape(message)):
             Scheme.from_json(data)
 
 
