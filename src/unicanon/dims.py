@@ -13,7 +13,6 @@ import numpy as np
 
 from .numcore import Tolerance
 from . import mbm
-from .scheme import scheme_of, fill_general_position
 from .quiverrep import (
     Quiver,
     Representation,
@@ -21,9 +20,7 @@ from .quiverrep import (
     DimMismatchError,
     _canonical,
     apply_isometry,
-    unpack,
     random_rep,
-    is_indecomposable_rep,
 )
 
 __all__ = [
@@ -219,33 +216,20 @@ def zero_summand_witness(A: Representation, tol: Tolerance = Tolerance()):
 def construct_indecomposable(
     Q: Quiver, d, seed=None, tol: Tolerance = Tolerance()
 ) -> Representation:
-    """A verified indecomposable representation of dimension d.
+    """A verified indecomposable representation of dimension d, in canonical
+    form.
 
-    Samples a general-position canonical representation (reduce a random
-    d-representation, re-fill its packed scheme in general position) and
-    verifies indecomposability, retrying over a seed budget."""
+    Reduces seeded random d-representations, one reduction each, and returns
+    the canonical representation of the first whose reduction finds one
+    summand of multiplicity 1 (:func:`mbm._one_summand`), within a budget of
+    32 seeds.  A random representation is in general position with
+    probability one, so its form has :func:`max_params` parameters."""
     d = _vector(Q, d)
     if not in_D(Q, d):
         raise NotInDError(f"{d} is not in D(Q)")
-    if sum(d) == 1:
-        mats = {
-            a: np.zeros((d[dd - 1], d[s - 1]), dtype=complex)
-            for a, s, dd in Q.arrows
-        }
-        return Representation(Q, d, mats)
     rng = np.random.default_rng(seed)
-    for attempt in range(32):
-        sub = int(rng.integers(0, 2**32))
-        Ac, _, canonical, trace, layout = _canonical(random_rep(Q, d, seed=sub), tol)
-        S = scheme_of(canonical, trace.zones, tol)
-        filled = fill_general_position(S, "real-random", seed=sub, tol=tol)
-        cand = unpack(filled, layout)
-        try:
-            if is_indecomposable_rep(cand, tol):
-                return cand
-        except (mbm.NoConvergenceError, np.linalg.LinAlgError):
-            pass
-        # plain random canonical candidate as a second shot, by its reduction
+    for _ in range(32):
+        Ac, _, _, trace, _ = _canonical(random_rep(Q, d, seed=int(rng.integers(0, 2**32))), tol)
         if mbm._one_summand(trace):
             return Ac
     raise RuntimeError(

@@ -148,6 +148,8 @@ class RealType:
 
 
 def classify_real(A: Representation, tol: Tolerance = Tolerance()) -> RealType:
+    if not any(A.dims):
+        raise ZeroDimError("the zero dimension vector is not indecomposable")
     return _classify(A, self_conj_isometry(A, tol), tol)
 
 

@@ -873,11 +873,12 @@ def decompose(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
 
 
 def same_canonical(C: MarkedBlockMatrix, D: MarkedBlockMatrix, tol: Tolerance = Tolerance()) -> bool:
-    """Whether two canonical forms are the same: the same strip grid, and
-    :func:`numcore.same_form` on the entries, so every block is compared at
-    the threshold of the whole matrix."""
-    grid = (C.row_strips, C.col_strips) == (D.row_strips, D.col_strips)
-    return grid and same_form(C.entries, D.entries, tol)
+    """Whether two canonical forms are the same: the same strip grid and
+    marked blocks (the same problem), and :func:`numcore.same_form` on the
+    entries, so every block is compared at the threshold of the whole
+    matrix."""
+    problem = (C.row_strips, C.col_strips, C.marked) == (D.row_strips, D.col_strips, D.marked)
+    return problem and same_form(C.entries, D.entries, tol)
 
 
 def _one_summand(trace: ReductionTrace) -> bool:

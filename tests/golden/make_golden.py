@@ -43,6 +43,7 @@ D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
 TWO_LOOPS = Quiver(1, [("a", 1, 1), ("b", 1, 1)])
 LOOP_ARROW = Quiver(2, [("l", 1, 1), ("x", 1, 2)])
 LOOP = Quiver(1, [("a", 1, 1)])
+TWO_ARROWS_IN = Quiver(3, [("a", 1, 2), ("b", 3, 2)])
 LOOP_AND_VERTEX = Quiver(2, [("l", 1, 1)])
 LOOPS_PARALLEL = Quiver(3, [("l", 1, 1), ("a", 1, 2), ("b", 2, 1), ("m", 3, 3)])
 
@@ -355,6 +356,21 @@ def random_cases(out):
         out[f"fill_general_position 8x12 {mode} seed={seed}"] = cmat(F.entries)
 
 
+def construct_cases(out):
+    for Q, d, seed in (
+        (KRONECKER, (2, 3), 0),
+        (D4, (1, 1, 1, 2), 0),
+        (TWO_LOOPS, (3,), 0),
+        (LOOP, (16,), 15),
+        (TWO_ARROWS_IN, (0, 1, 0), 0),
+    ):
+        R = dm.construct_indecomposable(Q, d, seed=seed, tol=TOL)
+        out[f"construct_indecomposable q{Q.p}/{len(Q.arrows)} d={d} seed={seed}"] = {
+            "dims": list(R.dims),
+            "matrices": {a: cmat(X) for a, X in R.matrices.items()},
+        }
+
+
 def plain(x):
     """The same data with numpy scalars turned into Python numbers."""
     if isinstance(x, dict):
@@ -377,6 +393,7 @@ def compute() -> dict:
     gadget_cases(out)
     random_cases(out)
     descriptive_cases(out)
+    construct_cases(out)
     return plain(out)
 
 

@@ -499,6 +499,15 @@ class TestRepCommands:
         assert dispatch(["real-type", f]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "Complex"
 
+    def test_real_type_zero_dims(self, tmp_path, capsys):
+        # before: exit 0 with kind "Real"
+        A = Representation(Quiver(1, [("a", 1, 1)]), (0,), {"a": np.zeros((0, 0))})
+        f = write_json(tmp_path / "z.json", A.to_json())
+        assert dispatch(["real-type", f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["type"] == "ZeroDimError"
+
     def test_decompose_real(self, tmp_path, capsys):
         loop = Quiver(1, [("a", 1, 1)])
         A = Representation(loop, (2,), {"a": [[0.0, 1.0], [-1.0, 0.0]]})

@@ -133,6 +133,12 @@ class TestClassify:
     def test_complex_type(self, tol):
         assert classify_real(loop_rep([[1j]]), tol).kind == "Complex"
 
+    def test_zero_dims(self, tol):
+        # before: kind "Real", lam 1
+        for Q, d in ((LOOP, (0,)), (KRONECKER, (0, 0))):
+            with pytest.raises(qr.ZeroDimError):
+                classify_real(qr.random_rep(Q, d, seed=0), tol)
+
     def test_quaternionic_type(self, tol):
         for seed in range(5):
             A = quaternionic_loop(seed)

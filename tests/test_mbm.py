@@ -766,3 +766,15 @@ class TestDecompose:
         verdicts = [is_indecomposable(M, tol) for M in engine_inputs() + sums_of_packings()]
         assert any(verdicts) and not all(verdicts)
 
+
+
+class TestSameCanonical:
+    def test_grid_marks_and_entries(self, tol):
+        # the same entries as a similarity and as an equivalence problem;
+        # before, only the strip grid and the entries were compared
+        marked = MarkedBlockMatrix((1,), (1,), [[1]], {(0, 0)})
+        assert not mbm.same_canonical(marked, MarkedBlockMatrix((1,), (1,), [[1]]), tol)
+        assert mbm.same_canonical(marked, MarkedBlockMatrix((1,), (1,), [[1]], {(0, 0)}), tol)
+        M = MarkedBlockMatrix((1, 1), (2,), [[1, 0], [0, 2]])
+        assert not mbm.same_canonical(M, MarkedBlockMatrix((2,), (1, 1), M.entries), tol)
+        assert not mbm.same_canonical(M, MarkedBlockMatrix((1, 1), (2,), [[1, 0], [0, 3]]), tol)
