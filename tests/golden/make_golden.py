@@ -371,6 +371,38 @@ def construct_cases(out):
         }
 
 
+def error_record(call):
+    """The type and message of the error that ``call()`` raises."""
+    try:
+        call()
+    except ValueError as e:
+        return [type(e).__name__, str(e)]
+    raise AssertionError("no error raised")
+
+
+def error_cases(out):
+    """Malformed inputs: each raises where its data is first checked, with
+    the same type and message wherever that is."""
+    Z = np.zeros((2, 2))
+    nan, inf = Z.copy(), Z.copy()
+    nan[0, 1], inf[1, 0] = np.nan, -np.inf
+    for label, args in (
+        ("negative row strip", ((-1, 3), (2,), Z)),
+        ("negative column strip", ((2,), (3, -1), Z)),
+        ("shape mismatch", ((2,), (2,), np.zeros((2, 3)))),
+        ("nan entry", ((2,), (2,), nan)),
+        ("inf entry", ((2,), (2,), inf)),
+        ("mark out of range", ((2,), (2,), Z, frozenset({(1, 0)}))),
+        ("non-square mark", ((2,), (1, 1), Z, frozenset({(0, 0)}))),
+    ):
+        out[f"error canonicalize {label}"] = error_record(
+            lambda: mbm.canonicalize(MarkedBlockMatrix(*args), TOL))
+    mats = {"a": np.ones((2, 2)), "b": np.ones((2, 2))}
+    mats["a"][1, 1] = np.nan
+    out["error rep_canonical nan entry"] = error_record(
+        lambda: qr.rep_canonical(Representation(KRONECKER, (2, 2), mats), TOL))
+
+
 def plain(x):
     """The same data with numpy scalars turned into Python numbers."""
     if isinstance(x, dict):
@@ -394,6 +426,7 @@ def compute() -> dict:
     random_cases(out)
     descriptive_cases(out)
     construct_cases(out)
+    error_cases(out)
     return plain(out)
 
 
