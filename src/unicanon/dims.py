@@ -181,18 +181,13 @@ def zero_summand_witness(A: Representation, tol: Tolerance = Tolerance()):
     Q = A.quiver
     if sum(d) <= 1:
         return None  # a single unit-vector zero summand has nothing to shed
-    M = m_matrix(Q)
-    for l in range(1, Q.p + 1):
-        if d[l - 1] == 0:
-            continue
-        if int(M[l - 1, l - 1]) > 0:
-            continue  # a loop at l forces delta_l >= d_l
-        need = sum(int(M[l - 1, w]) * d[w] for w in range(Q.p) if w != l - 1)
+    for l, need in enumerate(delta(d, Q), start=1):
         if need >= d[l - 1]:
-            continue
-        # the stack has need < d_l columns, so its last left singular vectors
-        # span a left null space whatever ``tol``: rotate so the null rows come
-        # last; the trailing rows of vertex l are then untouched by every arrow
+            continue  # so also when d_l = 0 or a loop is at l
+        # no loop is at l, so the stack has need = delta_l < d_l columns: its
+        # last left singular vectors span a left null space whatever ``tol``:
+        # rotate so the null rows come last; the trailing rows of vertex l are
+        # then untouched by every arrow
         blocks = [
             A.matrices[a] if dd == l else A.matrices[a].conj().T
             for a, s, dd in Q.arrows

@@ -66,7 +66,6 @@ __all__ = [
     "NoConvergenceError",
     "CertificationError",
     "ZeroSizeError",
-    "validate",
     "tie_closure",
     "apply_admissible",
     "random_transcript",
@@ -131,7 +130,10 @@ class MarkedBlockMatrix:
     """Block matrix with strip partitions and marked (square) blocks.
 
     ``marked`` holds 0-based ``(i, j)`` block indices; the JSON form is
-    1-based."""
+    1-based.  Construction raises on a strip size that is not a non-negative
+    integer, on strips that do not match the shape of the entries, on a NaN
+    or infinite entry, and on a mark that is not two integers, is out of
+    range or is not square."""
 
     row_strips: tuple[int, ...]
     col_strips: tuple[int, ...]
@@ -141,12 +143,27 @@ class MarkedBlockMatrix:
     def __post_init__(self):
         for name, axis in (("row_strips", "row"), ("col_strips", "column")):
             sizes = _integers(getattr(self, name), DimensionMismatchError, f"{axis} strips")
+            if any(k < 0 for k in sizes):
+                raise DimensionMismatchError(f"{axis} strips {sizes}: a strip size is negative")
             object.__setattr__(self, name, sizes)
+        rows, cols = self.row_strips, self.col_strips
         e = np.asarray(self.entries, dtype=complex)
+        if e.shape != (sum(rows), sum(cols)):
+            raise DimensionMismatchError(
+                f"entries shape {e.shape} does not match strips {rows} x {cols}"
+            )
+        _check_finite(e)
         object.__setattr__(self, "entries", e)
-        object.__setattr__(
-            self, "marked", frozenset((int(i), int(j)) for i, j in self.marked)
-        )
+        marked = frozenset(_integers(x, DimensionMismatchError, "marked block")
+                           for x in self.marked)
+        for i, j in marked:
+            if not (0 <= i < len(rows) and 0 <= j < len(cols)):
+                raise DimensionMismatchError(f"marked block ({i},{j}) out of range")
+            if rows[i] != cols[j]:
+                raise MarkedBlockNotSquareError(
+                    f"marked block ({i},{j}) has shape {rows[i]}x{cols[j]}"
+                )
+        object.__setattr__(self, "marked", marked)
 
     @property
     def shape(self):
@@ -206,31 +223,10 @@ def _shaped(A, shape, error=DimensionMismatchError, what="entries") -> np.ndarra
 
 def _check_finite(E: np.ndarray, what: str = "entry") -> None:
     """Raise ValueError naming the first NaN or infinite entry of E (1-based)."""
-    bad = np.argwhere(~np.isfinite(E))
-    if bad.size:
-        r, c = bad[0].tolist()
+    finite = np.isfinite(E)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0].tolist()
         raise ValueError(f"{what} ({r + 1},{c + 1}) is not finite: {E[r, c]}")
-
-
-def validate(M: MarkedBlockMatrix) -> None:
-    for axis, strips in (("row", M.row_strips), ("column", M.col_strips)):
-        if any(k < 0 for k in strips):
-            raise DimensionMismatchError(f"{axis} strips {strips}: a strip size is negative")
-    m, n = M.entries.shape
-    if m != sum(M.row_strips) or n != sum(M.col_strips):
-        raise DimensionMismatchError(
-            f"entries shape {M.entries.shape} does not match strips "
-            f"{M.row_strips} x {M.col_strips}"
-        )
-    _check_finite(M.entries)
-    for i, j in M.marked:
-        if not (0 <= i < len(M.row_strips) and 0 <= j < len(M.col_strips)):
-            raise DimensionMismatchError(f"marked block ({i},{j}) out of range")
-        if M.row_strips[i] != M.col_strips[j]:
-            raise MarkedBlockNotSquareError(
-                f"marked block ({i},{j}) has shape "
-                f"{M.row_strips[i]}x{M.col_strips[j]}"
-            )
 
 
 class DisjointSet:
@@ -266,8 +262,7 @@ class DisjointSet:
 def tie_closure(M: MarkedBlockMatrix) -> tuple[frozenset, ...]:
     """Partition of the row and column strip slots ``('r', i)`` and
     ``('c', j)`` into classes: two slots share a class iff a chain of marks
-    ties them.  Validates M."""
-    validate(M)
+    ties them."""
     slots = [("r", i) for i in range(len(M.row_strips))] + [
         ("c", j) for j in range(len(M.col_strips))
     ]
@@ -299,7 +294,6 @@ def _blockdiag(blocks):
 def apply_admissible(
     M: MarkedBlockMatrix, T: Transcript, tol: Tolerance = Tolerance()
 ) -> MarkedBlockMatrix:
-    validate(M)
     if len(T.R) != len(M.row_strips) or len(T.S) != len(M.col_strips):
         raise DimensionMismatchError("transcript does not match strip counts")
     for name, blocks, sizes in (("R", T.R, M.row_strips), ("S", T.S, M.col_strips)):
@@ -484,7 +478,7 @@ class ReductionState:
     first read."""
 
     def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
-        classes = tie_closure(M)  # validates M
+        classes = tie_closure(M)
         label = {slot: k for k, c in enumerate(classes) for slot in c}
         self.M = M
         self.tol = tol
@@ -783,13 +777,13 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     """Reduce M to its canonical matrix.
 
     Returns ``(canonical, transcript, trace)``.  The engine reduces M divided
-    by s = ``||M.entries||_F`` (unless s is 0), so every decision is relative
+    by s = ``||M.entries||_F`` (unless s is 0; M's entries are finite, as its
+    construction checks, so s is too), so every decision is relative
     to s and the form of ``c * M`` is c times the form of M; the form and the
     step values are scaled back by s.  ``apply_admissible(M, transcript)``
     equals ``canonical`` within ``10 * n * tol.abs * s`` in the Frobenius
     norm (n the larger side); every call checks this certificate and raises
     :class:`CertificationError` when it fails."""
-    validate(M)  # before the division by the norm: entries must be finite
     s = frobenius(M.entries)
     unit = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries / (s or 1.0), M.marked)
     state = ReductionState(unit, tol)
@@ -818,8 +812,6 @@ def _diagonal_blocks(X: np.ndarray, sizes) -> tuple:
 
 
 def block_direct_sum(M: MarkedBlockMatrix, N: MarkedBlockMatrix) -> MarkedBlockMatrix:
-    validate(M)
-    validate(N)
     axes = ((M.row_strips, N.row_strips), (M.col_strips, N.col_strips))
     if any(len(m) != len(n) for m, n in axes):
         raise ShapeMismatchError("block grids differ")

@@ -97,23 +97,33 @@ class Quiver:
         )
 
 
+def _dims(Q: Quiver, d) -> tuple:
+    """d as a dimension vector of Q: Q.p non-negative integers by
+    ``mbm._integers``' rule, else DimMismatchError."""
+    d = mbm._integers(d, DimMismatchError, "dims")
+    if len(d) != Q.p:
+        raise DimMismatchError("dims length != number of vertices")
+    if any(x < 0 for x in d):
+        raise DimMismatchError(f"dims {d}: a dimension is negative")
+    return d
+
+
 @dataclass(frozen=True)
 class Representation:
+    """A matrix of shape d_dst x d_src per arrow; construction checks the
+    dimension vector, each arrow's shape and that its entries are finite."""
+
     quiver: Quiver
     dims: tuple
     matrices: dict = field(default_factory=dict)  # arrow id -> ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", mbm._integers(self.dims, DimMismatchError, "dims"))
-        if len(self.dims) != self.quiver.p:
-            raise DimMismatchError("dims length != number of vertices")
-        if any(d < 0 for d in self.dims):
-            raise DimMismatchError(f"dims {self.dims}: a dimension is negative")
-        mats = {
-            a: mbm._shaped(self.matrices[a], (self.dims[d - 1], self.dims[s - 1]),
-                           DimMismatchError, f"arrow {a}")
-            for a, s, d in self.quiver.arrows
-        }
+        object.__setattr__(self, "dims", _dims(self.quiver, self.dims))
+        mats = {}
+        for a, s, d in self.quiver.arrows:
+            mats[a] = mbm._shaped(self.matrices[a], (self.dims[d - 1], self.dims[s - 1]),
+                                  DimMismatchError, f"arrow {a}")
+            mbm._check_finite(mats[a], f"arrow {a}: entry")
         object.__setattr__(self, "matrices", mats)
 
     def to_json(self) -> dict:
@@ -157,8 +167,7 @@ def pack(A: Representation):
     its row strip meets the column strip of i; a mark at the column strip of
     j forces the row transformation to equal S_j, so the admissible
     transformations of the packed matrix are exactly the vertex-wise
-    unitaries.  Returns ``(M, layout)``; a NaN or infinite entry raises
-    ValueError naming the arrow and the entry's cell in the arrow's matrix."""
+    unitaries.  Returns ``(M, layout)``."""
     Q = A.quiver
     arrows = Q.arrows[::-1]
     row_strips = tuple(A.dims[d - 1] for _, _, d in arrows)
@@ -166,7 +175,6 @@ def pack(A: Representation):
     entries = np.zeros((int(ro[-1]), int(co[-1])), dtype=complex)
     marked = set()
     for k, (aid, s, d) in enumerate(arrows):
-        mbm._check_finite(A.matrices[aid], f"arrow {aid}: entry")
         entries[ro[k] : ro[k + 1], co[s - 1] : co[s]] += A.matrices[aid]
         marked.add((k, d - 1))
     M = MarkedBlockMatrix(row_strips, A.dims, entries, frozenset(marked))
@@ -282,9 +290,7 @@ def reverse_arrow(A: Representation, arrow_id) -> Representation:
 def random_rep(Q: Quiver, d, seed=None) -> Representation:
     """Representation with complex standard-Gaussian entries."""
     rng = np.random.default_rng(seed)
-    d = mbm._integers(d, DimMismatchError, "dims")
-    if len(d) != Q.p:  # before the arrows index it
-        raise DimMismatchError("dims length != number of vertices")
+    d = _dims(Q, d)  # before the arrows index it
     mats = {}
     for a, s, dst in Q.arrows:
         shape = (d[dst - 1], d[s - 1])

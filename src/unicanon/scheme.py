@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .numcore import Tolerance, _rank, lex_cmp
-from .mbm import DisjointSet, MarkedBlockMatrix, Zone, _cell, _integers, validate
+from .mbm import DisjointSet, MarkedBlockMatrix, Zone, _cell, _integers
 
 __all__ = [
     "Scheme",
@@ -132,8 +132,9 @@ class Scheme:
             zs.append(z)
         strips = tuple(data["row_strips"]), tuple(data["col_strips"])
         marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
-        # the strips and marks must fit the symbol grid, as a filling's must
-        validate(MarkedBlockMatrix(*strips, np.zeros((rows, cols)), marked))
+        # building a matrix on the symbol grid checks that the strips and
+        # marks fit it, as a filling's must
+        MarkedBlockMatrix(*strips, np.zeros((rows, cols)), marked)
         return cls(
             rows=rows,
             cols=cols,

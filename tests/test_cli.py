@@ -63,8 +63,9 @@ class TestExitCodes:
 
     def test_validation_error(self, tmp_path, capsys):
         # marked block on a non-square cell
-        M = MarkedBlockMatrix((2,), (3,), np.zeros((2, 3)), {(0, 0)})
-        f = write_json(tmp_path / "m.json", M.to_json())
+        data = MarkedBlockMatrix((2,), (3,), np.zeros((2, 3))).to_json()
+        data["marked"] = [[1, 1]]
+        f = write_json(tmp_path / "m.json", data)
         assert dispatch(["canon-mbm", f]) == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
@@ -94,7 +95,9 @@ class TestExitCodes:
     def test_non_finite_entry(self, tmp_path, capsys, command, bad):
         E = np.array([[1.0, 3.0], [0.0, 2.0]], dtype=complex)
         E[0, 1] = bad
-        data = cmat(E) if command[0] == "canon-matrix" else MarkedBlockMatrix((2,), (2,), E).to_json()
+        data = cmat(E)
+        if command[0] == "canon-mbm":
+            data = {**MarkedBlockMatrix((2,), (2,), np.eye(2)).to_json(), "entries": data}
         f = write_json(tmp_path / "m.json", data)
         assert dispatch(command + [f]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -102,14 +105,16 @@ class TestExitCodes:
         assert err["error"].startswith("entry (1,2) is not finite")
 
     def test_non_finite_representation_entry(self, tmp_path, capsys):
-        # named by arrow and its own cell, not by the cell of the packed matrix
+        # named by arrow and its own cell, not by the cell of the packed
+        # matrix; before, realify, which reduces nothing, exited 0 and wrote NaN
         data = Representation(KRONECKER, (2, 2), {"a": np.eye(2), "b": np.ones((2, 2))}).to_json()
         data["matrices"]["a"][1][1] = [float("nan"), 0.0]
         f = write_json(tmp_path / "rep.json", data)
-        assert dispatch(["canon-rep", f]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["type"] == "ValueError"
-        assert err["error"].startswith("arrow a: entry (2,2) is not finite")
+        for command in ("canon-rep", "realify"):
+            assert dispatch([command, f]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["type"] == "ValueError"
+            assert err["error"].startswith("arrow a: entry (2,2) is not finite")
 
     def test_invalid_representation(self, tmp_path, capsys):
         # the matrix of arrow a must be 1 x 2 for dims (2, 1)
@@ -563,6 +568,17 @@ class TestGadget:
             == 0
         )
         assert json.loads(capsys.readouterr().out)["faithful"] is False
+
+    @pytest.mark.parametrize(
+        "kind", ["Nilpotent3", "ProjectorPair", "SquareZeroPair", "ArrowPair", "SubspaceTriple"])
+    def test_non_finite_entry(self, tmp_path, capsys, kind):
+        # before: without --in2 nothing is reduced, so every kind exited 0 and wrote NaN
+        f = write_json(tmp_path / "x.json", cmat([[1.0, float("nan")], [0.0, 2.0]]))
+        assert dispatch(["gadget", "--kind", kind, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["type"] == "ValueError" and "is not finite" in err["error"]
 
     def test_unknown_kind(self, tmp_path, capsys):
         f = write_json(tmp_path / "x.json", cmat([[1.0]]))

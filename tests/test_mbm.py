@@ -13,7 +13,6 @@ from unicanon.mbm import (
     ShapeMismatchError,
     TieViolationError,
     ZeroSizeError,
-    validate,
     tie_closure,
     apply_admissible,
     random_transcript,
@@ -260,27 +259,36 @@ def replay_ties(state):
 
 
 class TestValidation:
+    # an invalid matrix raises when it is built, not when it is first used
+
     def test_marked_block_must_be_square(self):
-        with pytest.raises(MarkedBlockNotSquareError):
-            validate(
-                MarkedBlockMatrix((2,), (3,), np.zeros((2, 3)), {(0, 0)})
-            )
+        with pytest.raises(MarkedBlockNotSquareError, match=r"marked block \(0,0\) has shape 2x3"):
+            MarkedBlockMatrix((2,), (3,), np.zeros((2, 3)), {(0, 0)})
 
     def test_entries_shape(self):
-        with pytest.raises(DimensionMismatchError):
-            validate(MarkedBlockMatrix((2,), (2,), np.zeros((2, 3))))
+        with pytest.raises(DimensionMismatchError, match=r"entries shape \(2, 3\) does not match"):
+            MarkedBlockMatrix((2,), (2,), np.zeros((2, 3)))
 
     @pytest.mark.parametrize(
         "rows, cols, axis",
         [((3, -1), (2,), "row"), ((-1, 2), (2,), "row"), ((2,), (2, -1, 1), "column")],
     )
-    def test_negative_strip(self, tol, rows, cols, axis):
+    def test_negative_strip(self, rows, cols, axis):
         # before: numpy's broadcast and "repeats may not contain negative
         # values" errors; size-0 strips stay valid (TestEmptyStrips)
-        M = MarkedBlockMatrix(rows, cols, np.zeros((sum(rows), sum(cols))))
         message = rf"{axis} strips \({', '.join(map(str, rows if axis == 'row' else cols))}\)"
         with pytest.raises(DimensionMismatchError, match=message + ": a strip size is negative"):
-            canonicalize(M, tol)
+            MarkedBlockMatrix(rows, cols, np.zeros((sum(rows), sum(cols))))
+
+    @pytest.mark.parametrize("mark", [(0.9, 0.2), (1, 0.5)])
+    def test_non_integer_mark(self, mark):
+        # before: int() truncated (0.9, 0.2) to the mark (0, 0)
+        with pytest.raises(DimensionMismatchError, match="marked block .*: a value is not an integer"):
+            MarkedBlockMatrix((2,), (2,), np.eye(2), {mark})
+
+    def test_mark_out_of_range(self):
+        with pytest.raises(DimensionMismatchError, match=r"marked block \(1,0\) out of range"):
+            MarkedBlockMatrix((2,), (2,), np.eye(2), {(1, 0)})
 
     @pytest.mark.parametrize(
         "rows, cols, axis",
@@ -310,14 +318,11 @@ class TestValidation:
     def test_non_finite_entry(self, bad):
         E = np.ones((2, 3), dtype=complex)
         E[1, 2] = E[0, 1] = bad
-        M = MarkedBlockMatrix((2,), (3,), E)
-        with pytest.raises(ValueError, match=r"entry \(1,2\) is not finite"):
-            validate(M)
-        # canonicalize checks before it divides by the norm: no warning
+        # raised before any use could divide by the norm: no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="not finite"):
-                canonicalize(M)
+            with pytest.raises(ValueError, match=r"entry \(1,2\) is not finite"):
+                MarkedBlockMatrix((2,), (3,), E)
 
     def test_tie_closure_chains(self):
         # marks (0,0) and (0,1) force both column strips into one class

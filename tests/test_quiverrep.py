@@ -186,6 +186,11 @@ class TestRepresentationShape:
         with pytest.raises(DimMismatchError, match="dims length"):
             random_rep(KRONECKER, d, seed=0)
 
+    def test_random_rep_negative_dim(self):
+        # before: numpy's "negative dimensions are not allowed", a plain ValueError
+        with pytest.raises(DimMismatchError, match=r"dims \(-1, 2\): a dimension is negative"):
+            random_rep(KRONECKER, (-1, 2), seed=0)
+
     @pytest.mark.parametrize("d", [(3, 0), (0, 3)])
     def test_empty_arrow(self, d):
         A = Representation(SINGLE_ARROW, d, {"a": []})
