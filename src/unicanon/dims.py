@@ -9,15 +9,16 @@ parameters (Tits form) and constructs verified indecomposables.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .numcore import Tolerance
-from . import mbm
+from . import mbm, quiverrep
 from .quiverrep import (
     Quiver,
     Representation,
     Isometry,
-    DimMismatchError,
     _canonical,
     apply_isometry,
     random_rep,
@@ -47,13 +48,8 @@ class NoSuccessorError(RuntimeError):
     pass
 
 
-def _vector(Q: Quiver, z) -> tuple:
-    """z as a dimension vector of Q: Q.p integers by ``mbm._integers``'s
-    rule, so 1.9, 2.0 and "2" raise DimMismatchError."""
-    z = mbm._integers(z, DimMismatchError, "dimension vector")
-    if len(z) != Q.p:
-        raise DimMismatchError(f"dimension vector must have length {Q.p}")
-    return z
+# z as a dimension vector of Q, entries of any sign: (Q, z) -> tuple
+_vector = partial(quiverrep._vector, what="dimension vector")
 
 
 def _plus_unit(z: tuple, v: int, c: int = 1) -> tuple:
@@ -64,13 +60,8 @@ def _plus_unit(z: tuple, v: int, c: int = 1) -> tuple:
 def m_matrix(Q: Quiver) -> np.ndarray:
     """Symmetric vertex-adjacency count matrix: m_ij is the number of arrows
     between i and j in either direction; each loop counts once on the
-    diagonal."""
-    M = np.zeros((Q.p, Q.p), dtype=int)
-    for _, s, d in Q.arrows:
-        M[s - 1, d - 1] += 1
-        if s != d:
-            M[d - 1, s - 1] += 1
-    return M
+    diagonal.  Built once per quiver; the array is read-only."""
+    return Q._m_matrix
 
 
 def delta(z, Q: Quiver):

@@ -24,6 +24,9 @@ substrip grid, down to the row where it resumes, in one array pass
 every tied block, every block's residual against its canonical part and the
 zone owning it, all as numpy arrays.
 
+Zones are records ``(depth, stairs, row, height, col, width)`` with the
+stairs as sizes, expanded into cells only when a :class:`Zone` is built.
+
 The engine's bookkeeping rests on three invariants, which the tests check:
 
 * blocks before the last target, in scan order, stay canonical under every
@@ -43,8 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from operator import attrgetter, index
+from itertools import islice, product
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -358,8 +361,9 @@ class ReductionTrace:
 
     ``zones`` runs the merge rule and builds the :class:`Zone` objects,
     sorted by ``(depth, block)``, when first read, and caches them.  Until
-    then the trace holds only what they read: the zone records, the owner
-    map, the propagated boundaries and the merge candidates."""
+    then the trace holds only what they read: the zone records (stairs as
+    sizes, see :class:`ReductionState`), the owner map, the propagated
+    boundaries and the merge candidates."""
 
     steps: list
     row_substrips: list  # per original strip: list of (start, size, class label)
@@ -383,23 +387,37 @@ class ReductionTrace:
         return self._zones(rows, cols, {})
 
     def _zones(self, rows, cols, merged) -> list:
-        # zones partition the cells they own: group the cells by owner once
         owner, (r0, c0) = self._merged[0][rows, cols], (rows.start or 0, cols.start or 0)
-        order = np.argsort(owner, axis=None, kind="stable")
-        ids = owner.ravel()[order]
-        first = np.flatnonzero(np.diff(ids, prepend=-2))  # the first cell of every owner
-        bounds = [*first.tolist(), ids.size]
-        cells = list(zip(*(x.tolist() for x in np.unravel_index(order, owner.shape))))
-        zones = []
-        for zid, a, b in zip(ids[first].tolist(), bounds, bounds[1:]):
+        ids = owner.ravel()
+        if ids.size and (ids == ids[0]).all():  # one owner: its cells are the slice
+            groups = [(int(ids[0]), frozenset(product(*map(range, owner.shape))))]
+        elif np.bincount(ids + 1).max(initial=0) <= 1:  # one cell per owner, in row-major order
+            groups = zip(ids.tolist(), map(frozenset, zip(product(*map(range, owner.shape)))))
+        else:  # zones partition the cells they own: group the cells by owner once
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            first = np.flatnonzero(np.diff(ids, prepend=-2))  # the first cell of every owner
+            bounds = [*first.tolist(), ids.size]
+            cells = list(zip(*(x.tolist() for x in np.divmod(order, owner.shape[1]))))
+            groups = zip(ids[first].tolist(), (frozenset(cells[a:b]) for a, b in zip(bounds, bounds[1:])))
+        keyed = []
+        for zid, owned in groups:
             if zid >= 0:  # not the unowned cells
-                depth, kind, block, stairs = self._book[0][zid]
-                if r0 or c0:
-                    block = (block[0] - r0, block[1], block[2] - c0, block[3])
-                    stairs = tuple(tuple((r - r0, c - c0) for r, c in st) for st in stairs)
-                zones.append(Zone(depth, kind, block, frozenset(cells[a:b]), stairs,
-                                  tuple(merged.get(zid, ()))))
-        return sorted(zones, key=attrgetter("depth", "block"))
+                depth, stairs, r, h, c, w = self._book[0][zid]
+                keyed.append((depth, r - r0, h, c - c0, w, zid, stairs, owned))
+        keyed.sort()  # by (depth, block); zone ids differ, so nothing after them is compared
+        zones = []
+        for depth, r, h, c, w, zid, stairs, owned in keyed:
+            if stairs is False:
+                kind, stairs = "equivalence", ()
+            elif h == 1:
+                kind, stairs = "similarity", (((r, c),),)
+            else:  # stair sizes down the diagonal; True is one stair
+                diagonal = zip(range(r, r + h), range(c, c + w))
+                kind, stairs = "similarity", tuple(
+                    tuple(islice(diagonal, k)) for k in ((h,) if stairs is True else stairs))
+            zones.append(Zone(depth, kind, (r, h, c, w), owned, stairs, tuple(merged.get(zid, ()))))
+        return zones
 
 
 def _merge_zero_zones(zones, owner, propagated, candidates) -> tuple:
@@ -413,13 +431,13 @@ def _merge_zero_zones(zones, owner, propagated, candidates) -> tuple:
     # read through the pointers and the map is repainted once, at the end
     into, merged = list(range(len(zones))), {}
     for zid in candidates:
-        r0, h, c0, w = block = zones[zid][2]
+        r0, h, c0, w = block = zones[zid][2:]
         at = r0 * n + c0
         # the neighbour cells left, right, above and below across
         # propagated boundaries, which lie strictly inside the matrix
-        for across, cell in ((c0 in cols, at - 1), (c0 + w in cols, at + w),
-                             (r0 in rows, at - n), (r0 + h in rows, at + h * n)):
-            tid = flat[cell] if across else -1
+        for cell in (at - 1 if c0 in cols else None, at + w if c0 + w in cols else None,
+                     at - n if r0 in rows else None, at + h * n if r0 + h in rows else None):
+            tid = -1 if cell is None else flat[cell]
             while tid >= 0 and into[tid] != tid:
                 into[tid] = tid = into[into[tid]]  # path halving
             if tid >= 0 and tid != zid:
@@ -428,8 +446,9 @@ def _merge_zero_zones(zones, owner, propagated, candidates) -> tuple:
                 break
     if merged:
         lut = np.array([*into, -1])  # unowned (-1) stays so
-        while (lut[lut] != lut).any():
-            lut = lut[lut]
+        up = lut[lut]
+        while (up != lut).any():
+            lut, up = up, up[up]
         owner = lut[owner]
     return owner, merged
 
@@ -472,10 +491,12 @@ class ReductionState:
     It reduces the matrix it is given and decides at the absolute
     ``tol.abs``; :func:`canonicalize` is the scale-relative entry point,
     which hands it the unit-norm matrix.  A zone is a record ``(depth,
-    kind, block, stairs)`` and the owner map (zone id per cell) holds the
-    cells it owns; :meth:`trace` hands both, unmerged, to the trace, which
-    runs the merge rule and builds the :class:`Zone` objects when they are
-    first read."""
+    stairs, row, height, col, width)``, stairs False for an equivalence
+    zone, True for one stair down a square block's diagonal, else the stair
+    sizes of a similarity step; the owner map (zone id per cell) holds the
+    cells it owns.  :meth:`trace` hands both, unmerged, to the trace, which
+    runs the merge rule and builds the :class:`Zone` objects, stairs as
+    cells, when they are first read."""
 
     def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
         classes = tie_closure(M)
@@ -555,14 +576,8 @@ class ReductionState:
         cells = np.repeat(np.repeat(ids, grid.rsize, axis=0), grid.csize, axis=1)
         top = self.owner[: cells.shape[0]]
         np.maximum(top, cells, out=top)
-        self.zones += [
-            (d, "similarity", (r, k, c, w),
-             (((r, c),),) if k == 1 else (tuple(zip(range(r, r + k), range(c, c + k))),))
-            if t else (d, "equivalence", (r, k, c, w), ())
-            for r, k, c, w, d, t in zip(grid.rstart[i].tolist(), grid.rsize[i].tolist(),
-                                        grid.cstart[j].tolist(), grid.csize[j].tolist(),
-                                        depths, tied.tolist())
-        ]
+        self.zones += zip(depths, tied.tolist(), grid.rstart[i].tolist(), grid.rsize[i].tolist(),
+                          grid.cstart[j].tolist(), grid.csize[j].tolist())
         self._zero_candidates += (zid + np.flatnonzero(~tied & ~reduced)).tolist()
 
     # -- transformations -----------------------------------------------
@@ -628,15 +643,13 @@ class ReductionState:
             values = list(zip(lams, sizes))
             classes = [(int(self.rows.label[i]), S)]
             piece = np.repeat(np.arange(len(sizes)), sizes)
-            zone = piece[:, None] >= piece
-            diagonal = zip(range(r0, r0 + h), range(c0, c0 + w))
-            stairs = tuple(tuple(islice(diagonal, k)) for k in sizes)
+            zone, stairs = piece[:, None] >= piece, tuple(sizes)
         else:
             U, s, Vh = _svd(B)
             clusters = cluster_complex(s[s > self.tol.abs], self.tol)
             values = [(rep.real, len(m)) for rep, m in clusters]
             classes = [(int(self.rows.label[i]), U), (int(self.cols.label[j]), Vh.conj().T)]
-            kind, zone, stairs = "equivalence", ..., ()
+            kind, zone, stairs = "equivalence", ..., False
         sizes = [k for _, k in values]
         r = sum(sizes)
         self._apply(classes)
@@ -645,7 +658,7 @@ class ReductionState:
         at = r0 * n + c0
         self.A.flat[at : at + r * (n + 1) : n + 1] = [v for v, k in values for _ in range(k)]
         self.owner[rows, cols][zone] = len(self.zones)
-        self.zones.append((depth, kind, (r0, h, c0, w), stairs))
+        self.zones.append((depth, stairs, r0, h, c0, w))
         values = tuple(values) + (((0.0, h - r),) if h > r else ())
         pieces = self._divide(classes, sizes, i, j)  # a tied block's one class cuts both sides
         self.steps.append(StepRecord(kind, (r0, h), (c0, w), values, pieces[0], pieces[-1]))
@@ -659,40 +672,54 @@ class ReductionState:
         scan has not yet joined.  Its value b is read through the phases so
         far, the row class's phases are multiplied by b / |b| (the U of its
         SVD; V is 1) and the classes are joined.  A larger block, or a value
-        at the threshold, ends the scan.  A, R and S are scaled once, and
-        every unowned block passed gets its zone, in one batch, at ``depth +
-        k`` (k steps made before it) with the ties of that moment.  ``grid``
-        covers the rows up to the cursor's (the scan never goes below it)."""
+        at the threshold, ends the scan; the 1x1 blocks it has tied are
+        passed, the rest of a long run of them in one array pass.  A, R and
+        S are scaled once, and every unowned block passed gets its zone, in
+        one batch, at ``depth + k`` (k steps made before it) with the ties of
+        that moment.  ``grid`` covers the rows up to the cursor's (the scan
+        never goes below it)."""
         row, col = self.cursor
         nc, i0 = grid.cstart.size, grid.canonical.shape[0] - 1
         on_row = i0 >= 0 and grid.rstart[i0] == -row
         f0 = int(np.searchsorted(grid.cstart, col)) if on_row else 0
-        rl, cl = self.rows.label, self.cols.label
-        pr, pc = np.ones(rl.size, complex), np.ones(cl.size, complex)
+        # the tie-class label and phase of every row substrip, then of every
+        # column substrip (column j at nr + j)
+        nr = self.rows.label.size
+        label = np.concatenate((self.rows.label, self.cols.label))
+        phase = np.ones(label.size, complex)
         rstart, rsize = grid.rstart.tolist(), grid.rsize.tolist()
         cstart, csize = grid.cstart.tolist(), grid.csize.tolist()
         # flags of rows i0, i0 - 1, ..., 0 in turn, each left to right
         canonical = grid.canonical[i0::-1].ravel()
-        history = [(rl, cl)]  # the labels before every step, and after the scan
+        history = [label]  # the labels before every step, and after the scan
         targets, values = [], []  # scan position and |b| per target
-        for stop in (f0 + np.flatnonzero(~canonical[f0:])).tolist():
+        stops = f0 + np.flatnonzero(~canonical[f0:])
+        walk, run = enumerate(stops.tolist()), 0
+        for k, stop in walk:
             i, j = i0 - stop // nc, stop % nc
             if rsize[i] != 1 or csize[j] != 1:
                 break
-            a, c = rl[i], cl[j]
+            a, c = label[i], label[nr + j]
             if a == c:  # tied by this scan, so canonical
+                run += 1
+                if run == 8:  # a long run: pass its other 1x1 blocks in one array pass
+                    rest = stops[k + 1 :]
+                    ri, cj = i0 - rest // nc, rest % nc
+                    left = np.flatnonzero((label[ri] != label[nr + cj])
+                                          | (grid.rsize[ri] * grid.csize[cj] != 1))
+                    for _ in islice(walk, int(left[0]) if left.size else rest.size):
+                        pass
                 continue
-            b = pr[i].conjugate() * self.A[rstart[i], cstart[j]] * pc[j]
+            run = 0
+            b = phase[i].conjugate() * self.A[rstart[i], cstart[j]] * phase[nr + j]
             s = abs(b)
             if not s > self.tol.abs:
                 break
-            rows, cols = rl == a, cl == a
-            pr[rows] *= b / s
-            pc[cols] *= b / s
-            rl = np.where(rows | (rl == c), self.labels, rl)
-            cl = np.where(cols | (cl == c), self.labels, cl)
+            joined = label == a
+            phase[joined] *= b / s
+            label = np.where(joined | (label == c), self.labels, label)
             self.labels += 1
-            history.append((rl, cl))
+            history.append(label)
             targets.append(stop)
             values.append(float(s))
         else:
@@ -702,16 +729,17 @@ class ReductionState:
         if at.size:
             k = np.searchsorted(tf, at)  # steps made before each passed block
             i, j = i0 - at // nc, at % nc
-            rls, cls = (np.array(x) for x in zip(*history))
+            labels = np.array(history)
             reduced = np.searchsorted(tf, at, "right") > k
-            self._install(grid, i, j, (depth + k).tolist(), rls[k, i] == cls[k, j], reduced)
+            self._install(grid, i, j, (depth + k).tolist(), labels[k, i] == labels[k, nr + j], reduced)
         if targets:
-            p, q = np.repeat(pr, self.rows.size), np.repeat(pc, self.cols.size)
+            p, q = np.repeat(phase[:nr], self.rows.size), np.repeat(phase[nr:], self.cols.size)
             self.A = p.conj()[:, None] * self.A * q
             self.R, self.S = self.R * p, self.S * q
             ti, tj = i0 - tf // nc, tf % nc
             self.A[grid.rstart[ti], grid.cstart[tj]] = values
-            self.rows, self.cols = self.rows._replace(label=rl), self.cols._replace(label=cl)
+            self.rows = self.rows._replace(label=label[:nr])
+            self.cols = self.cols._replace(label=label[nr:])
             self.steps += [
                 StepRecord("equivalence", (r, 1), (c, 1), ((v, 1),), (1,), (1,))
                 for r, c, v in zip(grid.rstart[ti].tolist(), grid.cstart[tj].tolist(), values)

@@ -10,6 +10,7 @@ vertex-wise unitaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,17 @@ class Quiver:
             if not (1 <= s <= self.p and 1 <= d <= self.p):
                 raise ValueError(f"arrow {a}: endpoints out of range")
 
+    @cached_property
+    def _m_matrix(self) -> np.ndarray:
+        """``dims.m_matrix``, built once per quiver and read-only."""
+        M = np.zeros((self.p, self.p), dtype=int)
+        for _, s, d in self.arrows:
+            M[s - 1, d - 1] += 1
+            if s != d:
+                M[d - 1, s - 1] += 1
+        M.flags.writeable = False
+        return M
+
     def arrow(self, arrow_id):
         for a in self.arrows:
             if a[0] == str(arrow_id):
@@ -97,12 +109,18 @@ class Quiver:
         )
 
 
-def _dims(Q: Quiver, d) -> tuple:
-    """d as a dimension vector of Q: Q.p non-negative integers by
-    ``mbm._integers``' rule, else DimMismatchError."""
-    d = mbm._integers(d, DimMismatchError, "dims")
+def _vector(Q: Quiver, d, what: str) -> tuple:
+    """d as Q.p integers by ``mbm._integers``' rule, whose message names d
+    ``what``, else DimMismatchError: the one length rule of dimension vectors."""
+    d = mbm._integers(d, DimMismatchError, what)
     if len(d) != Q.p:
-        raise DimMismatchError("dims length != number of vertices")
+        raise DimMismatchError(f"dims length != number of vertices: expected length {Q.p}, got {len(d)}")
+    return d
+
+
+def _dims(Q: Quiver, d) -> tuple:
+    """d as a dimension vector of Q: :func:`_vector`, non-negative."""
+    d = _vector(Q, d, "dims")
     if any(x < 0 for x in d):
         raise DimMismatchError(f"dims {d}: a dimension is negative")
     return d

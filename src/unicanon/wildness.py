@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numcore import Tolerance, _rank, cluster_complex, frobenius
-from .mbm import MarkedBlockMatrix, canonicalize, same_canonical
+from .mbm import MarkedBlockMatrix, _check_finite, canonicalize, same_canonical
 from .quiverrep import Quiver, Representation, pack
 
 __all__ = [
@@ -47,9 +47,12 @@ class RelationViolatedError(ValueError):
 
 
 def _square(X) -> np.ndarray:
+    """X as a complex square matrix with finite entries; a NaN or infinite
+    entry raises ValueError naming its cell of X."""
     X = np.asarray(X, dtype=complex)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got {X.shape}")
+    _check_finite(X)
     return X
 
 

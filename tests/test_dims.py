@@ -59,6 +59,14 @@ class TestMatrixAndForms:
         assert m_matrix(KRONECKER).tolist() == [[0, 2], [2, 0]]
         assert m_matrix(LOOP).tolist() == [[1]]
 
+    def test_m_matrix_built_once_and_read_only(self):
+        Q = qr.Quiver(2, [("a", 1, 2)])
+        M = m_matrix(Q)
+        assert m_matrix(Q) is M and not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 5
+        assert Q == qr.Quiver(2, [("a", 1, 2)])  # the cache is not a field
+
     def test_delta(self):
         assert delta((0, 0), KRONECKER) == (0, 0)
         assert delta((1, 3), KRONECKER) == (6, 2)
@@ -111,6 +119,20 @@ class TestIntegerVectors:
         for fn in self.FUNCTIONS.values():
             with pytest.raises(ValueError, match="length 2"):
                 fn((1, 1, 1))
+
+    def test_one_length_rule(self):
+        # before: dims said "dimension vector must have length 2", quiverrep
+        # "dims length != number of vertices"
+        calls = (lambda: construct_indecomposable(KRONECKER, (1,), seed=0),
+                 lambda: max_params(KRONECKER, (1,)),
+                 lambda: qr.random_rep(KRONECKER, (1,), seed=0),
+                 lambda: qr.Representation(KRONECKER, (1,), {}))
+        messages = set()
+        for call in calls:
+            with pytest.raises(DimMismatchError) as raised:
+                call()
+            messages.add(str(raised.value))
+        assert messages == {"dims length != number of vertices: expected length 2, got 1"}
 
 
 class TestMembership:

@@ -103,7 +103,7 @@ def repaint_merge(zones, owner, propagated, candidates):
     rows, cols = propagated["r"], propagated["c"]
     probes = []
     for zid in candidates:
-        r0, rs, c0, cs = zones[zid][2]
+        r0, rs, c0, cs = zones[zid][2:]
         cells = [cell for across, cell in (
             (c0 in cols, (r0, c0 - 1)), (c0 + cs in cols, (r0, c0 + cs)),
             (r0 in rows, (r0 - 1, c0)), (r0 + rs in rows, (r0 + rs, c0)),
@@ -120,12 +120,25 @@ def repaint_merge(zones, owner, propagated, candidates):
                 tid = int(owner[r, c])
                 if tid < 0 or tid == zid:
                     continue
-                merged.setdefault(tid, []).extend([zones[zid][2], *merged.pop(zid, ())])
+                merged.setdefault(tid, []).extend([zones[zid][2:], *merged.pop(zid, ())])
                 owner[owner == zid] = tid
                 gone.add(zid)
                 changed = True
                 break
     return owner, merged
+
+
+def record_stairs(record):
+    """The kind and stairs of a zone record ``(depth, stairs, r, h, c, w)``:
+    ``stairs`` False for an equivalence zone, True for one stair down the
+    diagonal, else the sizes of consecutive diagonal stairs."""
+    _, stairs, r, h, c, _ = record
+    if stairs is False:
+        return "equivalence", ()
+    sizes = (h,) if stairs is True else stairs
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    return "similarity", tuple(tuple((r + t, c + t) for t in range(a, b))
+                               for a, b in zip(offsets, offsets[1:]))
 
 
 def eager_zones(state):
@@ -138,10 +151,12 @@ def eager_zones(state):
     order = np.argsort(owner, axis=None, kind="stable")
     bounds = np.searchsorted(owner.ravel()[order], np.arange(len(state.zones) + 1)).tolist()
     cells = list(zip(*(x.tolist() for x in np.unravel_index(order, owner.shape))))
-    zones = [
-        mbm.Zone(z[0], z[1], z[2], frozenset(cells[a:b]), z[3], tuple(merged.get(zid, ())))
-        for zid, (z, a, b) in enumerate(zip(state.zones, bounds, bounds[1:])) if z[2] not in absorbed
-    ]
+    zones = []
+    for zid, (z, a, b) in enumerate(zip(state.zones, bounds, bounds[1:])):
+        if z[2:] not in absorbed:
+            kind, stairs = record_stairs(z)
+            zones.append(mbm.Zone(z[0], kind, z[2:], frozenset(cells[a:b]), stairs,
+                                  tuple(merged.get(zid, ()))))
     return sorted(zones, key=lambda z: (z.depth, z.block))
 
 

@@ -115,6 +115,28 @@ class TestClustering:
         members = sorted(vals[i] for _, m in groups for i in m)
         assert members == sorted(vals)
 
+    # real non-increasing values, as singular values come, take a fast path;
+    # the same values as complex numbers take the general one
+    REAL_RUNS = {
+        "gaps-at-t": ([1.0, 1.0 - 2**-30, 1.0 - 2**-29, 0.5], 2**-30),
+        "gap-just-above-t": ([1.0, 1.0 - 2**-29, 0.25, 0.25], 2**-30),
+        "repeated": ([2.0, 2.0, 2.0, 1.0, 1.0], 1e-9),
+        "one-value": ([0.7], 1e-9),
+        "all-below-t": ([2**-31, 2**-32, 0.0, -0.0], 2**-30),
+        "t-zero": ([3.0, 3.0, 1.0 + 2**-52, 1.0], 0.0),
+        "near-ties": (np.sort(np.repeat([3.0, 2.0, 1.0], 4)
+                              + np.random.default_rng(26).standard_normal(12) * 1e-10)[::-1], 1e-9),
+    }
+
+    @pytest.mark.parametrize("name", REAL_RUNS)
+    def test_real_fast_path_bits(self, name, monkeypatch):
+        vals, t = self.REAL_RUNS[name]
+        general = _clusters(np.array(vals, dtype=complex), t)
+        monkeypatch.setattr(np, "lexsort", None)  # the general path's sort is not reached
+        fast = _clusters(np.array(vals, dtype=float), t)
+        assert cluster_bits(fast[0]) == cluster_bits(general[0])
+        assert fast[1].hex() == float(general[1]).hex()
+
     @DERANDOMIZED
     @given(st.integers(0, 2**32 - 1), st.integers(0, 12), THRESHOLDS)
     def test_clusters_is_cluster_complex(self, seed, n, t):
