@@ -202,6 +202,12 @@ def rep_canonical_cases(out):
         A = rep(Q, d, np.random.default_rng(seed))
         out[f"rep_canonical q{Q.p}/{len(Q.arrows)} d={d}"] = rep_record(A)
     out["rep_canonical q2/2 d=(3, 3) tied"] = rep_record(tied_kronecker())
+    # zero-one entries: rank-deficient arrows, whose zones absorb blocks by
+    # the merge rule (Kronecker's b at its corner, D4's c away from it)
+    for Q, d in ((KRONECKER, (3, 3)), (D4, (2, 3, 1, 4))):
+        A = qr.random_rep(Q, d, seed=0)
+        A = Representation(Q, d, {a: (X.real > 0) + 0j for a, X in A.matrices.items()})
+        out[f"rep_canonical q{Q.p}/{len(Q.arrows)} d={d} zero-one"] = rep_record(A)
 
 
 def tied_kronecker():
