@@ -89,10 +89,13 @@ def in_D(Q: Quiver, z) -> bool:
     # on a loop-free vertex or a single arrow only the first two clauses hold
     if len(supp) == len(inner) + 1 <= 2 and all(s != d for s, d in inner):
         return max(z) == 1
-    parts = mbm.DisjointSet(supp)
-    for s, d in inner:
-        parts.union(s, d)
-    return len(parts.groups()) == 1 and bool(np.all(np.asarray(z) @ m_matrix(Q) >= z))
+    # connected support: one search over its arrows from its first vertex,
+    # each round adding the ends of every arrow that touches the vertices reached
+    reached, size = {supp[0]}, 0
+    while len(reached) > size:
+        size = len(reached)
+        reached.update(*(arrow for arrow in inner if not reached.isdisjoint(arrow)))
+    return len(reached) == len(supp) and bool((np.asarray(z) @ m_matrix(Q) >= z).all())
 
 
 def enumerate_D(Q: Quiver, bound: int):

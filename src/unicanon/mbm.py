@@ -24,7 +24,7 @@ substrip grid, down to the row where it resumes, in one array pass
 every tied block, every block's residual against its canonical part and the
 zone owning it, all as numpy arrays.
 
-Zones are records ``(depth, stairs, row, height, col, width)`` with the
+Zones are records ``(depth, row, height, col, width, stairs)`` with the
 stairs as sizes, expanded into cells only when a :class:`Zone` is built.
 
 The engine's bookkeeping rests on three invariants, which the tests check:
@@ -359,55 +359,70 @@ class StepRecord:
 class ReductionTrace:
     """A reduction's steps in order, its substrips and its zones.
 
-    ``zones`` runs the merge rule and builds the :class:`Zone` objects,
-    sorted by ``(depth, block)``, when first read, and caches them.  Until
-    then the trace holds only what they read: the zone records (stairs as
-    sizes, see :class:`ReductionState`), the owner map, the propagated
-    boundaries and the merge candidates."""
+    The trace holds what the zones are built from: the zone records (stairs
+    as sizes, see :class:`ReductionState`), the owner map, the propagated
+    boundaries and a mask of the merge candidates by zone id.  Reading the
+    zones of a rectangle of whole strips runs the merge rule over the
+    candidates in it, if any, and builds the :class:`Zone` objects, sorted
+    by ``(depth, block)``.  A merge never leaves its strip block, so no
+    other candidate changes them.  ``zones``, the whole matrix read this
+    way, is cached."""
 
     steps: list
     row_substrips: list  # per original strip: list of (start, size, class label)
     col_substrips: list
     num_classes: int
-    _book: tuple = field(repr=False, compare=False)  # (records, owner, propagated, candidates)
-
-    @cached_property
-    def _merged(self) -> tuple:
-        return _merge_zero_zones(*self._book)
+    # (records, owner, propagated, whether a zone id is a merge candidate)
+    _book: tuple = field(repr=False, compare=False)
 
     @cached_property
     def zones(self) -> list:
-        return self._zones(slice(None), slice(None), self._merged[1])
+        return self._zones(slice(None), slice(None), True)
 
     def zones_in(self, rows: slice, cols: slice) -> list:
         """The zones of ``rows`` x ``cols``, a rectangle of whole strips (a
         zone lies in one block of the strip grid), their blocks, cells and
         stairs in its coordinates and without merged blocks, as a scheme's
-        zones are."""
-        return self._zones(rows, cols, {})
+        zones are.  The merge rule runs over the candidates inside the
+        rectangle only, and not at all if it holds none."""
+        return self._zones(rows, cols, False)
 
-    def _zones(self, rows, cols, merged) -> list:
-        owner, (r0, c0) = self._merged[0][rows, cols], (rows.start or 0, cols.start or 0)
-        ids = owner.ravel()
-        if ids.size and (ids == ids[0]).all():  # one owner: its cells are the slice
-            groups = [(int(ids[0]), frozenset(product(*map(range, owner.shape))))]
-        elif np.bincount(ids + 1).max(initial=0) <= 1:  # one cell per owner, in row-major order
-            groups = zip(ids.tolist(), map(frozenset, zip(product(*map(range, owner.shape)))))
-        else:  # zones partition the cells they own: group the cells by owner once
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            first = np.flatnonzero(np.diff(ids, prepend=-2))  # the first cell of every owner
-            bounds = [*first.tolist(), ids.size]
-            cells = list(zip(*(x.tolist() for x in np.divmod(order, owner.shape[1]))))
-            groups = zip(ids[first].tolist(), (frozenset(cells[a:b]) for a, b in zip(bounds, bounds[1:])))
-        keyed = []
-        for zid, owned in groups:
-            if zid >= 0:  # not the unowned cells
-                depth, stairs, r, h, c, w = self._book[0][zid]
-                keyed.append((depth, r - r0, h, c - c0, w, zid, stairs, owned))
-        keyed.sort()  # by (depth, block); zone ids differ, so nothing after them is compared
+    def _owners(self, rows: slice, cols: slice) -> tuple:
+        """The owner map of ``rows`` x ``cols`` with the merge rule run over
+        the candidates there, and the blocks each zone absorbed, by zone id."""
+        records, owner, propagated, candidate = self._book
+        owner = owner[rows, cols]
+        candidates = owner[candidate[owner]]  # a candidate owns its block
+        if not candidates.size:
+            return owner, {}
+        corner = (rows.start or 0, cols.start or 0)
+        return _merge_zero_zones(records, owner, corner, propagated, np.unique(candidates).tolist())
+
+    def _zones(self, rows, cols, absorbed: bool) -> list:
+        owner, merged = self._owners(rows, cols)
+        ids, shape = owner.ravel(), owner.shape
+        if not ids.size:
+            return []
+        order = ids.argsort(kind="stable")  # the cells of every owner, in row-major order
+        ids = ids[order]
+        first = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]  # where an owner begins
+        if len(first) == ids.size:  # one cell per owner
+            cells = dict(zip(owner.ravel().tolist(), map(frozenset, zip(product(*map(range, shape))))))
+        elif len(first) == 1:  # one owner
+            cells = {int(ids[0]): frozenset(product(*map(range, shape)))}
+        else:
+            owned = list(zip(*(x.tolist() for x in np.divmod(order, shape[1]))))
+            cells = dict(zip(ids[first].tolist(), map(frozenset, map(
+                owned.__getitem__, map(slice, first, [*first[1:], ids.size])))))
+        cells.pop(-1, None)  # the unowned cells
+        records, merged = self._book[0], merged if absorbed else {}
+        r0, c0 = rows.start or 0, cols.start or 0
         zones = []
-        for depth, r, h, c, w, zid, stairs, owned in keyed:
+        # records (depth, row, height, col, width, stairs) sort by (depth,
+        # block); the blocks of one rectangle differ, so stairs never compare
+        for zid in sorted(cells, key=records.__getitem__):
+            depth, r, h, c, w, stairs = records[zid]
+            r, c = r - r0, c - c0
             if stairs is False:
                 kind, stairs = "equivalence", ()
             elif h == 1:
@@ -416,27 +431,31 @@ class ReductionTrace:
                 diagonal = zip(range(r, r + h), range(c, c + w))
                 kind, stairs = "similarity", tuple(
                     tuple(islice(diagonal, k)) for k in ((h,) if stairs is True else stairs))
-            zones.append(Zone(depth, kind, (r, h, c, w), owned, stairs, tuple(merged.get(zid, ()))))
+            zones.append(Zone(depth, kind, (r, h, c, w), cells[zid], stairs, tuple(merged.get(zid, ()))))
         return zones
 
 
-def _merge_zero_zones(zones, owner, propagated, candidates) -> tuple:
-    """Merge rule: an all-zero block that was never itself reduced joins
-    the zone of its neighbour across a propagated division boundary; one
-    pass in zone order settles chains.  Returns the owner map repainted and
-    the blocks every zone absorbed, by zone id."""
-    n = owner.shape[1]
+def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> tuple:
+    """Merge rule on ``owner``, the owner map of a rectangle of whole strips
+    whose first cell is ``corner``: an all-zero block that was never itself
+    reduced (a candidate, in zone order) joins the zone of its neighbour
+    across a propagated division boundary; one pass in zone order settles
+    chains.  A propagated boundary lies strictly inside a strip, so the
+    neighbour, and every zone a candidate joins, lies in the candidate's
+    strip block: the candidates of the rectangle settle it.  Returns the map
+    repainted and the blocks every zone absorbed, by zone id."""
+    (r0, c0), n = corner, owner.shape[1]
     rows, cols, flat = propagated["r"], propagated["c"], owner.ravel().tolist()
     # an absorbed zone points at the zone that absorbed it; the owners are
     # read through the pointers and the map is repainted once, at the end
     into, merged = list(range(len(zones))), {}
     for zid in candidates:
-        r0, h, c0, w = block = zones[zid][2:]
-        at = r0 * n + c0
+        r, h, c, w = block = zones[zid][1:5]
+        at = (r - r0) * n + c - c0
         # the neighbour cells left, right, above and below across
-        # propagated boundaries, which lie strictly inside the matrix
-        for cell in (at - 1 if c0 in cols else None, at + w if c0 + w in cols else None,
-                     at - n if r0 in rows else None, at + h * n if r0 + h in rows else None):
+        # propagated boundaries, which lie strictly inside the strip block
+        for cell in (at - 1 if c in cols else None, at + w if c + w in cols else None,
+                     at - n if r in rows else None, at + h * n if r + h in rows else None):
             tid = -1 if cell is None else flat[cell]
             while tid >= 0 and into[tid] != tid:
                 into[tid] = tid = into[into[tid]]  # path halving
@@ -491,12 +510,12 @@ class ReductionState:
     It reduces the matrix it is given and decides at the absolute
     ``tol.abs``; :func:`canonicalize` is the scale-relative entry point,
     which hands it the unit-norm matrix.  A zone is a record ``(depth,
-    stairs, row, height, col, width)``, stairs False for an equivalence
+    row, height, col, width, stairs)``, stairs False for an equivalence
     zone, True for one stair down a square block's diagonal, else the stair
     sizes of a similarity step; the owner map (zone id per cell) holds the
     cells it owns.  :meth:`trace` hands both, unmerged, to the trace, which
     runs the merge rule and builds the :class:`Zone` objects, stairs as
-    cells, when they are first read."""
+    cells, per rectangle read."""
 
     def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
         classes = tie_closure(M)
@@ -576,8 +595,8 @@ class ReductionState:
         cells = np.repeat(np.repeat(ids, grid.rsize, axis=0), grid.csize, axis=1)
         top = self.owner[: cells.shape[0]]
         np.maximum(top, cells, out=top)
-        self.zones += zip(depths, tied.tolist(), grid.rstart[i].tolist(), grid.rsize[i].tolist(),
-                          grid.cstart[j].tolist(), grid.csize[j].tolist())
+        self.zones += zip(depths, grid.rstart[i].tolist(), grid.rsize[i].tolist(),
+                          grid.cstart[j].tolist(), grid.csize[j].tolist(), tied.tolist())
         self._zero_candidates += (zid + np.flatnonzero(~tied & ~reduced)).tolist()
 
     # -- transformations -----------------------------------------------
@@ -658,7 +677,7 @@ class ReductionState:
         at = r0 * n + c0
         self.A.flat[at : at + r * (n + 1) : n + 1] = [v for v, k in values for _ in range(k)]
         self.owner[rows, cols][zone] = len(self.zones)
-        self.zones.append((depth, stairs, r0, h, c0, w))
+        self.zones.append((depth, r0, h, c0, w, stairs))
         values = tuple(values) + (((0.0, h - r),) if h > r else ())
         pieces = self._divide(classes, sizes, i, j)  # a tied block's one class cuts both sides
         self.steps.append(StepRecord(kind, (r0, h), (c0, w), values, pieces[0], pieces[-1]))
@@ -776,8 +795,10 @@ class ReductionState:
         for subs, info in ((self.rows, row_info), (self.cols, col_info)):
             for start, size, strip, label in zip(*(x.tolist() for x in subs)):
                 info[strip].append((start, size, labels.setdefault(label, len(labels) + 1)))
+        candidate = np.zeros(len(self.zones) + 1, bool)  # by zone id; -1 (unowned) is none
+        candidate[self._zero_candidates] = True
         book = (list(self.zones), self.owner.copy(), {k: set(v) for k, v in self.propagated.items()},
-                list(self._zero_candidates))  # a snapshot: the engine grows these in place
+                candidate)  # a snapshot: the engine grows these in place
         return ReductionTrace(list(self.steps), row_info, col_info, len(labels), book)
 
 

@@ -30,8 +30,9 @@ def reductions(monkeypatch):
 
 @pytest.fixture
 def merges(monkeypatch):
-    """Count runs of the merge rule, which a trace makes when its zones are
-    first read."""
+    """Count runs of the merge rule, which a trace makes when a rectangle
+    that holds merge candidates is read (``trace.zones`` once, then
+    cached)."""
     calls = []
     original = mbm._merge_zero_zones
 

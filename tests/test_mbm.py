@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -96,15 +97,16 @@ def one_target_scan(state, grid, depth):
     return i0 - i, j
 
 
-def repaint_merge(zones, owner, propagated, candidates):
+def repaint_merge(zones, owner, corner, propagated, candidates):
     """``mbm._merge_zero_zones`` with the owner map repainted on every merge
     instead of read through pointers: same probes, same order, passes until
-    none merges."""
+    none merges.  ``owner`` is the map of a rectangle whose first cell is
+    ``corner``."""
     rows, cols = propagated["r"], propagated["c"]
     probes = []
     for zid in candidates:
-        r0, rs, c0, cs = zones[zid][2:]
-        cells = [cell for across, cell in (
+        r0, rs, c0, cs = zones[zid][1:5]
+        cells = [(r - corner[0], c - corner[1]) for across, (r, c) in (
             (c0 in cols, (r0, c0 - 1)), (c0 + cs in cols, (r0, c0 + cs)),
             (r0 in rows, (r0 - 1, c0)), (r0 + rs in rows, (r0 + rs, c0)),
         ) if across]
@@ -120,7 +122,7 @@ def repaint_merge(zones, owner, propagated, candidates):
                 tid = int(owner[r, c])
                 if tid < 0 or tid == zid:
                     continue
-                merged.setdefault(tid, []).extend([zones[zid][2:], *merged.pop(zid, ())])
+                merged.setdefault(tid, []).extend([zones[zid][1:5], *merged.pop(zid, ())])
                 owner[owner == zid] = tid
                 gone.add(zid)
                 changed = True
@@ -129,10 +131,10 @@ def repaint_merge(zones, owner, propagated, candidates):
 
 
 def record_stairs(record):
-    """The kind and stairs of a zone record ``(depth, stairs, r, h, c, w)``:
+    """The kind and stairs of a zone record ``(depth, r, h, c, w, stairs)``:
     ``stairs`` False for an equivalence zone, True for one stair down the
     diagonal, else the sizes of consecutive diagonal stairs."""
-    _, stairs, r, h, c, _ = record
+    _, r, h, c, _, stairs = record
     if stairs is False:
         return "equivalence", ()
     sizes = (h,) if stairs is True else stairs
@@ -146,16 +148,16 @@ def eager_zones(state):
     its repaint reference), then the cells of every zone grouped from one
     stable sort of the owner map, in zone id order, every zone but the
     absorbed ones, sorted by (depth, block)."""
-    owner, merged = repaint_merge(state.zones, state.owner, state.propagated, state._zero_candidates)
+    owner, merged = repaint_merge(state.zones, state.owner, (0, 0), state.propagated, state._zero_candidates)
     absorbed = {block for blocks in merged.values() for block in blocks}  # blocks are distinct
     order = np.argsort(owner, axis=None, kind="stable")
     bounds = np.searchsorted(owner.ravel()[order], np.arange(len(state.zones) + 1)).tolist()
     cells = list(zip(*(x.tolist() for x in np.unravel_index(order, owner.shape))))
     zones = []
     for zid, (z, a, b) in enumerate(zip(state.zones, bounds, bounds[1:])):
-        if z[2:] not in absorbed:
+        if z[1:5] not in absorbed:
             kind, stairs = record_stairs(z)
-            zones.append(mbm.Zone(z[0], kind, z[2:], frozenset(cells[a:b]), stairs,
+            zones.append(mbm.Zone(z[0], kind, z[1:5], frozenset(cells[a:b]), stairs,
                                   tuple(merged.get(zid, ()))))
     return sorted(zones, key=lambda z: (z.depth, z.block))
 
@@ -551,6 +553,7 @@ class TestReferenceSteps:
         state = reduce_fully(M, tol)
         got = state.trace()
         got.zones  # the engine's merge rule runs here, before the patch
+        owners = got._owners(slice(None), slice(None))
         owner, method, replacement = {
             "_apply": (mbm.ReductionState, "_scan", one_target_scan),
             "_merge_zero_zones": (mbm, "_merge_zero_zones", repaint_merge),
@@ -562,9 +565,11 @@ class TestReferenceSteps:
         # identical
         assert state.zones == ref.zones
         assert np.array_equal(state.owner, ref.owner)
+        assert state._zero_candidates == ref._zero_candidates
         assert want.zones == got.zones
-        assert np.array_equal(got._merged[0], want._merged[0])
-        assert got._merged[1] == want._merged[1]
+        want_owners = want._owners(slice(None), slice(None))
+        assert np.array_equal(owners[0], want_owners[0])
+        assert owners[1] == want_owners[1]
         assert (got.row_substrips, got.col_substrips, got.num_classes) == (
             want.row_substrips, want.col_substrips, want.num_classes)
         assert len(got.steps) == len(want.steps)
@@ -595,6 +600,67 @@ class TestReferenceSteps:
         assert len(phase) > len(state.steps) // 2
         # every zone the merge rule absorbs leaves the trace's zones
         assert len(state.zones) - len(state.trace().zones) > 100
+
+
+def zero_one(M):
+    """M with every entry 1 where its real part is positive, else 0:
+    rank-deficient blocks, on which the merge rule acts."""
+    return MarkedBlockMatrix(M.row_strips, M.col_strips, (M.entries.real > 0) + 0j, M.marked)
+
+
+def rectangle_inputs():
+    """The tests' random marked block matrices and packed representations,
+    each also with zero-one entries."""
+    rng = np.random.default_rng(27)
+    loops = Quiver(1, [("a", 1, 1), ("b", 1, 1)])
+    mbms = [random_mbm(rng) for _ in range(12)] + [
+        packed(KRONECKER, (3, 3), 0), packed(KRONECKER, (8, 8), 1),
+        packed(D4, (2, 3, 1, 4), 2), packed(D4, (1, 0, 2, 3), 3), packed(D4, (4, 4, 4, 8), 4),
+        packed(loops, (4,), 5),
+    ]
+    return mbms + [zero_one(M) for M in mbms]
+
+
+class TestZonesPerRectangle:
+    """``zones_in`` runs the merge rule over its rectangle's candidates only:
+    for every rectangle of whole strips it returns the zones of
+    ``trace.zones`` that lie there, shifted to its corner, without their
+    merged blocks."""
+
+    @pytest.mark.parametrize("M", rectangle_inputs())
+    def test_zones_in_is_zones_restricted(self, tol, M):
+        trace = canonicalize(M, tol)[2]
+        ro, co = (mbm._offsets(s).tolist() for s in (M.row_strips, M.col_strips))
+        for (i0, i1), (j0, j1) in product(combinations(range(len(ro)), 2),
+                                          combinations(range(len(co)), 2)):
+            r0, r1, c0, c1 = ro[i0], ro[i1], co[j0], co[j1]
+
+            def shift(cells):
+                return tuple((r - r0, c - c0) for r, c in cells)
+
+            want = [mbm.Zone(z.depth, z.kind, (z.block[0] - r0, z.block[1], z.block[2] - c0, z.block[3]),
+                             frozenset(shift(z.cells)), tuple(map(shift, z.stairs)))
+                    for z in trace.zones if r0 <= z.block[0] < r1 and c0 <= z.block[2] < c1]
+            assert trace.zones_in(slice(r0, r1), slice(c0, c1)) == want
+
+    def test_rectangles_merge(self, tol, monkeypatch):
+        # so the comparison above covers merges inside proper rectangles:
+        # count the reads of one strip block whose merge absorbs a block
+        absorbed = []
+        original = mbm._merge_zero_zones
+
+        def counted(zones, owner, corner, *args):
+            out = original(zones, owner, corner, *args)
+            absorbed.append(bool(out[1]) and corner != (0, 0))
+            return out
+
+        monkeypatch.setattr(mbm, "_merge_zero_zones", counted)
+        for M in rectangle_inputs():
+            trace = canonicalize(M, tol)[2]
+            ro, co = (mbm._offsets(s).tolist() for s in (M.row_strips, M.col_strips))
+            for i, j in product(range(len(ro) - 1), range(len(co) - 1)):
+                trace.zones_in(slice(ro[i], ro[i + 1]), slice(co[j], co[j + 1]))
+        assert sum(absorbed) >= 20
 
 
 def generic_similarity(n, seed):

@@ -513,12 +513,30 @@ class TestZonesWhenRead:
         assert merges == []
 
     def test_built_when_read(self, tol, merges, tmp_path, capsys):
-        _, _, schemes = rep_canonical(random_rep(KRONECKER, (2, 3), seed=6), tol)
-        assert all(S.zones for S in schemes.values()) and len(merges) == 1
+        # the merge rule runs per rectangle read that holds merge candidates:
+        # none of the 6 of this input lies in an arrow
+        A = random_rep(KRONECKER, (2, 3), seed=6)
+        _, _, schemes = rep_canonical(A, tol)
+        assert all(S.zones for S in schemes.values()) and merges == []
+        # the zero-one inputs hold 3 candidates in Kronecker's b and 2 in
+        # D4's c, and none in their other arrows
+        for Q, d in ((KRONECKER, (3, 3)), (D4, (2, 3, 1, 4))):
+            rep_canonical(zero_one(random_rep(Q, d, seed=0)), tol)
+        assert len(merges) == 2
+        # canon-mbm reads trace.zones, the whole matrix: one run
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(pack(random_rep(KRONECKER, (2, 3), seed=6))[0].to_json()))
+        path.write_text(json.dumps(pack(A)[0].to_json()))
         assert dispatch(["canon-mbm", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["zones"] and len(merges) == 2
+        assert json.loads(capsys.readouterr().out)["zones"] and len(merges) == 3
+
+    @pytest.mark.parametrize("Q, d", [(KRONECKER, (8, 8)), (KRONECKER, (24, 24)),
+                                      (D4, (2, 2, 2, 4)), (D4, (6, 6, 6, 12))])
+    def test_gaussian_arrows_run_no_merge(self, tol, merges, Q, d):
+        # the merge candidates of these packings lie in the coupling blocks,
+        # which no arrow reads
+        for seed in range(2):
+            assert rep_canonical(random_rep(Q, d, seed=seed), tol)[2]
+        assert merges == []
 
     def test_read_twice_is_the_same_list(self, tol, merges):
         trace = mbm.canonicalize(pack(random_rep(KRONECKER, (3, 3), seed=1))[0], tol)[2]
