@@ -26,13 +26,11 @@ from .quiverrep import (
 
 __all__ = [
     "NotInDError",
-    "NoSuccessorError",
     "m_matrix",
     "delta",
     "tits",
     "in_D",
     "enumerate_D",
-    "successor",
     "growth_path",
     "construct_indecomposable",
     "max_params",
@@ -41,10 +39,6 @@ __all__ = [
 
 
 class NotInDError(ValueError):
-    pass
-
-
-class NoSuccessorError(RuntimeError):
     pass
 
 
@@ -89,13 +83,8 @@ def in_D(Q: Quiver, z) -> bool:
     # on a loop-free vertex or a single arrow only the first two clauses hold
     if len(supp) == len(inner) + 1 <= 2 and all(s != d for s, d in inner):
         return max(z) == 1
-    # connected support: one search over its arrows from its first vertex,
-    # each round adding the ends of every arrow that touches the vertices reached
-    reached, size = {supp[0]}, 0
-    while len(reached) > size:
-        size = len(reached)
-        reached.update(*(arrow for arrow in inner if not reached.isdisjoint(arrow)))
-    return len(reached) == len(supp) and bool((np.asarray(z) @ m_matrix(Q) >= z).all())
+    connected = len(mbm._classes(supp, inner)) == 1
+    return connected and bool((np.asarray(z) @ m_matrix(Q) >= z).all())
 
 
 def enumerate_D(Q: Quiver, bound: int):
@@ -120,21 +109,6 @@ def enumerate_D(Q: Quiver, bound: int):
         layer = [z for z in grown if in_D(Q, z)]
         out += layer
     return sorted(out)
-
-
-def successor(z, u, Q: Quiver) -> int:
-    """A vertex i (1-based) with z + e_i <= u and z + e_i in D(Q).
-
-    Support growth is preferred: a vertex outside supp(z) adjacent to it is
-    tried first."""
-    z, u = _vector(Q, z), _vector(Q, u)
-    # v grows the support when z_v = 0 and an arrow joins v to supp(z)
-    grows = (np.array(z) == 0) & ((m_matrix(Q) * z != 0).any(axis=1) | (sum(z) == 0))
-    candidates = [v for v in range(Q.p) if z[v] < u[v]]
-    for v in sorted(candidates, key=lambda v: (not grows[v], v)):
-        if in_D(Q, _plus_unit(z, v)):
-            return v + 1
-    raise NoSuccessorError(f"no successor of {z} toward {u}")
 
 
 def growth_path(Q: Quiver, d):

@@ -292,38 +292,34 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     """Real orthogonal intertwiner between real-entried representations, or
     None when they are not complex-isometric.
 
-    Any complex isometry S gives intertwiners Re(e^{i t} S) for every t;
-    a generic t makes them invertible, and the polar factor restores
-    orthogonality while preserving the intertwining relations.  The first T
-    with ``||T_d A_a - B_a T_s||_F`` over all arrows within the bound of A."""
+    Any complex isometry S gives intertwiners ``Φ_v = Re(e^{it} S_v) =
+    (e^{it}/2) S_v (I + e^{-2it} N_v)``, with ``N_v = S_vᴴ conj(S_v)``
+    unitary, so ``σ_min(Φ_v) = ½ min_k |e^{2it} + λ_k(N_v)|``.  With e^{2it}
+    at the middle of the widest gap between the points -λ_k of all vertices,
+    every σ_min is at least sin(π / 2Σd), and the polar factors of the Φ_v
+    are orthogonal and still intertwine.  They are returned if
+    ``||T_d A_a - B_a T_s||_F`` over all arrows is within the bound of A,
+    else None."""
     S, _ = _isometry(A, B, tol)
     if S is None:
         return None
+    N = mbm._blockdiag([U.conj().T @ U.conj() for U in S.S])  # the N_v of all vertices
+    angles = np.sort(np.angle(-np.linalg.eig(N)[0]))
+    t = 0.0  # any angle when there is no dimension
+    if angles.size:
+        gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+        k = gaps.argmax()
+        t = (angles[k] + gaps[k] / 2) / 2
+    T = []
+    for U in S.S:
+        W, _, Vh = np.linalg.svd((np.exp(1j * t) * U).real)
+        T.append((W @ Vh).astype(complex))
     norm = frobenius([frobenius(M) for M in A.matrices.values()])
-    limit = tol.bound(norm, max((1, *A.dims)))
-    thetas = [np.pi * k / 24 for k in range(24)]
-    rng = np.random.default_rng(0)
-    thetas += list(rng.uniform(0, np.pi, size=16))
-    for t in thetas:
-        phase = np.exp(1j * t)
-        T = []
-        for v in range(A.quiver.p):
-            Phi = (phase * S.S[v]).real
-            if Phi.size:
-                U_, sv, Vh_ = np.linalg.svd(Phi)
-                if sv[-1] <= tol.bound(1.0, len(sv)):
-                    break
-                # polar factor: orthogonal, still intertwining
-                Phi = U_ @ Vh_
-            T.append(Phi.astype(complex))
-        else:
-            resid = frobenius([
-                frobenius(T[d - 1] @ A.matrices[a] - B.matrices[a] @ T[s - 1])
-                for a, s, d in A.quiver.arrows
-            ])
-            if resid <= limit:
-                return Isometry(tuple(T))
-    return None
+    resid = frobenius([
+        frobenius(T[d - 1] @ A.matrices[a] - B.matrices[a] @ T[s - 1])
+        for a, s, d in A.quiver.arrows
+    ])
+    return Isometry(tuple(T)) if resid <= tol.bound(norm, max((1, *A.dims))) else None
 
 
 def decompose_real(A: Representation, tol: Tolerance = Tolerance()):

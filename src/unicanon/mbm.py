@@ -232,34 +232,25 @@ def _check_finite(E: np.ndarray, what: str = "entry") -> None:
         raise ValueError(f"{what} ({r + 1},{c + 1}) is not finite: {E[r, c]}")
 
 
-class DisjointSet:
-    """Union-find over hashable items, with path halving.
+def _find(parent, x):
+    """The root of x in the union-find ``parent``, a list or a dict that maps
+    every item to its parent (a root to itself), with path halving."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    An item joins as a singleton the first time it is used.  ``groups``
-    lists the classes of the given items, each in the order of the items,
-    ordered by their first member."""
 
-    def __init__(self, items=()):
-        self._parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self._parent
-        p.setdefault(x, x)
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def groups(self, items=None) -> list:
-        out: dict = {}
-        for x in list(self._parent) if items is None else items:
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+def _classes(items, pairs) -> list:
+    """The classes of ``items`` under the equivalence the ``pairs`` of items
+    generate, each a list in the order of ``items``, ordered by their first
+    member."""
+    parent = {x: x for x in items}
+    for a, b in pairs:
+        parent[_find(parent, a)] = _find(parent, b)
+    classes: dict = {}
+    for x in items:
+        classes.setdefault(_find(parent, x), []).append(x)
+    return list(classes.values())
 
 
 def tie_closure(M: MarkedBlockMatrix) -> tuple[frozenset, ...]:
@@ -269,10 +260,8 @@ def tie_closure(M: MarkedBlockMatrix) -> tuple[frozenset, ...]:
     slots = [("r", i) for i in range(len(M.row_strips))] + [
         ("c", j) for j in range(len(M.col_strips))
     ]
-    ties = DisjointSet(slots)
-    for i, j in M.marked:
-        ties.union(("r", i), ("c", j))
-    return tuple(frozenset(g) for g in ties.groups(slots))
+    marks = [(("r", i), ("c", j)) for i, j in M.marked]
+    return tuple(map(frozenset, _classes(slots, marks)))
 
 
 @dataclass(frozen=True)
@@ -457,9 +446,7 @@ def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> tuple:
         for cell in (at - 1 if c in cols else None, at + w if c + w in cols else None,
                      at - n if r in rows else None, at + h * n if r + h in rows else None):
             tid = -1 if cell is None else flat[cell]
-            while tid >= 0 and into[tid] != tid:
-                into[tid] = tid = into[into[tid]]  # path halving
-            if tid >= 0 and tid != zid:
+            if tid >= 0 and (tid := _find(into, tid)) != zid:
                 merged.setdefault(tid, []).extend([block, *merged.pop(zid, ())])
                 into[zid] = tid
                 break
@@ -507,12 +494,13 @@ class _Grid(NamedTuple):
 class ReductionState:
     """Single-owner mutable state of the derived-matrix iteration.
 
-    It reduces the matrix it is given and decides at the absolute
-    ``tol.abs``; :func:`canonicalize` is the scale-relative entry point,
-    which hands it the unit-norm matrix.  A zone is a record ``(depth,
-    row, height, col, width, stairs)``, stairs False for an equivalence
-    zone, True for one stair down a square block's diagonal, else the stair
-    sizes of a similarity step; the owner map (zone id per cell) holds the
+    It reduces a copy of the entries of the matrix it is given (``A``) and
+    decides at the absolute ``tol.abs``; :func:`canonicalize` is the
+    scale-relative entry point, which divides ``A`` by the input's norm
+    before the first step.  A zone is a record ``(depth, row, height, col,
+    width, stairs)``, stairs False for an equivalence zone, True for one
+    stair down a square block's diagonal, else the stair sizes of a
+    similarity step; the owner map (zone id per cell) holds the
     cells it owns.  :meth:`trace` hands both, unmerged, to the trace, which
     runs the merge rule and builds the :class:`Zone` objects, stairs as
     cells, per rectangle read."""
@@ -522,7 +510,7 @@ class ReductionState:
         label = {slot: k for k, c in enumerate(classes) for slot in c}
         self.M = M
         self.tol = tol
-        self.A = M.entries.astype(complex).copy()
+        self.A = M.entries.copy()  # complex, as M's construction makes it
         m, n = self.A.shape
         self.R = np.eye(m, dtype=complex)
         self.S = np.eye(n, dtype=complex)
@@ -825,17 +813,18 @@ def _certify(A, R, S, C, tol: Tolerance) -> None:
 def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     """Reduce M to its canonical matrix.
 
-    Returns ``(canonical, transcript, trace)``.  The engine reduces M divided
-    by s = ``||M.entries||_F`` (unless s is 0; M's entries are finite, as its
-    construction checks, so s is too), so every decision is relative
+    Returns ``(canonical, transcript, trace)``.  The engine reduces its copy
+    of M's entries divided by s = ``||M.entries||_F`` (unless s is 0; M's
+    entries are finite, as its construction checks, so s is too), so no
+    second matrix is built or checked, and every decision is relative
     to s and the form of ``c * M`` is c times the form of M; the form and the
     step values are scaled back by s.  ``apply_admissible(M, transcript)``
     equals ``canonical`` within ``10 * n * tol.abs * s`` in the Frobenius
     norm (n the larger side); every call checks this certificate and raises
     :class:`CertificationError` when it fails."""
     s = frobenius(M.entries)
-    unit = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries / (s or 1.0), M.marked)
-    state = ReductionState(unit, tol)
+    state = ReductionState(M, tol)
+    state.A /= s or 1.0
     limit = 4 * max(1, M.entries.size) + 8
     while state.derive():
         if len(state.steps) > limit:

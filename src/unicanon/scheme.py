@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .numcore import Tolerance, _rank, lex_cmp
-from .mbm import DisjointSet, MarkedBlockMatrix, Zone, _cell, _integers
+from .mbm import MarkedBlockMatrix, Zone, _cell, _classes, _integers
 
 __all__ = [
     "Scheme",
@@ -66,8 +66,7 @@ class Scheme:
     def link_chains(self):
         """Connected components of the link relation (as frozensets),
         ordered by their first cell."""
-        cells = sorted(set(chain.from_iterable(self.links)))
-        return [frozenset(c) for c in _link_classes(self, cells)]
+        return [frozenset(c) for c in _link_classes(self, set(chain.from_iterable(self.links)))]
 
     def to_json(self) -> dict:
         return {
@@ -186,15 +185,11 @@ def _symbols(A, zone_list, eps) -> tuple:
 
 
 def _link_classes(S: Scheme, cells):
-    """Partition ``cells`` into equality classes induced by the links,
-    returned in diagonal order (class of the earliest cell first)."""
-    classes = DisjointSet(cells)
+    """Partition ``cells`` into equality classes induced by the links
+    between them, each in row-major order, ordered by their first cell."""
+    cells = sorted(cells)
     cellset = set(cells)
-    for pair in S.links:
-        a, b = sorted(pair)
-        if a in cellset and b in cellset:
-            classes.union(a, b)
-    return sorted(sorted(g) for g in classes.groups(cells))
+    return _classes(cells, (sorted(pair) for pair in S.links if pair <= cellset))
 
 
 def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
@@ -304,7 +299,7 @@ def fill_general_position(
     for z in sorted(S.zones, key=lambda z: -z.depth):
         # one value per link class of the circles, or per stair
         groups = _link_classes(
-            S, sorted(c for c in z.cells if S.symbols[c[0]][c[1]] == "o")
+            S, [c for c in z.cells if S.symbols[c[0]][c[1]] == "o"]
         ) if z.kind == "equivalence" else z.stairs
         if mode == "integer" and len(groups) > budget:
             raise IntegerModeInfeasible(

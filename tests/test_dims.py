@@ -11,7 +11,6 @@ from unicanon.dims import (
     tits,
     in_D,
     enumerate_D,
-    successor,
     growth_path,
     construct_indecomposable,
     max_params,
@@ -94,8 +93,6 @@ class TestIntegerVectors:
         "in_D": lambda d: in_D(KRONECKER, d),
         "delta": lambda d: delta(d, KRONECKER),
         "tits": lambda d: tits(KRONECKER, d),
-        "successor-z": lambda d: successor(d, (2, 2), KRONECKER),
-        "successor-u": lambda d: successor((0, 1), d, KRONECKER),
     }
 
     @pytest.mark.parametrize("d", NON_INTEGER_DIMS)
@@ -233,10 +230,6 @@ class TestPaths:
             for a, b in zip(path, path[1:]):
                 assert sorted(y - x for x, y in zip(a, b)) == [0] * (Q.p - 1) + [1]
             assert all(in_D(Q, u) for u in path)
-
-    def test_successor_support_growth(self):
-        i = successor((0, 1, 0), (1, 1, 1), TWO_ARROWS_IN)
-        assert i in (1, 3)
 
     def test_not_in_D(self):
         with pytest.raises(NotInDError):

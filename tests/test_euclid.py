@@ -265,6 +265,37 @@ class TestRealIsometry:
         A = Representation(Quiver(0, []), (), {})
         assert real_isometry(A, A, tol) == Isometry(())
 
+    def test_zero_dimensions(self, tol):
+        A = Representation(ZERO_VERTEX, (0, 0, 0), {a: np.zeros((0, 0)) for a in "abc"})
+        assert [U.shape for U in real_isometry(A, A, tol).S] == [(0, 0)] * 3
+
+    # (quiver, dims of P, dims of R); P is realify of a complex Gaussian
+    # representation (a complex-type pair) when the dims of P are halved
+    SUMMANDS = {
+        "kronecker (3,3)": (KRONECKER, (3, 3), (1, 2)),
+        "kronecker (1,2)": (KRONECKER, (1, 2), (2, 3)),
+        "loop (4,)": (LOOP, (4,), (2,)),
+        "two loops (3,)": (TWO_LOOPS, (3,), (2,)),
+        "complex-type loop (2,)": (LOOP, (2,), (3,)),
+    }
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("copies", ["P+P", "P+P+R", "P+P+P"])
+    @pytest.mark.parametrize("name", SUMMANDS)
+    def test_scrambled_repeated_summands(self, tol, name, copies, seed):
+        # repeated summands leave S free up to a unitary between the copies,
+        # so S is not a phase times a real matrix: the angle taken from the
+        # eigenvalues of N_v = S_vᴴ conj(S_v) keeps Re(e^{it} S_v) invertible
+        rng = np.random.default_rng(seed)
+        Q, dp, dr = self.SUMMANDS[name]
+        P = complex_pair(Q, dp, rng) if name.startswith("complex") else real_rep(Q, dp, rng)
+        A = qr.direct_sum(P, P)
+        if copies != "P+P":
+            A = qr.direct_sum(A, P if copies == "P+P+P" else real_rep(Q, dr, rng))
+        O = tuple(oracle.haar_orthogonal(n, rng) + 0j for n in A.dims)
+        B = qr.apply_isometry(A, Isometry(O))
+        oracle.check_real_isometry(A, B, real_isometry(A, B, tol))
+
 
 class TestDecomposeReal:
     def test_rotation_block(self, tol):

@@ -1,8 +1,10 @@
 import warnings
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unicanon.numcore import Tolerance
 from unicanon import mbm
@@ -205,7 +207,7 @@ def reference_block(state, i, j, tol):
 def union_all(ties, items):
     """Join every item of the list ``items`` to the class of the first."""
     for x in items[1:]:
-        ties.union(items[0], x)
+        ties[mbm._find(ties, x)] = mbm._find(ties, items[0])
 
 
 def substrips(state):
@@ -230,31 +232,34 @@ def partition(subs, class_of):
 
 def replay_ties(state):
     """Run ``state`` to its fixpoint and yield after every ``derive`` call a
-    union-find over the current substrips, built without the engine's labels,
-    and the number of steps replayed so far: the marks first, then for every
-    step the call recorded, in order, the pieces joined the way the reduction
-    ties them (piece alpha of every member of the reduced classes; for
-    equivalence also the leftover pieces within each former class)."""
+    union-find over the current substrips (a parent dict for ``mbm._find``),
+    built without the engine's labels, and the number of steps replayed so
+    far: the marks first, then for every step the call recorded, in order,
+    the pieces joined the way the reduction ties them (piece alpha of every
+    member of the reduced classes; for equivalence also the leftover pieces
+    within each former class)."""
     M = state.M
-    ties = mbm.DisjointSet(substrips(state))
+    ties = {s: s for s in substrips(state)}
     strips = [("r", k) for k in state.rows.strip.tolist()] + [
         ("c", k) for k in state.cols.strip.tolist()]
     first = dict(zip(strips, substrips(state)))  # one substrip per nonempty strip
     for i, j in M.marked:
         if ("r", i) in first and ("c", j) in first:  # size-0 strips have none
-            ties.union(first["r", i], first["c", j])
+            union_all(ties, [first["r", i], first["c", j]])
     yield ties, 0
     while True:
         before, done = list(substrips(state)), len(state.steps)
         if not state.derive():
             return
         after = list(substrips(state))
+        for s in after:  # every new piece joins as a singleton
+            ties.setdefault(s, s)
 
         def old(axis, start):
             return next(s for s in before if s[:2] == (axis, start))
 
         def members(x):
-            return [s for s in before if ties.find(s) == ties.find(x)]
+            return [s for s in before if mbm._find(ties, s) == mbm._find(ties, x)]
 
         def pieces(x):
             axis, start, size = x
@@ -273,6 +278,41 @@ def replay_ties(state):
                 for group in (rmem, cmem):
                     union_all(ties, [pieces(x)[k] for x in group if len(pieces(x)) > k])
         yield ties, len(state.steps)
+
+
+def closure_classes(items, pairs):
+    """The classes of ``items`` under the pairs, by brute force: grow every
+    item's set of reachable items until no set grows; each class in item
+    order, ordered by first member."""
+    reach = {x: {x} for x in items}
+    for a, b in pairs:
+        reach[a].add(b)
+        reach[b].add(a)
+    grown = True
+    while grown:
+        grown = False
+        for x in items:
+            wider = set().union(*(reach[y] for y in reach[x]))
+            grown, reach[x] = grown or wider != reach[x], wider
+    classes = []
+    for x in items:
+        c = [y for y in items if y in reach[x]]
+        if c not in classes:
+            classes.append(c)
+    return classes
+
+
+class TestUnionFind:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_classes_match_transitive_closure(self, data):
+        # the items in drawn order, not sorted; pairs may repeat and may join
+        # an item to itself
+        items = data.draw(st.lists(st.integers(0, 40), unique=True, max_size=14))
+        member = st.sampled_from(items or [None])
+        pairs = data.draw(st.lists(st.tuples(member, member), max_size=24 if items else 0))
+        for p in (pairs, pairs + pairs[::-1] + [(x, x) for x in items[:2]]):
+            assert mbm._classes(items, p) == closure_classes(items, p)
 
 
 class TestValidation:
@@ -487,10 +527,11 @@ class TestEngineInvariants:
         state = mbm.ReductionState(M, tol)
         for ties, replayed in replay_ties(state):
             subs = substrips(state)
-            assert partition(subs, subs.get) == partition(subs, ties.find)
+            find = partial(mbm._find, ties)
+            assert partition(subs, subs.get) == partition(subs, find)
         assert replayed == len(state.steps)
         trace = state.trace()
-        assert trace.num_classes == len(partition(subs, ties.find))
+        assert trace.num_classes == len(partition(subs, find))
 
     @pytest.mark.parametrize("M", engine_inputs())
     def test_blocks_before_cursor_stay_canonical(self, tol, M):
