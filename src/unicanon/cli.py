@@ -144,7 +144,15 @@ def _isometric(args, tol):
     from . import quiverrep as qr
     A = _load(args.file, qr.Representation)
     B = _load(args.file2, qr.Representation)
-    return {"isometric": bool(qr.isometric(A, B, tol))}
+    T = qr._isometry(A, B, tol)[0]
+    if T is not None and args.transcript:
+        # the isometry per vertex, as canon-rep writes S, once it maps A onto B
+        resid, limit = qr._residual(A, B, T), tol.bound(qr.pack(A)[0].entries)
+        if not resid <= limit:
+            raise mbm.CertificationError(
+                f"isometry does not map A onto B: ||T_d A_a - B_a T_s||_F = {resid:.2e} > {limit:.2e}")
+        _dump(args.transcript, {"S": [matrix_to_json(b) for b in T.S]})
+    return {"isometric": T is not None}
 
 
 def _fill_scheme(args, tol):

@@ -26,6 +26,7 @@ from .quiverrep import (
     pack,
     unpack,
     _isometry,
+    _residual,
 )
 
 __all__ = [
@@ -315,11 +316,8 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
         W, _, Vh = np.linalg.svd((np.exp(1j * t) * U).real)
         T.append((W @ Vh).astype(complex))
     norm = frobenius([frobenius(M) for M in A.matrices.values()])
-    resid = frobenius([
-        frobenius(T[d - 1] @ A.matrices[a] - B.matrices[a] @ T[s - 1])
-        for a, s, d in A.quiver.arrows
-    ])
-    return Isometry(tuple(T)) if resid <= tol.bound(norm, max((1, *A.dims))) else None
+    T = Isometry(tuple(T))
+    return T if _residual(A, B, T) <= tol.bound(norm, max((1, *A.dims))) else None
 
 
 def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
@@ -378,13 +376,16 @@ def matrix_real_test(A, tol: Tolerance = Tolerance()):
 
     Returns ``(flag, witness)``; the witness is the real matrix when it
     exists.  A must be indecomposable under unitary similarity; the reduction
-    of conj(A), which the self-conjugation needs anyway, decides it."""
+    of conj(A), which the self-conjugation makes unless the invariants reject
+    the pair (then it is made here alone), decides it."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     R = Representation(Quiver(1, [("a", 1, 1)]), (n,), {"a": A})
     if n == 0:
         raise ZeroDimError("the zero dimension vector is not indecomposable")
-    S, (_, _, _, trace, _) = _isometry(R, conj_rep(R), tol)
+    C = conj_rep(R)
+    S, reduced = _isometry(R, C, tol)
+    trace = (reduced or mbm.canonicalize(pack(C)[0], tol))[2]
     if not mbm._one_summand(trace):
         raise DecomposableError(
             "matrix is unitarily similar to a direct sum"

@@ -911,6 +911,68 @@ def same_canonical(C: MarkedBlockMatrix, D: MarkedBlockMatrix, tol: Tolerance = 
     return problem and same_form(C.entries, D.entries, tol)
 
 
+def _invariants_differ(M: MarkedBlockMatrix, N: MarkedBlockMatrix, tol: Tolerance = Tolerance()) -> bool:
+    """Whether invariants of the admissible transformations show, without a
+    reduction, that :func:`same_canonical` of the certified forms of M and N
+    is False; a False answer decides nothing.  Matrices of different
+    problems differ, as their forms do.
+
+    A transformation maps the block X between row strip i and column strip
+    j to U_aᴴ X U_b, a and b the tie classes of i and j.  So the Gram matrix
+    ``tr(X_pᴴ X_q)`` of the blocks of each pair (a, b), and ``tr(X)`` of
+    every tied block (a = b), are invariants; they are compared on M and N
+    divided by ``s = max(‖M‖_F, ‖N‖_F)``, where every block has norm at
+    most 1.
+
+    The margin.  With n the larger side and δ = 10·n·tol.abs, a certified
+    reduction's transcripts lie within δ of unitaries (their polar factors:
+    ``|σ - 1| <= |σ² - 1|``), equal on tied strips, and ``‖RᴴMS - C‖_F <=
+    δ‖M‖_F``; so its form C lies within ε‖M‖_F of an exact admissible image
+    of M, ε = 3δ + δ².  ``same_form`` calls the forms equal within
+    ``tol.abs · max(‖C_M‖, ‖C_N‖) <= tol.abs (1 + ε) s``.  Then exact images
+    of M and N lie within Δs of each other, Δ = 2ε + tol.abs (1 + ε), and
+    on them, divided by s, a Gram entry moves by at most
+    ``‖X_p‖ Δ + Δ ‖Y_q‖ <= 2Δ`` and the trace of a k x k block by at most
+    √k Δ.  An invariant differs only beyond max(2, √n) Δ, plus
+    10·n·(size + 1)·eps for rounding: the invariants sum at most ``size``
+    (M's entry count) products of numbers at most 1, and tied transcript
+    blocks agree to a few eps per step."""
+    if (M.row_strips, M.col_strips, M.marked) != (N.row_strips, N.col_strips, N.marked):
+        return True
+    s = max(frobenius(M.entries), frobenius(N.entries))
+    if s == 0.0:
+        return False
+    n = max(1, *M.shape)
+    d = 10 * n * tol.abs  # tol.bound(1.0, n)
+    e = 3 * d + d * d
+    margin = (max(2.0, np.sqrt(n)) * (2 * e + tol.abs * (1 + e))
+              + 10 * n * (M.entries.size + 1) * np.finfo(float).eps)
+    XY = np.stack((M.entries, N.entries)) / s
+    # the tie class of every strip, then of every row and column
+    label = {slot: k for k, c in enumerate(tie_closure(M)) for slot in c}
+    rlab = [label["r", i] for i in range(len(M.row_strips))]
+    clab = [label["c", j] for j in range(len(M.col_strips))]
+    row_class, col_class = np.repeat(rlab, M.row_strips), np.repeat(clab, M.col_strips)
+    for a in sorted(set(rlab)):
+        rows, h = np.flatnonzero(row_class == a), M.row_strips[rlab.index(a)]
+        for b in sorted(set(clab)):
+            cols, w = np.flatnonzero(col_class == b), M.col_strips[clab.index(b)]
+            if not (rows.size and cols.size):
+                continue
+            # V[0 or 1, p, q]: block (p, q) of the pair in M or in N
+            V = XY[:, rows[:, None], cols].reshape(2, rows.size // h, h, cols.size // w, w)
+            V = V.transpose(0, 1, 3, 2, 4)
+            B = V.reshape(2, -1, h * w)  # one block per row
+            G = B.conj() @ B.transpose(0, 2, 1)
+            if np.abs(G[0] - G[1]).max() > margin:
+                return True
+            if a == b:
+                t = np.trace(V, axis1=3, axis2=4)
+                if np.abs(t[0] - t[1]).max() > margin:
+                    return True
+    return False
+
+
 def _one_summand(trace: ReductionTrace) -> bool:
     """Whether the reduction behind ``trace`` found one summand of
     multiplicity 1 (:func:`decompose`'s rule): one tie class, of size 1."""

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numcore import Tolerance
+from .numcore import Tolerance, frobenius
 from . import mbm
 from .mbm import MarkedBlockMatrix
 from .scheme import Scheme, _symbols, count_params
@@ -253,23 +253,40 @@ def rep_params(A: Representation, tol: Tolerance = Tolerance()):
 
 
 def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()):
-    """``(T, canonical_B)``: an isometry T from A onto B (``apply_isometry(A,
+    """``(T, reduced_B)``: an isometry T from A onto B (``apply_isometry(A,
     T)`` is B) composed from the two reduction transcripts, or None when the
     packed canonical forms differ (their coupling blocks are exact zeros, so
-    each is its representation's packing); and B's :func:`_canonical` record."""
+    each is its representation's packing); and ``mbm.canonicalize`` of B's
+    packing.  When the invariants of the packings already differ
+    (:func:`mbm._invariants_differ`), neither is reduced: ``(None, None)``."""
     if A.quiver != B.quiver:
         raise QuiverMismatchError("different quivers")
     if A.dims != B.dims:
         raise DimMismatchError(f"dims {A.dims} vs {B.dims}")
-    _, TA, CA, _, _ = _canonical(A, tol)
-    _, TB, CB, _, _ = canonical_B = _canonical(B, tol)
+    MA, MB = pack(A)[0], pack(B)[0]
+    if mbm._invariants_differ(MA, MB, tol):
+        return None, None
+    CA, TA, _ = mbm.canonicalize(MA, tol)
+    reduced_B = CB, TB, _ = mbm.canonicalize(MB, tol)
     if not mbm.same_canonical(CA, CB, tol):
-        return None, canonical_B
-    return Isometry(tuple(TB.S[v].conj().T @ TA.S[v] for v in range(A.quiver.p))), canonical_B
+        return None, reduced_B
+    return Isometry(tuple(SB @ SA.conj().T for SA, SB in zip(TA.S, TB.S))), reduced_B
 
 
 def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()) -> bool:
+    """Whether some vertex-wise unitaries map A onto B: the packed canonical
+    forms are the same (:func:`mbm.same_canonical`).  Representations of
+    different quivers or dimension vectors raise.  When the invariants of
+    the two packings differ (:func:`mbm._invariants_differ`: Gram matrices
+    of the blocks per pair of vertices, traces of loops), the answer is
+    False without a reduction; otherwise both are reduced once."""
     return _isometry(A, B, tol)[0] is not None
+
+
+def _residual(A: Representation, B: Representation, T: Isometry) -> float:
+    """``‖T_d A_a - B_a T_s‖_F`` over all arrows a: s -> d."""
+    return frobenius([frobenius(T.S[d - 1] @ A.matrices[a] - B.matrices[a] @ T.S[s - 1])
+                      for a, s, d in A.quiver.arrows])
 
 
 def direct_sum(A: Representation, B: Representation) -> Representation:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numcore import Tolerance, _rank, cluster_complex, frobenius
-from .mbm import MarkedBlockMatrix, _check_finite, canonicalize, same_canonical
+from .mbm import MarkedBlockMatrix, _check_finite, _invariants_differ, canonicalize, same_canonical
 from .quiverrep import Quiver, Representation, pack
 
 __all__ = [
@@ -95,11 +95,17 @@ def gadget(kind: str, X, Y=None):
 def gadget_faithful(kind: str, X, Y, tol: Tolerance = Tolerance()) -> bool:
     """Whether gadget(kind, X) and gadget(kind, Y) have the same packed
     canonical form: by the wildness reductions, whether X and Y are unitarily
-    similar.  X and Y of different sizes raise :class:`ShapeMismatchError`."""
+    similar.  X and Y of different sizes raise :class:`ShapeMismatchError`.
+
+    The two gadgets (packed, if representations) are reduced once each,
+    unless their invariants already differ (:func:`mbm._invariants_differ`):
+    then the answer is False without a reduction."""
     MX, MY = (pack(G)[0] if isinstance(G, Representation) else G
               for G in (gadget(kind, X), gadget(kind, Y)))
     if MX.shape != MY.shape:
         raise ShapeMismatchError("X and Y must have equal sizes")
+    if _invariants_differ(MX, MY, tol):
+        return False
     return same_canonical(canonicalize(MX, tol)[0], canonicalize(MY, tol)[0], tol)
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from unicanon.cli import dispatch
 from unicanon import mbm
-from unicanon.mbm import MarkedBlockMatrix
-from unicanon.numcore import cluster_complex
-from unicanon.quiverrep import Quiver, Representation
+from unicanon import quiverrep as qr
+from unicanon.mbm import MarkedBlockMatrix, matrix_from_json
+from unicanon.numcore import cluster_complex, random_unitary
+from unicanon.quiverrep import Isometry, Quiver, Representation, apply_isometry, random_rep
 
 from conftest import example_8x12, not_reducing_step, KRONECKER, SINGLE_ARROW, MALFORMED_SCHEMES
 
@@ -486,6 +487,39 @@ class TestRepCommands:
     def test_isometric_verdict(self, rep_file, capsys):
         dispatch(["isometric", rep_file, rep_file])
         assert json.loads(capsys.readouterr().out)["isometric"] is True
+
+    def test_isometric_transcript(self, tmp_path, capsys):
+        # a True answer writes the isometry T per vertex, as canon-rep writes
+        # S, with T_d A_a = B_a T_s
+        A = random_rep(KRONECKER, (2, 3), seed=6)
+        B = apply_isometry(A, Isometry(tuple(random_unitary(d, seed=k) for k, d in enumerate(A.dims))))
+        tfile = tmp_path / "t.json"
+        files = [write_json(tmp_path / f"{x}.json", R.to_json()) for x, R in (("a", A), ("b", B))]
+        assert dispatch(["--transcript", str(tfile), "isometric", *files]) == 0
+        assert json.loads(capsys.readouterr().out)["isometric"] is True
+        T = Isometry(tuple(matrix_from_json(m) for m in json.loads(tfile.read_text())["S"]))
+        assert [U.shape for U in T.S] == [(2, 2), (3, 3)]
+        C = apply_isometry(A, T)
+        assert all(np.abs(C.matrices[a] - B.matrices[a]).max() < 1e-12 for a in "ab")
+
+    def test_isometric_transcript_only_when_true(self, tmp_path, capsys):
+        A = random_rep(KRONECKER, (2, 3), seed=6)
+        B = Representation(KRONECKER, (2, 3), {**A.matrices, "a": 1.5 * A.matrices["a"]})
+        tfile = tmp_path / "t.json"
+        files = [write_json(tmp_path / f"{x}.json", R.to_json()) for x, R in (("a", A), ("b", B))]
+        assert dispatch(["--transcript", str(tfile), "isometric", *files]) == 0
+        assert json.loads(capsys.readouterr().out)["isometric"] is False
+        assert not tfile.exists()
+
+    def test_isometric_transcript_certification_error(self, rep_file, tmp_path, capsys, monkeypatch):
+        # an isometry that does not map A onto B is not written: exit 70
+        wrong = Isometry((np.eye(2, dtype=complex), -np.eye(1, dtype=complex)))
+        monkeypatch.setattr(qr, "_isometry", lambda A, B, tol: (wrong, None))
+        tfile = tmp_path / "t.json"
+        assert dispatch(["--transcript", str(tfile), "isometric", rep_file, rep_file]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == "" and not tfile.exists()
+        assert json.loads(captured.err)["type"] == "CertificationError"
 
     def test_decompose_rep(self, rep_file, capsys):
         assert dispatch(["decompose", rep_file]) == 0

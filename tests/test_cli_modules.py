@@ -94,3 +94,20 @@ def test_reduction_loads_no_numpy_ma(tmp_path):
     code, loaded = json.loads(child.stdout)
     assert code == 0, child.stderr
     assert "numpy.ma" not in loaded
+
+
+def test_isometric_loads_no_numpy_ma(tmp_path):
+    # the invariants of both pairs are compared; the first pair is then
+    # reduced, the second is rejected without a reduction
+    rng = np.random.default_rng(0)
+    A = Representation(KRONECKER, (3, 3), {
+        a: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for a in "ab"})
+    B = Representation(KRONECKER, (3, 3), {**A.matrices, "a": 1.5 * A.matrices["a"]})
+    fa, fb = write(tmp_path / "a.json", A.to_json()), write(tmp_path / "b.json", B.to_json())
+    script = DISPATCH.replace("code = dispatch(sys.argv[1:])", "out, a, b = sys.argv[1:]\n"
+                              "code = dispatch(['--out', out, 'isometric', a, a]) or "
+                              "dispatch(['--out', out, 'isometric', a, b])")
+    child = python(["-c", script, str(tmp_path / "out.txt"), fa, fb], tmp_path)
+    code, loaded = json.loads(child.stdout)
+    assert code == 0, child.stderr
+    assert "numpy.ma" not in loaded

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unicanon.numcore import Tolerance, random_unitary
 from unicanon import dims, euclid, mbm, wildness
 from unicanon.cli import dispatch
+from unicanon.mbm import MarkedBlockMatrix
 from unicanon import quiverrep as qr
 from unicanon.scheme import scheme_of
 from unicanon.quiverrep import (
@@ -28,7 +30,8 @@ from unicanon.quiverrep import (
     random_rep,
 )
 
-from conftest import D4, LOOP, KRONECKER, SINGLE_ARROW, FOUR_ARROWS, NON_INTEGER_DIMS
+from conftest import (D4, LOOP, KRONECKER, SINGLE_ARROW, FOUR_ARROWS, TWO_ARROWS_IN, NON_INTEGER_DIMS,
+                      random_mbm)
 
 
 D4 = Quiver(4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)])
@@ -491,6 +494,103 @@ class TestReductionsPerCall:
         R = dims.construct_indecomposable(KRONECKER, (2, 3), seed=0, tol=tol)
         assert len(reductions) == 1
         assert is_indecomposable_rep(R, tol)
+
+    # pairs whose invariants differ are answered without a reduction
+
+    def test_isometric_rejected(self, tol, reductions):
+        A = random_rep(KRONECKER, (2, 3), seed=6)
+        assert not isometric(A, scale_arrow(A, 1.5), tol) and len(reductions) == 0
+
+    @pytest.mark.parametrize("kind", wildness.GADGET_KINDS)
+    def test_gadget_faithful_rejected(self, tol, reductions, kind):
+        X = random_rep(LOOP, (2,), seed=7).matrices["a"]
+        Y = random_rep(LOOP, (2,), seed=8).matrices["a"]  # not similar to X
+        assert not wildness.gadget_faithful(kind, X, Y, tol)
+        assert len(reductions) == 0
+
+    def test_real_isometry_rejected(self, tol, reductions):
+        A = Representation(KRONECKER, (2, 3), {a: M.real + 0j for a, M in
+                                               random_rep(KRONECKER, (2, 3), seed=6).matrices.items()})
+        assert euclid.real_isometry(A, scale_arrow(A, 1.5), tol) is None
+        assert len(reductions) == 0
+
+    def test_classify_real_complex_type(self, tol, reductions):
+        # tr(A) is not real, so A and conj(A) differ in their invariants
+        assert euclid.classify_real(loop_rep([[1j, 1.0], [0.0, 2.0]]), tol).kind == "Complex"
+        assert len(reductions) == 0
+
+    def test_matrix_real_test_complex_type(self, tol, reductions):
+        # conj(A) alone is reduced, for the indecomposability check
+        assert euclid.matrix_real_test([[1j, 1.0], [0.0, 2.0]], tol) == (False, None)
+        assert len(reductions) == 1
+
+
+def scale_arrow(A, c):
+    """A with its first arrow's matrix times c."""
+    first = A.quiver.arrows[0][0]
+    return Representation(A.quiver, A.dims, {**A.matrices, first: c * A.matrices[first]})
+
+
+def scaled_first_strip(M, c):
+    """M with its first row strip (a packing's last arrow) times c."""
+    E = M.entries.copy()
+    E[: M.row_strips[0]] *= c
+    return MarkedBlockMatrix(M.row_strips, M.col_strips, E, M.marked)
+
+
+SWEEP_REPS = {"kronecker": (KRONECKER, (3, 3)), "d4": (D4, (2, 2, 2, 3)), "loop": (LOOP, (4,)),
+              "two-loops": (TWO_LOOPS, (3,)), "loop+arrow": (LOOP_ARROW, (3, 2)),
+              "two-arrows-in": (TWO_ARROWS_IN, (2, 3, 1))}
+
+
+def sweep_matrix(case, rng):
+    """A packed Gaussian representation, a packed gadget of a 2 x 2 X, or a
+    random marked block matrix."""
+    if case in SWEEP_REPS:
+        return pack(random_rep(*SWEEP_REPS[case], seed=int(rng.integers(2**31))))[0]
+    if case == "random-mbm":
+        return random_mbm(rng)
+    G = wildness.gadget(case, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return pack(G)[0] if isinstance(G, Representation) else G
+
+
+class TestInvariantRejection:
+    """``mbm._invariants_differ`` never contradicts the full comparison:
+    Haar-scrambled copies, at every scale and also with one arrow scaled by
+    1 + 1e-12, are never rejected; with the arrow scaled by 1.5 they are,
+    and their forms differ."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1.0, 1e6, 1e300])
+    @pytest.mark.parametrize("case", [*SWEEP_REPS, *wildness.GADGET_KINDS, "random-mbm"])
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_sweep(self, case, scale, seed):
+        tol = Tolerance()
+        rng = np.random.default_rng(seed)
+        M = sweep_matrix(case, rng)
+        M = MarkedBlockMatrix(M.row_strips, M.col_strips, scale * M.entries, M.marked)
+        N = mbm.apply_admissible(M, mbm.random_transcript(M, seed=int(rng.integers(2**32))))
+        form = mbm.canonicalize(M, tol)[0]
+        for X, same in ((N, True), (scaled_first_strip(N, 1 + 1e-12), True),
+                        (scaled_first_strip(N, 1.5), False)):
+            assert mbm._invariants_differ(M, X, tol) != same
+            assert mbm.same_canonical(form, mbm.canonicalize(X, tol)[0], tol) == same
+
+    def test_empty(self, tol):
+        # no blocks, and blocks of an empty vertex beside filled ones
+        M = pack(Representation(Quiver(0, ()), (), {}))[0]
+        assert not mbm._invariants_differ(M, M, tol)
+        A = random_rep(TWO_ARROWS_IN, (0, 2, 1), seed=3)
+        B = apply_isometry(A, Isometry(tuple(random_unitary(d, seed=d) for d in A.dims)))
+        assert isometric(A, B, tol)
+        C = Representation(TWO_ARROWS_IN, A.dims, {**B.matrices, "b": 1.5 * B.matrices["b"]})
+        assert mbm._invariants_differ(pack(A)[0], pack(C)[0], tol) and not isometric(A, C, tol)
+
+    def test_other_problem_differs(self, tol):
+        M = pack(random_rep(KRONECKER, (2, 3), seed=6))[0]
+        N = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries)  # no marks
+        assert mbm._invariants_differ(M, N, tol)
+        assert not mbm.same_canonical(mbm.canonicalize(M, tol)[0], mbm.canonicalize(N, tol)[0], tol)
 
 
 class TestZonesWhenRead:
