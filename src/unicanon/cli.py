@@ -147,7 +147,7 @@ def _isometric(args, tol):
     T = qr._isometry(A, B, tol)[0]
     if T is not None and args.transcript:
         # the isometry per vertex, as canon-rep writes S, once it maps A onto B
-        resid, limit = qr._residual(A, B, T), tol.bound(qr.pack(A)[0].entries)
+        resid, limit = qr._residual(A, B, T, tol)
         if not resid <= limit:
             raise mbm.CertificationError(
                 f"isometry does not map A onto B: ||T_d A_a - B_a T_s||_F = {resid:.2e} > {limit:.2e}")

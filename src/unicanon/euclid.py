@@ -299,8 +299,9 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     at the middle of the widest gap between the points -λ_k of all vertices,
     every σ_min is at least sin(π / 2Σd), and the polar factors of the Φ_v
     are orthogonal and still intertwine.  They are returned if
-    ``||T_d A_a - B_a T_s||_F`` over all arrows is within the bound of A,
-    else None."""
+    ``||T_d A_a - B_a T_s||_F`` over all arrows is within ``tol.bound`` of
+    A's packing (:func:`quiverrep._residual`); when that check fails, the
+    answer is None too."""
     S, _ = _isometry(A, B, tol)
     if S is None:
         return None
@@ -315,9 +316,9 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     for U in S.S:
         W, _, Vh = np.linalg.svd((np.exp(1j * t) * U).real)
         T.append((W @ Vh).astype(complex))
-    norm = frobenius([frobenius(M) for M in A.matrices.values()])
     T = Isometry(tuple(T))
-    return T if _residual(A, B, T) <= tol.bound(norm, max((1, *A.dims))) else None
+    resid, limit = _residual(A, B, T, tol)
+    return T if resid <= limit else None
 
 
 def decompose_real(A: Representation, tol: Tolerance = Tolerance()):

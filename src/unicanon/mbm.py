@@ -351,11 +351,11 @@ class ReductionTrace:
     The trace holds what the zones are built from: the zone records (stairs
     as sizes, see :class:`ReductionState`), the owner map, the propagated
     boundaries and a mask of the merge candidates by zone id.  Reading the
-    zones of a rectangle of whole strips runs the merge rule over the
-    candidates in it, if any, and builds the :class:`Zone` objects, sorted
-    by ``(depth, block)``.  A merge never leaves its strip block, so no
-    other candidate changes them.  ``zones``, the whole matrix read this
-    way, is cached."""
+    zones of a rectangle of whole strips groups the cells of its owners,
+    runs the merge rule over the candidates among them, if any, and builds
+    the :class:`Zone` objects, sorted by ``(depth, block)``.  A merge never
+    leaves its strip block, so no other candidate changes them.  ``zones``,
+    the whole matrix read this way, is cached."""
 
     steps: list
     row_substrips: list  # per original strip: list of (start, size, class label)
@@ -376,36 +376,36 @@ class ReductionTrace:
         rectangle only, and not at all if it holds none."""
         return self._zones(rows, cols, False)
 
-    def _owners(self, rows: slice, cols: slice) -> tuple:
-        """The owner map of ``rows`` x ``cols`` with the merge rule run over
-        the candidates there, and the blocks each zone absorbed, by zone id."""
-        records, owner, propagated, candidate = self._book
-        owner = owner[rows, cols]
-        candidates = owner[candidate[owner]]  # a candidate owns its block
-        if not candidates.size:
-            return owner, {}
-        corner = (rows.start or 0, cols.start or 0)
-        return _merge_zero_zones(records, owner, corner, propagated, np.unique(candidates).tolist())
-
     def _zones(self, rows, cols, absorbed: bool) -> list:
-        owner, merged = self._owners(rows, cols)
+        """The zones of ``rows`` x ``cols``: one stable sort groups the cells
+        of every owner, the merge rule runs if a candidate is among them, and
+        each absorbed zone's cells join its root's; ``absorbed`` keeps the
+        blocks each zone absorbed."""
+        records, owner, propagated, candidate = self._book
+        owner, r0, c0 = owner[rows, cols], rows.start or 0, cols.start or 0
         ids, shape = owner.ravel(), owner.shape
         if not ids.size:
             return []
         order = ids.argsort(kind="stable")  # the cells of every owner, in row-major order
         ids = ids[order]
         first = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()]  # where an owner begins
+        heads = ids[first]  # the owners, ascending
         if len(first) == ids.size:  # one cell per owner
             cells = dict(zip(owner.ravel().tolist(), map(frozenset, zip(product(*map(range, shape))))))
-        elif len(first) == 1:  # one owner
-            cells = {int(ids[0]): frozenset(product(*map(range, shape)))}
         else:
             owned = list(zip(*(x.tolist() for x in np.divmod(order, shape[1]))))
-            cells = dict(zip(ids[first].tolist(), map(frozenset, map(
+            cells = dict(zip(heads.tolist(), map(frozenset, map(
                 owned.__getitem__, map(slice, first, [*first[1:], ids.size])))))
+        candidates, merged = heads[candidate[heads]].tolist(), {}  # a candidate owns its block
+        if candidates:
+            into, merged = _merge_zero_zones(records, owner, (r0, c0), propagated, candidates)
+            # an absorbed zone's cells join its root's, built in row-major
+            # order as grouped ones are: fill_general_position iterates them
+            for zid in candidates:
+                if (root := _find(into, zid)) != zid:
+                    cells[root] = frozenset(sorted(cells[root] | cells.pop(zid)))
         cells.pop(-1, None)  # the unowned cells
-        records, merged = self._book[0], merged if absorbed else {}
-        r0, c0 = rows.start or 0, cols.start or 0
+        merged = merged if absorbed else {}
         zones = []
         # records (depth, row, height, col, width, stairs) sort by (depth,
         # block); the blocks of one rectangle differ, so stairs never compare
@@ -425,18 +425,20 @@ class ReductionTrace:
 
 
 def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> tuple:
-    """Merge rule on ``owner``, the owner map of a rectangle of whole strips
-    whose first cell is ``corner``: an all-zero block that was never itself
-    reduced (a candidate, in zone order) joins the zone of its neighbour
-    across a propagated division boundary; one pass in zone order settles
-    chains.  A propagated boundary lies strictly inside a strip, so the
-    neighbour, and every zone a candidate joins, lies in the candidate's
-    strip block: the candidates of the rectangle settle it.  Returns the map
-    repainted and the blocks every zone absorbed, by zone id."""
+    """Merge rule on ``owner``, the unmerged owner map of a rectangle of
+    whole strips whose first cell is ``corner``, which it only reads: an
+    all-zero block that was never itself reduced (a candidate, in zone
+    order) joins the zone of its neighbour across a propagated division
+    boundary; one pass in zone order settles chains.  A propagated boundary
+    lies strictly inside a strip, so the neighbour, and every zone a
+    candidate joins, lies in the candidate's strip block: the candidates of
+    the rectangle settle it.  Returns the pointers ``into`` (an absorbed
+    zone points at the zone that absorbed it, and ``_find(into, zid)`` is
+    the root that holds zid's cells) and the blocks every zone absorbed, by
+    zone id."""
     (r0, c0), n = corner, owner.shape[1]
     rows, cols, flat = propagated["r"], propagated["c"], owner.ravel().tolist()
-    # an absorbed zone points at the zone that absorbed it; the owners are
-    # read through the pointers and the map is repainted once, at the end
+    # the owners of the unmerged map are read through the pointers
     into, merged = list(range(len(zones))), {}
     for zid in candidates:
         r, h, c, w = block = zones[zid][1:5]
@@ -450,13 +452,7 @@ def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> tuple:
                 merged.setdefault(tid, []).extend([block, *merged.pop(zid, ())])
                 into[zid] = tid
                 break
-    if merged:
-        lut = np.array([*into, -1])  # unowned (-1) stays so
-        up = lut[lut]
-        while (up != lut).any():
-            lut, up = up, up[up]
-        owner = lut[owner]
-    return owner, merged
+    return into, merged
 
 
 class _Subs(NamedTuple):

@@ -115,28 +115,19 @@ def _clusters(vals, t: float):
     or an imaginary gap within a real-part group; inf if none does).  Every
     gap either splits at t or is <= t, so the clustering is the same at every
     threshold in [t, gap)."""
-    v = np.asarray(vals).ravel()
+    v = np.asarray(vals, dtype=complex).ravel()
     if v.size == 0:
         return [], np.inf
     if v.size == 1:  # the general path's bits: its sum gives -0.0 + 0.0 = +0.0
         z = complex(v[0])
         return [(complex(z.real + 0.0, z.imag), [0])], np.inf
-    # real and non-increasing (singular values): the order the sort below
-    # would give, so every cluster is a run, of imaginary mean 0.0
-    runs = v.dtype == np.float64 and bool((v[:-1] >= v[1:]).all())
-    if not runs:
-        v = v.astype(complex, copy=False)
-        o = np.argsort(-v.real, kind="stable")
-    x = v if runs else v.real[o]
+    o = np.argsort(-v.real, kind="stable")
+    x = v.real[o]
     dx = x[:-1] - x[1:]
     cut = dx > t
     g = np.zeros(v.size, dtype=np.intp)
     np.cumsum(cut, out=g[1:])
     re = np.bincount(g, weights=x) / np.bincount(g)
-    if runs:
-        bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), v.size]
-        clusters = [(complex(r, 0.0), list(range(a, b))) for r, a, b in zip(re.tolist(), bounds, bounds[1:])]
-        return clusters, float(dx.min(initial=np.inf, where=cut))
     o = o[np.lexsort((-v.imag[o], g))]  # g is ascending, and stays so
     y = v.imag[o]
     dy = y[:-1] - y[1:]

@@ -283,10 +283,11 @@ def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()
     return _isometry(A, B, tol)[0] is not None
 
 
-def _residual(A: Representation, B: Representation, T: Isometry) -> float:
-    """``‖T_d A_a - B_a T_s‖_F`` over all arrows a: s -> d."""
+def _residual(A: Representation, B: Representation, T: Isometry, tol: Tolerance) -> tuple:
+    """``‖T_d A_a - B_a T_s‖_F`` over all arrows a: s -> d, and the limit an
+    isometry's residual is checked against: ``tol.bound`` of A's packing."""
     return frobenius([frobenius(T.S[d - 1] @ A.matrices[a] - B.matrices[a] @ T.S[s - 1])
-                      for a, s, d in A.quiver.arrows])
+                      for a, s, d in A.quiver.arrows]), tol.bound(pack(A)[0].entries)
 
 
 def direct_sum(A: Representation, B: Representation) -> Representation:

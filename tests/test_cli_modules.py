@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unicanon import mbm
-from unicanon.quiverrep import Quiver, Representation, pack
+from unicanon.cli import dispatch
+from unicanon.quiverrep import Quiver, Representation, random_rep
 
-from conftest import KRONECKER
+from conftest import KRONECKER, example_8x12
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ENGINE = {"unicanon", "unicanon.cli", "unicanon.mbm", "unicanon.numcore"}
@@ -79,17 +79,17 @@ def test_dispatch_loads(tmp_path, command, modules):
     assert {m for m in loaded if m.split(".")[0] == "unicanon"} == modules
 
 
-def test_reduction_loads_no_numpy_ma(tmp_path):
+@pytest.mark.parametrize("command", ["canon-mbm", "scheme", "canon-rep"])
+def test_reduction_loads_no_numpy_ma(tmp_path, merges, command):
     # np.union1d, np.unique, np.setdiff1d and np.intersect1d import numpy.ma
     # on their first call, about 30 ms of CPU and 1 MB of peak RSS per process
-    rng = np.random.default_rng(0)
-    A = Representation(KRONECKER, (3, 3), {
-        a: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for a in "ab"})
-    # the reduction makes phase steps and merges
-    _, _, trace = mbm.canonicalize(pack(A)[0])
-    assert any(s.row_block[1] == s.col_block[1] == 1 for s in trace.steps)
-    assert any(z.merged_blocks for z in trace.zones)
-    argv = ["--out", str(tmp_path / "out.txt"), "canon-rep", write(tmp_path / "rep.json", A.to_json())]
+    if command == "canon-rep":  # zero-one entries: Kronecker's b holds merge candidates
+        A = random_rep(KRONECKER, (3, 3), seed=0)
+        data = Representation(A.quiver, A.dims, {a: (X.real > 0) + 0j for a, X in A.matrices.items()}).to_json()
+    else:  # trace.zones, the whole matrix
+        data = example_8x12().to_json()
+    argv = ["--out", str(tmp_path / "out.txt"), command, write(tmp_path / "in.json", data)]
+    assert dispatch(argv) == 0 and merges  # it reads a rectangle that holds merge candidates
     child = python(["-c", DISPATCH, *argv], tmp_path)
     code, loaded = json.loads(child.stdout)
     assert code == 0, child.stderr

@@ -269,6 +269,19 @@ class TestRealIsometry:
         A = Representation(ZERO_VERTEX, (0, 0, 0), {a: np.zeros((0, 0)) for a in "abc"})
         assert [U.shape for U in real_isometry(A, A, tol).S] == [(0, 0)] * 3
 
+    def test_witness_limit(self, tol, monkeypatch):
+        # real_isometry checks its residual against the limit that
+        # isometric --transcript uses: tol.bound of A's packing, whose larger
+        # side is 6 for Kronecker (3,3) (the largest d_v, 3, before)
+        A = real_rep(KRONECKER, (3, 3), np.random.default_rng(3))
+        P = qr.pack(A)[0].entries
+        T = real_isometry(A, A, tol)
+        resid, limit = qr._residual(A, A, T, tol)
+        assert P.shape == (6, 6) and limit == tol.bound(P, 6) and resid <= limit
+        for over, want in ((1.0, True), (1.0 + 2**-40, False)):
+            monkeypatch.setattr(eu, "_residual", lambda A, B, T, tol: (over * limit, limit))
+            assert (real_isometry(A, A, tol) is not None) == want
+
     # (quiver, dims of P, dims of R); P is realify of a complex Gaussian
     # representation (a complex-type pair) when the dims of P are halved
     SUMMANDS = {

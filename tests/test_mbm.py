@@ -132,6 +132,16 @@ def repaint_merge(zones, owner, corner, propagated, candidates):
     return owner, merged
 
 
+def repaint_pointers(zones, owner, corner, propagated, candidates):
+    """``repaint_merge`` in ``mbm._merge_zero_zones``'s shape: every
+    candidate points at its root, its repainted owner at its first cell."""
+    repainted, merged = repaint_merge(zones, owner, corner, propagated, candidates)
+    into = list(range(len(zones)))
+    for zid in candidates:
+        into[zid] = int(repainted[zones[zid][1] - corner[0], zones[zid][3] - corner[1]])
+    return into, merged
+
+
 def record_stairs(record):
     """The kind and stairs of a zone record ``(depth, r, h, c, w, stairs)``:
     ``stairs`` False for an equivalence zone, True for one stair down the
@@ -594,10 +604,16 @@ class TestReferenceSteps:
         state = reduce_fully(M, tol)
         got = state.trace()
         got.zones  # the engine's merge rule runs here, before the patch
-        owners = got._owners(slice(None), slice(None))
+        # the pointer merge and the repaint: the same merged blocks, and
+        # every candidate's root is its repainted owner
+        book = (state.zones, state.owner, (0, 0), state.propagated, state._zero_candidates)
+        into, merged = mbm._merge_zero_zones(*book)
+        want_into, want_merged = repaint_pointers(*book)
+        assert merged == want_merged
+        assert [mbm._find(into, z) for z in book[-1]] == [want_into[z] for z in book[-1]]
         owner, method, replacement = {
             "_apply": (mbm.ReductionState, "_scan", one_target_scan),
-            "_merge_zero_zones": (mbm, "_merge_zero_zones", repaint_merge),
+            "_merge_zero_zones": (mbm, "_merge_zero_zones", repaint_pointers),
         }[reference]
         monkeypatch.setattr(owner, method, replacement)
         ref = reduce_fully(M, tol)
@@ -608,9 +624,6 @@ class TestReferenceSteps:
         assert np.array_equal(state.owner, ref.owner)
         assert state._zero_candidates == ref._zero_candidates
         assert want.zones == got.zones
-        want_owners = want._owners(slice(None), slice(None))
-        assert np.array_equal(owners[0], want_owners[0])
-        assert owners[1] == want_owners[1]
         assert (got.row_substrips, got.col_substrips, got.num_classes) == (
             want.row_substrips, want.col_substrips, want.num_classes)
         assert len(got.steps) == len(want.steps)
@@ -641,6 +654,10 @@ class TestReferenceSteps:
         assert len(phase) > len(state.steps) // 2
         # every zone the merge rule absorbs leaves the trace's zones
         assert len(state.zones) - len(state.trace().zones) > 100
+        # and merges chain: a candidate joins a zone that is itself absorbed
+        into, _ = mbm._merge_zero_zones(state.zones, state.owner, (0, 0), state.propagated,
+                                        state._zero_candidates)
+        assert sum(into[z] != z and into[into[z]] != into[z] for z in state._zero_candidates) > 50
 
 
 def zero_one(M):
