@@ -192,7 +192,7 @@ def construct_indecomposable(
         raise NotInDError(f"{d} is not in D(Q)")
     rng = np.random.default_rng(seed)
     for _ in range(32):
-        Ac, _, _, trace, _ = _canonical(random_rep(Q, d, seed=int(rng.integers(0, 2**32))), tol)
+        Ac, _, _, trace = _canonical(random_rep(Q, d, seed=int(rng.integers(0, 2**32))), tol)
         if mbm._one_summand(trace):
             return Ac
     raise RuntimeError(

@@ -323,14 +323,15 @@ def random_transcript(M: MarkedBlockMatrix, seed=None) -> Transcript:
 
 @dataclass
 class Zone:
-    """Canonical part installed at one point of the reduction."""
+    """Canonical part installed at one point of the reduction: its block
+    Bl(Z) and every cell it owns, which include the blocks the merge rule
+    gave it."""
 
     depth: int
     kind: str  # "equivalence" | "similarity"
     block: tuple  # (row_start, row_size, col_start, col_size) of Bl(Z)
     cells: frozenset = field(default_factory=frozenset)
     stairs: tuple = ()  # for similarity zones: groups of diagonal cells
-    merged_blocks: tuple = ()  # blocks absorbed by the merge rule
 
 
 @dataclass
@@ -350,12 +351,9 @@ class ReductionTrace:
 
     The trace holds what the zones are built from: the zone records (stairs
     as sizes, see :class:`ReductionState`), the owner map, the propagated
-    boundaries and a mask of the merge candidates by zone id.  Reading the
-    zones of a rectangle of whole strips groups the cells of its owners,
-    runs the merge rule over the candidates among them, if any, and builds
-    the :class:`Zone` objects, sorted by ``(depth, block)``.  A merge never
-    leaves its strip block, so no other candidate changes them.  ``zones``,
-    the whole matrix read this way, is cached."""
+    boundaries and a mask of the merge candidates by zone id.  Zones are
+    read per rectangle of whole strips by :meth:`zones_in`; ``zones``, the
+    whole matrix read this way, is cached."""
 
     steps: list
     row_substrips: list  # per original strip: list of (start, size, class label)
@@ -366,21 +364,17 @@ class ReductionTrace:
 
     @cached_property
     def zones(self) -> list:
-        return self._zones(slice(None), slice(None), True)
+        return self.zones_in(slice(None), slice(None))
 
     def zones_in(self, rows: slice, cols: slice) -> list:
         """The zones of ``rows`` x ``cols``, a rectangle of whole strips (a
-        zone lies in one block of the strip grid), their blocks, cells and
-        stairs in its coordinates and without merged blocks, as a scheme's
-        zones are.  The merge rule runs over the candidates inside the
-        rectangle only, and not at all if it holds none."""
-        return self._zones(rows, cols, False)
-
-    def _zones(self, rows, cols, absorbed: bool) -> list:
-        """The zones of ``rows`` x ``cols``: one stable sort groups the cells
-        of every owner, the merge rule runs if a candidate is among them, and
-        each absorbed zone's cells join its root's; ``absorbed`` keeps the
-        blocks each zone absorbed."""
+        zone lies in one block of the strip grid), sorted by ``(depth,
+        block)``, their blocks, cells and stairs in its coordinates.  One
+        stable sort groups the cells of every owner; the merge rule runs
+        over the candidates inside the rectangle, and not at all if it
+        holds none (a merge never leaves its strip block, so no other
+        candidate changes them), and each absorbed zone's cells join its
+        root's."""
         records, owner, propagated, candidate = self._book
         owner, r0, c0 = owner[rows, cols], rows.start or 0, cols.start or 0
         ids, shape = owner.ravel(), owner.shape
@@ -396,16 +390,15 @@ class ReductionTrace:
             owned = list(zip(*(x.tolist() for x in np.divmod(order, shape[1]))))
             cells = dict(zip(heads.tolist(), map(frozenset, map(
                 owned.__getitem__, map(slice, first, [*first[1:], ids.size])))))
-        candidates, merged = heads[candidate[heads]].tolist(), {}  # a candidate owns its block
+        candidates = heads[candidate[heads]].tolist()  # a candidate owns its block
         if candidates:
-            into, merged = _merge_zero_zones(records, owner, (r0, c0), propagated, candidates)
+            into = _merge_zero_zones(records, owner, (r0, c0), propagated, candidates)
             # an absorbed zone's cells join its root's, built in row-major
             # order as grouped ones are: fill_general_position iterates them
             for zid in candidates:
                 if (root := _find(into, zid)) != zid:
                     cells[root] = frozenset(sorted(cells[root] | cells.pop(zid)))
         cells.pop(-1, None)  # the unowned cells
-        merged = merged if absorbed else {}
         zones = []
         # records (depth, row, height, col, width, stairs) sort by (depth,
         # block); the blocks of one rectangle differ, so stairs never compare
@@ -420,11 +413,11 @@ class ReductionTrace:
                 diagonal = zip(range(r, r + h), range(c, c + w))
                 kind, stairs = "similarity", tuple(
                     tuple(islice(diagonal, k)) for k in ((h,) if stairs is True else stairs))
-            zones.append(Zone(depth, kind, (r, h, c, w), cells[zid], stairs, tuple(merged.get(zid, ()))))
+            zones.append(Zone(depth, kind, (r, h, c, w), cells[zid], stairs))
         return zones
 
 
-def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> tuple:
+def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> list:
     """Merge rule on ``owner``, the unmerged owner map of a rectangle of
     whole strips whose first cell is ``corner``, which it only reads: an
     all-zero block that was never itself reduced (a candidate, in zone
@@ -432,16 +425,15 @@ def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> tuple:
     boundary; one pass in zone order settles chains.  A propagated boundary
     lies strictly inside a strip, so the neighbour, and every zone a
     candidate joins, lies in the candidate's strip block: the candidates of
-    the rectangle settle it.  Returns the pointers ``into`` (an absorbed
+    the rectangle settle it.  Returns the pointers ``into``: an absorbed
     zone points at the zone that absorbed it, and ``_find(into, zid)`` is
-    the root that holds zid's cells) and the blocks every zone absorbed, by
-    zone id."""
+    the root that holds zid's cells."""
     (r0, c0), n = corner, owner.shape[1]
     rows, cols, flat = propagated["r"], propagated["c"], owner.ravel().tolist()
     # the owners of the unmerged map are read through the pointers
-    into, merged = list(range(len(zones))), {}
+    into = list(range(len(zones)))
     for zid in candidates:
-        r, h, c, w = block = zones[zid][1:5]
+        r, h, c, w = zones[zid][1:5]
         at = (r - r0) * n + c - c0
         # the neighbour cells left, right, above and below across
         # propagated boundaries, which lie strictly inside the strip block
@@ -449,10 +441,9 @@ def _merge_zero_zones(zones, owner, corner, propagated, candidates) -> tuple:
                      at - n if r in rows else None, at + h * n if r + h in rows else None):
             tid = -1 if cell is None else flat[cell]
             if tid >= 0 and (tid := _find(into, tid)) != zid:
-                merged.setdefault(tid, []).extend([block, *merged.pop(zid, ())])
                 into[zid] = tid
                 break
-    return into, merged
+    return into
 
 
 class _Subs(NamedTuple):

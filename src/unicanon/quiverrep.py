@@ -17,7 +17,7 @@ import numpy as np
 from .numcore import Tolerance, frobenius
 from . import mbm
 from .mbm import MarkedBlockMatrix
-from .scheme import Scheme, _symbols, count_params
+from .scheme import _scheme, count_params
 
 __all__ = [
     "Quiver",
@@ -67,6 +67,8 @@ class Quiver:
 
     def __post_init__(self):
         (p,) = mbm._integers((self.p,), ValueError, "vertices")
+        if p < 0:
+            raise ValueError(f"vertices {p}: the count is negative")
         arrows = tuple((str(a), *mbm._integers((s, d), ValueError, f"arrow {a}: endpoints"))
                        for a, s, d in self.arrows)
         object.__setattr__(self, "p", p)
@@ -216,11 +218,11 @@ def unpack(M: MarkedBlockMatrix, layout) -> Representation:
 
 def _canonical(A: Representation, tol: Tolerance):
     """The canonical representation of A, the isometry onto it, and the
-    packed canonical form, trace and layout they come from."""
+    packed canonical form and trace they come from."""
     M, layout = pack(A)
     canonical, T, trace = mbm.canonicalize(M, tol)
     iso = Isometry(tuple(T.S[v].conj().T for v in range(A.quiver.p)))
-    return unpack(canonical, layout), iso, canonical, trace, layout
+    return unpack(canonical, layout), iso, canonical, trace
 
 
 def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
@@ -228,17 +230,14 @@ def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
 
     ``isometric(A, B)`` holds exactly when the canonical representations
     agree entrywise."""
-    Ainf, iso, C, trace, _ = _canonical(A, tol)
+    Ainf, iso, C, trace = _canonical(A, tol)
     eps = tol.threshold(C.entries)  # every arrow's symbols at the packed matrix's threshold
     ro, co = mbm._offsets(C.row_strips).tolist(), mbm._offsets(C.col_strips).tolist()
     schemes = {}
     for k, (aid, s, d) in enumerate(A.quiver.arrows[::-1]):  # the arrow of every row strip
         rows, cols = slice(ro[k], ro[k + 1]), slice(co[s - 1], co[s])
-        zones = trace.zones_in(rows, cols)
-        symbols, links = _symbols(C.entries[rows, cols], zones, eps)
-        h, w = ro[k + 1] - ro[k], co[s] - co[s - 1]
-        schemes[aid] = Scheme(h, w, symbols, links, tuple(zones), (h,), (w,),
-                              frozenset({(0, 0)} if s == d else ()))
+        schemes[aid] = _scheme(C.entries[rows, cols], trace.zones_in(rows, cols), eps,
+                               (ro[k + 1] - ro[k],), (co[s] - co[s - 1],), {(0, 0)} if s == d else ())
     return Ainf, iso, schemes
 
 

@@ -150,20 +150,18 @@ def scheme_of(
     canonical: MarkedBlockMatrix, zone_list, tol: Tolerance = Tolerance()
 ) -> Scheme:
     """Extract the scheme of a canonical matrix with its zone partition,
-    ``zone_list`` sorted by (depth, block) as ``ReductionTrace.zones`` is,
-    with the symbols and links of :func:`_symbols` at the decision
-    threshold of the canonical matrix."""
+    ``zone_list`` sorted by (depth, block) as ``ReductionTrace.zones`` is:
+    :func:`_scheme` at the decision threshold of the canonical matrix."""
     A = canonical.entries
-    symbols, links = _symbols(A, zone_list, tol.threshold(A))
-    return Scheme(*A.shape, symbols, links, tuple(zone_list), canonical.row_strips,
-                  canonical.col_strips, canonical.marked)
+    return _scheme(A, zone_list, tol.threshold(A), canonical.row_strips,
+                   canonical.col_strips, canonical.marked)
 
 
-def _symbols(A, zone_list, eps) -> tuple:
-    """The symbol grid and links of the matrix A whose zones are
-    ``zone_list``: stars on the stair diagonals of similarity zones; circles
-    at the cells of equivalence zones above ``eps``, with links between
-    equal circles of one zone (equality at ``2 * eps``)."""
+def _scheme(A, zone_list, eps, row_strips, col_strips, marked) -> Scheme:
+    """The scheme of the matrix A whose zones are ``zone_list``, on the
+    given strips and marks: stars on the stair diagonals of similarity
+    zones; circles at the cells of equivalence zones above ``eps``, with
+    links between equal circles of one zone (equality at ``2 * eps``)."""
     grid = [["."] * A.shape[1] for _ in range(A.shape[0])]
     links: set = set()
     circle = (np.abs(A) > eps).tolist()
@@ -181,7 +179,8 @@ def _symbols(A, zone_list, eps) -> tuple:
             for (a, b) in zip(circles, circles[1:]):
                 if abs(A[a] - A[b]) <= 2 * eps:
                     links.add(frozenset({a, b}))
-    return tuple(tuple(row) for row in grid), frozenset(links)
+    return Scheme(*A.shape, tuple(tuple(row) for row in grid), frozenset(links),
+                  tuple(zone_list), row_strips, col_strips, frozenset(marked))
 
 
 def _link_classes(S: Scheme, cells):

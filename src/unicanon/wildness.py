@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .numcore import Tolerance, _rank, cluster_complex, frobenius
-from .mbm import MarkedBlockMatrix, _check_finite, _invariants_differ, canonicalize, same_canonical
+from .mbm import (MarkedBlockMatrix, ShapeMismatchError, _check_finite, _invariants_differ, canonicalize,
+                  same_canonical)
 from .quiverrep import Quiver, Representation, pack
 
 __all__ = [
@@ -36,10 +37,6 @@ GADGET_KINDS = (
 _LOOP = Quiver(1, [("a", 1, 1)])
 _TWO_LOOPS = Quiver(1, [("a", 1, 1), ("b", 1, 1)])
 _TWO_ARROWS_IN = Quiver(3, [("a", 1, 2), ("b", 3, 2)])
-
-
-class ShapeMismatchError(ValueError):
-    pass
 
 
 class RelationViolatedError(ValueError):

@@ -105,7 +105,6 @@ def trace_record(trace):
                 "block": list(z.block),
                 "cells": sorted([r, c] for r, c in z.cells),
                 "stairs": [[list(p) for p in st] for st in z.stairs],
-                "merged_blocks": [list(b) for b in z.merged_blocks],
             }
             for z in trace.zones
         ],

@@ -577,6 +577,16 @@ class TestDimCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["dims"] == [1, 1]
 
+    @pytest.mark.parametrize("command", [["dims", "--bound", "3"], ["params", "--d", "1"]])
+    def test_negative_vertex_count(self, tmp_path, capsys, command):
+        # before: dims printed nothing and exited 0, params reported "expected length -2"
+        f = write_json(tmp_path / "q.json", {"vertices": -2, "arrows": []})
+        assert dispatch([*command, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "vertices -2: the count is negative",
+                                            "type": "ValueError"}
+
     def test_construct_deterministic(self, quiver_file, capsys):
         outs = []
         for _ in range(2):

@@ -135,11 +135,19 @@ def repaint_merge(zones, owner, corner, propagated, candidates):
 def repaint_pointers(zones, owner, corner, propagated, candidates):
     """``repaint_merge`` in ``mbm._merge_zero_zones``'s shape: every
     candidate points at its root, its repainted owner at its first cell."""
-    repainted, merged = repaint_merge(zones, owner, corner, propagated, candidates)
+    repainted, _ = repaint_merge(zones, owner, corner, propagated, candidates)
     into = list(range(len(zones)))
     for zid in candidates:
         into[zid] = int(repainted[zones[zid][1] - corner[0], zones[zid][3] - corner[1]])
-    return into, merged
+    return into
+
+
+def absorbed_blocks(trace):
+    """The blocks the reference ``repaint_merge`` gives every zone of the
+    whole matrix, by the block of the zone that absorbs them."""
+    records, owner, propagated, candidate = trace._book
+    _, merged = repaint_merge(records, owner, (0, 0), propagated, np.flatnonzero(candidate).tolist())
+    return {records[zid][1:5]: blocks for zid, blocks in merged.items()}
 
 
 def record_stairs(record):
@@ -166,11 +174,10 @@ def eager_zones(state):
     bounds = np.searchsorted(owner.ravel()[order], np.arange(len(state.zones) + 1)).tolist()
     cells = list(zip(*(x.tolist() for x in np.unravel_index(order, owner.shape))))
     zones = []
-    for zid, (z, a, b) in enumerate(zip(state.zones, bounds, bounds[1:])):
+    for z, a, b in zip(state.zones, bounds, bounds[1:]):
         if z[1:5] not in absorbed:
             kind, stairs = record_stairs(z)
-            zones.append(mbm.Zone(z[0], kind, z[1:5], frozenset(cells[a:b]), stairs,
-                                  tuple(merged.get(zid, ()))))
+            zones.append(mbm.Zone(z[0], kind, z[1:5], frozenset(cells[a:b]), stairs))
     return sorted(zones, key=lambda z: (z.depth, z.block))
 
 
@@ -473,8 +480,9 @@ class TestCanonicalize:
             by_depth.setdefault(z.depth, []).append(z)
         assert by_depth[0][0].kind == "similarity"
         assert by_depth[1][0].kind == "equivalence"
-        merged = by_depth[2][0].merged_blocks
-        assert set(merged) == {(3, 1, 7, 1), (0, 3, 7, 1)}
+        # the depth-2 zone holds its block and the two the merge rule gave it
+        z = by_depth[2][0]
+        assert z.cells == rect_cells(*z.block) | rect_cells(3, 1, 7, 1) | rect_cells(0, 3, 7, 1)
 
     def test_transcript_residual(self, tol, M8x12):
         T = random_transcript(M8x12, seed=3)
@@ -523,14 +531,15 @@ class TestEngineInvariants:
         assert len(covered) == m * n
         assert set(covered) == {(r, c) for r in range(m) for c in range(n)}
         # a zone is its block (equivalence) or the staircase under its stairs
-        # (similarity), plus every block the merge rule gave it
+        # (similarity), plus every block the reference merge gives it
+        absorbed = absorbed_blocks(trace)
         for z in trace.zones:
             if z.kind == "equivalence":
                 own = rect_cells(*z.block)
             else:
                 c0 = z.block[2]
                 own = {(r, c) for st in z.stairs for r, _ in st for c in range(c0, st[-1][1] + 1)}
-            assert z.cells == own.union(*(rect_cells(*b) for b in z.merged_blocks))
+            assert z.cells == own.union(*(rect_cells(*b) for b in absorbed.get(z.block, ())))
 
     @pytest.mark.parametrize("M", engine_inputs() + rank_deficient_inputs())
     def test_labels_match_union_find_replay(self, tol, M):
@@ -604,12 +613,11 @@ class TestReferenceSteps:
         state = reduce_fully(M, tol)
         got = state.trace()
         got.zones  # the engine's merge rule runs here, before the patch
-        # the pointer merge and the repaint: the same merged blocks, and
-        # every candidate's root is its repainted owner
+        # the pointer merge and the repaint: every candidate's root is its
+        # repainted owner
         book = (state.zones, state.owner, (0, 0), state.propagated, state._zero_candidates)
-        into, merged = mbm._merge_zero_zones(*book)
-        want_into, want_merged = repaint_pointers(*book)
-        assert merged == want_merged
+        into = mbm._merge_zero_zones(*book)
+        want_into = repaint_pointers(*book)
         assert [mbm._find(into, z) for z in book[-1]] == [want_into[z] for z in book[-1]]
         owner, method, replacement = {
             "_apply": (mbm.ReductionState, "_scan", one_target_scan),
@@ -618,8 +626,7 @@ class TestReferenceSteps:
         monkeypatch.setattr(owner, method, replacement)
         ref = reduce_fully(M, tol)
         want = ref.trace()
-        # zone records, owner map, merges, merged blocks, zones, substrips:
-        # identical
+        # zone records, owner map, merges, zones, substrips: identical
         assert state.zones == ref.zones
         assert np.array_equal(state.owner, ref.owner)
         assert state._zero_candidates == ref._zero_candidates
@@ -655,8 +662,8 @@ class TestReferenceSteps:
         # every zone the merge rule absorbs leaves the trace's zones
         assert len(state.zones) - len(state.trace().zones) > 100
         # and merges chain: a candidate joins a zone that is itself absorbed
-        into, _ = mbm._merge_zero_zones(state.zones, state.owner, (0, 0), state.propagated,
-                                        state._zero_candidates)
+        into = mbm._merge_zero_zones(state.zones, state.owner, (0, 0), state.propagated,
+                                     state._zero_candidates)
         assert sum(into[z] != z and into[into[z]] != into[z] for z in state._zero_candidates) > 50
 
 
@@ -682,8 +689,7 @@ def rectangle_inputs():
 class TestZonesPerRectangle:
     """``zones_in`` runs the merge rule over its rectangle's candidates only:
     for every rectangle of whole strips it returns the zones of
-    ``trace.zones`` that lie there, shifted to its corner, without their
-    merged blocks."""
+    ``trace.zones`` that lie there, shifted to its corner."""
 
     @pytest.mark.parametrize("M", rectangle_inputs())
     def test_zones_in_is_zones_restricted(self, tol, M):
@@ -707,10 +713,10 @@ class TestZonesPerRectangle:
         absorbed = []
         original = mbm._merge_zero_zones
 
-        def counted(zones, owner, corner, *args):
-            out = original(zones, owner, corner, *args)
-            absorbed.append(bool(out[1]) and corner != (0, 0))
-            return out
+        def counted(zones, owner, corner, propagated, candidates):
+            into = original(zones, owner, corner, propagated, candidates)
+            absorbed.append(any(into[z] != z for z in candidates) and corner != (0, 0))
+            return into
 
         monkeypatch.setattr(mbm, "_merge_zero_zones", counted)
         for M in rectangle_inputs():

@@ -9,7 +9,7 @@ from unicanon import dims, euclid, mbm, wildness
 from unicanon.cli import dispatch
 from unicanon.mbm import MarkedBlockMatrix
 from unicanon import quiverrep as qr
-from unicanon.scheme import scheme_of
+from unicanon.scheme import Scheme, scheme_of
 from unicanon.quiverrep import (
     Quiver,
     Representation,
@@ -69,12 +69,19 @@ def reference_arrow_zones(A, tol):
     return out
 
 
+def beyond_block(z):
+    """Whether zone z holds a cell outside its block: a block the merge
+    rule gave it."""
+    r, h, c, w = z.block
+    return any(not (r <= x < r + h and c <= y < c + w) for x, y in z.cells)
+
+
 def shifted_arrow_schemes(A, tol):
     """Per-arrow schemes built from the packed scheme, as ``rep_canonical``
     built them before it read the owner map: every packed zone whose block
     lies in the arrow's rectangle, with its block, cells and stairs shifted
-    by the rectangle's corner and no merged blocks, and the
-    packed scheme's symbols and links inside the rectangle."""
+    by the rectangle's corner, and the packed scheme's symbols and links
+    inside the rectangle."""
     M, layout = pack(A)
     C, _, trace = mbm.canonicalize(M, tol)
     full = scheme_of(C, trace.zones, tol)
@@ -97,7 +104,7 @@ def shifted_arrow_schemes(A, tol):
                           if all(r0 <= r < r1 and c0 <= c < c1 for r, c in p))
         symbols = tuple(tuple(row[c0:c1]) for row in full.symbols[r0:r1])
         marked = frozenset({(0, 0)} if s == d else ())
-        out[aid] = qr.Scheme(r1 - r0, c1 - c0, symbols, links, zones, (r1 - r0,), (c1 - c0,), marked)
+        out[aid] = Scheme(r1 - r0, c1 - c0, symbols, links, zones, (r1 - r0,), (c1 - c0,), marked)
     return out
 
 
@@ -133,6 +140,13 @@ class TestQuiver:
             Quiver(p, ())
         with pytest.raises(ValueError, match=r"vertices .*: a value is not an integer"):
             Quiver.from_json({"vertices": p, "arrows": []})
+
+    def test_negative_vertex_count(self):
+        # before: Quiver(-2, ()) was built, and params reported "expected length -2"
+        with pytest.raises(ValueError, match=r"vertices -2: the count is negative"):
+            Quiver(-2, ())
+        with pytest.raises(ValueError, match=r"vertices -2: the count is negative"):
+            Quiver.from_json({"vertices": -2, "arrows": []})
 
     @pytest.mark.parametrize("src", [1.7, 1.0, "1"])
     def test_non_integer_endpoint(self, src):
@@ -244,7 +258,8 @@ class TestPack:
         # decompose_real compare packed forms for that reason
         A = random_rep(Q, d, seed=sum(d))
         A = Representation(Q, d, {a: scale * X for a, X in A.matrices.items()})
-        _, _, C, _, layout = qr._canonical(A, tol)
+        _, _, C, _ = qr._canonical(A, tol)
+        layout = pack(A)[1]
         assert np.array_equal(pack(unpack(C, layout))[0].entries, C.entries)
 
     @pytest.mark.parametrize(
@@ -662,5 +677,5 @@ class TestZonesWhenRead:
         # offset (0, 0) (Kronecker's b) and away from it (D4's c at (0, 5))
         for Q, d, rows, cols in ((KRONECKER, (3, 3), 3, (0, 3)), (D4, (2, 3, 1, 4), 4, (5, 6))):
             trace = mbm.canonicalize(pack(zero_one(random_rep(Q, d, seed=0)))[0], tol)[2]
-            assert any(z.merged_blocks for z in trace.zones
+            assert any(beyond_block(z) for z in trace.zones
                        if z.block[0] < rows and cols[0] <= z.block[2] < cols[1])

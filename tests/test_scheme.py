@@ -6,6 +6,7 @@ import pytest
 from unicanon.numcore import Tolerance
 from unicanon import mbm, scheme
 from unicanon.mbm import MarkedBlockMatrix
+from unicanon.quiverrep import Representation, pack, random_rep, rep_canonical
 from unicanon.scheme import (
     Scheme,
     scheme_of,
@@ -15,12 +16,25 @@ from unicanon.scheme import (
     render_ascii,
 )
 
-from conftest import random_mbm, MALFORMED_SCHEMES
+from conftest import random_mbm, example_8x12, D4, KRONECKER, MALFORMED_SCHEMES
 
 
 def scheme_of_mbm(M, tol):
     C, _, trace = mbm.canonicalize(M, tol)
     return scheme_of(C, trace.zones, tol), C
+
+
+def probed_schemes(tol):
+    """The scheme of the 8x12 example, and of zero-one Kronecker and D4
+    representations (whose reductions merge, inside the arrows too) the
+    packed scheme and the per-arrow schemes: 43 schemes."""
+    out = [scheme_of_mbm(example_8x12(), tol)[0]]
+    for Q, d in ((KRONECKER, (3, 3)), (KRONECKER, (8, 8)), (D4, (2, 3, 1, 4)), (D4, (4, 4, 4, 8))):
+        for seed in range(3):
+            A = random_rep(Q, d, seed=seed)
+            A = Representation(Q, d, {a: (X.real > 0) + 0j for a, X in A.matrices.items()})
+            out += [scheme_of_mbm(pack(A)[0], tol)[0], *rep_canonical(A, tol)[2].values()]
+    return out
 
 
 class TestZones:
@@ -105,6 +119,14 @@ class TestSchemeOf:
         assert S2.symbols == S.symbols
         assert S2.links == S.links
         assert S2.depths == S.depths
+
+    def test_json_round_trip_is_the_scheme(self, tol):
+        # before: the 13 packed schemes whose reduction merged kept their
+        # zones' merged blocks, which the JSON does not carry
+        schemes = probed_schemes(tol)
+        assert len(schemes) == 43
+        for S in schemes:
+            assert Scheme.from_json(S.to_json()) == S
 
     @pytest.mark.parametrize(
         "link, name",

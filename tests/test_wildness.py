@@ -103,6 +103,13 @@ class TestFaithful:
         with pytest.raises(ShapeMismatchError, match="equal sizes"):
             gadget_faithful(kind, np.eye(2), np.eye(3), tol)
 
+    def test_size_mismatch_is_the_engines_error(self, tol):
+        # before: wildness raised a class of its own, which
+        # ``except mbm.ShapeMismatchError`` missed
+        assert ShapeMismatchError is mbm.ShapeMismatchError
+        with pytest.raises(mbm.ShapeMismatchError):
+            gadget_faithful("Nilpotent3", np.eye(2), np.eye(3), tol)
+
     @pytest.mark.parametrize("kind", GADGET_KINDS)
     def test_scalars(self, kind, tol):
         one = np.array([[1.0]])
