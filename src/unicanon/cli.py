@@ -4,9 +4,10 @@ All file formats use JSON with 1-based indices and complex numbers as
 [re, im] pairs (a plain number is real).  Exit codes: 0 success (``--help``
 included), 2 validation error (machine-readable object on stderr), 64 missing
 or unknown subcommand, 65 parse error or an input file of the wrong
-structure, 70 a reduction whose transcript failed its certificate
-(``mbm.CertificationError``; no output is written), in every command that
-reduces, both ``canon-matrix`` modes included.
+structure, 70 a reduction whose transcript, or an isometry composed from
+transcripts, failed its certificate (``mbm.CertificationError``; no output
+is written), in every command that reduces, both ``canon-matrix`` modes
+included.
 
 Each subcommand's handler is registered on its subparser; it imports the
 modules it runs and returns what to emit, so a process loads ``numcore`` and
@@ -144,13 +145,9 @@ def _isometric(args, tol):
     from . import quiverrep as qr
     A = _load(args.file, qr.Representation)
     B = _load(args.file2, qr.Representation)
-    T = qr._isometry(A, B, tol)[0]
+    T = qr._isometry(A, B, tol)[0]  # checked: it maps A onto B
     if T is not None and args.transcript:
-        # the isometry per vertex, as canon-rep writes S, once it maps A onto B
-        resid, limit = qr._residual(A, B, T, tol)
-        if not resid <= limit:
-            raise mbm.CertificationError(
-                f"isometry does not map A onto B: ||T_d A_a - B_a T_s||_F = {resid:.2e} > {limit:.2e}")
+        # the isometry per vertex, as canon-rep writes S
         _dump(args.transcript, {"S": [matrix_to_json(b) for b in T.S]})
     return {"isometric": T is not None}
 

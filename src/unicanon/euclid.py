@@ -298,10 +298,11 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     unitary, so ``σ_min(Φ_v) = ½ min_k |e^{2it} + λ_k(N_v)|``.  With e^{2it}
     at the middle of the widest gap between the points -λ_k of all vertices,
     every σ_min is at least sin(π / 2Σd), and the polar factors of the Φ_v
-    are orthogonal and still intertwine.  They are returned if
-    ``||T_d A_a - B_a T_s||_F`` over all arrows is within ``tol.bound`` of
-    A's packing (:func:`quiverrep._residual`); when that check fails, the
-    answer is None too."""
+    are orthogonal and still intertwine.  They are returned once
+    ``||T_d A_a - B_a T_s||_F`` over all arrows is checked within
+    ``tol.bound`` of A's packing (:func:`quiverrep._residual`); complex
+    isometric real representations are orthogonally isometric, so a failed
+    check raises :class:`mbm.CertificationError`."""
     S, _ = _isometry(A, B, tol)
     if S is None:
         return None
@@ -317,8 +318,11 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
         W, _, Vh = np.linalg.svd((np.exp(1j * t) * U).real)
         T.append((W @ Vh).astype(complex))
     T = Isometry(tuple(T))
-    resid, limit = _residual(A, B, T, tol)
-    return T if resid <= limit else None
+    resid, limit = _residual(A, B, T, pack(A)[0], tol)
+    if not resid <= limit:
+        raise mbm.CertificationError(
+            f"real isometry does not map A onto B: ||T_d A_a - B_a T_s||_F = {resid:.2e} > {limit:.2e}")
+    return T
 
 
 def decompose_real(A: Representation, tol: Tolerance = Tolerance()):

@@ -40,6 +40,16 @@ The engine's bookkeeping rests on three invariants, which the tests check:
   blocks the step ties keeps its flag: one grid serves a whole scan, which
   makes the phase steps on its way in one pass, skips the blocks they tie
   and stops at the next block that still changes.
+
+The engine reduces a batch of matrices of one problem (equal strips and
+marks) at once, and :func:`canonicalize` is the batch of one.  The members
+share every decision: each canonical flag, each phase step's threshold test
+and each kernel's piece sizes must agree, so the substrips, labels, zones,
+owner map, cursor and scan are the batch's, and only the entries, the
+transcripts and the step values are the members' own (stacked, so each
+array pass runs once for the batch).  At the first decision on which the
+members differ, each member is reduced on its own instead, from its input,
+and its result is exactly that of a batch of one.
 """
 
 from __future__ import annotations
@@ -478,33 +488,50 @@ class _Grid(NamedTuple):
     owner: np.ndarray  # zone id of every block, -1 if none
 
 
+class _Diverged(Exception):
+    """The members of a batch decide a step differently."""
+
+
 class ReductionState:
-    """Single-owner mutable state of the derived-matrix iteration.
+    """Single-owner mutable state of the derived-matrix iteration, for a
+    batch ``Ms`` of matrices of one problem (equal strips and marks).
 
-    It reduces a copy of the entries of the matrix it is given (``A``) and
-    decides at the absolute ``tol.abs``; :func:`canonicalize` is the
-    scale-relative entry point, which divides ``A`` by the input's norm
-    before the first step.  A zone is a record ``(depth, row, height, col,
-    width, stairs)``, stairs False for an equivalence zone, True for one
-    stair down a square block's diagonal, else the stair sizes of a
-    similarity step; the owner map (zone id per cell) holds the
-    cells it owns.  :meth:`trace` hands both, unmerged, to the trace, which
-    runs the merge rule and builds the :class:`Zone` objects, stairs as
-    cells, per rectangle read."""
+    It reduces copies of the members' entries, stacked as ``A`` (K x m x n,
+    with the transcripts ``R`` and ``S`` likewise), and decides at the
+    absolute ``tol.abs``; :func:`canonicalize` is the scale-relative entry
+    point, which divides each member by its input's norm before the first
+    step.  The members share every decision, and everything but ``A``,
+    ``R``, ``S`` and the step values: ``steps`` holds one list per member,
+    equal but for the values.  A step on which the members decide
+    differently (a canonical flag of the grid, a phase step's threshold
+    test, a kernel's piece sizes) raises :class:`_Diverged`, on which
+    :func:`_canonicalize_batch` drops the state and reduces each member on
+    its own.  A zone is a record ``(depth, row, height, col, width,
+    stairs)``, stairs False for an equivalence zone, True for one stair
+    down a square block's diagonal, else the stair sizes of a similarity
+    step; the owner map (zone id per cell) holds the cells it owns.
+    :meth:`trace` hands both, unmerged, to the members' traces, which run
+    the merge rule and build the :class:`Zone` objects, stairs as cells,
+    per rectangle read."""
 
-    def __init__(self, M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
+    def __init__(self, Ms, tol: Tolerance = Tolerance()):
+        M = Ms[0]
+        problem = (M.row_strips, M.col_strips, M.marked)
+        if any((N.row_strips, N.col_strips, N.marked) != problem for N in Ms[1:]):
+            raise ShapeMismatchError("a batch holds matrices of one problem")
         classes = tie_closure(M)
         label = {slot: k for k, c in enumerate(classes) for slot in c}
-        self.M = M
+        self.M = M  # the first member; the others share its strips and marks
         self.tol = tol
-        self.A = M.entries.copy()  # complex, as M's construction makes it
-        m, n = self.A.shape
-        self.R = np.eye(m, dtype=complex)
-        self.S = np.eye(n, dtype=complex)
+        self.A = np.array([N.entries for N in Ms])  # copies, complex as construction makes them
+        K, m, n = self.A.shape
+        # identity stacks, which _apply copies; R and S start as them, and
+        # every step replaces R and S, never writing into them
+        self._eye = self.R, self.S = tuple(np.eye(k, dtype=complex)[None].repeat(K, 0) for k in (m, n))
         self.rows = _substrips(M.row_strips, [label["r", i] for i in range(len(M.row_strips))])
         self.cols = _substrips(M.col_strips, [label["c", j] for j in range(len(M.col_strips))])
         self.labels = len(classes)  # labels handed out; the next one is fresh
-        self.steps: list[StepRecord] = []
+        self.steps: list[list[StepRecord]] = [[] for _ in Ms]
         self.zones: list[tuple] = []  # zone records, indexed by zone id
         self.owner = np.full((m, n), -1, dtype=np.intp)  # zone id per cell
         self._zero_candidates: list[int] = []
@@ -522,25 +549,26 @@ class ReductionState:
         times I and every other block by zero."""
         rstart, rsize = self.rows.start[:nrows], self.rows.size[:nrows]
         cstart, csize = self.cols.start, self.cols.size
-        A = self.A[: rstart[-1] + rsize[-1] if rstart.size else 0]
+        A = self.A[:, : rstart[-1] + rsize[-1] if rstart.size else 0]
         tied = self.rows.label[:nrows, None] == self.cols.label
         # tied blocks are square; summing the diagonals of equal-sized ones
         # as rows adds in np.mean's order, so each λ is bit-identical to it
-        means = np.zeros(tied.shape, dtype=complex)
-        eye = np.zeros(A.shape)  # 1 on the diagonal of every tied block
+        means = np.zeros((len(A), *tied.shape), dtype=complex)
+        eye = np.zeros(A.shape[1:])  # 1 on the diagonal of every tied block
         ti, tj = np.nonzero(tied)
         for k in set(rsize[ti].tolist()):
             at = np.flatnonzero(rsize[ti] == k)
             i, j, t = ti[at], tj[at], np.arange(k)
             r, c = rstart[i, None] + t, cstart[j, None] + t
-            means[i, j] = np.add.reduce(A[r, c], axis=1) / k
+            means[:, i, j] = np.add.reduce(A[:, r, c], axis=2) / k
             eye[r, c] = 1.0
-        snapped = np.repeat(np.repeat(means, rsize, axis=0), csize, axis=1) * eye
+        snapped = np.repeat(np.repeat(means, rsize, axis=1), csize, axis=2) * eye
         return A, rstart, rsize, cstart, csize, tied, snapped
 
     def _grid(self, nrows=None) -> _Grid:
         """Decide, for every block of the first ``nrows`` row substrips (all
-        by default) at once, whether it is canonical.
+        by default) at once, whether it is canonical; raise
+        :class:`_Diverged` unless every member decides every block alike.
 
         A block between tied substrips is canonical when ``‖B - λI‖_F <=
         tol.abs * max(1, size)`` with λ the mean of its diagonal; any other
@@ -548,14 +576,16 @@ class ReductionState:
         A, rstart, rsize, cstart, csize, tied, snapped = self._snap(nrows)
         D = A - snapped
         sq = np.add.reduceat(
-            np.add.reduceat(D.real**2 + D.imag**2, rstart, axis=0), cstart, axis=1
+            np.add.reduceat(D.real**2 + D.imag**2, rstart, axis=1), cstart, axis=2
         )
         # a tied block is square, so its limit is tol.abs * max(1, size)
         limit = self.tol.abs * np.maximum(1.0, np.sqrt(rsize[:, None] * csize))
         canonical = np.sqrt(sq) <= limit
+        if len(canonical) > 1 and (canonical[1:] != canonical[0]).any():
+            raise _Diverged
         # zones are unions of blocks, so a block's first cell names its zone
         owner = self.owner[rstart[:, None], cstart]
-        return _Grid(rstart, rsize, cstart, csize, tied, canonical, owner)
+        return _Grid(rstart, rsize, cstart, csize, tied, canonical[0], owner)
 
     # -- zone bookkeeping ----------------------------------------------
     def _install(self, grid: _Grid, i, j, depths, tied, reduced) -> None:
@@ -576,17 +606,16 @@ class ReductionState:
 
     # -- transformations -----------------------------------------------
     def _apply(self, classes):
-        """Apply, for each ``(label, W)`` in ``classes``, the unitary W to
-        every substrip of tie class ``label``; accumulate transcripts."""
-        m, n = self.A.shape
-        P = np.eye(m, dtype=complex)
-        Q = np.eye(n, dtype=complex)
+        """Apply, for each ``(label, W)`` in ``classes``, the unitary W[k] to
+        every substrip of tie class ``label`` of member k; accumulate
+        transcripts."""
+        P, Q = (I.copy() for I in self._eye)
         unitary = dict(classes)
         for X, subs in ((P, self.rows), (Q, self.cols)):
             for s, k, label in zip(*(v.tolist() for v in (subs.start, subs.size, subs.label))):
                 if label in unitary:
-                    X[s : s + k, s : s + k] = unitary[label]
-        self.A = P.conj().T @ self.A @ Q
+                    X[:, s : s + k, s : s + k] = unitary[label]
+        self.A = P.conj().transpose(0, 2, 1) @ self.A @ Q
         self.R = self.R @ P
         self.S = self.S @ Q
 
@@ -601,7 +630,7 @@ class ReductionState:
         self.labels += k + len(classes)
         cuts = {}  # class label -> (size, label) of every piece
         for q, (label, W) in enumerate(classes):
-            left = W.shape[0] - sum(sizes)
+            left = W.shape[-1] - sum(sizes)
             labels = [*range(base, base + k), base + k + q][: k + (left > 0)]
             cuts[label] = list(zip(sizes + [left] * (left > 0), labels))
         out = []
@@ -620,42 +649,54 @@ class ReductionState:
     # -- reduction step ------------------------------------------------
     def _reduce(self, i: int, j: int, depth: int, tied: bool):
         """Reduce block ``(i, j)`` of the substrip grid to its canonical
-        form.  Only the kernel and the zone depend on the kind: a tied block
-        keeps its one class, with S of :func:`simil_step`, and snaps the
-        staircase of pieces ``a >= b``; an untied block transforms its row
-        class by U and its column class by V of the SVD, each with a leftover
-        piece for the zero singular values, and snaps the whole block.  Piece
-        a is then tied across all classes, and each leftover within its own
-        class."""
+        form, by the kernel of each member; raise :class:`_Diverged` unless
+        their piece sizes agree.  Only the kernel and the zone depend on the
+        kind: a tied block keeps its one class, with S of
+        :func:`simil_step`, and snaps the staircase of pieces ``a >= b``; an
+        untied block transforms its row class by U and its column class by V
+        of the SVD, each with a leftover piece for the zero singular values,
+        and snaps the whole block.  Piece a is then tied across all classes,
+        and each leftover within its own class."""
         r0, h = int(self.rows.start[i]), int(self.rows.size[i])
         c0, w = int(self.cols.start[j]), int(self.cols.size[j])
         rows, cols = slice(r0, r0 + h), slice(c0, c0 + w)
-        B = self.A[rows, cols]
+        values, unitaries = [], []  # per member
+        for X in self.A:
+            B = X[rows, cols]
+            if tied:
+                lams, sizes, S = simil_step(B, self.tol)
+                values.append(list(zip(lams, sizes)))
+                unitaries.append((S,))
+            else:
+                U, s, Vh = _svd(B)
+                clusters = cluster_complex(s[s > self.tol.abs], self.tol)
+                values.append([(rep.real, len(m)) for rep, m in clusters])
+                unitaries.append((U, Vh))
+        sizes = [k for _, k in values[0]]
+        if any([k for _, k in v] != sizes for v in values[1:]):
+            raise _Diverged
+        W = [np.array(w) for w in zip(*unitaries)]  # per factor, the members' stack
         if tied:
-            kind = "similarity"
-            lams, sizes, S = simil_step(B, self.tol)
-            values = list(zip(lams, sizes))
-            classes = [(int(self.rows.label[i]), S)]
+            kind, classes = "similarity", [(int(self.rows.label[i]), W[0])]
             piece = np.repeat(np.arange(len(sizes)), sizes)
             zone, stairs = piece[:, None] >= piece, tuple(sizes)
         else:
-            U, s, Vh = _svd(B)
-            clusters = cluster_complex(s[s > self.tol.abs], self.tol)
-            values = [(rep.real, len(m)) for rep, m in clusters]
-            classes = [(int(self.rows.label[i]), U), (int(self.cols.label[j]), Vh.conj().T)]
             kind, zone, stairs = "equivalence", ..., False
-        sizes = [k for _, k in values]
+            classes = [(int(self.rows.label[i]), W[0]),
+                       (int(self.cols.label[j]), W[1].conj().transpose(0, 2, 1))]
         r = sum(sizes)
         self._apply(classes)
-        self.A[rows, cols][zone] = 0.0
-        n = self.A.shape[1]  # the block's diagonal: every (n + 1)-th entry from its corner
+        n = self.A.shape[2]  # the block's diagonal: every (n + 1)-th entry from its corner
         at = r0 * n + c0
-        self.A.flat[at : at + r * (n + 1) : n + 1] = [v for v, k in values for _ in range(k)]
+        for X, vals in zip(self.A, values):
+            X[rows, cols][zone] = 0.0
+            X.flat[at : at + r * (n + 1) : n + 1] = [v for v, k in vals for _ in range(k)]
         self.owner[rows, cols][zone] = len(self.zones)
         self.zones.append((depth, r0, h, c0, w, stairs))
-        values = tuple(values) + (((0.0, h - r),) if h > r else ())
+        left = ((0.0, h - r),) if h > r else ()
         pieces = self._divide(classes, sizes, i, j)  # a tied block's one class cuts both sides
-        self.steps.append(StepRecord(kind, (r0, h), (c0, w), values, pieces[0], pieces[-1]))
+        for steps, vals in zip(self.steps, values):
+            steps.append(StepRecord(kind, (r0, h), (c0, w), (*vals, *left), pieces[0], pieces[-1]))
 
     def _scan(self, grid: _Grid, depth: int):
         """Walk ``grid`` in scan order from the cursor on, making every phase
@@ -665,28 +706,33 @@ class ReductionState:
         A phase step's target is a non-canonical 1x1 block whose classes the
         scan has not yet joined.  Its value b is read through the phases so
         far, the row class's phases are multiplied by b / |b| (the U of its
-        SVD; V is 1) and the classes are joined.  A larger block, or a value
-        at the threshold, ends the scan; the 1x1 blocks it has tied are
-        passed, the rest of a long run of them in one array pass.  A, R and
-        S are scaled once, and every unowned block passed gets its zone, in
-        one batch, at ``depth + k`` (k steps made before it) with the ties of
-        that moment.  ``grid`` covers the rows up to the cursor's (the scan
-        never goes below it)."""
+        SVD; V is 1) and the classes are joined; each member does this with
+        its own b, and :class:`_Diverged` is raised unless every |b| is on
+        the same side of the threshold.  A larger block, or a value at the
+        threshold, ends the scan; the 1x1 blocks it has tied are passed, the
+        rest of a long run of them in one array pass.  A, R and S are scaled
+        once, and every unowned block passed gets its zone, in one batch, at
+        ``depth + k`` (k steps made before it) with the ties of that moment.
+        ``grid`` covers the rows up to the cursor's (the scan never goes
+        below it)."""
         row, col = self.cursor
         nc, i0 = grid.cstart.size, grid.canonical.shape[0] - 1
         on_row = i0 >= 0 and grid.rstart[i0] == -row
         f0 = int(np.searchsorted(grid.cstart, col)) if on_row else 0
-        # the tie-class label and phase of every row substrip, then of every
-        # column substrip (column j at nr + j)
+        # the tie-class label of every row substrip, then of every column
+        # substrip (column j at nr + j), and each member's phases of them
         nr = self.rows.label.size
         label = np.concatenate((self.rows.label, self.cols.label))
-        phase = np.ones(label.size, complex)
+        phase = np.ones((len(self.A), label.size), complex)
         rstart, rsize = grid.rstart.tolist(), grid.rsize.tolist()
         cstart, csize = grid.cstart.tolist(), grid.csize.tolist()
         # flags of rows i0, i0 - 1, ..., 0 in turn, each left to right
         canonical = grid.canonical[i0::-1].ravel()
         history = [label]  # the labels before every step, and after the scan
-        targets, values = [], []  # scan position and |b| per target
+        targets, values = [], [[] for _ in self.steps]  # scan positions; each member's |b| per target
+        # each member's entries, its row of phases (its phase steps scale it
+        # in place) and its values
+        members = list(zip(self.A, phase, values))
         stops = f0 + np.flatnonzero(~canonical[f0:])
         walk, run = enumerate(stops.tolist()), 0
         for k, stop in walk:
@@ -705,17 +751,23 @@ class ReductionState:
                         pass
                 continue
             run = 0
-            b = phase[i].conjugate() * self.A[rstart[i], cstart[j]] * phase[nr + j]
-            s = abs(b)
-            if not s > self.tol.abs:
+            joined, over = label == a, None
+            for X, p, v in members:
+                b = p[i].conjugate() * X[rstart[i], cstart[j]] * p[nr + j]
+                s = abs(b)
+                if over is None:
+                    over = s > self.tol.abs
+                elif over != (s > self.tol.abs):
+                    raise _Diverged  # the state is dropped, phases scaled so far included
+                if over:
+                    p[joined] *= b / s
+                    v.append(float(s))
+            if not over:
                 break
-            joined = label == a
-            phase[joined] *= b / s
             label = np.where(joined | (label == c), self.labels, label)
             self.labels += 1
             history.append(label)
             targets.append(stop)
-            values.append(float(s))
         else:
             stop = canonical.size  # the scan reached the end
         tf = np.array(targets, np.intp)
@@ -727,17 +779,19 @@ class ReductionState:
             reduced = np.searchsorted(tf, at, "right") > k
             self._install(grid, i, j, (depth + k).tolist(), labels[k, i] == labels[k, nr + j], reduced)
         if targets:
-            p, q = np.repeat(phase[:nr], self.rows.size), np.repeat(phase[nr:], self.cols.size)
-            self.A = p.conj()[:, None] * self.A * q
-            self.R, self.S = self.R * p, self.S * q
+            p = np.repeat(phase[:, :nr], self.rows.size, axis=1)
+            q = np.repeat(phase[:, nr:], self.cols.size, axis=1)
+            self.A = p.conj()[:, :, None] * self.A * q[:, None]
+            self.R, self.S = self.R * p[:, None], self.S * q[:, None]
             ti, tj = i0 - tf // nc, tf % nc
-            self.A[grid.rstart[ti], grid.cstart[tj]] = values
+            rows, cols = grid.rstart[ti], grid.cstart[tj]
+            self.A[:, rows, cols] = values
             self.rows = self.rows._replace(label=label[:nr])
             self.cols = self.cols._replace(label=label[nr:])
-            self.steps += [
-                StepRecord("equivalence", (r, 1), (c, 1), ((v, 1),), (1,), (1,))
-                for r, c, v in zip(grid.rstart[ti].tolist(), grid.cstart[tj].tolist(), values)
-            ]
+            blocks = list(zip(rows.tolist(), cols.tolist()))
+            for steps, vals in zip(self.steps, values):
+                steps += [StepRecord("equivalence", (r, 1), (c, 1), ((v, 1),), (1,), (1,))
+                          for (r, c), v in zip(blocks, vals)]
         return None if stop == canonical.size else (i0 - stop // nc, stop % nc)
 
     def derive(self) -> bool:
@@ -746,23 +800,25 @@ class ReductionState:
         final snap.  Returns whether the call made a step; False at the fixpoint."""
         if self.done:
             return False
-        depth = len(self.steps)
+        depth = len(self.steps[0])
         # blocks below the cursor's row stay canonical: the grid stops there
         grid = self._grid(np.searchsorted(self.rows.start, -self.cursor[0], "right"))
         target = self._scan(grid, depth)
         if target is None:
             self.A = self._snap()[-1]
             self.done = True
-            return len(self.steps) > depth
+            return len(self.steps[0]) > depth
         i, j = target
-        self._reduce(i, j, len(self.steps), bool(grid.tied[i, j]))
+        self._reduce(i, j, len(self.steps[0]), bool(grid.tied[i, j]))
         # resume at the block of the last row piece and the first column
         # piece of the target: every block before it preceded the target
-        step = self.steps[-1]
+        step = self.steps[0][-1]
         self.cursor = (step.row_pieces[-1] - sum(step.row_block), step.col_block[0])
         return True
 
-    def trace(self) -> ReductionTrace:
+    def trace(self) -> list:
+        """The members' traces, in order; they share the substrips and the
+        zone book, which only they read."""
         # classes are numbered from 1 in order of first appearance
         labels: dict = {}
         row_info = [[] for _ in self.M.row_strips]
@@ -774,7 +830,8 @@ class ReductionState:
         candidate[self._zero_candidates] = True
         book = (list(self.zones), self.owner.copy(), {k: set(v) for k, v in self.propagated.items()},
                 candidate)  # a snapshot: the engine grows these in place
-        return ReductionTrace(list(self.steps), row_info, col_info, len(labels), book)
+        return [ReductionTrace(list(steps), row_info, col_info, len(labels), book)
+                for steps in self.steps]
 
 
 def _certify(A, R, S, C, tol: Tolerance) -> None:
@@ -808,27 +865,39 @@ def canonicalize(M: MarkedBlockMatrix, tol: Tolerance = Tolerance()):
     step values are scaled back by s.  ``apply_admissible(M, transcript)``
     equals ``canonical`` within ``10 * n * tol.abs * s`` in the Frobenius
     norm (n the larger side); every call checks this certificate and raises
-    :class:`CertificationError` when it fails."""
-    s = frobenius(M.entries)
-    state = ReductionState(M, tol)
-    state.A /= s or 1.0
-    limit = 4 * max(1, M.entries.size) + 8
-    while state.derive():
-        if len(state.steps) > limit:
-            raise NoConvergenceError(
-                f"reduction did not converge after {len(state.steps)} steps"
-            )
-    C = s * state.A
-    _certify(M.entries, state.R, state.S, C, tol)
-    canonical = MarkedBlockMatrix(M.row_strips, M.col_strips, C, M.marked)
-    T = Transcript(
-        R=_diagonal_blocks(state.R, M.row_strips),
-        S=_diagonal_blocks(state.S, M.col_strips),
-    )
-    trace = state.trace()
-    for step in trace.steps:
-        step.values = tuple((v * s, k) for v, k in step.values)
-    return canonical, T, trace
+    :class:`CertificationError` when it fails.  It is the batch of one of
+    :func:`_canonicalize_batch`."""
+    return _canonicalize_batch((M,), tol)[0]
+
+
+def _canonicalize_batch(Ms, tol: Tolerance) -> list:
+    """:func:`canonicalize` of every member of ``Ms``, matrices of one
+    problem, in order, from one reduction of the batch: each member is
+    divided by its own norm, certified and scaled back on its own.  When the
+    members decide a step differently, each member is reduced as a batch of
+    one instead, so every result is that of :func:`canonicalize`."""
+    scales = [frobenius(M.entries) for M in Ms]
+    state = ReductionState(Ms, tol)
+    for X, s in zip(state.A, scales):
+        X /= s or 1.0
+    limit = 4 * max(1, Ms[0].entries.size) + 8
+    try:
+        while state.derive():
+            if len(state.steps[0]) > limit:
+                raise NoConvergenceError(
+                    f"reduction did not converge after {len(state.steps[0])} steps"
+                )
+    except _Diverged:
+        return [out for M in Ms for out in _canonicalize_batch((M,), tol)]
+    out = []
+    for M, s, A, R, S, trace in zip(Ms, scales, state.A, state.R, state.S, state.trace()):
+        C = s * A
+        _certify(M.entries, R, S, C, tol)
+        T = Transcript(R=_diagonal_blocks(R, M.row_strips), S=_diagonal_blocks(S, M.col_strips))
+        for step in trace.steps:
+            step.values = tuple((v * s, k) for v, k in step.values)
+        out.append((MarkedBlockMatrix(M.row_strips, M.col_strips, C, M.marked), T, trace))
+    return out
 
 
 def _diagonal_blocks(X: np.ndarray, sizes) -> tuple:

@@ -256,8 +256,12 @@ def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()
     T)`` is B) composed from the two reduction transcripts, or None when the
     packed canonical forms differ (their coupling blocks are exact zeros, so
     each is its representation's packing); and ``mbm.canonicalize`` of B's
-    packing.  When the invariants of the packings already differ
-    (:func:`mbm._invariants_differ`), neither is reduced: ``(None, None)``."""
+    packing.  The two packings are reduced as one batch
+    (:func:`mbm._canonicalize_batch`), and T is checked against the limit of
+    :func:`_residual`: a T that fails it raises
+    :class:`mbm.CertificationError`.  When the invariants of the packings
+    already differ (:func:`mbm._invariants_differ`), neither is reduced:
+    ``(None, None)``."""
     if A.quiver != B.quiver:
         raise QuiverMismatchError("different quivers")
     if A.dims != B.dims:
@@ -265,11 +269,15 @@ def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()
     MA, MB = pack(A)[0], pack(B)[0]
     if mbm._invariants_differ(MA, MB, tol):
         return None, None
-    CA, TA, _ = mbm.canonicalize(MA, tol)
-    reduced_B = CB, TB, _ = mbm.canonicalize(MB, tol)
-    if not mbm.same_canonical(CA, CB, tol):
+    (CA, TA, _), reduced_B = mbm._canonicalize_batch((MA, MB), tol)
+    if not mbm.same_canonical(CA, reduced_B[0], tol):
         return None, reduced_B
-    return Isometry(tuple(SB @ SA.conj().T for SA, SB in zip(TA.S, TB.S))), reduced_B
+    T = Isometry(tuple(SB @ SA.conj().T for SA, SB in zip(TA.S, reduced_B[1].S)))
+    resid, limit = _residual(A, B, T, MA, tol)
+    if not resid <= limit:
+        raise mbm.CertificationError(
+            f"isometry does not map A onto B: ||T_d A_a - B_a T_s||_F = {resid:.2e} > {limit:.2e}")
+    return T, reduced_B
 
 
 def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()) -> bool:
@@ -278,15 +286,17 @@ def isometric(A: Representation, B: Representation, tol: Tolerance = Tolerance()
     different quivers or dimension vectors raise.  When the invariants of
     the two packings differ (:func:`mbm._invariants_differ`: Gram matrices
     of the blocks per pair of vertices, traces of loops), the answer is
-    False without a reduction; otherwise both are reduced once."""
+    False without a reduction; otherwise both are reduced once, as one
+    batch, and a True answer's isometry is checked (:func:`_isometry`)."""
     return _isometry(A, B, tol)[0] is not None
 
 
-def _residual(A: Representation, B: Representation, T: Isometry, tol: Tolerance) -> tuple:
+def _residual(A: Representation, B: Representation, T: Isometry, M: MarkedBlockMatrix,
+              tol: Tolerance) -> tuple:
     """``‖T_d A_a - B_a T_s‖_F`` over all arrows a: s -> d, and the limit an
-    isometry's residual is checked against: ``tol.bound`` of A's packing."""
+    isometry's residual is checked against: ``tol.bound`` of M, A's packing."""
     return frobenius([frobenius(T.S[d - 1] @ A.matrices[a] - B.matrices[a] @ T.S[s - 1])
-                      for a, s, d in A.quiver.arrows]), tol.bound(pack(A)[0].entries)
+                      for a, s, d in A.quiver.arrows]), tol.bound(M.entries)
 
 
 def direct_sum(A: Representation, B: Representation) -> Representation:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .numcore import Tolerance, _rank, cluster_complex, frobenius
-from .mbm import (MarkedBlockMatrix, ShapeMismatchError, _check_finite, _invariants_differ, canonicalize,
-                  same_canonical)
+from . import mbm
+from .mbm import MarkedBlockMatrix, ShapeMismatchError, _check_finite
 from .quiverrep import Quiver, Representation, pack
 
 __all__ = [
@@ -94,16 +94,18 @@ def gadget_faithful(kind: str, X, Y, tol: Tolerance = Tolerance()) -> bool:
     canonical form: by the wildness reductions, whether X and Y are unitarily
     similar.  X and Y of different sizes raise :class:`ShapeMismatchError`.
 
-    The two gadgets (packed, if representations) are reduced once each,
-    unless their invariants already differ (:func:`mbm._invariants_differ`):
-    then the answer is False without a reduction."""
+    The two gadgets (packed, if representations) are reduced once each, as
+    one batch (:func:`mbm._canonicalize_batch`), unless their invariants
+    already differ (:func:`mbm._invariants_differ`): then the answer is
+    False without a reduction."""
     MX, MY = (pack(G)[0] if isinstance(G, Representation) else G
               for G in (gadget(kind, X), gadget(kind, Y)))
     if MX.shape != MY.shape:
         raise ShapeMismatchError("X and Y must have equal sizes")
-    if _invariants_differ(MX, MY, tol):
+    if mbm._invariants_differ(MX, MY, tol):
         return False
-    return same_canonical(canonicalize(MX, tol)[0], canonicalize(MY, tol)[0], tol)
+    (CX, _, _), (CY, _, _) = mbm._canonicalize_batch((MX, MY), tol)
+    return mbm.same_canonical(CX, CY, tol)
 
 
 def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):

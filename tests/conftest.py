@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unicanon.numcore import Tolerance, _schur_staircase, cluster_complex, random_unitary, simil_step
-from unicanon import mbm, wildness
+from unicanon import mbm
 from unicanon.mbm import MarkedBlockMatrix, canonicalize
 from unicanon.quiverrep import Quiver
 
@@ -14,17 +14,18 @@ def tol():
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """Count ``canonicalize`` calls, under both names the program calls it
-    by (``wildness`` imports it from ``mbm``)."""
+    """Count the matrices the engine reduces: every member of every batch
+    of ``mbm._canonicalize_batch``, which ``canonicalize`` calls with a
+    batch of one (a batch that diverges counts its members again, as each
+    is reduced on its own)."""
     calls = []
-    original = mbm.canonicalize
+    original = mbm._canonicalize_batch
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(Ms, *args, **kwargs):
+        calls.extend(1 for _ in Ms)
+        return original(Ms, *args, **kwargs)
 
-    monkeypatch.setattr(mbm, "canonicalize", counted)
-    monkeypatch.setattr(wildness, "canonicalize", counted)
+    monkeypatch.setattr(mbm, "_canonicalize_batch", counted)
     return calls
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from unicanon.cli import dispatch
 from unicanon import mbm
-from unicanon import quiverrep as qr
 from unicanon.mbm import MarkedBlockMatrix, matrix_from_json
 from unicanon.numcore import cluster_complex, random_unitary
 from unicanon.quiverrep import Isometry, Quiver, Representation, apply_isometry, random_rep
@@ -512,9 +511,15 @@ class TestRepCommands:
         assert not tfile.exists()
 
     def test_isometric_transcript_certification_error(self, rep_file, tmp_path, capsys, monkeypatch):
-        # an isometry that does not map A onto B is not written: exit 70
-        wrong = Isometry((np.eye(2, dtype=complex), -np.eye(1, dtype=complex)))
-        monkeypatch.setattr(qr, "_isometry", lambda A, B, tol: (wrong, None))
+        # A's transcript with the first vertex's unitary negated: the isometry
+        # composed from it does not map A onto B, and is not written: exit 70
+        batch = mbm._canonicalize_batch
+
+        def corrupted(Ms, tol):
+            (C, T, trace), *rest = batch(Ms, tol)
+            return [(C, mbm.Transcript(T.R, (-T.S[0], *T.S[1:])), trace), *rest]
+
+        monkeypatch.setattr(mbm, "_canonicalize_batch", corrupted)
         tfile = tmp_path / "t.json"
         assert dispatch(["--transcript", str(tfile), "isometric", rep_file, rep_file]) == 70
         captured = capsys.readouterr()

@@ -3,6 +3,7 @@ import pytest
 
 from unicanon.numcore import random_unitary
 from unicanon import euclid as eu
+from unicanon import mbm
 from unicanon import quiverrep as qr
 from unicanon.quiverrep import Quiver, Representation, Isometry
 from unicanon.euclid import (
@@ -271,16 +272,19 @@ class TestRealIsometry:
 
     def test_witness_limit(self, tol, monkeypatch):
         # real_isometry checks its residual against the limit that
-        # isometric --transcript uses: tol.bound of A's packing, whose larger
-        # side is 6 for Kronecker (3,3) (the largest d_v, 3, before)
+        # isometric checks its isometry at: tol.bound of A's packing, whose
+        # larger side is 6 for Kronecker (3,3) (the largest d_v, 3, before);
+        # a witness beyond it raises
         A = real_rep(KRONECKER, (3, 3), np.random.default_rng(3))
-        P = qr.pack(A)[0].entries
+        M = qr.pack(A)[0]
         T = real_isometry(A, A, tol)
-        resid, limit = qr._residual(A, A, T, tol)
-        assert P.shape == (6, 6) and limit == tol.bound(P, 6) and resid <= limit
-        for over, want in ((1.0, True), (1.0 + 2**-40, False)):
-            monkeypatch.setattr(eu, "_residual", lambda A, B, T, tol: (over * limit, limit))
-            assert (real_isometry(A, A, tol) is not None) == want
+        resid, limit = qr._residual(A, A, T, M, tol)
+        assert M.shape == (6, 6) and limit == tol.bound(M.entries, 6) and resid <= limit
+        monkeypatch.setattr(eu, "_residual", lambda A, B, T, M, tol: (limit, limit))
+        assert real_isometry(A, A, tol) is not None
+        monkeypatch.setattr(eu, "_residual", lambda A, B, T, M, tol: ((1.0 + 2**-40) * limit, limit))
+        with pytest.raises(mbm.CertificationError, match="real isometry does not map A onto B"):
+            real_isometry(A, A, tol)
 
     # (quiver, dims of P, dims of R); P is realify of a complex Gaussian
     # representation (a complex-type pair) when the dims of P are halved

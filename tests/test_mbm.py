@@ -182,7 +182,7 @@ def eager_zones(state):
 
 
 def reduce_fully(M, tol):
-    state = mbm.ReductionState(M, tol)
+    state = mbm.ReductionState([M], tol)
     while state.derive():
         pass
     return state
@@ -212,7 +212,7 @@ def reference_block(state, i, j, tol):
     canonical)``."""
     r0, h = state.rows.start[i], state.rows.size[i]
     c0, w = state.cols.start[j], state.cols.size[j]
-    B = state.A[r0 : r0 + h, c0 : c0 + w]
+    B = state.A[0, r0 : r0 + h, c0 : c0 + w]
     if state.rows.label[i] == state.cols.label[j]:
         lam = np.mean(np.diagonal(B))
         residual = np.linalg.norm(B - lam * np.eye(h))
@@ -265,7 +265,7 @@ def replay_ties(state):
             union_all(ties, [first["r", i], first["c", j]])
     yield ties, 0
     while True:
-        before, done = list(substrips(state)), len(state.steps)
+        before, done = list(substrips(state)), len(state.steps[0])
         if not state.derive():
             return
         after = list(substrips(state))
@@ -282,7 +282,7 @@ def replay_ties(state):
             axis, start, size = x
             return sorted(s for s in after if s[0] == axis and start <= s[1] < start + size)
 
-        for step in state.steps[done:]:  # a run of phase steps divides nothing
+        for step in state.steps[0][done:]:  # a run of phase steps divides nothing
             rmem = members(old("r", step.row_block[0]))
             if step.kind == "similarity":
                 for a in range(len(step.row_pieces)):
@@ -294,7 +294,7 @@ def replay_ties(state):
                     union_all(ties, [pieces(x)[a] for x in rmem + cmem])
                 for group in (rmem, cmem):
                     union_all(ties, [pieces(x)[k] for x in group if len(pieces(x)) > k])
-        yield ties, len(state.steps)
+        yield ties, len(state.steps[0])
 
 
 def closure_classes(items, pairs):
@@ -511,7 +511,7 @@ class TestCanonicalize:
     def test_monotone_refinement(self, tol):
         rng = np.random.default_rng(4)
         M = random_mbm(rng)
-        state = mbm.ReductionState(M, tol)
+        state = mbm.ReductionState([M], tol)
         prev_rows = len(state.rows.start)
         prev_cols = len(state.cols.start)
         while state.derive():
@@ -543,18 +543,18 @@ class TestEngineInvariants:
 
     @pytest.mark.parametrize("M", engine_inputs() + rank_deficient_inputs())
     def test_labels_match_union_find_replay(self, tol, M):
-        state = mbm.ReductionState(M, tol)
+        state = mbm.ReductionState([M], tol)
         for ties, replayed in replay_ties(state):
             subs = substrips(state)
             find = partial(mbm._find, ties)
             assert partition(subs, subs.get) == partition(subs, find)
-        assert replayed == len(state.steps)
-        trace = state.trace()
+        assert replayed == len(state.steps[0])
+        trace = state.trace()[0]
         assert trace.num_classes == len(partition(subs, find))
 
     @pytest.mark.parametrize("M", engine_inputs())
     def test_blocks_before_cursor_stay_canonical(self, tol, M):
-        state = mbm.ReductionState(M, tol)
+        state = mbm.ReductionState([M], tol)
         while state.derive():
             for i, r0 in enumerate(state.rows.start.tolist()):
                 for j, c0 in enumerate(state.cols.start.tolist()):
@@ -563,10 +563,10 @@ class TestEngineInvariants:
 
     @pytest.mark.parametrize("M", engine_inputs())
     def test_grid_matches_per_block_reference(self, tol, M):
-        state = mbm.ReductionState(M, tol)
+        state = mbm.ReductionState([M], tol)
         running = True
         while running:
-            grid, snapped = state._grid(), state._snap()[-1]
+            grid, snapped = state._grid(), state._snap()[-1][0]
             for i, r0 in enumerate(state.rows.start.tolist()):
                 for j, c0 in enumerate(state.cols.start.tolist()):
                     tied, lam, canonical = reference_block(state, i, j, tol)
@@ -587,8 +587,8 @@ class TestEngineInvariants:
         A[:2, 2:] = 0.9e-3  # Frobenius norm 0.9 * sqrt(6) * 1e-3
         A[2:, :2] = 1.1e-3
         A[2:, 2:] = 1.1e-3
-        state = mbm.ReductionState(MarkedBlockMatrix((2, 3), (2, 3), A, {(0, 0)}), tol)
-        grid, snapped = state._grid(), state._snap()[-1]
+        state = mbm.ReductionState([MarkedBlockMatrix((2, 3), (2, 3), A, {(0, 0)})], tol)
+        grid, snapped = state._grid(), state._snap()[-1][0]
         assert grid.canonical.tolist() == [[True, True], [False, False]]
         assert grid.tied.tolist() == [[True, False], [False, False]]
         for i in range(len(state.rows.start)):
@@ -611,7 +611,7 @@ class TestReferenceSteps:
     ])
     def test_same_reduction(self, tol, M, reference, monkeypatch):
         state = reduce_fully(M, tol)
-        got = state.trace()
+        got = state.trace()[0]
         got.zones  # the engine's merge rule runs here, before the patch
         # the pointer merge and the repaint: every candidate's root is its
         # repainted owner
@@ -625,7 +625,7 @@ class TestReferenceSteps:
         }[reference]
         monkeypatch.setattr(owner, method, replacement)
         ref = reduce_fully(M, tol)
-        want = ref.trace()
+        want = ref.trace()[0]
         # zone records, owner map, merges, zones, substrips: identical
         assert state.zones == ref.zones
         assert np.array_equal(state.owner, ref.owner)
@@ -650,17 +650,17 @@ class TestReferenceSteps:
     @pytest.mark.parametrize("M", reference_inputs() + [example_8x12()])
     def test_lazy_zones_match_eager_build(self, tol, M):
         state = reduce_fully(M, tol)
-        trace = state.trace()
+        trace = state.trace()[0]
         assert trace.zones is trace.zones  # built once, then cached
         assert trace.zones == eager_zones(state)
 
     def test_references_are_exercised(self, tol):
         # the Kronecker reduction has phase steps (1x1 blocks) and merges
         state = reduce_fully(packed(KRONECKER, (16, 16), 4), tol)
-        phase = [s for s in state.steps if s.row_block[1] == s.col_block[1] == 1]
-        assert len(phase) > len(state.steps) // 2
+        phase = [s for s in state.steps[0] if s.row_block[1] == s.col_block[1] == 1]
+        assert len(phase) > len(state.steps[0]) // 2
         # every zone the merge rule absorbs leaves the trace's zones
-        assert len(state.zones) - len(state.trace().zones) > 100
+        assert len(state.zones) - len(state.trace()[0].zones) > 100
         # and merges chain: a candidate joins a zone that is itself absorbed
         into = mbm._merge_zero_zones(state.zones, state.owner, (0, 0), state.propagated,
                                      state._zero_candidates)
@@ -743,8 +743,8 @@ def scans_stopped_after_phase_steps(M, tol, monkeypatch):
 
     def recording(state, grid, depth):
         stop = scan(state, grid, depth)
-        if stop is not None and len(state.steps) > depth:
-            last = state.steps[-1]
+        if stop is not None and len(state.steps[0]) > depth:
+            last = state.steps[0][-1]
             at = (int(np.searchsorted(grid.rstart, last.row_block[0])),
                   int(np.searchsorted(grid.cstart, last.col_block[0])))
             out.append((grid, state._grid(grid.rstart.size), at, stop))
@@ -783,34 +783,34 @@ class TestCarriedGrid:
         # on their way: every step of a call but the block it stops at
         for M in (packed(KRONECKER, (16, 16), 1), packed(D4, (6, 6, 6, 12), 2),
                   generic_similarity(16, 23)):
-            state = mbm.ReductionState(M, tol)
+            state = mbm.ReductionState([M], tol)
             in_runs, before = 0, 0
             while state.derive():
-                made = len(state.steps) - before
+                made = len(state.steps[0]) - before
                 in_runs += made if state.done else made - 1
-                before = len(state.steps)
-            assert in_runs >= len(state.steps) // 2
+                before = len(state.steps[0])
+            assert in_runs >= len(state.steps[0]) // 2
 
     def test_stop_at_a_value_at_the_threshold(self, tol):
         # a 1x1 zero block flagged non-canonical: its phase b / |b| is 0 / 0,
         # so the scan stops there and makes no step
         A = np.array([[1.0, 2.0], [0.0, 3.0]], dtype=complex)
-        state = mbm.ReductionState(MarkedBlockMatrix((1, 1), (1, 1), A), tol)
+        state = mbm.ReductionState([MarkedBlockMatrix((1, 1), (1, 1), A)], tol)
         grid = state._grid()
         canonical = grid.canonical.copy()
         canonical[1, 0] = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert state._scan(grid._replace(canonical=canonical), 0) == (1, 0)
-        assert state.steps == []
-        assert np.array_equal(state.A, A)
+        assert state.steps[0] == []
+        assert np.array_equal(state.A[0], A)
 
     def test_kronecker_run_in_one_call(self, tol):
         # an SVD step on the first arrow's block, then its run of 23 phase steps
-        state = mbm.ReductionState(packed(KRONECKER, (24, 24), 9), tol)
+        state = mbm.ReductionState([packed(KRONECKER, (24, 24), 9)], tol)
         calls = []
         while state.derive():
-            calls.append(state.steps[sum(map(len, calls)):])
+            calls.append(state.steps[0][sum(map(len, calls)):])
         assert [len(c) for c in calls] == [1, 23]
         assert calls[0][0].row_block[1] == 24
         assert all(s.row_block[1] == s.col_block[1] == 1 for s in calls[1])

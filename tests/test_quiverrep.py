@@ -356,6 +356,25 @@ class TestIsometric:
     def test_distinct_values(self, tol):
         assert not isometric(loop_rep([[1.0]]), loop_rep([[2.0]]), tol)
 
+    def test_witness_is_checked(self, tol, monkeypatch):
+        # the isometry composed from the two transcripts maps A onto B; with
+        # A's transcript corrupted (its first vertex's unitary negated) it
+        # does not, and isometric raises instead of answering
+        A = random_rep(FOUR_ARROWS, (2, 2, 1), seed=7)
+        B = apply_isometry(A, Isometry(tuple(random_unitary(d, seed=10 + k) for k, d in enumerate(A.dims))))
+        T, _ = qr._isometry(A, B, tol)
+        resid, limit = qr._residual(A, B, T, pack(A)[0], tol)
+        assert resid <= limit
+        batch = mbm._canonicalize_batch
+
+        def corrupted(Ms, tol):
+            (C, S, trace), *rest = batch(Ms, tol)
+            return [(C, mbm.Transcript(S.R, (-S.S[0], *S.S[1:])), trace), *rest]
+
+        monkeypatch.setattr(mbm, "_canonicalize_batch", corrupted)
+        with pytest.raises(mbm.CertificationError, match="isometry does not map A onto B"):
+            isometric(A, B, tol)
+
     def test_dim_mismatch(self, tol):
         with pytest.raises(DimMismatchError):
             isometric(loop_rep([[1.0]]), loop_rep(np.eye(2)), tol)
