@@ -219,27 +219,28 @@ def _congruence(S: np.ndarray, sign: int, tol: Tolerance) -> np.ndarray:
 
 def _checked_congruence(S: np.ndarray, sign: int, tol: Tolerance) -> np.ndarray:
     """:func:`_congruence` of S once S^T = sign * S and S^H S = I are
-    checked, both at the bound of a unitary of its size."""
+    checked, both at the bound of a unitary of its size (a NaN norm fails)."""
     n = S.shape[0]
-    if np.linalg.norm(S - sign * S.T) > tol.bound(1.0, n):
+    if not np.linalg.norm(S - sign * S.T) <= tol.bound(1.0, n):
         if sign > 0:
             raise NotSymmetricError("S is not symmetric")
         raise NotSkewError("S is not skew-symmetric")
-    if np.linalg.norm(S.conj().T @ S - np.eye(n)) > tol.bound(1.0, n):
+    if not np.linalg.norm(S.conj().T @ S - np.eye(n)) <= tol.bound(1.0, n):
         raise NotUnitaryError("S is not unitary")
     return _congruence(S, sign, tol)
 
 
 def takagi_symmetric(S, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """U with U^T U = S, for symmetric unitary S (see :func:`_congruence`)."""
-    return _checked_congruence(np.asarray(S, dtype=complex), 1, tol)
+    """U with U^T U = S, for symmetric unitary S (see :func:`_congruence`);
+    S is checked by :func:`mbm._matrix`."""
+    return _checked_congruence(mbm._matrix(S), 1, tol)
 
 
 def skew_canonical(S, tol: Tolerance = Tolerance()) -> np.ndarray:
     """U with U^T J U = S for skew-symmetric unitary S of even size, where
     J is the direct sum of 2x2 blocks [[0, 1], [-1, 0]] (see
-    :func:`_congruence`)."""
-    S = np.asarray(S, dtype=complex)
+    :func:`_congruence`); S is checked by :func:`mbm._matrix`."""
+    S = mbm._matrix(S)
     if S.shape[0] % 2:
         raise OddDimensionError("skew unitary matrices have even size")
     return _checked_congruence(S, -1, tol)
@@ -302,7 +303,16 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
     ``||T_d A_a - B_a T_s||_F`` over all arrows is checked within
     ``tol.bound`` of A's packing (:func:`quiverrep._residual`); complex
     isometric real representations are orthogonally isometric, so a failed
-    check raises :class:`mbm.CertificationError`."""
+    check raises :class:`mbm.CertificationError`.  Input that is not real
+    raises ValueError naming the representation and the arrow before
+    anything is reduced: an arrow whose imaginary part exceeds, in the
+    Frobenius norm, the decision threshold of its representation's packing."""
+    for name, R in (("A", A), ("B", B)):
+        eps = tol.threshold([frobenius(X) for X in R.matrices.values()])
+        for a, X in R.matrices.items():
+            if not frobenius(X.imag) <= eps:
+                raise ValueError(f"{name} is not real: arrow {a} has ||Im||_F = "
+                                 f"{frobenius(X.imag):.2e} > {eps:.2e}")
     S, _ = _isometry(A, B, tol)
     if S is None:
         return None
@@ -318,7 +328,7 @@ def real_isometry(A: Representation, B: Representation, tol: Tolerance = Toleran
         W, _, Vh = np.linalg.svd((np.exp(1j * t) * U).real)
         T.append((W @ Vh).astype(complex))
     T = Isometry(tuple(T))
-    resid, limit = _residual(A, B, T, pack(A)[0], tol)
+    resid, limit = _residual(A, B, T, pack(A), tol)
     if not resid <= limit:
         raise mbm.CertificationError(
             f"real isometry does not map A onto B: ||T_d A_a - B_a T_s||_F = {resid:.2e} > {limit:.2e}")
@@ -337,7 +347,7 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
     its partner; a self-paired one is classified by G's largest block between
     two of its copies: real-type summands are emitted as real forms,
     quaternionic ones pair with themselves (even multiplicity)."""
-    M, layout = pack(A)
+    M = pack(A)
     C, T, trace = mbm.canonicalize(M, tol)
     R, S = T.full_matrices()
     G = S.T @ S
@@ -359,7 +369,7 @@ def decompose_real(A: Representation, tol: Tolerance = Tolerance()):
         raise ConjugatePairingFailure(f"G does not pair the summands: stray mass {stray:.2e}")
     out = []
     for i, (P, copies) in enumerate(parts):
-        m, P = len(copies), unpack(P, layout)
+        m, P = len(copies), unpack(P, A.quiver)
         if partner[i] != i:  # complex type: emitted with the first of the pair
             if partner[i] > i:
                 out.append((realify(P), m))
@@ -390,7 +400,7 @@ def matrix_real_test(A, tol: Tolerance = Tolerance()):
         raise ZeroDimError("the zero dimension vector is not indecomposable")
     C = conj_rep(R)
     S, reduced = _isometry(R, C, tol)
-    trace = (reduced or mbm.canonicalize(pack(C)[0], tol))[2]
+    trace = (reduced or mbm.canonicalize(pack(C), tol))[2]
     if not mbm._one_summand(trace):
         raise DecomposableError(
             "matrix is unitarily similar to a direct sum"

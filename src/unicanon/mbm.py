@@ -154,12 +154,9 @@ class MarkedBlockMatrix:
     marked: frozenset = frozenset()
 
     def __post_init__(self):
-        for name, axis in (("row_strips", "row"), ("col_strips", "column")):
-            sizes = _integers(getattr(self, name), DimensionMismatchError, f"{axis} strips")
-            if any(k < 0 for k in sizes):
-                raise DimensionMismatchError(f"{axis} strips {sizes}: a strip size is negative")
-            object.__setattr__(self, name, sizes)
-        rows, cols = self.row_strips, self.col_strips
+        rows, cols = _strips(self.row_strips, "row"), _strips(self.col_strips, "column")
+        object.__setattr__(self, "row_strips", rows)
+        object.__setattr__(self, "col_strips", cols)
         e = np.asarray(self.entries, dtype=complex)
         if e.shape != (sum(rows), sum(cols)):
             raise DimensionMismatchError(
@@ -195,11 +192,18 @@ class MarkedBlockMatrix:
         unknown = set(data) - {"row_strips", "col_strips", "marked", "entries"}
         if unknown:
             raise KeyError(f"unknown keys {sorted(unknown)}")
-        rows = _integers(data["row_strips"], DimensionMismatchError, "row strips")
-        cols = _integers(data["col_strips"], DimensionMismatchError, "column strips")
+        rows, cols = _strips(data["row_strips"], "row"), _strips(data["col_strips"], "column")
         entries = _shaped(matrix_from_json(data["entries"]), (sum(rows), sum(cols)))
         marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
         return cls(rows, cols, entries, marked)
+
+
+def _strips(sizes, axis: str) -> tuple:
+    """The strip sizes of one axis as ints, or DimensionMismatchError unless non-negative."""
+    sizes = _integers(sizes, DimensionMismatchError, f"{axis} strips")
+    if any(k < 0 for k in sizes):
+        raise DimensionMismatchError(f"{axis} strips {sizes}: a strip size is negative")
+    return sizes
 
 
 def _cell(x, holder: str) -> tuple:
@@ -240,6 +244,16 @@ def _check_finite(E: np.ndarray, what: str = "entry") -> None:
     if not finite.all():
         r, c = np.argwhere(~finite)[0].tolist()
         raise ValueError(f"{what} ({r + 1},{c + 1}) is not finite: {E[r, c]}")
+
+
+def _matrix(X, square: bool = True) -> np.ndarray:
+    """X, a matrix given as a bare array, as a complex matrix: ShapeMismatchError
+    unless 2-D (and square when ``square``), ValueError naming a NaN or infinite cell."""
+    X = np.asarray(X, dtype=complex)
+    if X.ndim != 2 or (square and X.shape[0] != X.shape[1]):
+        raise ShapeMismatchError(f"expected a {'square ' if square else ''}matrix, got {X.shape}")
+    _check_finite(X)
+    return X
 
 
 def _find(parent, x):
@@ -304,7 +318,7 @@ def apply_admissible(
                 raise DimensionMismatchError(f"{name}[{k}] has shape {b.shape}, expected {s}")
     for i, j in M.marked:
         # unitaries have spectral norm 1: the bound of a unit scalar, at size
-        if np.linalg.norm(T.R[i] - T.S[j]) > tol.bound(1.0, M.row_strips[i]):
+        if not np.linalg.norm(T.R[i] - T.S[j]) <= tol.bound(1.0, M.row_strips[i]):
             raise TieViolationError(f"R[{i}] != S[{j}] on marked block ({i},{j})")
     R, S = T.full_matrices()
     return MarkedBlockMatrix(

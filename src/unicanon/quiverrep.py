@@ -187,7 +187,7 @@ def pack(A: Representation):
     its row strip meets the column strip of i; a mark at the column strip of
     j forces the row transformation to equal S_j, so the admissible
     transformations of the packed matrix are exactly the vertex-wise
-    unitaries.  Returns ``(M, layout)``."""
+    unitaries.  Returns M; :func:`unpack` reads it with the quiver."""
     Q = A.quiver
     arrows = Q.arrows[::-1]
     row_strips = tuple(A.dims[d - 1] for _, _, d in arrows)
@@ -197,14 +197,12 @@ def pack(A: Representation):
     for k, (aid, s, d) in enumerate(arrows):
         entries[ro[k] : ro[k + 1], co[s - 1] : co[s]] += A.matrices[aid]
         marked.add((k, d - 1))
-    M = MarkedBlockMatrix(row_strips, A.dims, entries, frozenset(marked))
-    return M, {"row_order": [a for a, _, _ in arrows], "quiver": Q}
+    return MarkedBlockMatrix(row_strips, A.dims, entries, frozenset(marked))
 
 
-def unpack(M: MarkedBlockMatrix, layout) -> Representation:
-    """Inverse of :func:`pack` on the same layout (grids may have different
-    strip sizes, e.g. for summands)."""
-    Q = layout["quiver"]
+def unpack(M: MarkedBlockMatrix, Q: Quiver) -> Representation:
+    """Inverse of :func:`pack` for representations of Q (grids may have
+    different strip sizes, e.g. for summands)."""
     ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
     mats = {}
     for k, (aid, s, _) in enumerate(Q.arrows[::-1]):
@@ -219,10 +217,9 @@ def unpack(M: MarkedBlockMatrix, layout) -> Representation:
 def _canonical(A: Representation, tol: Tolerance):
     """The canonical representation of A, the isometry onto it, and the
     packed canonical form and trace they come from."""
-    M, layout = pack(A)
-    canonical, T, trace = mbm.canonicalize(M, tol)
+    canonical, T, trace = mbm.canonicalize(pack(A), tol)
     iso = Isometry(tuple(T.S[v].conj().T for v in range(A.quiver.p)))
-    return unpack(canonical, layout), iso, canonical, trace
+    return unpack(canonical, A.quiver), iso, canonical, trace
 
 
 def rep_canonical(A: Representation, tol: Tolerance = Tolerance()):
@@ -266,7 +263,7 @@ def _isometry(A: Representation, B: Representation, tol: Tolerance = Tolerance()
         raise QuiverMismatchError("different quivers")
     if A.dims != B.dims:
         raise DimMismatchError(f"dims {A.dims} vs {B.dims}")
-    MA, MB = pack(A)[0], pack(B)[0]
+    MA, MB = pack(A), pack(B)
     if mbm._invariants_differ(MA, MB, tol):
         return None, None
     (CA, TA, _), reduced_B = mbm._canonicalize_batch((MA, MB), tol)
@@ -302,21 +299,19 @@ def _residual(A: Representation, B: Representation, T: Isometry, M: MarkedBlockM
 def direct_sum(A: Representation, B: Representation) -> Representation:
     if A.quiver != B.quiver:
         raise QuiverMismatchError("different quivers")
-    M, layout = pack(A)
-    return unpack(mbm.block_direct_sum(M, pack(B)[0]), layout)
+    return unpack(mbm.block_direct_sum(pack(A), pack(B)), A.quiver)
 
 
 def decompose_rep(A: Representation, tol: Tolerance = Tolerance()):
     """Krull-Schmidt decomposition into pairwise non-isometric canonical
     indecomposable representations with multiplicities."""
-    M, layout = pack(A)
-    return [(unpack(P, layout), mult) for P, mult in mbm.decompose(M, tol)]
+    return [(unpack(P, A.quiver), mult) for P, mult in mbm.decompose(pack(A), tol)]
 
 
 def is_indecomposable_rep(A: Representation, tol: Tolerance = Tolerance()) -> bool:
     if all(d == 0 for d in A.dims):
         raise ZeroDimError("the zero dimension vector is not indecomposable")
-    return mbm.is_indecomposable(pack(A)[0], tol)
+    return mbm.is_indecomposable(pack(A), tol)
 
 
 def reverse_arrow(A: Representation, arrow_id) -> Representation:

@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from .numcore import Tolerance, _rank, lex_cmp
-from .mbm import MarkedBlockMatrix, Zone, _cell, _classes, _integers
+from .mbm import DimensionMismatchError, MarkedBlockMatrix, Zone, _cell, _classes, _integers, _strips
 
 __all__ = [
     "Scheme",
@@ -38,10 +38,9 @@ class Scheme:
     """Symbol grid ('.', 'o', '*') with links, stairs and the zone layout.
 
     The original strip grid is carried along so that a filling can be
-    reassembled into a marked block matrix."""
+    reassembled into a marked block matrix; the sums of the strips are the
+    shape of the grid, which the symbols fill."""
 
-    rows: int
-    cols: int
     symbols: tuple  # tuple of row tuples over {'.', 'o', '*'}
     links: frozenset  # frozenset of frozenset({cell, cell}), 0-based
     zones: tuple  # Zone records, sorted by (depth, block)
@@ -97,10 +96,14 @@ class Scheme:
 
     @classmethod
     def from_json(cls, data: dict) -> "Scheme":
+        strips = _strips(data["row_strips"], "row"), _strips(data["col_strips"], "column")
+        marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
+        rows, cols = map(sum, strips)
+        # the strips and marks must fit each other as a filling's must
+        MarkedBlockMatrix(*strips, np.zeros((rows, cols)), marked)
         symbols = tuple(tuple(row) for row in data["symbols"])
-        rows, cols = len(symbols), len(symbols[0]) if symbols else 0
-        if any(len(row) != cols for row in symbols):
-            raise ValueError("scheme symbols rows differ in length")
+        if len(symbols) != rows or any(len(row) != cols for row in symbols):
+            raise DimensionMismatchError(f"scheme symbols do not fill the {rows}x{cols} grid of the strips")
         if any(x not in (".", "o", "*") for x in chain(*symbols)):
             raise ValueError("scheme symbols must be '.', 'o' or '*'")
         links = [frozenset(_cell(x, f"link {link!r}: cell ") for x in link)
@@ -129,14 +132,7 @@ class Scheme:
                         f"zone {k} has cell ({r + 1},{c + 1}) outside the {rows}x{cols} symbols"
                     )
             zs.append(z)
-        strips = tuple(data["row_strips"]), tuple(data["col_strips"])
-        marked = frozenset(_cell(x, "mark ") for x in data.get("marked", []))
-        # building a matrix on the symbol grid checks that the strips and
-        # marks fit it, as a filling's must
-        MarkedBlockMatrix(*strips, np.zeros((rows, cols)), marked)
         return cls(
-            rows=rows,
-            cols=cols,
             symbols=symbols,
             links=frozenset(links),
             zones=tuple(zs),
@@ -179,7 +175,7 @@ def _scheme(A, zone_list, eps, row_strips, col_strips, marked) -> Scheme:
             for (a, b) in zip(circles, circles[1:]):
                 if abs(A[a] - A[b]) <= 2 * eps:
                     links.add(frozenset({a, b}))
-    return Scheme(*A.shape, tuple(tuple(row) for row in grid), frozenset(links),
+    return Scheme(tuple(tuple(row) for row in grid), frozenset(links),
                   tuple(zone_list), row_strips, col_strips, frozenset(marked))
 
 
@@ -205,9 +201,8 @@ def validate_filling(S: Scheme, values, tol: Tolerance = Tolerance()):
         return v.get(cell, 0.0 + 0.0j)
 
     bad: list[str] = []
-    for r in range(S.rows):
-        for c in range(S.cols):
-            sym = S.symbols[r][c]
+    for r, row in enumerate(S.symbols):
+        for c, sym in enumerate(row):
             x = val((r, c))
             if sym == "." and abs(x) > eps:
                 bad.append(f"dot at ({r + 1},{c + 1}) must be zero, got {x}")
@@ -285,7 +280,7 @@ def fill_general_position(
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(seed)
     budget = max(list(S.row_strips) + list(S.col_strips) + [0])
-    entries = np.zeros((S.rows, S.cols), dtype=complex)
+    entries = np.zeros((sum(S.row_strips), sum(S.col_strips)), dtype=complex)
 
     def descending(k):
         if mode == "integer":

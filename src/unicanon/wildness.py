@@ -14,7 +14,7 @@ import numpy as np
 
 from .numcore import Tolerance, _rank, cluster_complex, frobenius
 from . import mbm
-from .mbm import MarkedBlockMatrix, ShapeMismatchError, _check_finite
+from .mbm import MarkedBlockMatrix, ShapeMismatchError, _matrix
 from .quiverrep import Quiver, Representation, pack
 
 __all__ = [
@@ -43,23 +43,13 @@ class RelationViolatedError(ValueError):
     pass
 
 
-def _square(X) -> np.ndarray:
-    """X as a complex square matrix with finite entries; a NaN or infinite
-    entry raises ValueError naming its cell of X."""
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ShapeMismatchError(f"expected a square matrix, got {X.shape}")
-    _check_finite(X)
-    return X
-
-
 def gadget(kind: str, X, Y=None):
     """Block template embedding X (and Y for SubspaceTriple).
 
     Nilpotent3, ProjectorPair and SquareZeroPair live on loop quivers;
     ArrowPair on the two-arrows-in quiver; SubspaceTriple is a marked block
     matrix with three column strips (Y defaults to X)."""
-    X = _square(X)
+    X = _matrix(X)
     n = X.shape[0]
     I = np.eye(n, dtype=complex)
     Z = np.zeros((n, n), dtype=complex)
@@ -81,7 +71,7 @@ def gadget(kind: str, X, Y=None):
             _TWO_ARROWS_IN, (3 * n, 3 * n, 2 * n), {"a": A_a, "b": A_b}
         )
     if kind == "SubspaceTriple":
-        Y = X if Y is None else _square(Y)
+        Y = X if Y is None else _matrix(Y)
         if Y.shape != X.shape:
             raise ShapeMismatchError("X and Y must have equal sizes")
         E = np.block([[I, Z, X], [Z, I, Y], [Z, Z, I]])
@@ -98,7 +88,7 @@ def gadget_faithful(kind: str, X, Y, tol: Tolerance = Tolerance()) -> bool:
     one batch (:func:`mbm._canonicalize_batch`), unless their invariants
     already differ (:func:`mbm._invariants_differ`): then the answer is
     False without a reduction."""
-    MX, MY = (pack(G)[0] if isinstance(G, Representation) else G
+    MX, MY = (pack(G) if isinstance(G, Representation) else G
               for G in (gadget(kind, X), gadget(kind, Y)))
     if MX.shape != MY.shape:
         raise ShapeMismatchError("X and Y must have equal sizes")
@@ -120,7 +110,7 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
       alpha = cos/sin sorted descending.
     """
     if kind == "Nilpotent2":
-        A = _square(data)
+        A = _matrix(data)
         n = A.shape[0]
         B = A / (frobenius(A) or 1.0)  # A^2 = 0 is decided at unit norm, in range
         if frobenius(B @ B) > tol.bound(1.0, n):
@@ -135,7 +125,7 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
             C[k, (n - r) + k] = v
         return C
     if kind == "Projector":
-        P = _square(data)
+        P = _matrix(data)
         n = P.shape[0]
         s = frobenius(P)
         B = P / (s or 1.0)  # P^2 - P = s (s B^2 - B), in range where P^2 is not
@@ -152,9 +142,7 @@ def tame_canonical(kind: str, data, tol: Tolerance = Tolerance()):
             C[k, r + k] = v
         return C
     if kind == "SubspacePair":
-        A1, A2 = data
-        A1 = np.asarray(A1, dtype=complex)
-        A2 = np.asarray(A2, dtype=complex)
+        A1, A2 = (_matrix(X, square=False) for X in data)
         if A1.shape[0] != A2.shape[0]:
             raise ShapeMismatchError("ambient dimensions differ")
         n = A1.shape[0]

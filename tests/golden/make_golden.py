@@ -174,7 +174,7 @@ def canonicalize_cases(out):
     out["example 8x12 scrambled"] = canon_record(
         mbm.apply_admissible(M, mbm.random_transcript(M, seed=77), TOL)
     )
-    packed, _ = qr.pack(rep(D4, (4, 4, 4, 8), np.random.default_rng(24)))
+    packed = qr.pack(rep(D4, (4, 4, 4, 8), np.random.default_rng(24)))
     out["packed D4 d=(4, 4, 4, 8)"] = canon_record(packed)
 
 
@@ -224,7 +224,7 @@ def filling_messages(S, seed):
     unlinked consecutive pair made equal, the last longest stair raised, and
     a stair set to the value of the stair before it."""
     F = sm.fill_general_position(S, "real-random", seed=seed, tol=TOL)
-    base = {(r, c): complex(F.entries[r, c]) for r in range(S.rows) for c in range(S.cols)}
+    base = {(r, c): complex(x) for (r, c), x in np.ndenumerate(F.entries)}
     edits = {"none": {}}
     first = S.circle_cells()[0]
     edits["circle negated"] = {first: -base[first]}
@@ -247,7 +247,7 @@ def descriptive_cases(out):
     """The paper's descriptive layer: scheme constraints and D(Q)."""
     C, _, trace = mbm.canonicalize(example_8x12(), TOL)
     out["validate_filling 8x12"] = filling_messages(sm.scheme_of(C, trace.zones, TOL), 121)
-    packed, _ = qr.pack(tied_kronecker())
+    packed = qr.pack(tied_kronecker())
     C, _, trace = mbm.canonicalize(packed, TOL)
     out["validate_filling packed q2/2 d=(3, 3) tied"] = filling_messages(
         sm.scheme_of(C, trace.zones, TOL), 122
@@ -267,7 +267,7 @@ def decompose_cases(out):
         P, R = rep(Q, dp, rng), rep(Q, dr, rng)
         A = scramble(qr.direct_sum(qr.direct_sum(P, P), R), rng)
         parts = qr.decompose_rep(A, TOL)
-        M, _ = qr.pack(A)
+        M = qr.pack(A)
         mparts = mbm.decompose(M, TOL)
         out[f"decompose q{Q.p}/{len(Q.arrows)} d={A.dims}"] = {
             "rep": [[list(S.dims), m] for S, m in parts],

@@ -27,7 +27,7 @@ QUIVERS = (LOOP, KRONECKER, TWO_ARROWS_IN, FOUR_ARROWS)
 
 
 def rep_scheme(R, tol):
-    M, _ = qr.pack(R)
+    M = qr.pack(R)
     C, _, trace = mbm.canonicalize(M, tol)
     return sm.scheme_of(C, trace.zones, tol)
 
@@ -182,7 +182,7 @@ class TestIntegerFill:
                 if count >= 20:
                     return
                 R = qr.random_rep(Q, z, seed=int(rng.integers(1 << 30)))
-                M, _ = qr.pack(R)
+                M = qr.pack(R)
                 C, _, trace = mbm.canonicalize(M, tol)
                 S = sm.scheme_of(C, trace.zones, tol)
                 F = sm.fill_general_position(S, "integer", seed=0, tol=tol)

@@ -22,7 +22,7 @@ def scrambled_packings(Q, d, seed):
     image under Haar-random unitaries per vertex."""
     A = random_rep(Q, d, seed=seed)
     T = Isometry(tuple(random_unitary(n, seed=seed + 1 + v) for v, n in enumerate(d)))
-    return pack(A)[0], pack(apply_isometry(A, T))[0]
+    return pack(A), pack(apply_isometry(A, T))
 
 
 def scrambled_similarity(n, seed):
@@ -39,7 +39,7 @@ def scrambled_gadgets(kind, seed):
     X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     U = random_unitary(2, seed=seed + 1)
     G = (wildness.gadget(kind, Y) for Y in (X, U.conj().T @ X @ U))
-    return tuple(pack(g)[0] if isinstance(g, Representation) else g for g in G)
+    return tuple(pack(g) if isinstance(g, Representation) else g for g in G)
 
 
 PAIRS = {
@@ -110,7 +110,7 @@ class TestBatchDivergence:
     @pytest.mark.parametrize("seed", range(3))
     def test_diverged_pair_is_reduced_member_by_member(self, tol, reductions, seed):
         A, B = same_spectrum_loops(16, 10 * seed)
-        M, N = pack(A)[0], pack(B)[0]
+        M, N = pack(A), pack(B)
         assert not mbm._invariants_differ(M, N, tol)
         assert not isometric(A, B, tol)
         # the batch of two, then each member again on its own

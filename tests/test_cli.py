@@ -6,8 +6,9 @@ import pytest
 from unicanon.cli import dispatch
 from unicanon import mbm
 from unicanon.mbm import MarkedBlockMatrix, matrix_from_json
-from unicanon.numcore import cluster_complex, random_unitary
-from unicanon.quiverrep import Isometry, Quiver, Representation, apply_isometry, random_rep
+from unicanon import quiverrep as qr
+from unicanon.numcore import Tolerance, cluster_complex, random_unitary
+from unicanon.quiverrep import Isometry, Quiver, Representation, apply_isometry, isometric, random_rep
 
 from conftest import example_8x12, not_reducing_step, KRONECKER, SINGLE_ARROW, MALFORMED_SCHEMES
 
@@ -430,6 +431,30 @@ class TestMbmAndScheme:
         F = MarkedBlockMatrix.from_json(out)
         assert F.entries.shape == (8, 12)
 
+    def test_fill_scheme_without_rows(self, tmp_path, capsys):
+        # the README pipeline ``scheme --format json | fill-scheme`` on a
+        # matrix with no rows; before: exit 2, "entries shape (0, 0) does
+        # not match strips (0,) x (2,)"
+        f = write_json(tmp_path / "m.json", {"row_strips": [0], "col_strips": [2], "entries": []})
+        assert dispatch(["--format", "json", "scheme", f]) == 0
+        sfile = tmp_path / "s.json"
+        sfile.write_text(capsys.readouterr().out)
+        assert dispatch(["fill-scheme", str(sfile)]) == 0
+        F = MarkedBlockMatrix.from_json(json.loads(capsys.readouterr().out))
+        assert (F.row_strips, F.col_strips, F.entries.shape) == ((0,), (2,), (0, 2))
+
+    def test_canon_mbm_transcript(self, mbm_file, tmp_path, capsys):
+        # the written unitaries map the input onto the printed form within
+        # the certificate bound
+        tfile = tmp_path / "t.json"
+        assert dispatch(["--transcript", str(tfile), "canon-mbm", mbm_file]) == 0
+        C = MarkedBlockMatrix.from_json(json.loads(capsys.readouterr().out)["canonical"])
+        T = json.loads(tfile.read_text())
+        T = mbm.Transcript(tuple(map(matrix_from_json, T["R"])), tuple(map(matrix_from_json, T["S"])))
+        A = example_8x12()
+        resid = np.linalg.norm(mbm.apply_admissible(A, T).entries - C.entries)
+        assert resid <= Tolerance().bound(A.entries)
+
     def test_fill_deterministic_seed(self, mbm_file, tmp_path, capsys):
         sfile = tmp_path / "s.json"
         dispatch(["--format", "json", "--out", str(sfile), "scheme", mbm_file])
@@ -526,6 +551,18 @@ class TestRepCommands:
         assert captured.out == "" and not tfile.exists()
         assert json.loads(captured.err)["type"] == "CertificationError"
 
+    def test_canon_rep_transcript(self, tmp_path, capsys):
+        # the written isometry maps the input onto the printed form within
+        # the certificate bound of the input's packing
+        A = random_rep(KRONECKER, (2, 3), seed=4)
+        f = write_json(tmp_path / "rep.json", A.to_json())
+        tfile = tmp_path / "t.json"
+        assert dispatch(["--transcript", str(tfile), "canon-rep", f]) == 0
+        C = Representation.from_json(json.loads(capsys.readouterr().out)["canonical"])
+        T = Isometry(tuple(matrix_from_json(S) for S in json.loads(tfile.read_text())["S"]))
+        resid, limit = qr._residual(A, C, T, qr.pack(A), Tolerance())
+        assert resid <= limit
+
     def test_decompose_rep(self, rep_file, capsys):
         assert dispatch(["decompose", rep_file]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -542,6 +579,27 @@ class TestRepCommands:
         f = write_json(tmp_path / "i.json", A.to_json())
         assert dispatch(["real-type", f]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "Complex"
+
+    @pytest.mark.parametrize("kind", ("Real", "Quaternionic"))
+    def test_real_type_form(self, tmp_path, capsys, kind):
+        # a real-type loop, and two quaternionic loops [[x, y], [-conj(y), conj(x)]]
+        if kind == "Real":
+            A = Representation(Quiver(1, [("a", 1, 1)]), (2,), {"a": [[1j, 1.0], [0.0, -1j]]})
+        else:
+            mats = {"a": [[1 + 2j, 0.5 - 1j], [-0.5 - 1j, 1 - 2j]],
+                    "b": [[-0.3 + 1j, 2 + 0.5j], [-2 + 0.5j, -0.3 - 1j]]}
+            A = Representation(Quiver(1, [("a", 1, 1), ("b", 1, 1)]), (2,), mats)
+        f = write_json(tmp_path / "r.json", A.to_json())
+        assert dispatch(["real-type", f]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["kind"], out["lambda"]) == (kind, 1 if kind == "Real" else -1)
+        form = Representation.from_json(out["form"])
+        assert isometric(A, form)
+        for M in form.matrices.values():
+            if kind == "Real":
+                assert np.abs(M.imag).max() <= 1e-12
+            else:  # the quaternionic block shape, with 1x1 blocks
+                assert np.allclose(M[1:, :1], -M[:1, 1:].conj()) and np.allclose(M[1, 1], M[0, 0].conj())
 
     def test_real_type_zero_dims(self, tmp_path, capsys):
         # before: exit 0 with kind "Real"
@@ -591,6 +649,13 @@ class TestDimCommands:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "vertices -2: the count is negative",
                                             "type": "ValueError"}
+
+    @pytest.mark.parametrize("command", [["dims", "--bound", "x"], ["params", "--d", "1,x"]],
+                             ids=("dims", "params"))
+    def test_argument_not_an_integer(self, quiver_file, capsys, command):
+        assert dispatch([*command, quiver_file]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in json.loads(captured.err)
 
     def test_construct_deterministic(self, quiver_file, capsys):
         outs = []

@@ -307,5 +307,5 @@ class TestConstruct:
     def test_output_is_a_fixpoint(self, tol, n, seed):
         # the seeds where the unreduced real-random refill returned before
         # moved by 1.7e-6 to 6.0e-5 relative (ill-conditioned fillings)
-        M = qr.pack(construct_indecomposable(LOOP, (n,), seed=seed, tol=tol))[0]
+        M = qr.pack(construct_indecomposable(LOOP, (n,), seed=seed, tol=tol))
         assert mbm.same_canonical(mbm.canonicalize(M, tol)[0], M, tol)

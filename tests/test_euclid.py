@@ -185,6 +185,18 @@ class TestTakagi:
         with pytest.raises(NotUnitaryError):
             takagi_symmetric(2 * np.eye(2), tol)
 
+    def test_rejects_non_finite(self, tol):
+        # before: a warning, then numpy's "SVD did not converge"
+        with pytest.raises(ValueError, match=r"entry \(1,1\) is not finite"):
+            takagi_symmetric([[np.nan]], tol)
+
+    def test_rejects_overflowing_product(self, tol):
+        # S^H S of these finite entries overflows to inf - inf = NaN, which
+        # failed no ``>`` test: before, the zero matrix was returned
+        S = np.array([[1e200, 1e200], [1e200, -1e200]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotUnitaryError):
+            takagi_symmetric(S, tol)
+
 
 class TestSkew:
     def J(self, n):
@@ -216,6 +228,11 @@ class TestSkew:
     def test_rejects_nonskew(self, tol):
         with pytest.raises(NotSkewError):
             skew_canonical(np.eye(2), tol)
+
+    def test_rejects_non_finite(self, tol):
+        # before: the identity, though U^T J U = J is not S
+        with pytest.raises(ValueError, match=r"entry \(2,2\) is not finite"):
+            skew_canonical([[0, 1], [-1, np.nan]], tol)
 
 
 class TestForms:
@@ -270,13 +287,26 @@ class TestRealIsometry:
         A = Representation(ZERO_VERTEX, (0, 0, 0), {a: np.zeros((0, 0)) for a in "abc"})
         assert [U.shape for U in real_isometry(A, A, tol).S] == [(0, 0)] * 3
 
+    def test_complex_input_rejected_before_reduction(self, tol, reductions):
+        # before: both were reduced, and the polar-factor witness failed its
+        # certificate (CertificationError, residual 1.88 > 9.7e-8)
+        A = qr.random_rep(KRONECKER, (2, 2), seed=0)
+        B = qr.apply_isometry(A, Isometry((random_unitary(2, seed=1), random_unitary(2, seed=2))))
+        with pytest.raises(ValueError, match="A is not real: arrow a has") as info:
+            real_isometry(A, B, tol)
+        assert not isinstance(info.value, mbm.CertificationError) and reductions == []
+        real = loop_rep([[1.0, 2.0], [0.0, 3.0]])
+        with pytest.raises(ValueError, match="B is not real: arrow a has"):
+            real_isometry(real, loop_rep([[1.0, 2.0], [0.0, 3.0 + 1e-6j]]), tol)
+        assert reductions == []
+
     def test_witness_limit(self, tol, monkeypatch):
         # real_isometry checks its residual against the limit that
         # isometric checks its isometry at: tol.bound of A's packing, whose
         # larger side is 6 for Kronecker (3,3) (the largest d_v, 3, before);
         # a witness beyond it raises
         A = real_rep(KRONECKER, (3, 3), np.random.default_rng(3))
-        M = qr.pack(A)[0]
+        M = qr.pack(A)
         T = real_isometry(A, A, tol)
         resid, limit = qr._residual(A, A, T, M, tol)
         assert M.shape == (6, 6) and limit == tol.bound(M.entries, 6) and resid <= limit

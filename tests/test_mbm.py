@@ -38,7 +38,7 @@ def packed(Q, d, seed):
         + 1j * rng.standard_normal((d[t - 1], d[s - 1]))
         for a, s, t in Q.arrows
     }
-    return pack(Representation(Q, d, mats))[0]
+    return pack(Representation(Q, d, mats))
 
 
 def engine_inputs():
@@ -56,7 +56,7 @@ def sums_of_packings():
     for Q, dp, dq, seed in ((KRONECKER, (2, 3), (1, 2), 30), (D4, (1, 1, 1, 2), (0, 1, 1, 1), 31),
                             (Quiver(1, [("a", 1, 1)]), (2,), (1,), 32)):
         P, R = random_rep(Q, dp, seed=seed), random_rep(Q, dq, seed=seed + 10)
-        out += [pack(P)[0], pack(direct_sum(P, P))[0], pack(direct_sum(P, R))[0]]
+        out += [pack(P), pack(direct_sum(P, P)), pack(direct_sum(P, R))]
     return out
 
 
@@ -447,6 +447,14 @@ class TestApplyAdmissible:
             R=(np.eye(2, dtype=complex),),
             S=(np.diag([1.0, -1.0]).astype(complex),),
         )
+        with pytest.raises(TieViolationError):
+            apply_admissible(M, T)
+
+    def test_non_finite_transcript_violates_the_tie(self):
+        # a NaN norm fails the tie check; before, it passed, and the NaN
+        # entries it made were reported as the matrix's
+        M = MarkedBlockMatrix((1,), (1,), [[1.0]], {(0, 0)})
+        T = mbm.Transcript(R=(np.array([[np.nan]], dtype=complex),), S=(np.eye(1, dtype=complex),))
         with pytest.raises(TieViolationError):
             apply_admissible(M, T)
 

@@ -44,13 +44,12 @@ def reference_arrow_zones(A, tol):
     belongs to every arrow whose rectangle in the packed matrix holds one of
     its cells, with its block, those cells and the stairs lying wholly
     inside, shifted to the rectangle's corner."""
-    M, layout = pack(A)
+    M = pack(A)
     canonical, _, trace = mbm.canonicalize(M, tol)
     full = scheme_of(canonical, trace.zones, tol)
     ro, co = mbm._offsets(M.row_strips), mbm._offsets(M.col_strips)
     out = {}
-    for k, aid in enumerate(layout["row_order"]):
-        _, s, _ = A.quiver.arrow(aid)
+    for k, (aid, s, _) in enumerate(A.quiver.arrows[::-1]):  # the arrow of every row strip
         r0, r1, c0, c1 = int(ro[k]), int(ro[k + 1]), int(co[s - 1]), int(co[s])
 
         def inside(cell):
@@ -82,13 +81,11 @@ def shifted_arrow_schemes(A, tol):
     lies in the arrow's rectangle, with its block, cells and stairs shifted
     by the rectangle's corner, and the packed scheme's symbols and links
     inside the rectangle."""
-    M, layout = pack(A)
-    C, _, trace = mbm.canonicalize(M, tol)
+    C, _, trace = mbm.canonicalize(pack(A), tol)
     full = scheme_of(C, trace.zones, tol)
     ro, co = mbm._offsets(C.row_strips).tolist(), mbm._offsets(C.col_strips).tolist()
     out = {}
-    for k, aid in enumerate(layout["row_order"]):
-        _, s, d = A.quiver.arrow(aid)
+    for k, (aid, s, d) in enumerate(A.quiver.arrows[::-1]):  # the arrow of every row strip
         r0, r1, c0, c1 = ro[k], ro[k + 1], co[s - 1], co[s]
 
         def shift(cells):
@@ -104,7 +101,7 @@ def shifted_arrow_schemes(A, tol):
                           if all(r0 <= r < r1 and c0 <= c < c1 for r, c in p))
         symbols = tuple(tuple(row[c0:c1]) for row in full.symbols[r0:r1])
         marked = frozenset({(0, 0)} if s == d else ())
-        out[aid] = Scheme(r1 - r0, c1 - c0, symbols, links, zones, (r1 - r0,), (c1 - c0,), marked)
+        out[aid] = Scheme(symbols, links, zones, (r1 - r0,), (c1 - c0,), marked)
     return out
 
 
@@ -218,7 +215,7 @@ class TestRepresentationShape:
 class TestPack:
     def test_single_arrow_layout(self):
         A = Representation(SINGLE_ARROW, (1, 1), {"a": [[1.0]]})
-        M, layout = pack(A)
+        M = pack(A)
         assert M.row_strips == (1,)
         assert M.col_strips == (1, 1)
         assert M.marked == frozenset({(0, 1)})
@@ -226,22 +223,22 @@ class TestPack:
 
     def test_loop_is_marked_similarity(self):
         A = loop_rep([[1, 2], [3, 4]])
-        M, _ = pack(A)
+        M = pack(A)
         assert M.marked == frozenset({(0, 0)})
         assert np.allclose(M.entries, [[1, 2], [3, 4]])
 
     def test_four_arrow_grid(self):
         A = random_rep(FOUR_ARROWS, (2, 1, 1), seed=0)
-        M, layout = pack(A)
+        M = pack(A)
         assert len(M.row_strips) == 4
         assert M.col_strips == (2, 1, 1)
         # bottom row strip holds the first arrow (the loop at vertex 1)
-        assert layout["row_order"][-1] == "l"
+        assert M.row_strips[-1] == 2 and (3, 0) in M.marked
+        assert np.array_equal(M.entries[-2:, :2], A.matrices["l"])
 
     def test_round_trip(self):
         A = random_rep(FOUR_ARROWS, (2, 3, 1), seed=1)
-        M, layout = pack(A)
-        B = unpack(M, layout)
+        B = unpack(pack(A), FOUR_ARROWS)
         assert B.dims == A.dims
         for a in A.matrices:
             assert np.allclose(B.matrices[a], A.matrices[a])
@@ -259,8 +256,7 @@ class TestPack:
         A = random_rep(Q, d, seed=sum(d))
         A = Representation(Q, d, {a: scale * X for a, X in A.matrices.items()})
         _, _, C, _ = qr._canonical(A, tol)
-        layout = pack(A)[1]
-        assert np.array_equal(pack(unpack(C, layout))[0].entries, C.entries)
+        assert np.array_equal(pack(unpack(C, Q)).entries, C.entries)
 
     @pytest.mark.parametrize(
         "Q, da, db",
@@ -270,8 +266,8 @@ class TestPack:
     )
     def test_direct_sum_packs_to_block_direct_sum(self, Q, da, db):
         A, B = random_rep(Q, da, seed=2), random_rep(Q, db, seed=3)
-        got = pack(direct_sum(A, B))[0]
-        want = mbm.block_direct_sum(pack(A)[0], pack(B)[0])
+        got = pack(direct_sum(A, B))
+        want = mbm.block_direct_sum(pack(A), pack(B))
         assert (got.row_strips, got.col_strips, got.marked) == (
             want.row_strips, want.col_strips, want.marked)
         assert np.array_equal(got.entries, want.entries)
@@ -337,7 +333,7 @@ class TestCanonical:
             got = [(z.depth, z.kind, z.block, z.cells, z.stairs) for z in S.zones]
             assert got == want[aid]
             assert {c for z in S.zones for c in z.cells} <= {
-                (r, c) for r in range(S.rows) for c in range(S.cols)
+                (r, c) for r in range(sum(S.row_strips)) for c in range(sum(S.col_strips))
             }
 
 
@@ -363,7 +359,7 @@ class TestIsometric:
         A = random_rep(FOUR_ARROWS, (2, 2, 1), seed=7)
         B = apply_isometry(A, Isometry(tuple(random_unitary(d, seed=10 + k) for k, d in enumerate(A.dims))))
         T, _ = qr._isometry(A, B, tol)
-        resid, limit = qr._residual(A, B, T, pack(A)[0], tol)
+        resid, limit = qr._residual(A, B, T, pack(A), tol)
         assert resid <= limit
         batch = mbm._canonicalize_batch
 
@@ -581,11 +577,11 @@ def sweep_matrix(case, rng):
     """A packed Gaussian representation, a packed gadget of a 2 x 2 X, or a
     random marked block matrix."""
     if case in SWEEP_REPS:
-        return pack(random_rep(*SWEEP_REPS[case], seed=int(rng.integers(2**31))))[0]
+        return pack(random_rep(*SWEEP_REPS[case], seed=int(rng.integers(2**31))))
     if case == "random-mbm":
         return random_mbm(rng)
     G = wildness.gadget(case, rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return pack(G)[0] if isinstance(G, Representation) else G
+    return pack(G) if isinstance(G, Representation) else G
 
 
 class TestInvariantRejection:
@@ -612,16 +608,16 @@ class TestInvariantRejection:
 
     def test_empty(self, tol):
         # no blocks, and blocks of an empty vertex beside filled ones
-        M = pack(Representation(Quiver(0, ()), (), {}))[0]
+        M = pack(Representation(Quiver(0, ()), (), {}))
         assert not mbm._invariants_differ(M, M, tol)
         A = random_rep(TWO_ARROWS_IN, (0, 2, 1), seed=3)
         B = apply_isometry(A, Isometry(tuple(random_unitary(d, seed=d) for d in A.dims)))
         assert isometric(A, B, tol)
         C = Representation(TWO_ARROWS_IN, A.dims, {**B.matrices, "b": 1.5 * B.matrices["b"]})
-        assert mbm._invariants_differ(pack(A)[0], pack(C)[0], tol) and not isometric(A, C, tol)
+        assert mbm._invariants_differ(pack(A), pack(C), tol) and not isometric(A, C, tol)
 
     def test_other_problem_differs(self, tol):
-        M = pack(random_rep(KRONECKER, (2, 3), seed=6))[0]
+        M = pack(random_rep(KRONECKER, (2, 3), seed=6))
         N = MarkedBlockMatrix(M.row_strips, M.col_strips, M.entries)  # no marks
         assert mbm._invariants_differ(M, N, tol)
         assert not mbm.same_canonical(mbm.canonicalize(M, tol)[0], mbm.canonicalize(N, tol)[0], tol)
@@ -642,7 +638,7 @@ class TestZonesWhenRead:
         assert euclid.decompose_real(real, tol)
         for kind in wildness.GADGET_KINDS:
             assert wildness.gadget_faithful(kind, X, X, tol)
-        mbm.canonicalize(pack(A)[0], tol)
+        mbm.canonicalize(pack(A), tol)
         dims.construct_indecomposable(KRONECKER, (2, 3), seed=0, tol=tol)
         assert merges == []
 
@@ -659,7 +655,7 @@ class TestZonesWhenRead:
             assert len(merges) == runs
         # canon-mbm reads trace.zones, the whole matrix: one run
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(pack(A)[0].to_json()))
+        path.write_text(json.dumps(pack(A).to_json()))
         assert dispatch(["canon-mbm", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["zones"] and len(merges) == 3
 
@@ -673,7 +669,7 @@ class TestZonesWhenRead:
         assert merges == []
 
     def test_read_twice_is_the_same_list(self, tol, merges):
-        trace = mbm.canonicalize(pack(random_rep(KRONECKER, (3, 3), seed=1))[0], tol)[2]
+        trace = mbm.canonicalize(pack(random_rep(KRONECKER, (3, 3), seed=1)), tol)[2]
         assert trace.zones is trace.zones and len(merges) == 1
 
     @pytest.mark.parametrize("entries", ["gaussian", "zero-one"])
@@ -695,6 +691,6 @@ class TestZonesWhenRead:
         # so the comparison above covers arrow zones that absorbed blocks, at
         # offset (0, 0) (Kronecker's b) and away from it (D4's c at (0, 5))
         for Q, d, rows, cols in ((KRONECKER, (3, 3), 3, (0, 3)), (D4, (2, 3, 1, 4), 4, (5, 6))):
-            trace = mbm.canonicalize(pack(zero_one(random_rep(Q, d, seed=0)))[0], tol)[2]
+            trace = mbm.canonicalize(pack(zero_one(random_rep(Q, d, seed=0))), tol)[2]
             assert any(beyond_block(z) for z in trace.zones
                        if z.block[0] < rows and cols[0] <= z.block[2] < cols[1])

@@ -16,7 +16,7 @@ from unicanon.scheme import (
     render_ascii,
 )
 
-from conftest import random_mbm, example_8x12, D4, KRONECKER, MALFORMED_SCHEMES
+from conftest import random_mbm, example_8x12, D4, KRONECKER, SINGLE_ARROW, MALFORMED_SCHEMES
 
 
 def scheme_of_mbm(M, tol):
@@ -33,7 +33,7 @@ def probed_schemes(tol):
         for seed in range(3):
             A = random_rep(Q, d, seed=seed)
             A = Representation(Q, d, {a: (X.real > 0) + 0j for a, X in A.matrices.items()})
-            out += [scheme_of_mbm(pack(A)[0], tol)[0], *rep_canonical(A, tol)[2].values()]
+            out += [scheme_of_mbm(pack(A), tol)[0], *rep_canonical(A, tol)[2].values()]
     return out
 
 
@@ -122,9 +122,14 @@ class TestSchemeOf:
 
     def test_json_round_trip_is_the_scheme(self, tol):
         # before: the 13 packed schemes whose reduction merged kept their
-        # zones' merged blocks, which the JSON does not carry
-        schemes = probed_schemes(tol)
-        assert len(schemes) == 43
+        # zones' merged blocks, which the JSON does not carry; and a scheme
+        # without rows was read back with no columns, so from_json raised
+        # on the 0x2 schemes of a matrix and of an arrow into a zero vertex
+        no_rows = [scheme_of_mbm(MarkedBlockMatrix((0,), (2,), np.zeros((0, 2))), tol)[0],
+                   rep_canonical(random_rep(SINGLE_ARROW, (2, 0), seed=0), tol)[2]["a"]]
+        assert [(S.symbols, S.row_strips, S.col_strips) for S in no_rows] == [((), (0,), (2,))] * 2
+        schemes = probed_schemes(tol) + no_rows
+        assert len(schemes) == 45
         for S in schemes:
             assert Scheme.from_json(S.to_json()) == S
 
@@ -166,8 +171,8 @@ class TestValidateFilling:
     def fill_of(self, S, C):
         return {
             (r, c): C.entries[r, c]
-            for r in range(S.rows)
-            for c in range(S.cols)
+            for r in range(sum(S.row_strips))
+            for c in range(sum(S.col_strips))
         }
 
     def test_canonical_filling_ok(self, tol, M8x12):
@@ -227,8 +232,8 @@ class TestFill:
                 S,
                 {
                     (r, c): F.entries[r, c]
-                    for r in range(S.rows)
-                    for c in range(S.cols)
+                    for r in range(sum(S.row_strips))
+                    for c in range(sum(S.col_strips))
                 },
                 tol,
             ) == []

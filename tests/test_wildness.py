@@ -237,6 +237,17 @@ class TestTameSubspacePair:
         with pytest.raises(RelationViolatedError):
             tame_canonical("SubspacePair", (A1, np.eye(3)[:, :1]), tol)
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        ((([[1.0], [np.nan]], [[0.0], [1.0]]), r"entry \(2,1\) is not finite"),
+         (([1.0, 0.0], [[0.0], [1.0]]), r"expected a matrix, got \(2,\)")),
+        ids=("nan", "one-dimensional"),
+    )
+    def test_bare_matrix_checked(self, tol, blocks, message):
+        # before: numpy's LinAlgError for the NaN, an IndexError for the 1-D block
+        with pytest.raises(ValueError, match=message):
+            tame_canonical("SubspacePair", blocks, tol)
+
     def test_ambient_mismatch(self, tol):
         with pytest.raises(ShapeMismatchError):
             tame_canonical(
